@@ -16,6 +16,12 @@ rules are exact at any requested degree and have strictly positive weights
 Face bases are scaled Legendre polynomials in the arc-length parameter, so
 they are exactly orthonormal, and they belong to the face rather than to an
 element: both neighbours of an interior face see the same trace functions.
+
+Quadrature, bases and face modes are computed for stacks of elements or
+faces (leading batch axis); the per-element functions run the same code on
+a one-element stack. Stacked products keep the per-element association
+order and memory layout, so an element's values do not depend on the stack
+it is computed in.
 """
 
 from __future__ import annotations
@@ -24,9 +30,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
-from .mesh import Mesh
+from .mesh import Mesh, polygon_centroids
 
 __all__ = [
     "Quadrature",
@@ -37,11 +43,17 @@ __all__ = [
     "TraceDofMap",
     "triangle_rule",
     "segment_rule",
+    "polygon_quadrature",
     "element_quadrature",
+    "face_quadratures",
     "face_quadrature",
     "build_element_basis",
+    "build_element_bases",
+    "basis_moments",
     "build_face_basis",
+    "face_modes",
     "project_trace",
+    "trace_moments",
     "build_trace_dof_map",
     "scalar_dim",
 ]
@@ -118,46 +130,50 @@ def segment_rule(exactness: int) -> tuple[np.ndarray, np.ndarray]:
     return _gauss_legendre_01(exactness // 2 + 1)
 
 
-def _polygon_quadrature(poly: np.ndarray, exactness: int) -> Quadrature:
-    """Fan-triangulate a convex polygon around its centroid and map the
-    reference triangle rule to each fan triangle."""
+def polygon_quadrature(polys: np.ndarray, exactness: int) -> Quadrature:
+    """Quadrature on a stack of convex polygons with a common vertex count,
+    ``polys`` of shape (B, m, 2); points (B, nq, 2), weights (B, nq).
+
+    Triangles map the reference rule directly; other polygons are
+    fan-triangulated around their centroid, one reference rule per fan
+    triangle in vertex order."""
     ref_pts, ref_w = triangle_rule(exactness)
-    m = len(poly)
-    if m == 3:
-        tris = [poly]
+    if polys.shape[-2] == 3:
+        tris = polys[:, None]
     else:
-        x, y = poly[:, 0], poly[:, 1]
-        cross = x * np.roll(y, -1) - np.roll(x, -1) * y
-        a = 0.5 * cross.sum()
-        c = np.array(
-            [
-                np.sum((x + np.roll(x, -1)) * cross) / (6 * a),
-                np.sum((y + np.roll(y, -1)) * cross) / (6 * a),
-            ]
-        )
-        tris = [np.array([c, poly[i], poly[(i + 1) % m]]) for i in range(m)]
-    pts, wts = [], []
-    for tri in tris:
-        jac = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        pts.append(ref_pts @ jac.T + tri[0])
-        wts.append(ref_w * det)
-    return Quadrature(np.vstack(pts), np.concatenate(wts))
+        c = np.broadcast_to(polygon_centroids(polys)[:, None], polys.shape)
+        tris = np.stack([c, polys, np.roll(polys, -1, axis=1)], axis=2)
+    v0 = tris[..., 0, :]
+    jac = np.stack([tris[..., 1, :] - v0, tris[..., 2, :] - v0], axis=-1)
+    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+    pts = ref_pts @ jac.swapaxes(-1, -2) + v0[..., None, :]
+    wts = ref_w * det[..., None]
+    return Quadrature(pts.reshape(len(polys), -1, 2), wts.reshape(len(polys), -1))
 
 
 def element_quadrature(mesh: Mesh, e: int, exactness: int) -> Quadrature:
     """Quadrature on element ``e`` exact for bivariate total degree
     ``exactness``; raises QuadratureDegreeError beyond MAX_EXACTNESS."""
-    return _polygon_quadrature(mesh.polygon(e), exactness)
+    q = polygon_quadrature(mesh.polygon(e)[None], exactness)
+    return Quadrature(q.points[0], q.weights[0])
+
+
+def face_quadratures(mesh: Mesh, face_ids, exactness: int) -> FaceQuadrature:
+    """Gauss quadrature on a stack of faces, exact for 1D degree
+    ``exactness``: points (F, nq, 2), weights (F, nq), shared params."""
+    t, w = segment_rule(exactness)
+    faces = [mesh.faces[fid] for fid in face_ids]
+    p0 = mesh.vertices[[f.v0 for f in faces]]
+    p1 = mesh.vertices[[f.v1 for f in faces]]
+    length = np.array([f.length for f in faces])
+    pts = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
+    return FaceQuadrature(pts, w * length[:, None], t)
 
 
 def face_quadrature(mesh: Mesh, face_id: int, exactness: int) -> FaceQuadrature:
     """Gauss quadrature on a face, exact for 1D degree ``exactness``."""
-    f = mesh.faces[face_id]
-    t, w = segment_rule(exactness)
-    p0, p1 = mesh.vertices[f.v0], mesh.vertices[f.v1]
-    pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    return FaceQuadrature(pts, w * f.length, t)
+    q = face_quadratures(mesh, [face_id], exactness)
+    return FaceQuadrature(q.points[0], q.weights[0], q.params)
 
 
 class ElementBasis:
@@ -167,41 +183,53 @@ class ElementBasis:
     graded order; the first function is the constant 1/sqrt(area). The
     combination matrix is lower triangular, so truncating to the leading
     scalar_dim(m) functions yields an orthonormal basis of degree m.
+
+    The same object describes a batch of elements when ``center``, ``scale``
+    and ``coeff`` carry a leading batch axis; points passed to ``eval`` and
+    ``grad`` then carry it too, (B, npts, 2).
     """
 
-    def __init__(self, element: int, degree: int, center, scale, coeff: np.ndarray):
+    def __init__(self, element, degree: int, center, scale, coeff: np.ndarray):
         self.element = element
         self.degree = degree
         self.center = np.asarray(center, dtype=float)
         self.scale = np.asarray(scale, dtype=float)
-        self.coeff = coeff  # (N, N), rows = basis functions over monomials
+        self.coeff = coeff  # (..., N, N), rows = basis functions over monomials
         self.exponents = _graded_exponents(degree)
 
     @property
     def dim(self) -> int:
-        return len(self.coeff)
+        return self.coeff.shape[-1]
+
+    def __getitem__(self, i: int) -> "ElementBasis":
+        """Basis of the i-th element of a batch."""
+        return ElementBasis(
+            int(self.element[i]), self.degree, self.center[i], self.scale[i], self.coeff[i]
+        )
 
     def _local(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pts = np.atleast_2d(pts)
-        return (pts[:, 0] - self.center[0]) / self.scale[0], (
-            pts[:, 1] - self.center[1]
-        ) / self.scale[1]
+        return (pts[..., 0] - self.center[..., 0, None]) / self.scale[..., 0, None], (
+            pts[..., 1] - self.center[..., 1, None]
+        ) / self.scale[..., 1, None]
+
+    def _rows(self, nfun: int | None) -> np.ndarray:
+        return self.coeff if nfun is None else self.coeff[..., :nfun, :]
 
     def eval(self, pts: np.ndarray, nfun: int | None = None) -> np.ndarray:
-        """Basis values at points, shape (npts, nfun)."""
+        """Basis values at points, shape (..., npts, nfun)."""
         X, Y = self._local(pts)
         V = _monomial_values(X, Y, self.exponents)
-        C = self.coeff if nfun is None else self.coeff[:nfun]
-        return V @ C.T
+        return V @ self._rows(nfun).swapaxes(-1, -2)
 
     def grad(self, pts: np.ndarray, nfun: int | None = None) -> np.ndarray:
-        """Basis gradients at points, shape (npts, nfun, 2)."""
+        """Basis gradients at points, shape (..., npts, nfun, 2)."""
         X, Y = self._local(pts)
         gx, gy = _monomial_grads(X, Y, self.exponents)
-        C = self.coeff if nfun is None else self.coeff[:nfun]
-        out = np.empty((len(X), len(C), 2))
-        out[:, :, 0] = (gx @ C.T) / self.scale[0]
-        out[:, :, 1] = (gy @ C.T) / self.scale[1]
+        CT = self._rows(nfun).swapaxes(-1, -2)
+        out = np.empty(X.shape + (CT.shape[-1], 2))
+        out[..., 0] = (gx @ CT) / self.scale[..., 0, None, None]
+        out[..., 1] = (gy @ CT) / self.scale[..., 1, None, None]
         return out
 
 
@@ -210,60 +238,111 @@ def _graded_exponents(degree: int) -> tuple[tuple[int, int], ...]:
     return tuple((d - b, b) for d in range(degree + 1) for b in range(d + 1))
 
 
+def _powers(x: np.ndarray, deg: int) -> np.ndarray:
+    """x**0 .. x**deg along a new last axis, as successive products (the
+    arithmetic of ``np.vander(x, deg + 1, increasing=True)``)."""
+    out = np.empty(x.shape + (deg + 1,))
+    out[..., 0] = 1.0
+    if deg > 0:
+        out[..., 1:] = x[..., None]
+        np.multiply.accumulate(out[..., 1:], axis=-1, out=out[..., 1:])
+    return out
+
+
 def _monomial_values(X, Y, exponents) -> np.ndarray:
     deg = max(a + b for a, b in exponents)
-    Xp = np.vander(X, deg + 1, increasing=True)
-    Yp = np.vander(Y, deg + 1, increasing=True)
-    return np.stack([Xp[:, a] * Yp[:, b] for a, b in exponents], axis=1)
+    Xp, Yp = _powers(X, deg), _powers(Y, deg)
+    return np.stack([Xp[..., a] * Yp[..., b] for a, b in exponents], axis=-1)
 
 
 def _monomial_grads(X, Y, exponents) -> tuple[np.ndarray, np.ndarray]:
     deg = max(a + b for a, b in exponents)
-    Xp = np.vander(X, deg + 1, increasing=True)
-    Yp = np.vander(Y, deg + 1, increasing=True)
+    Xp, Yp = _powers(X, deg), _powers(Y, deg)
     gx = np.stack(
-        [a * Xp[:, a - 1] * Yp[:, b] if a > 0 else np.zeros_like(X) for a, b in exponents],
-        axis=1,
+        [a * Xp[..., a - 1] * Yp[..., b] if a > 0 else np.zeros_like(X) for a, b in exponents],
+        axis=-1,
     )
     gy = np.stack(
-        [b * Xp[:, a] * Yp[:, b - 1] if b > 0 else np.zeros_like(X) for a, b in exponents],
-        axis=1,
+        [b * Xp[..., a] * Yp[..., b - 1] if b > 0 else np.zeros_like(X) for a, b in exponents],
+        axis=-1,
     )
     return gx, gy
 
 
 def build_element_basis(mesh: Mesh, e: int, degree: int, quad: Quadrature | None = None) -> ElementBasis:
-    """Orthonormalize scaled monomials of total degree <= degree against the
-    element mass matrix.
+    """Orthonormal basis of total degree <= degree on element ``e``."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    poly = mesh.polygon(e)[None]
+    if quad is None:
+        q = polygon_quadrature(poly, 2 * degree)
+    else:
+        q = Quadrature(quad.points[None], quad.weights[None])
+    return build_element_bases(poly, np.array([e]), degree, q)[0]
+
+
+def build_element_bases(
+    polys: np.ndarray, elements: np.ndarray, degree: int, quad: Quadrature
+) -> ElementBasis:
+    """Batched basis on polygons (B, m, 2) with element ids ``elements``,
+    orthonormalized against the element mass matrices of ``quad``.
 
     A Cholesky factorization of the monomial Gram matrix plays the role of
     modified Gram-Schmidt in the L2(K) inner product; a second pass removes
     the O(eps * cond) residue of the first."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    poly = mesh.polygon(e)
-    lo, hi = poly.min(axis=0), poly.max(axis=0)
+    lo, hi = polys.min(axis=-2), polys.max(axis=-2)
     center, scale = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    if min(scale) <= 1e-14 * max(max(scale), 1e-300):
-        raise ElementConditioningError(f"element {e}: degenerate bounding box {scale}")
-    if quad is None:
-        quad = element_quadrature(mesh, e, 2 * degree)
-    exponents = _graded_exponents(degree)
-    X = (quad.points[:, 0] - center[0]) / scale[0]
-    Y = (quad.points[:, 1] - center[1]) / scale[1]
-    V = _monomial_values(X, Y, exponents)
-    coeff = np.eye(len(exponents))
+    degenerate = scale.min(axis=-1) <= 1e-14 * np.maximum(scale.max(axis=-1), 1e-300)
+    if degenerate.any():
+        i = int(np.argmax(degenerate))
+        raise ElementConditioningError(
+            f"element {elements[i]}: degenerate bounding box {scale[i]}"
+        )
+    basis = ElementBasis(elements, degree, center, scale, np.eye(scalar_dim(degree)))
+    X, Y = basis._local(quad.points)
+    V = _monomial_values(X, Y, basis.exponents)
     for _ in range(2):
-        W = V @ coeff.T
-        gram = W.T @ (quad.weights[:, None] * W)
+        W = V @ basis.coeff.swapaxes(-1, -2)
+        gram = W.swapaxes(-1, -2) @ (quad.weights[..., None] * W)
         try:
             L = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError as exc:
+        except np.linalg.LinAlgError:
+            i = _first_failure(gram)
             raise ElementConditioningError(
-                f"element {e}: mass matrix not positive definite at degree {degree}"
-            ) from exc
-        coeff = scipy.linalg.solve_triangular(L, coeff, lower=True)
-    return ElementBasis(e, degree, center, scale, coeff)
+                f"element {elements[i]}: mass matrix not positive definite at degree {degree}"
+            ) from None
+        basis.coeff = _solve_lower(L, basis.coeff)
+    return basis
+
+
+def _first_failure(gram: np.ndarray) -> int:
+    for i, g in enumerate(gram):
+        try:
+            np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            return i
+    return 0
+
+
+def _solve_lower(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L X = rhs for each lower-triangular L[i], with the LAPACK call
+    ``scipy.linalg.solve_triangular`` makes for a C-ordered L. The result
+    slices are Fortran-ordered, as LAPACK returns them."""
+    out = np.empty(L.shape)
+    for i, Li in enumerate(L):
+        x, info = lapack.dtrtrs(Li.T, rhs if rhs.ndim == 2 else rhs[i], lower=0, trans=1)
+        if info != 0:
+            raise ElementConditioningError(f"triangular solve failed (info {info})")
+        out[i] = x.T
+    return out.swapaxes(-1, -2)
+
+
+def basis_moments(phi: np.ndarray, weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Moments of (..., nq, c) values against (..., nq, nfun) basis values
+    under the given weights, flattened component-major: (..., c * nfun).
+    With an orthonormal basis these are L2 projection coefficients."""
+    mom = phi.swapaxes(-1, -2) @ (weights[..., None] * vals)  # (..., nfun, c)
+    return mom.swapaxes(-1, -2).reshape(mom.shape[:-2] + (-1,))
 
 
 class StressBasis:
@@ -323,16 +402,22 @@ class FaceBasis:
 
     def eval_param(self, t: np.ndarray) -> np.ndarray:
         """Scalar mode values at arc parameters t in [0, 1], (npts, nmodes)."""
-        t = np.atleast_1d(t)
-        x = 2.0 * t - 1.0
-        out = np.empty((len(t), self.nmodes))
-        for j in range(self.nmodes):
-            c = np.zeros(j + 1)
-            c[j] = 1.0
-            out[:, j] = np.polynomial.legendre.legval(x, c) * np.sqrt(
-                (2 * j + 1) / self.length
-            )
-        return out
+        return face_modes(t, self.degree, self.length)
+
+
+def face_modes(t: np.ndarray, degree: int, length) -> np.ndarray:
+    """Orthonormal face modes of the given degree at arc parameters t on
+    faces of the given length(s): (..., npts, degree + 1) for lengths of
+    shape (...)."""
+    t = np.atleast_1d(t)
+    x = 2.0 * t - 1.0
+    length = np.asarray(length, dtype=float)[..., None]
+    out = np.empty(length.shape[:-1] + (len(t), degree + 1))
+    for j in range(degree + 1):
+        c = np.zeros(j + 1)
+        c[j] = 1.0
+        out[..., j] = np.polynomial.legendre.legval(x, c) * np.sqrt((2 * j + 1) / length)
+    return out
 
 
 def build_face_basis(mesh: Mesh, face_id: int, degree: int) -> FaceBasis:
@@ -346,9 +431,14 @@ def project_trace(fn, basis: FaceBasis, quad: FaceQuadrature) -> np.ndarray:
     ``fn`` maps (npts, 2) physical points to (npts, 2) values. With an
     orthonormal basis the coefficients are plain quadrature moments."""
     vals = np.asarray(fn(quad.points), dtype=float)
-    modes = basis.eval_param(quad.params)
-    moments = modes.T @ (quad.weights[:, None] * vals)  # (nmodes, 2)
-    return moments.reshape(-1)
+    return trace_moments(basis.eval_param(quad.params), quad.weights, vals)
+
+
+def trace_moments(modes: np.ndarray, weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Moments of (..., npts, 2) values against (..., npts, nmodes) face
+    modes under the given weights, flattened mode-major: (..., 2 nmodes)."""
+    moments = modes.swapaxes(-1, -2) @ (weights[..., None] * vals)  # (..., nmodes, 2)
+    return moments.reshape(moments.shape[:-2] + (-1,))
 
 
 @dataclass

@@ -290,15 +290,14 @@ def run_check(cfg: RunConfig | None = None, spd_perturbation=None) -> list[Check
         disc = hdg_global.build_discretization(mesh, k)
         systems = hdg_global.build_element_systems(disc, material, tau, None, variant=variant)
         kernel_ok, psd_ok, sym_ok = True, True, True
-        for sys in systems:
-            A = sys.matrix
+        for cb in systems.batches:
+            A = cb.matrix
             w = np.linalg.eigvalsh(A)
-            if np.sum(w < 1e-10 * w[-1]) != 3:
-                kernel_ok = False
-            if w[0] < -1e-10 * w[-1]:
-                psd_ok = False
-            if np.abs(A - A.T).max() > 1e-11 * max(np.abs(A).max(), 1e-300):
-                sym_ok = False
+            top = w[:, -1:]
+            kernel_ok &= bool(np.all(np.sum(w < 1e-10 * top, axis=1) == 3))
+            psd_ok &= bool(np.all(w[:, :1] >= -1e-10 * top))
+            asym = np.abs(A - A.swapaxes(1, 2)).max(axis=(1, 2))
+            sym_ok &= bool(np.all(asym <= 1e-11 * np.maximum(np.abs(A).max(axis=(1, 2)), 1e-300)))
         record(f"hdg_local.kernel-dim-3[{fam}]", kernel_ok)
         record(f"hdg_local.positive-semidefinite[{fam}]", psd_ok)
         record(f"hdg_local.symmetry[{fam}]", sym_ok)

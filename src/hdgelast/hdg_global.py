@@ -5,52 +5,52 @@ coupled. Boundary faces carry prescribed trace coefficients (the face
 projection of the boundary displacement); their coupling is moved to the
 right-hand side during assembly, which keeps the solved matrix symmetric
 positive definite. After the solve, stress and displacement are recovered
-element by element from the local solution operators.
+from the local solution operators.
 
-Assembly and recovery iterate over elements in index order and scatter
-with a deterministic duplicate-summing conversion, so repeated runs with
-the same configuration produce bit-identical results. The element loop
-can optionally run on a thread pool (HDG_THREADS); results are gathered
-in element order before scattering, so parallel runs stay deterministic.
+Stacked layout: the element stage runs on batches of elements that share a
+face count, at most ``hdg_local.CHUNK_SIZE`` elements each, and assembly,
+recovery, the traction jump and the scheme residuals work on the same
+batches, with each batch's global trace dofs gathered as one index array.
+Contributions are scattered, and sums accumulated, in element order, and
+duplicates are summed by a deterministic conversion, so repeated runs with
+the same configuration produce bit-identical results whatever the batch
+size.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
+from . import hdg_local
 from .fespace import (
     FaceBasis,
     FaceQuadrature,
     TraceDofMap,
     build_face_basis,
     build_trace_dof_map,
-    face_quadrature,
-    project_trace,
+    face_modes,
+    face_quadratures,
     scalar_dim,
+    trace_moments,
 )
 from .hdg_local import (
-    ElementContext,
-    ElementOperators,
-    LocalBlocks,
-    assemble_local_blocks,
-    build_element_context,
-    build_local_solvers,
-    condense,
-    condensed_rhs,
+    CondensedBatch,
+    ElementBatch,
+    batch_blocks,
+    batch_moments,
+    condense_batch,
     default_quadrature_exactness,
-    displacement_moments,
+    element_batch,
 )
 from .material import ComplianceTensor
 from .mesh import Mesh
 
 __all__ = [
-    "ElementSystem",
+    "ElementSystems",
     "CondensedSystem",
     "SolverStats",
     "DiscreteSolution",
@@ -76,49 +76,86 @@ class SolverError(Exception):
 DIRECT_SOLVER_DOF_LIMIT = 200_000
 
 
-def _thread_count() -> int:
-    env = os.environ.get("HDG_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 @dataclass
 class Discretization:
-    """Mesh-level discretization data shared by all elements."""
+    """Mesh-level discretization data shared by all elements: the trace dof
+    map, and the assembly quadrature and face-mode values of every face,
+    stacked by face (views per face in face_bases / face_quads)."""
 
     mesh: Mesh
     k: int
     dofmap: TraceDofMap
+    face_quad: FaceQuadrature  # points (nfaces, nq, 2), weights (nfaces, nq)
+    face_modes: np.ndarray  # (nfaces, nq, k+1)
+    face_length: np.ndarray  # (nfaces,)
     face_bases: dict[int, FaceBasis]
     face_quads: dict[int, FaceQuadrature]
 
-    def face_dofs(self, face_id: int) -> np.ndarray:
-        return self.dofmap.face_dofs(face_id)
+    def face_dofs(self, face_id) -> np.ndarray:
+        """Trace dofs of a face, or (..., ndof_face) for an array of faces."""
+        d = self.dofmap
+        return d.face_offset[face_id][..., None] + np.arange(d.ndof_face)
+
+    def element_dofs(self, face_ids: np.ndarray) -> np.ndarray:
+        """Trace dofs of elements with faces ``face_ids`` (B, m): (B, m * ndof_face)."""
+        return self.face_dofs(face_ids).reshape(len(face_ids), -1)
+
+    def face_rule(self, exactness: int | None = None) -> tuple[FaceQuadrature, np.ndarray]:
+        """Quadrature and face-mode values on every face: the assembly rule,
+        or the Gauss rule of the given exactness."""
+        if exactness is None:
+            return self.face_quad, self.face_modes
+        fq = face_quadratures(self.mesh, range(self.mesh.num_faces), exactness)
+        return fq, face_modes(fq.params, self.k, self.face_length)
+
+    def element_batches(self, quad_exactness: int | None = None):
+        """ElementBatch per face count, in chunks of at most CHUNK_SIZE
+        elements, ascending element order within each."""
+        mesh = self.mesh
+        counts = np.array([len(poly) for poly in mesh.elements])
+        for m in np.unique(counts):
+            ids = np.flatnonzero(counts == m)
+            for start in range(0, len(ids), hdg_local.CHUNK_SIZE):
+                elems = ids[start : start + hdg_local.CHUNK_SIZE]
+                fids = np.array([mesh.element_faces[e] for e in elems])
+                fq = FaceQuadrature(
+                    self.face_quad.points[fids], self.face_quad.weights[fids], self.face_quad.params
+                )
+                yield element_batch(
+                    mesh, self.k, elems, fq, self.face_modes[fids], quad_exactness
+                )
 
 
 def build_discretization(mesh: Mesh, k: int, quad_exactness: int | None = None) -> Discretization:
     if quad_exactness is None:
         quad_exactness = default_quadrature_exactness(k)
     dofmap = build_trace_dof_map(mesh, k)
-    face_bases = {fid: build_face_basis(mesh, fid, k) for fid in range(mesh.num_faces)}
-    face_quads = {fid: face_quadrature(mesh, fid, quad_exactness) for fid in range(mesh.num_faces)}
-    return Discretization(mesh, k, dofmap, face_bases, face_quads)
+    fids = range(mesh.num_faces)
+    fq = face_quadratures(mesh, fids, quad_exactness)
+    length = np.array([f.length for f in mesh.faces])
+    return Discretization(
+        mesh=mesh,
+        k=k,
+        dofmap=dofmap,
+        face_quad=fq,
+        face_modes=face_modes(fq.params, k, length),
+        face_length=length,
+        face_bases={fid: build_face_basis(mesh, fid, k) for fid in fids},
+        face_quads={
+            fid: FaceQuadrature(fq.points[fid], fq.weights[fid], fq.params) for fid in fids
+        },
+    )
 
 
 @dataclass
-class ElementSystem:
-    """One element's assembled blocks, eliminated operators, and condensed
-    contribution to the trace system."""
+class ElementSystems:
+    """Condensed element systems of a mesh, one CondensedBatch per element
+    batch, with the parameters they were built with."""
 
-    ctx: ElementContext
-    blocks: LocalBlocks
-    ops: ElementOperators
-    matrix: np.ndarray  # (n_lam, n_lam)
-    rhs: np.ndarray  # (n_lam,)
-    source_stress: np.ndarray
-    source_disp: np.ndarray
+    batches: list[CondensedBatch]
+    material: ComplianceTensor
+    tau: float
+    variant: str
 
 
 def build_element_systems(
@@ -128,31 +165,31 @@ def build_element_systems(
     f_fn=None,
     variant: str = "projected",
     quad_exactness: int | None = None,
-) -> list[ElementSystem]:
-    """Build, eliminate and condense every element; embarrassingly parallel."""
-    mesh, k = disc.mesh, disc.k
+) -> ElementSystems:
+    """Build, eliminate and condense every element, batch by batch."""
+    batches = [
+        condense_batch(batch, material, tau, variant, f_fn)
+        for batch in disc.element_batches(quad_exactness)
+    ]
+    return ElementSystems(batches, material, tau, variant)
 
-    def one(e: int) -> ElementSystem:
-        ctx = build_element_context(
-            mesh, e, k, disc.face_bases, disc.face_quads, quad_exactness
-        )
-        blocks = assemble_local_blocks(ctx, material, tau, variant)
-        ops = build_local_solvers(blocks)
-        A_K = condense(ops, blocks)
-        if f_fn is not None:
-            qs, us = ops.source_parts(displacement_moments(ctx, f_fn))
-        else:
-            qs = np.zeros(ctx.n_stress)
-            us = np.zeros(ctx.n_disp)
-        b_K = condensed_rhs(blocks, qs, us)
-        return ElementSystem(ctx, blocks, ops, A_K, b_K, qs, us)
 
-    nthreads = _thread_count()
-    ids = range(mesh.num_elements)
-    if nthreads == 1:
-        return [one(e) for e in ids]
-    with ThreadPoolExecutor(max_workers=nthreads) as pool:
-        return list(pool.map(one, ids))
+def ordered(keys: list[np.ndarray], *parts: list[np.ndarray]) -> list[np.ndarray]:
+    """Concatenate per-batch pieces, ordered by ascending key and stable
+    within a key, so that a batch-by-batch computation yields the sequence
+    an element-by-element loop would."""
+    order = np.argsort(np.concatenate(keys), kind="stable")
+    return [np.concatenate(p)[order] for p in parts]
+
+
+def running_sum(values: np.ndarray) -> float:
+    """Sum of the values added one at a time, in order."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def ordered_sum(keys: list[np.ndarray], values: list[np.ndarray]) -> float:
+    """Sum of per-batch values added one at a time in key order (see ordered)."""
+    return running_sum(ordered(keys, values)[0])
 
 
 @dataclass
@@ -168,20 +205,19 @@ class CondensedSystem:
 def boundary_trace_values(disc: Discretization, g_fn, exactness: int | None = None) -> np.ndarray:
     """Full trace vector holding the face projection of the boundary data."""
     values = np.zeros(disc.dofmap.total)
-    if g_fn is None:
+    fids = np.array(disc.dofmap.boundary_face_ids, dtype=int)
+    if g_fn is None or not len(fids):
         return values
-    for fid in disc.dofmap.boundary_face_ids:
-        if exactness is None:
-            fq = disc.face_quads[fid]
-        else:
-            fq = face_quadrature(disc.mesh, fid, exactness)
-        values[disc.face_dofs(fid)] = project_trace(g_fn, disc.face_bases[fid], fq)
+    fq, modes = disc.face_rule(exactness)
+    pts = fq.points[fids]
+    vals = np.asarray(g_fn(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape)
+    values[disc.face_dofs(fids)] = trace_moments(modes[fids], fq.weights[fids], vals)
     return values
 
 
 def assemble_global(
     disc: Discretization,
-    systems: list[ElementSystem],
+    systems: ElementSystems,
     boundary_values: np.ndarray | None = None,
 ) -> CondensedSystem:
     """Scatter element contributions into the interior trace system, lifting
@@ -190,28 +226,38 @@ def assemble_global(
     if boundary_values is None:
         boundary_values = np.zeros(dofmap.total)
     n = dofmap.n_interior
-    rhs = np.zeros(n)
-    rows, cols, vals = [], [], []
-    for sys in systems:
-        gdofs = np.concatenate([disc.face_dofs(fid) for fid in sys.ctx.face_ids])
-        if len(gdofs) != len(sys.rhs):
-            raise AssertionError("element/face dof count mismatch")
+    # per element: the interior part of its load, then its lifted boundary
+    # coupling (keys 2e and 2e+1); matrix entries row-major (key e)
+    rhs_keys, rhs_idx, rhs_vals = [], [], []
+    mat_keys, rows, cols, vals = [], [], [], []
+    for cb in systems.batches:
+        elems = cb.batch.elements
+        gdofs = disc.element_dofs(cb.batch.face_ids)
         red = dofmap.interior_index[gdofs]
         inside = red >= 0
-        np.add.at(rhs, red[inside], sys.rhs[inside])
-        A = sys.matrix
-        ii = np.where(inside)[0]
-        rows.append(np.repeat(red[ii], len(ii)))
-        cols.append(np.tile(red[ii], len(ii)))
-        vals.append(A[np.ix_(ii, ii)].ravel())
-        bb = np.where(~inside)[0]
-        if len(bb):
-            lift = A[np.ix_(ii, bb)] @ boundary_values[gdofs[bb]]
-            np.add.at(rhs, red[ii], -lift)
-    matrix = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
+        rhs_keys.append(np.broadcast_to(2 * elems[:, None], red.shape)[inside])
+        rhs_idx.append(red[inside])
+        rhs_vals.append(cb.rhs[inside])
+        pair = inside[:, :, None] & inside[:, None, :]
+        mat_keys.append(np.broadcast_to(elems[:, None, None], pair.shape)[pair])
+        rows.append(np.broadcast_to(red[:, :, None], pair.shape)[pair])
+        cols.append(np.broadcast_to(red[:, None, :], pair.shape)[pair])
+        vals.append(cb.matrix[pair])
+        n_bdry = (~inside).sum(axis=1)
+        for count in np.unique(n_bdry[n_bdry > 0]):
+            sel = np.flatnonzero(n_bdry == count)
+            ii = np.nonzero(inside[sel])[1].reshape(len(sel), -1)
+            bb = np.nonzero(~inside[sel])[1].reshape(len(sel), -1)
+            sub = cb.matrix[sel[:, None, None], ii[:, :, None], bb[:, None, :]]
+            g = boundary_values[np.take_along_axis(gdofs[sel], bb, axis=1)]
+            lift = (sub @ g[..., None])[..., 0]
+            rhs_keys.append(np.broadcast_to(2 * elems[sel, None] + 1, ii.shape).ravel())
+            rhs_idx.append(np.take_along_axis(red[sel], ii, axis=1).ravel())
+            rhs_vals.append(-lift.ravel())
+    rhs = np.zeros(n)
+    np.add.at(rhs, *ordered(rhs_keys, rhs_idx, rhs_vals))
+    rows, cols, vals = ordered(mat_keys, rows, cols, vals)
+    matrix = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     matrix.sum_duplicates()
     return CondensedSystem(matrix, rhs, boundary_values, dofmap)
 
@@ -301,77 +347,71 @@ def solve_condensed(
 
 @dataclass
 class DiscreteSolution:
-    """Recovered per-element fields plus the trace vector."""
+    """Recovered fields plus the trace vector. Row e of stress_coeffs /
+    disp_coeffs holds element e's coefficients in the basis of its
+    ElementBatch in ``batches``."""
 
     k: int
-    stress_coeffs: list[np.ndarray]
-    disp_coeffs: list[np.ndarray]
+    stress_coeffs: np.ndarray  # (nelements, n_s)
+    disp_coeffs: np.ndarray  # (nelements, n_u)
     trace: np.ndarray
-    contexts: list[ElementContext] = field(repr=False, default=None)
-
-    def element_trace(self, disc: Discretization, e: int) -> np.ndarray:
-        gdofs = np.concatenate(
-            [disc.face_dofs(fid) for fid in disc.mesh.element_faces[e]]
-        )
-        return self.trace[gdofs]
+    batches: list[ElementBatch] = field(repr=False)
 
 
 def recover_fields(
-    disc: Discretization, systems: list[ElementSystem], trace: np.ndarray
+    disc: Discretization, systems: ElementSystems, trace: np.ndarray
 ) -> DiscreteSolution:
-    """Apply the local solution operators to the solved trace, element by
-    element, adding the body-force response."""
-    stress, disp, contexts = [], [], []
-    for sys in systems:
-        gdofs = np.concatenate([disc.face_dofs(fid) for fid in sys.ctx.face_ids])
-        lam = trace[gdofs]
-        stress.append(sys.ops.stress_map @ lam + sys.source_stress)
-        disp.append(sys.ops.disp_map @ lam + sys.source_disp)
-        contexts.append(sys.ctx)
-    return DiscreteSolution(disc.k, stress, disp, trace, contexts)
+    """Apply the local solution operators to the solved trace, adding the
+    body-force response."""
+    k, ne = disc.k, disc.mesh.num_elements
+    stress = np.empty((ne, 3 * scalar_dim(k)))
+    disp = np.empty((ne, 2 * scalar_dim(k + 1)))
+    for cb in systems.batches:
+        lam = trace[disc.element_dofs(cb.batch.face_ids)][..., None]
+        stress[cb.batch.elements] = (cb.stress_map @ lam)[..., 0] + cb.source_stress
+        disp[cb.batch.elements] = (cb.disp_map @ lam)[..., 0] + cb.source_disp
+    return DiscreteSolution(k, stress, disp, trace, [cb.batch for cb in systems.batches])
 
 
 def _face_flux_values(
     disc: Discretization,
-    sys: ElementSystem,
+    batch: ElementBatch,
     sol: DiscreteSolution,
     local_face: int,
     fq: FaceQuadrature,
+    modes: np.ndarray,
     variant: str,
     tau: float,
 ) -> np.ndarray:
-    """Numerical traction of one element on one of its faces, evaluated at
-    the given face quadrature points, shape (nq, 2)."""
-    ctx = sys.ctx
-    e = ctx.element
-    k = ctx.k
-    p_s = scalar_dim(k)
-    fid = ctx.face_ids[local_face]
-    nrm = ctx.normals[local_face]
-    s = sol.stress_coeffs[e].reshape(3, p_s)
-    phi_s = ctx.basis.eval(fq.points, p_s)  # (nq, p_s)
-    comp = phi_s @ s.T  # (nq, 3): s11, s22, s12
+    """Numerical traction of each element of the batch on its local face
+    ``local_face``, at the quadrature points of ``fq`` (stacked by face, with
+    face-mode values ``modes``), shape (B, nq, 2)."""
+    k = disc.k
+    p_s, p_u = scalar_dim(k), scalar_dim(k + 1)
+    B = len(batch.elements)
+    fid = batch.face_ids[:, local_face]
+    pts, w, md = fq.points[fid], fq.weights[fid], modes[fid]
+    n0 = batch.normals[:, local_face, 0, None]
+    n1 = batch.normals[:, local_face, 1, None]
+    s = sol.stress_coeffs[batch.elements].reshape(B, 3, p_s)
+    comp = batch.basis.eval(pts, p_s) @ s.swapaxes(-1, -2)  # (B, nq, 3): s11, s22, s12
     sig_n = np.stack(
-        [comp[:, 0] * nrm[0] + comp[:, 2] * nrm[1], comp[:, 2] * nrm[0] + comp[:, 1] * nrm[1]],
-        axis=1,
+        [comp[..., 0] * n0 + comp[..., 2] * n1, comp[..., 2] * n0 + comp[..., 1] * n1],
+        axis=-1,
     )
-    fb = disc.face_bases[fid]
-    modes = fb.eval_param(fq.params)  # (nq, k+1)
-    uhat = sol.trace[disc.face_dofs(fid)].reshape(-1, 2)  # (k+1, 2)
-    uhat_vals = modes @ uhat
-    p_u = scalar_dim(k + 1)
-    phi_u = ctx.basis.eval(fq.points)  # (nq, p_u)
-    w = sol.disp_coeffs[e].reshape(2, p_u)
-    u_face = phi_u @ w.T  # raw displacement trace, (nq, 2)
+    uhat = sol.trace[disc.face_dofs(fid)].reshape(B, -1, 2)  # (B, k+1, 2)
+    uhat_vals = md @ uhat
+    wd = sol.disp_coeffs[batch.elements].reshape(B, 2, p_u)
+    u_face = batch.basis.eval(pts) @ wd.swapaxes(-1, -2)  # raw displacement trace
     if variant == "projected":
-        mom = modes.T @ (fq.weights[:, None] * u_face)  # (k+1, 2)
-        u_face = modes @ mom
+        mom = md.swapaxes(-1, -2) @ (w[..., None] * u_face)  # (B, k+1, 2)
+        u_face = md @ mom
     return sig_n - tau * (u_face - uhat_vals)
 
 
 def flux_jump_norm(
     disc: Discretization,
-    systems: list[ElementSystem],
+    systems: ElementSystems,
     sol: DiscreteSolution,
     tau: float,
     variant: str = "projected",
@@ -382,28 +422,27 @@ def flux_jump_norm(
     mesh = disc.mesh
     if exactness is None:
         exactness = 2 * (disc.k + 1) + 4
-    sys_by_elem = {s.ctx.element: s for s in systems}
-    jump_sq = 0.0
-    scale_sq = 0.0
-    for fid, f in enumerate(mesh.faces):
-        fq = face_quadrature(mesh, fid, exactness)
-        sides = [(f.left, None)] if f.is_boundary else [(f.left, None), (f.right, None)]
-        fluxes = []
-        for e, _ in sides:
-            sys = sys_by_elem[e]
-            local = sys.ctx.face_ids.index(fid)
-            vals = _face_flux_values(disc, sys, sol, local, fq, variant, tau)
-            fluxes.append(vals)
-            scale_sq += float(np.sum(fq.weights * (vals**2).sum(axis=1)))
-        if len(fluxes) == 2:
-            j = fluxes[0] + fluxes[1]
-            jump_sq += float(np.sum(fq.weights * (j**2).sum(axis=1)))
-    return np.sqrt(jump_sq), np.sqrt(scale_sq)
+    fq, modes = disc.face_rule(exactness)
+    left = np.array([f.left for f in mesh.faces])
+    interior = np.array([not f.is_boundary for f in mesh.faces])
+    # one-sided tractions by face and side (0: left element, 1: right)
+    flux = np.zeros((mesh.num_faces, 2) + fq.points.shape[1:])
+    for cb in systems.batches:
+        batch = cb.batch
+        for j in range(batch.face_ids.shape[1]):
+            fid = batch.face_ids[:, j]
+            side = (left[fid] != batch.elements).astype(int)
+            flux[fid, side] = _face_flux_values(disc, batch, sol, j, fq, modes, variant, tau)
+    one_sided = np.sum(fq.weights[:, None] * (flux**2).sum(axis=-1), axis=-1)
+    present = np.stack([np.ones_like(interior), interior], axis=1)
+    jump = flux[interior, 0] + flux[interior, 1]
+    jump_sq = np.sum(fq.weights[interior] * (jump**2).sum(axis=-1), axis=-1)
+    return np.sqrt(running_sum(jump_sq)), np.sqrt(running_sum(one_sided[present]))
 
 
 def scheme_residuals(
     disc: Discretization,
-    systems: list[ElementSystem],
+    systems: ElementSystems,
     sol: DiscreteSolution,
     f_fn=None,
     g_fn=None,
@@ -413,34 +452,60 @@ def scheme_residuals(
 
     Keys: constitutive (stress equation), balance (momentum equation),
     transmission (interior traction moments), boundary (trace data)."""
-    res = {"constitutive": 0.0, "balance": 0.0, "transmission": 0.0, "boundary": 0.0}
-    scale = {"constitutive": 0.0, "balance": 0.0, "transmission": 0.0, "boundary": 0.0}
-    nf_dof = disc.dofmap.ndof_face
-    trans = np.zeros(disc.dofmap.total)
-    for sys in systems:
-        e = sys.ctx.element
-        gdofs = np.concatenate([disc.face_dofs(fid) for fid in sys.ctx.face_ids])
+    keys = []
+    parts = {t: [] for t in ("con_res", "con_scale", "bal_res", "bal_scale", "trans_scale")}
+    trans_keys, trans_idx, trans_vals = [], [], []
+
+    def mv(A, x):
+        return (A @ x[..., None])[..., 0]
+
+    def sq(x):
+        return np.sum(x**2, axis=-1)
+
+    for cb in systems.batches:
+        batch = cb.batch
+        b = batch_blocks(batch, systems.material, systems.tau, systems.variant)
+        gdofs = disc.element_dofs(batch.face_ids)
         lam = sol.trace[gdofs]
-        s, w = sol.stress_coeffs[e], sol.disp_coeffs[e]
-        b = sys.blocks
-        r1 = b.stress_mass @ s + b.div_coupling @ w - b.trace_coupling @ lam
-        res["constitutive"] += float(r1 @ r1)
-        scale["constitutive"] += float(np.sum((b.stress_mass @ s) ** 2)) + float(
-            np.sum((b.trace_coupling @ lam) ** 2)
+        s, w = sol.stress_coeffs[batch.elements], sol.disp_coeffs[batch.elements]
+        fm = batch_moments(batch, f_fn) if f_fn is not None else np.zeros_like(w)
+        Ms = mv(b.stress_mass, s)
+        Tl = mv(b.trace_coupling, lam)
+        Dts = mv(b.div_coupling.swapaxes(-1, -2), s)
+        r1 = Ms + mv(b.div_coupling, w) - Tl
+        r2 = -Dts + mv(b.stab_uu, w) - mv(b.stab_ulam, lam) + fm
+        tmom = (
+            mv(b.trace_coupling.swapaxes(-1, -2), s)
+            - mv(b.stab_ulam.swapaxes(-1, -2), w)
+            + mv(b.stab_lamlam, lam)
         )
-        fm = displacement_moments(sys.ctx, f_fn) if f_fn is not None else np.zeros_like(w)
-        r2 = -b.div_coupling.T @ s + b.stab_uu @ w - b.stab_ulam @ lam + fm
-        res["balance"] += float(r2 @ r2)
-        scale["balance"] += float(np.sum((b.div_coupling.T @ s) ** 2)) + float(fm @ fm)
-        tmom = b.trace_coupling.T @ s - b.stab_ulam.T @ w + b.stab_lamlam @ lam
-        np.add.at(trans, gdofs, tmom)
-        scale["transmission"] += float(tmom @ tmom)
+        keys.append(batch.elements)
+        parts["con_res"].append(sq(r1))
+        parts["con_scale"].append(sq(Ms) + sq(Tl))
+        parts["bal_res"].append(sq(r2))
+        parts["bal_scale"].append(sq(Dts) + sq(fm))
+        parts["trans_scale"].append(sq(tmom))
+        trans_keys.append(np.broadcast_to(batch.elements[:, None], gdofs.shape).ravel())
+        trans_idx.append(gdofs.ravel())
+        trans_vals.append(tmom.ravel())
+    total = {t: ordered_sum(keys, v) for t, v in parts.items()}
+    trans = np.zeros(disc.dofmap.total)
+    np.add.at(trans, *ordered(trans_keys, trans_idx, trans_vals))
     interior = disc.dofmap.interior_index >= 0
-    res["transmission"] = float(np.sum(trans[interior] ** 2))
     g_vals = boundary_trace_values(disc, g_fn)
     diff = sol.trace[~interior] - g_vals[~interior]
-    res["boundary"] = float(diff @ diff)
-    scale["boundary"] = float(np.sum(g_vals[~interior] ** 2))
+    res = {
+        "constitutive": total["con_res"],
+        "balance": total["bal_res"],
+        "transmission": float(np.sum(trans[interior] ** 2)),
+        "boundary": float(diff @ diff),
+    }
+    scale = {
+        "constitutive": total["con_scale"],
+        "balance": total["bal_scale"],
+        "transmission": total["trans_scale"],
+        "boundary": float(np.sum(g_vals[~interior] ** 2)),
+    }
     out = {}
     for key in res:
         denom = np.sqrt(scale[key]) if scale[key] > 0 else 1.0

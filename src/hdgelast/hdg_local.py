@@ -1,4 +1,4 @@
-"""Per-element local solvers and static condensation.
+"""Element stage: local blocks, local solvers and static condensation.
 
 Each element carries three unknown groups: symmetric stress coefficients of
 degree k (layout direction-major over e11/e22/e12sym), displacement
@@ -18,39 +18,64 @@ displacement coefficients. An equivalent "flux" expression, obtained by
 pairing the numerical traction with the face test functions, is kept as a
 cross-check and as the assembly route for the unprojected stabilization
 variant (where the quadratic form above does not apply).
+
+Stacked layout: the stage runs on an ``ElementBatch``, elements that share
+a face count in ascending element order, with every per-element array
+stacked along a leading element axis. Each stacked product keeps the
+association order and the per-element memory layout of a single element's
+computation, and the local saddle systems are factorized one element at a
+time with the LAPACK calls of ``scipy.linalg.lu_factor``/``lu_solve``, so
+an element's results are bitwise independent of the batch it is computed
+in. The per-element entry points (``build_element_context``,
+``assemble_local_blocks``, ``build_local_solvers``, ``condense``,
+``condense_flux_form``, ``condensed_rhs``, ``displacement_moments``) run
+the same kernels on a one-element batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .fespace import (
     ElementBasis,
     FaceBasis,
     FaceQuadrature,
     Quadrature,
-    build_element_basis,
-    element_quadrature,
+    basis_moments,
+    build_element_bases,
+    polygon_quadrature,
     scalar_dim,
 )
 from .material import ComplianceTensor
 from .mesh import Mesh
 
 __all__ = [
+    "CHUNK_SIZE",
+    "ElementBatch",
     "ElementContext",
     "LocalBlocks",
     "ElementOperators",
+    "CondensedBatch",
+    "element_batch",
+    "batch_blocks",
+    "batch_moments",
+    "condense_batch",
     "build_element_context",
     "assemble_local_blocks",
     "build_local_solvers",
     "condense",
+    "condense_flux_form",
     "condensed_rhs",
     "displacement_moments",
     "default_quadrature_exactness",
 ]
+
+# Elements per batch. Bounds the memory of the stacked saddle matrices,
+# their LU copies and right-hand sides; results do not depend on it.
+CHUNK_SIZE = 128
 
 
 class LocalSolverError(Exception):
@@ -68,19 +93,19 @@ def default_quadrature_exactness(k: int) -> int:
 
 
 @dataclass
-class ElementContext:
-    """Geometry, quadrature and bases needed to assemble one element."""
+class ElementBatch:
+    """Geometry, quadrature and bases of elements that share a face count,
+    stacked along a leading element axis (B elements, m faces each)."""
 
     mesh: Mesh
-    element: int
     k: int
-    basis: ElementBasis  # scalar basis of degree k+1 (degree-k part nested)
-    quad: Quadrature
-    area: float
-    face_ids: tuple[int, ...]
-    normals: list[np.ndarray]  # outward unit normal per local face
-    face_bases: list[FaceBasis]
-    face_quads: list[FaceQuadrature]
+    elements: np.ndarray  # (B,), ascending
+    face_ids: np.ndarray  # (B, m), in edge order
+    normals: np.ndarray  # (B, m, 2), outward unit normals
+    basis: ElementBasis  # batched, degree k+1 (degree-k part nested)
+    quad: Quadrature  # points (B, nq, 2), weights (B, nq)
+    face_quad: FaceQuadrature  # points (B, m, nqf, 2), weights (B, m, nqf)
+    face_modes: np.ndarray  # (B, m, nqf, k+1), face modes at face_quad
 
     @property
     def n_stress(self) -> int:
@@ -92,7 +117,66 @@ class ElementContext:
 
     @property
     def n_trace(self) -> int:
-        return len(self.face_ids) * 2 * (self.k + 1)
+        return self.face_ids.shape[1] * 2 * (self.k + 1)
+
+
+def element_batch(
+    mesh: Mesh,
+    k: int,
+    elements: np.ndarray,
+    face_quad: FaceQuadrature,
+    face_modes: np.ndarray,
+    quad_exactness: int | None = None,
+) -> ElementBatch:
+    """Stack the elements ``elements`` (same face count). ``face_quad`` and
+    ``face_modes`` hold each element's faces in edge order, (B, m, ...)."""
+    if quad_exactness is None:
+        quad_exactness = default_quadrature_exactness(k)
+    elements = np.asarray(elements)
+    polys = mesh.polygons(elements)
+    quad = polygon_quadrature(polys, quad_exactness)
+    face_ids = np.array([mesh.element_faces[e] for e in elements])
+    faces = [mesh.faces[fid] for fid in face_ids.ravel()]
+    normal = np.array([f.normal for f in faces]).reshape(face_ids.shape + (2,))
+    left = np.array([f.left for f in faces]).reshape(face_ids.shape)
+    sign = np.where(left == elements[:, None], 1.0, -1.0)
+    return ElementBatch(
+        mesh=mesh,
+        k=k,
+        elements=elements,
+        face_ids=face_ids,
+        normals=normal * sign[..., None],
+        basis=build_element_bases(polys, elements, k + 1, quad),
+        quad=quad,
+        face_quad=face_quad,
+        face_modes=face_modes,
+    )
+
+
+@dataclass
+class ElementContext:
+    """One element as a one-element ElementBatch, with per-element views of
+    its basis and quadrature."""
+
+    batch: ElementBatch
+    element: int
+    k: int
+    basis: ElementBasis  # scalar basis of degree k+1 (degree-k part nested)
+    quad: Quadrature
+    face_ids: tuple[int, ...]
+    face_bases: list[FaceBasis]
+
+    @property
+    def n_stress(self) -> int:
+        return self.batch.n_stress
+
+    @property
+    def n_disp(self) -> int:
+        return self.batch.n_disp
+
+    @property
+    def n_trace(self) -> int:
+        return self.batch.n_trace
 
 
 def build_element_context(
@@ -103,28 +187,31 @@ def build_element_context(
     face_quads: dict[int, FaceQuadrature],
     quad_exactness: int | None = None,
 ) -> ElementContext:
-    if quad_exactness is None:
-        quad_exactness = default_quadrature_exactness(k)
-    quad = element_quadrature(mesh, e, quad_exactness)
-    basis = build_element_basis(mesh, e, k + 1, quad)
     fids = mesh.element_faces[e]
+    quads = [face_quads[fid] for fid in fids]
+    face_quad = FaceQuadrature(
+        np.stack([q.points for q in quads])[None],
+        np.stack([q.weights for q in quads])[None],
+        quads[0].params,
+    )
+    modes = np.stack([face_bases[fid].eval_param(q.params) for fid, q in zip(fids, quads)])
+    batch = element_batch(mesh, k, np.array([e]), face_quad, modes[None], quad_exactness)
     return ElementContext(
-        mesh=mesh,
+        batch=batch,
         element=e,
         k=k,
-        basis=basis,
-        quad=quad,
-        area=mesh.area(e),
+        basis=batch.basis[0],
+        quad=Quadrature(batch.quad.points[0], batch.quad.weights[0]),
         face_ids=fids,
-        normals=[mesh.outward_normal(e, fid) for fid in fids],
         face_bases=[face_bases[fid] for fid in fids],
-        face_quads=[face_quads[fid] for fid in fids],
     )
 
 
 @dataclass
 class LocalBlocks:
-    """Element matrices of the saddle system.
+    """Element matrices of the saddle system. The per-element blocks carry
+    a leading element axis when the blocks belong to a batch; stress_mass
+    and stab_lamlam are the same for every element.
 
     stress_mass     (A sigma, v)                 n_s x n_s, SPD
     div_coupling    (u, div v)                   n_s x n_u
@@ -135,10 +222,11 @@ class LocalBlocks:
                     displacement traces, n_u x n_lam
     stab_lamlam     tau <lam, mu> = tau I        n_lam x n_lam
     face_proj       per face: moments of the displacement trace against the
-                    face modes, shape (2(k+1), n_u)
+                    face modes, shape (m, 2(k+1), n_u)
     """
 
-    ctx: ElementContext
+    elements: np.ndarray  # element id, or (B,) ids of a batch
+    k: int
     tau: float
     variant: str
     stress_mass: np.ndarray
@@ -147,7 +235,43 @@ class LocalBlocks:
     stab_uu: np.ndarray
     stab_ulam: np.ndarray
     stab_lamlam: np.ndarray
-    face_proj: list[np.ndarray]
+    face_proj: np.ndarray
+
+
+@dataclass
+class ElementOperators:
+    """Eliminated local solution operators: stress_map / disp_map send trace
+    coefficients to the eliminated stress and displacement coefficients
+    (leading element axis in a batch); lu holds each element's saddle
+    factorization for source loads."""
+
+    elements: np.ndarray
+    stress_map: np.ndarray  # (n_s, n_lam)
+    disp_map: np.ndarray  # (n_u, n_lam)
+    lu: list[tuple[np.ndarray, np.ndarray]]
+
+    def source_parts(self, f_moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Stress/displacement response to a body-force moment vector."""
+        qs, us = _source_parts(_stacked(self), f_moments[None])
+        return qs[0], us[0]
+
+
+_PER_ELEMENT = {
+    LocalBlocks: (
+        "elements", "div_coupling", "trace_coupling", "stab_uu", "stab_ulam", "face_proj"
+    ),
+    ElementOperators: ("elements", "stress_map", "disp_map"),
+}
+
+
+def _stacked(obj):
+    """One element's blocks or operators as a one-element batch."""
+    return replace(obj, **{f: np.asarray(getattr(obj, f))[None] for f in _PER_ELEMENT[type(obj)]})
+
+
+def _single(obj):
+    """The only element of a one-element batch."""
+    return replace(obj, **{f: getattr(obj, f)[0] for f in _PER_ELEMENT[type(obj)]})
 
 
 def assemble_local_blocks(
@@ -155,119 +279,85 @@ def assemble_local_blocks(
     material: ComplianceTensor,
     tau: float,
     variant: str = "projected",
-    debug_quadrature_check: bool = False,
 ) -> LocalBlocks:
     """Quadrature-assemble all element matrices.
 
     The stabilization projects the displacement trace onto the face modes
     through exact face mass matrices before pairing; ``variant="plain"``
     skips that projection and pairs the raw degree-(k+1) traces instead.
-    With ``debug_quadrature_check`` the element is reassembled with a richer
-    rule and any disagreement above 1e-9 raises AssemblyError.
     """
+    return _single(batch_blocks(ctx.batch, material, tau, variant))
+
+
+def batch_blocks(
+    batch: ElementBatch, material: ComplianceTensor, tau: float, variant: str
+) -> LocalBlocks:
+    """Element matrices of every element of the batch (see
+    assemble_local_blocks), with a leading element axis."""
     if tau <= 0:
         raise ValueError(f"stabilization parameter must be positive, got {tau}")
     if variant not in ("projected", "plain"):
         raise ValueError(f"unknown trace variant {variant!r}")
-    blocks = _assemble_local_blocks(ctx, material, tau, variant)
-    if debug_quadrature_check:
-        rich = _enriched_context(ctx)
-        ref = _assemble_local_blocks(rich, material, tau, variant)
-        for name in ("div_coupling", "trace_coupling", "stab_uu", "stab_ulam"):
-            a, b = getattr(blocks, name), getattr(ref, name)
-            err = np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
-            if err > 1e-9:
-                raise AssemblyError(
-                    f"element {ctx.element}: quadrature-sensitive block {name} "
-                    f"(relative deviation {err:.2e}); raise the exactness degree"
-                )
-    return blocks
-
-
-def _enriched_context(ctx: ElementContext) -> ElementContext:
-    """Same element with quadrature four degrees richer (debug comparisons)."""
-    from .fespace import face_quadrature
-
-    extra = default_quadrature_exactness(ctx.k) + 4
-    return ElementContext(
-        mesh=ctx.mesh,
-        element=ctx.element,
-        k=ctx.k,
-        basis=ctx.basis,
-        quad=element_quadrature(ctx.mesh, ctx.element, extra),
-        area=ctx.area,
-        face_ids=ctx.face_ids,
-        normals=ctx.normals,
-        face_bases=ctx.face_bases,
-        face_quads=[face_quadrature(ctx.mesh, fid, extra) for fid in ctx.face_ids],
-    )
-
-
-def _assemble_local_blocks(
-    ctx: ElementContext,
-    material: ComplianceTensor,
-    tau: float,
-    variant: str,
-) -> LocalBlocks:
-    k = ctx.k
+    k = batch.k
     p_s, p_u = scalar_dim(k), scalar_dim(k + 1)
-    n_s, n_u, n_lam = ctx.n_stress, ctx.n_disp, ctx.n_trace
+    n_s, n_u, n_lam = batch.n_stress, batch.n_disp, batch.n_trace
     nf_dof = 2 * (k + 1)
-    w = ctx.quad.weights
+    B, m = batch.face_ids.shape
+    basis = batch.basis
 
     # Stress mass: with an orthonormal scalar basis and constant material the
     # block is the 3x3 direction Gram matrix kron the identity.
     stress_mass = np.kron(material.compliance_direction_matrix(), np.eye(p_s))
 
-    phi_u = ctx.basis.eval(ctx.quad.points)  # (nq, p_u)
-    grad_s = ctx.basis.grad(ctx.quad.points, p_s)  # (nq, p_s, 2)
-    gx = grad_s[:, :, 0].T @ (w[:, None] * phi_u)  # (p_s, p_u)
-    gy = grad_s[:, :, 1].T @ (w[:, None] * phi_u)
-    div_coupling = np.zeros((n_s, n_u))
-    div_coupling[0 * p_s : 1 * p_s, 0 * p_u : 1 * p_u] = gx
-    div_coupling[1 * p_s : 2 * p_s, 1 * p_u : 2 * p_u] = gy
-    div_coupling[2 * p_s : 3 * p_s, 0 * p_u : 1 * p_u] = gy
-    div_coupling[2 * p_s : 3 * p_s, 1 * p_u : 2 * p_u] = gx
+    phi_u = basis.eval(batch.quad.points)  # (B, nq, p_u)
+    grad_s = basis.grad(batch.quad.points, p_s)  # (B, nq, p_s, 2)
+    w_phi = batch.quad.weights[..., None] * phi_u
+    gx = grad_s[..., 0].swapaxes(-1, -2) @ w_phi  # (B, p_s, p_u)
+    gy = grad_s[..., 1].swapaxes(-1, -2) @ w_phi
+    div_coupling = np.zeros((B, n_s, n_u))
+    div_coupling[:, 0 * p_s : 1 * p_s, 0 * p_u : 1 * p_u] = gx
+    div_coupling[:, 1 * p_s : 2 * p_s, 1 * p_u : 2 * p_u] = gy
+    div_coupling[:, 2 * p_s : 3 * p_s, 0 * p_u : 1 * p_u] = gy
+    div_coupling[:, 2 * p_s : 3 * p_s, 1 * p_u : 2 * p_u] = gx
 
-    trace_coupling = np.zeros((n_s, n_lam))
-    stab_uu = np.zeros((n_u, n_u))
-    stab_ulam = np.zeros((n_u, n_lam))
-    face_proj: list[np.ndarray] = []
+    trace_coupling = np.zeros((B, n_s, n_lam))
+    stab_uu = np.zeros((B, n_u, n_u))
+    stab_ulam = np.zeros((B, n_u, n_lam))
+    face_proj = np.zeros((B, m, nf_dof, n_u))
 
-    for j, (fb, fq, nrm) in enumerate(zip(ctx.face_bases, ctx.face_quads, ctx.normals)):
-        mu = fb.eval_param(fq.params)  # (nq, k+1)
-        tr_full = ctx.basis.eval(fq.points)  # (nq, p_u)
-        wf = fq.weights
-        ms = tr_full[:, :p_s].T @ (wf[:, None] * mu)  # (p_s, k+1)
-        mu_u = tr_full.T @ (wf[:, None] * mu)  # (p_u, k+1)
+    for j in range(m):
+        tr_full = basis.eval(batch.face_quad.points[:, j])  # (B, nq, p_u)
+        wf = batch.face_quad.weights[:, j, :, None]
+        w_mu = wf * batch.face_modes[:, j]  # (B, nq, k+1)
+        ms = tr_full[..., :p_s].swapaxes(-1, -2) @ w_mu  # (B, p_s, k+1)
+        mu_u = tr_full.swapaxes(-1, -2) @ w_mu  # (B, p_u, k+1)
 
         # (E_c n) columns per direction: e11 -> (n0, 0), e22 -> (0, n1),
-        # e12 -> (n1, n0).
-        en = np.array([[nrm[0], 0.0], [0.0, nrm[1]], [nrm[1], nrm[0]]])
-        cols = slice(j * nf_dof, (j + 1) * nf_dof)
-        blk = np.zeros((n_s, nf_dof))
-        for c in range(3):
-            for m in range(2):
-                if en[c, m] != 0.0:
-                    blk[c * p_s : (c + 1) * p_s, m::2] = en[c, m] * ms
-        trace_coupling[:, cols] = blk
+        # e12 -> (n1, n0); an exactly zero normal component leaves its
+        # columns zero.
+        n0 = batch.normals[:, j, 0, None, None]
+        n1 = batch.normals[:, j, 1, None, None]
+        for c, comp, nc in ((0, 0, n0), (1, 1, n1), (2, 0, n1), (2, 1, n0)):
+            cols = slice(j * nf_dof + comp, (j + 1) * nf_dof, 2)
+            trace_coupling[:, c * p_s : (c + 1) * p_s, cols] = np.where(nc != 0.0, nc * ms, 0.0)
 
-        proj = np.zeros((nf_dof, n_u))
-        for m in range(2):
-            proj[m::2, m * p_u : (m + 1) * p_u] = mu_u.T
-        face_proj.append(proj)
+        proj = np.zeros((B, nf_dof, n_u))
+        for comp in range(2):
+            proj[:, comp::2, comp * p_u : (comp + 1) * p_u] = mu_u.swapaxes(-1, -2)
+        face_proj[:, j] = proj
 
         if variant == "projected":
-            stab_uu += tau * proj.T @ proj
+            stab_uu += tau * proj.swapaxes(-1, -2) @ proj
         else:
-            fmass = tr_full.T @ (wf[:, None] * tr_full)  # (p_u, p_u)
-            for m in range(2):
-                stab_uu[m * p_u : (m + 1) * p_u, m * p_u : (m + 1) * p_u] += tau * fmass
-        stab_ulam[:, cols] = tau * proj.T
+            fmass = tr_full.swapaxes(-1, -2) @ (wf * tr_full)  # (B, p_u, p_u)
+            for comp in range(2):
+                blk = slice(comp * p_u, (comp + 1) * p_u)
+                stab_uu[:, blk, blk] += tau * fmass
+        stab_ulam[:, :, j * nf_dof : (j + 1) * nf_dof] = tau * proj.swapaxes(-1, -2)
 
-    stab_lamlam = tau * np.eye(n_lam)
     return LocalBlocks(
-        ctx=ctx,
+        elements=batch.elements,
+        k=k,
         tau=tau,
         variant=variant,
         stress_mass=stress_mass,
@@ -275,116 +365,101 @@ def _assemble_local_blocks(
         trace_coupling=trace_coupling,
         stab_uu=stab_uu,
         stab_ulam=stab_ulam,
-        stab_lamlam=stab_lamlam,
+        stab_lamlam=tau * np.eye(n_lam),
         face_proj=face_proj,
     )
-
-
-@dataclass
-class ElementOperators:
-    """Eliminated local solution operators and the condensed contribution.
-
-    stress_map / disp_map send trace coefficients to the eliminated stress
-    and displacement coefficients; source_parts solves the same factorized
-    system for a body-force load. condensed / condensed_rhs are the element
-    contribution to the global trace system.
-    """
-
-    ctx: ElementContext
-    stress_map: np.ndarray  # (n_s, n_lam)
-    disp_map: np.ndarray  # (n_u, n_lam)
-    _lu: tuple
-
-    def source_parts(self, f_moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Stress/displacement response to a body-force moment vector."""
-        n_s = self.ctx.n_stress
-        rhs = np.zeros(n_s + self.ctx.n_disp)
-        rhs[n_s:] = -f_moments
-        sol = scipy.linalg.lu_solve(self._lu, rhs)
-        return sol[:n_s], sol[n_s:]
-
-
-def _saddle_matrix(blocks: LocalBlocks) -> np.ndarray:
-    """Symmetric indefinite element matrix over (stress, displacement)."""
-    n_s = blocks.ctx.n_stress
-    n_u = blocks.ctx.n_disp
-    M = np.empty((n_s + n_u, n_s + n_u))
-    M[:n_s, :n_s] = -blocks.stress_mass
-    M[:n_s, n_s:] = -blocks.div_coupling
-    M[n_s:, :n_s] = -blocks.div_coupling.T
-    M[n_s:, n_s:] = blocks.stab_uu
-    return M
-
-
-def _trace_coupling_stacked(blocks: LocalBlocks) -> np.ndarray:
-    """Coupling of (stress, displacement) rows to the trace columns."""
-    return np.vstack([blocks.trace_coupling, -blocks.stab_ulam])
 
 
 def build_local_solvers(blocks: LocalBlocks) -> ElementOperators:
     """Factorize the element saddle system once and solve for the response
     to every trace basis vector; the factorization is retained for source
     loads."""
-    M = _saddle_matrix(blocks)
-    try:
-        lu = scipy.linalg.lu_factor(M)
-    except scipy.linalg.LinAlgError as exc:
-        raise LocalSolverError(f"element {blocks.ctx.element}: singular local system") from exc
-    if not np.all(np.isfinite(lu[0])) or np.min(np.abs(np.diag(lu[0]))) == 0.0:
-        raise LocalSolverError(f"element {blocks.ctx.element}: singular local system")
-    n_s = blocks.ctx.n_stress
-    sol = scipy.linalg.lu_solve(lu, -_trace_coupling_stacked(blocks))
-    return ElementOperators(
-        ctx=blocks.ctx, stress_map=sol[:n_s], disp_map=sol[n_s:], _lu=lu
-    )
+    return _single(_factor(_stacked(blocks)))
+
+
+def _factor(blocks: LocalBlocks) -> ElementOperators:
+    """Symmetric indefinite saddle matrix over (stress, displacement) per
+    element, its LU factorization, and the solve against the coupling of
+    (stress, displacement) rows to the trace columns."""
+    D = blocks.div_coupling
+    B, n_s, n_u = D.shape
+    n = n_s + n_u
+    M = np.empty((B, n, n))
+    M[:, :n_s, :n_s] = -blocks.stress_mass
+    M[:, :n_s, n_s:] = -D
+    M[:, n_s:, :n_s] = -D.swapaxes(-1, -2)
+    M[:, n_s:, n_s:] = blocks.stab_uu
+    rhs = -np.concatenate([blocks.trace_coupling, -blocks.stab_ulam], axis=1)
+    # stored transposed, so that each solution slice keeps LAPACK's
+    # column-major layout
+    sol = np.empty((B, rhs.shape[-1], n))
+    lus = []
+    for i in range(B):
+        lu, piv, _ = lapack.dgetrf(M[i])
+        if not np.all(np.isfinite(lu)) or np.min(np.abs(np.diag(lu))) == 0.0:
+            raise LocalSolverError(f"element {blocks.elements[i]}: singular local system")
+        sol[i] = lapack.dgetrs(lu, piv, rhs[i])[0].T
+        lus.append((lu, piv))
+    sol = sol.swapaxes(-1, -2)
+    return ElementOperators(blocks.elements, sol[:, :n_s], sol[:, n_s:], lus)
+
+
+def _source_parts(ops: ElementOperators, f_moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stress/displacement responses to body-force moments (B, n_u)."""
+    n_s = ops.stress_map.shape[1]
+    out = np.empty((len(ops.lu), n_s + f_moments.shape[-1]))
+    for i, (lu, piv) in enumerate(ops.lu):
+        rhs = np.zeros(out.shape[1])
+        rhs[n_s:] = -f_moments[i]
+        out[i] = lapack.dgetrs(lu, piv, rhs)[0]
+    return out[:, :n_s], out[:, n_s:]
 
 
 def condense(
     ops: ElementOperators,
     blocks: LocalBlocks,
     check_tol: float | None = 1e-9,
-    debug_flux_check: bool = False,
 ) -> np.ndarray:
     """Element trace matrix, symmetric positive semidefinite with the
     rigid-motion traces as kernel.
 
     Uses the symmetric quadratic form for the projected variant and the
     flux pairing for the plain variant; raises AssemblyError if the result
-    is not symmetric to ``check_tol`` (relative). ``debug_flux_check``
-    additionally verifies the two algebraically identical expressions
-    against each other."""
+    is not symmetric to ``check_tol`` (relative)."""
+    return _condense(_stacked(ops), _stacked(blocks), check_tol)[0]
+
+
+def _condense(ops: ElementOperators, blocks: LocalBlocks, check_tol: float | None) -> np.ndarray:
     if blocks.variant == "projected":
-        A = ops.stress_map.T @ blocks.stress_mass @ ops.stress_map
-        nf_dof = 2 * (blocks.ctx.k + 1)
-        for j, proj in enumerate(blocks.face_proj):
-            R = proj @ ops.disp_map
-            R[:, j * nf_dof : (j + 1) * nf_dof] -= np.eye(nf_dof)
-            A += blocks.tau * R.T @ R
+        A = ops.stress_map.swapaxes(-1, -2) @ blocks.stress_mass @ ops.stress_map
+        nf_dof = 2 * (blocks.k + 1)
+        for j in range(blocks.face_proj.shape[1]):
+            R = blocks.face_proj[:, j] @ ops.disp_map
+            R[:, :, j * nf_dof : (j + 1) * nf_dof] -= np.eye(nf_dof)
+            A += blocks.tau * R.swapaxes(-1, -2) @ R
     else:
-        A = condense_flux_form(ops, blocks)
-    scale = max(np.abs(A).max(), 1e-300)
+        A = _flux_form(ops, blocks)
     if check_tol is not None:
-        asym = np.abs(A - A.T).max() / scale
-        if asym > check_tol:
+        scale = np.maximum(np.abs(A).max(axis=(-2, -1)), 1e-300)
+        asym = np.abs(A - A.swapaxes(-1, -2)).max(axis=(-2, -1)) / scale
+        if np.any(asym > check_tol):
+            i = int(np.argmax(asym > check_tol))
             raise AssemblyError(
-                f"element {blocks.ctx.element}: condensed matrix asymmetry {asym:.2e}"
+                f"element {blocks.elements[i]}: condensed matrix asymmetry {asym[i]:.2e}"
             )
-    if debug_flux_check and blocks.variant == "projected":
-        dev = np.abs(A - condense_flux_form(ops, blocks)).max() / scale
-        if dev > 1e-10:
-            raise AssemblyError(
-                f"element {blocks.ctx.element}: quadratic and flux forms of the "
-                f"condensed matrix disagree ({dev:.2e})"
-            )
-    return 0.5 * (A + A.T)
+    return 0.5 * (A + A.swapaxes(-1, -2))
 
 
 def condense_flux_form(ops: ElementOperators, blocks: LocalBlocks) -> np.ndarray:
     """Condensed matrix via the numerical-traction pairing; algebraically
     identical to the quadratic form and used as its cross-check."""
+    return _flux_form(_stacked(ops), _stacked(blocks))[0]
+
+
+def _flux_form(ops: ElementOperators, blocks: LocalBlocks) -> np.ndarray:
     return (
-        blocks.trace_coupling.T @ ops.stress_map
-        - blocks.stab_ulam.T @ ops.disp_map
+        blocks.trace_coupling.swapaxes(-1, -2) @ ops.stress_map
+        - blocks.stab_ulam.swapaxes(-1, -2) @ ops.disp_map
         + blocks.stab_lamlam
     )
 
@@ -395,15 +470,61 @@ def condensed_rhs(
     """Element load for the trace system: the negative traction moments of
     the source response, so that the condensed equations express flux
     continuity of the full recovered solution."""
+    return _rhs(_stacked(blocks), source_stress[None], source_disp[None])[0]
+
+
+def _rhs(blocks: LocalBlocks, source_stress: np.ndarray, source_disp: np.ndarray) -> np.ndarray:
     return -(
-        blocks.trace_coupling.T @ source_stress - blocks.stab_ulam.T @ source_disp
+        (blocks.trace_coupling.swapaxes(-1, -2) @ source_stress[..., None])[..., 0]
+        - (blocks.stab_ulam.swapaxes(-1, -2) @ source_disp[..., None])[..., 0]
     )
 
 
 def displacement_moments(ctx: ElementContext, f_fn) -> np.ndarray:
     """Moments of a vector field against the displacement basis,
     component-major layout."""
-    vals = np.asarray(f_fn(ctx.quad.points), dtype=float)  # (nq, 2)
-    phi = ctx.basis.eval(ctx.quad.points)  # (nq, p_u)
-    mom = phi.T @ (ctx.quad.weights[:, None] * vals)  # (p_u, 2)
-    return mom.T.reshape(-1)
+    return batch_moments(ctx.batch, f_fn)[0]
+
+
+def batch_moments(batch: ElementBatch, f_fn) -> np.ndarray:
+    """displacement_moments of every element of the batch, (B, n_u)."""
+    pts = batch.quad.points
+    vals = np.asarray(f_fn(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape)
+    return basis_moments(batch.basis.eval(pts), batch.quad.weights, vals)
+
+
+@dataclass
+class CondensedBatch:
+    """Element-stage results of one ElementBatch, leading axis the element:
+    condensed trace matrices and loads, the local solution operators, and
+    the body-force responses."""
+
+    batch: ElementBatch
+    matrix: np.ndarray  # (B, n_lam, n_lam)
+    rhs: np.ndarray  # (B, n_lam)
+    stress_map: np.ndarray  # (B, n_s, n_lam)
+    disp_map: np.ndarray  # (B, n_u, n_lam)
+    source_stress: np.ndarray  # (B, n_s)
+    source_disp: np.ndarray  # (B, n_u)
+
+
+def condense_batch(
+    batch: ElementBatch,
+    material: ComplianceTensor,
+    tau: float,
+    variant: str = "projected",
+    f_fn=None,
+) -> CondensedBatch:
+    """Assemble, eliminate and condense every element of the batch, with
+    the body-force response to ``f_fn`` when given."""
+    blocks = batch_blocks(batch, material, tau, variant)
+    ops = _factor(blocks)
+    matrix = _condense(ops, blocks, 1e-9)
+    if f_fn is not None:
+        qs, us = _source_parts(ops, batch_moments(batch, f_fn))
+    else:
+        qs = np.zeros((len(batch.elements), batch.n_stress))
+        us = np.zeros((len(batch.elements), batch.n_disp))
+    return CondensedBatch(
+        batch, matrix, _rhs(blocks, qs, us), ops.stress_map, ops.disp_map, qs, us
+    )

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "Face",
     "Mesh",
-    "MeshFamily",
     "build_unit_square_tri",
     "build_unit_square_poly",
     "build_mesh",
@@ -95,11 +94,15 @@ class Mesh:
         """Vertex coordinates of element ``e``, shape (m, 2)."""
         return self.vertices[list(self.elements[e])]
 
+    def polygons(self, elements) -> np.ndarray:
+        """Vertex coordinates of elements sharing a face count, (B, m, 2)."""
+        return self.vertices[np.array([self.elements[e] for e in elements])]
+
     def area(self, e: int) -> float:
-        return _polygon_area(self.polygon(e))
+        return float(polygon_areas(self.polygon(e)))
 
     def centroid(self, e: int) -> np.ndarray:
-        return _polygon_centroid(self.polygon(e))
+        return polygon_centroids(self.polygon(e))
 
     def diameter(self, e: int) -> float:
         return float(self._diameters[e])
@@ -117,18 +120,24 @@ class Mesh:
         return n if f.left == e else -n
 
 
-def _polygon_area(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y
 
 
-def _polygon_centroid(pts: np.ndarray) -> np.ndarray:
-    x, y = pts[:, 0], pts[:, 1]
-    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
-    a = 0.5 * np.sum(cross)
-    cx = np.sum((x + np.roll(x, -1)) * cross) / (6.0 * a)
-    cy = np.sum((y + np.roll(y, -1)) * cross) / (6.0 * a)
-    return np.array([cx, cy])
+def polygon_areas(pts: np.ndarray) -> np.ndarray:
+    """Signed areas of polygons given as (..., m, 2) vertex arrays."""
+    x, y = pts[..., 0], pts[..., 1]
+    return 0.5 * np.sum(_cross(x, y), axis=-1)
+
+
+def polygon_centroids(pts: np.ndarray) -> np.ndarray:
+    """Centroids of polygons given as (..., m, 2) vertex arrays."""
+    x, y = pts[..., 0], pts[..., 1]
+    cross = _cross(x, y)
+    a = 0.5 * np.sum(cross, axis=-1)
+    cx = np.sum((x + np.roll(x, -1, axis=-1)) * cross, axis=-1) / (6.0 * a)
+    cy = np.sum((y + np.roll(y, -1, axis=-1)) * cross, axis=-1) / (6.0 * a)
+    return np.stack([cx, cy], axis=-1)
 
 
 def _polygon_diameter(pts: np.ndarray) -> float:
@@ -239,17 +248,6 @@ def build_unit_square_poly(n: int) -> Mesh:
         if not _polygon_is_convex(mesh.polygon(e)):
             raise MeshConstructionError(f"perturbation produced a non-convex element {e}")
     return mesh
-
-
-@dataclass(frozen=True)
-class MeshFamily:
-    """Named mesh family plus subdivision count."""
-
-    kind: str  # "tri" or "poly"
-    n: int
-
-    def build(self) -> Mesh:
-        return build_mesh(self.kind, self.n)
 
 
 def build_mesh(kind: str, n: int) -> Mesh:

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fespace import element_quadrature, face_quadrature, scalar_dim
-from .hdg_global import Discretization, DiscreteSolution
+from .fespace import StressBasis, basis_moments, polygon_quadrature, scalar_dim
+from .hdg_global import Discretization, DiscreteSolution, ordered, ordered_sum
 from .hdg_local import ElementContext
 from .material import ComplianceTensor
 from .manufactured import ExactSolution, stress
-from .mesh import Mesh
+from .mesh import Mesh, polygon_areas, polygon_centroids
 
 __all__ = [
     "ErrorReport",
@@ -38,10 +38,6 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-# Frobenius pairing of the three stress directions with themselves.
-_DIR_NORMSQ = np.array([1.0, 1.0, 2.0])
-
-
 def error_quadrature_exactness(k: int) -> int:
     return 2 * (k + 1) + 6
 
@@ -50,22 +46,26 @@ def project_displacement(ctx: ElementContext, quad, u_fn) -> np.ndarray:
     """Coefficients of the elementwise L2 projection of a vector field onto
     the displacement space (orthonormal basis: plain moments)."""
     vals = np.asarray(u_fn(quad.points), dtype=float)
-    phi = ctx.basis.eval(quad.points)
-    return (phi.T @ (quad.weights[:, None] * vals)).T.reshape(-1)
+    return basis_moments(ctx.basis.eval(quad.points), quad.weights, vals)
 
 
 def project_stress(ctx: ElementContext, quad, sigma_fn) -> np.ndarray:
     """Coefficients of the elementwise L2 projection of a symmetric matrix
     field onto the stress space."""
-    p_s = scalar_dim(ctx.k)
     sig = np.asarray(sigma_fn(quad.points), dtype=float)  # (nq, 2, 2)
-    comp = np.stack([sig[:, 0, 0], sig[:, 1, 1], sig[:, 0, 1] + sig[:, 1, 0]], axis=1)
+    return _stress_projection(ctx.basis.eval(quad.points, scalar_dim(ctx.k)), quad.weights, sig)
+
+
+def _stress_projection(phi_s: np.ndarray, weights: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """Projection coefficients, direction-major, of (..., nq, 2, 2) values
+    on degree-k basis values phi_s (..., nq, p_s)."""
+    comp = np.stack([sig[..., 0, 0], sig[..., 1, 1], sig[..., 0, 1] + sig[..., 1, 0]], axis=-1)
     # pairing with direction c of a symmetric matrix: e12 direction picks up
     # both off-diagonal entries; dividing by the direction norm squared turns
     # moments into coefficients.
-    phi = ctx.basis.eval(quad.points, p_s)
-    mom = phi.T @ (quad.weights[:, None] * comp)  # (p_s, 3)
-    return (mom / _DIR_NORMSQ[None, :]).T.reshape(-1)
+    mom = basis_moments(phi_s, weights, comp)
+    shape = mom.shape
+    return (mom.reshape(shape[:-1] + (3, -1)) / StressBasis.DIR_NORMSQ[:, None]).reshape(shape)
 
 
 @dataclass
@@ -102,50 +102,63 @@ def error_norms(
     material: ComplianceTensor,
     tau: float,
 ) -> ErrorReport:
-    """All error norms of a recovered solution against an exact one."""
+    """All error norms of a recovered solution against an exact one,
+    evaluated batch by batch and summed in element order."""
     mesh, k = disc.mesh, disc.k
     p_s, p_u = scalar_dim(k), scalar_dim(k + 1)
-    exact_sigma = lambda pts: stress(exact, material, pts)
     qe = error_quadrature_exactness(k)
+    fq, modes = disc.face_rule(qe)
 
-    e_sig_proj = e_u_proj = e_sig = e_u = trace_sq = 0.0
-    for ctx in sol.contexts:
-        e = ctx.element
-        quad = element_quadrature(mesh, e, qe)
-        s_h = sol.stress_coeffs[e]
-        w_h = sol.disp_coeffs[e]
+    keys, face_keys = [], []
+    parts = {name: [] for name in ("sigma_proj", "u_proj", "sigma", "u", "trace")}
+    for batch in sol.batches:
+        elems = batch.elements
+        B, m = batch.face_ids.shape
+        quad = polygon_quadrature(mesh.polygons(elems), qe)
+        pts, w = quad.points, quad.weights
+        sig_ex = stress(exact, material, pts.reshape(-1, 2)).reshape(pts.shape[:-1] + (2, 2))
+        u_ex = exact.u(pts.reshape(-1, 2)).reshape(pts.shape)
+        s_h = sol.stress_coeffs[elems]
+        w_h = sol.disp_coeffs[elems]
 
-        s_pi = project_stress(ctx, quad, exact_sigma)
-        w_pi = project_displacement(ctx, quad, exact.u)
-        ds = (s_pi - s_h).reshape(3, p_s)
-        e_sig_proj += float(np.sum(ds**2 * _DIR_NORMSQ[:, None]))
-        e_u_proj += float(np.sum((w_pi - w_h) ** 2))
+        phi = batch.basis.eval(pts)  # (B, nq, p_u)
+        s_pi = _stress_projection(batch.basis.eval(pts, p_s), w, sig_ex)
+        w_pi = basis_moments(phi, w, u_ex)
+        ds = (s_pi - s_h).reshape(B, 3, p_s)
+        keys.append(elems)
+        parts["sigma_proj"].append(
+            np.sum((ds**2 * StressBasis.DIR_NORMSQ[:, None]).reshape(B, -1), axis=-1)
+        )
+        parts["u_proj"].append(np.sum((w_pi - w_h) ** 2, axis=-1))
 
-        phi = ctx.basis.eval(quad.points)
-        u_vals = phi @ w_h.reshape(2, p_u).T
-        du = u_vals - exact.u(quad.points)
-        e_u += float(np.sum(quad.weights * (du**2).sum(axis=1)))
-        comp = phi[:, :p_s] @ s_h.reshape(3, p_s).T  # (nq, 3)
-        sig_vals = np.empty((len(comp), 2, 2))
-        sig_vals[:, 0, 0] = comp[:, 0]
-        sig_vals[:, 1, 1] = comp[:, 1]
-        sig_vals[:, 0, 1] = sig_vals[:, 1, 0] = comp[:, 2]
-        dsig = sig_vals - exact_sigma(quad.points)
-        e_sig += float(np.sum(quad.weights * (dsig**2).sum(axis=(1, 2))))
+        du = phi @ w_h.reshape(B, 2, p_u).swapaxes(-1, -2) - u_ex
+        parts["u"].append(np.sum(w * (du**2).sum(axis=-1), axis=-1))
+        comp = phi[..., :p_s] @ s_h.reshape(B, 3, p_s).swapaxes(-1, -2)  # (B, nq, 3)
+        sig_h = np.empty(comp.shape[:-1] + (2, 2))
+        sig_h[..., 0, 0] = comp[..., 0]
+        sig_h[..., 1, 1] = comp[..., 1]
+        sig_h[..., 0, 1] = sig_h[..., 1, 0] = comp[..., 2]
+        dsig = sig_h - sig_ex
+        parts["sigma"].append(np.sum(w * (dsig**2).sum(axis=(-2, -1)), axis=-1))
 
         # trace mismatch sqrt(tau) * (face-projected displacement error
-        # minus trace error) over the element boundary
-        for fid in ctx.face_ids:
-            fq = face_quadrature(mesh, fid, qe)
-            modes = disc.face_bases[fid].eval_param(fq.params)
-            phi_f = ctx.basis.eval(fq.points)
-            du_face = phi_f @ (w_pi - w_h).reshape(2, p_u).T  # (nq, 2)
-            pm_du = modes.T @ (fq.weights[:, None] * du_face)  # (k+1, 2)
-            pm_u = modes.T @ (fq.weights[:, None] * exact.u(fq.points))
-            uhat = sol.trace[disc.face_dofs(fid)].reshape(-1, 2)
+        # minus trace error) over the element boundary, face by face
+        fpts = fq.points[batch.face_ids]  # (B, m, nq, 2)
+        u_face = exact.u(fpts.reshape(-1, 2)).reshape(fpts.shape)
+        dw = (w_pi - w_h).reshape(B, 2, p_u).swapaxes(-1, -2)
+        for j in range(m):
+            fid = batch.face_ids[:, j]
+            fw, md = fq.weights[fid][..., None], modes[fid]
+            du_face = batch.basis.eval(fpts[:, j]) @ dw  # (B, nq, 2)
+            pm_du = md.swapaxes(-1, -2) @ (fw * du_face)  # (B, k+1, 2)
+            pm_u = md.swapaxes(-1, -2) @ (fw * u_face[:, j])
+            uhat = sol.trace[disc.face_dofs(fid)].reshape(B, -1, 2)
             mismatch = pm_du - (pm_u - uhat)
-            trace_sq += tau * float(np.sum(mismatch**2))
+            face_keys.append(elems)
+            parts["trace"].append(tau * np.sum(mismatch.reshape(B, -1) ** 2, axis=-1))
 
+    err = {name: ordered_sum(keys, parts[name]) for name in ("sigma_proj", "u_proj", "sigma", "u")}
+    err["trace"] = ordered_sum(face_keys, parts["trace"])
     return ErrorReport(
         h=mesh.h,
         k=k,
@@ -153,11 +166,11 @@ def error_norms(
         n_trace_dofs=disc.dofmap.n_interior,
         tau=tau,
         material=material.mode,
-        err_sigma_proj=float(np.sqrt(e_sig_proj)),
-        err_u_proj=float(np.sqrt(e_u_proj)),
-        err_sigma=float(np.sqrt(e_sig)),
-        err_u=float(np.sqrt(e_u)),
-        trace_diag=float(np.sqrt(trace_sq)),
+        err_sigma_proj=float(np.sqrt(err["sigma_proj"])),
+        err_u_proj=float(np.sqrt(err["u_proj"])),
+        err_sigma=float(np.sqrt(err["sigma"])),
+        err_u=float(np.sqrt(err["u"])),
+        trace_diag=float(np.sqrt(err["trace"])),
     )
 
 
@@ -250,63 +263,65 @@ def write_vtk(mesh: Mesh, sol: DiscreteSolution, path: str, title: str = "hdgela
     the element mean."""
     k = sol.k
     p_s, p_u = scalar_dim(k), scalar_dim(k + 1)
-    npts = mesh.num_vertices
-    points = [mesh.vertices]
-    u_sum = np.zeros((mesh.num_vertices, 2))
-    u_cnt = np.zeros(mesh.num_vertices)
-    extra_pts, extra_u = [], []
-    tris, tri_elem = [], []
-
-    for e, poly in enumerate(mesh.elements):
-        ctx = sol.contexts[e]
-        w = sol.disp_coeffs[e].reshape(2, p_u)
-        vert_u = ctx.basis.eval(mesh.vertices[list(poly)]) @ w.T
-        for loc, v in enumerate(poly):
-            u_sum[v] += vert_u[loc]
-            u_cnt[v] += 1
-        m = len(poly)
+    nv = mesh.num_vertices
+    # point id of each polygon's centroid, appended in element order
+    is_fan = np.array([len(poly) > 3 for poly in mesh.elements])
+    centroid_id = nv + np.cumsum(is_fan) - 1
+    area = np.empty(mesh.num_elements)
+    vert_keys, vert_ids, vert_u = [], [], []
+    fan_keys, fan_pts, fan_u = [], [], []
+    cell_keys, cells = [], []
+    for batch in sol.batches:
+        elems = batch.elements
+        polys = np.array([mesh.elements[e] for e in elems])  # (B, m)
+        m = polys.shape[1]
+        corners = mesh.vertices[polys]
+        area[elems] = polygon_areas(corners)
+        w = sol.disp_coeffs[elems].reshape(len(elems), 2, p_u).swapaxes(-1, -2)
+        vert_keys.append(np.repeat(elems, m))
+        vert_ids.append(polys.ravel())
+        vert_u.append((batch.basis.eval(corners) @ w).reshape(-1, 2))
         if m == 3:
-            tris.append(list(poly))
-            tri_elem.append(e)
+            cell_keys.append(elems)
+            cells.append(polys)
         else:
-            c = mesh.centroid(e)
-            cid = npts + len(extra_pts)
-            extra_pts.append(c)
-            extra_u.append((ctx.basis.eval(c[None, :]) @ w.T)[0])
-            for i in range(m):
-                tris.append([cid, poly[i], poly[(i + 1) % m]])
-                tri_elem.append(e)
+            c = polygon_centroids(corners)
+            fan_keys.append(elems)
+            fan_pts.append(c)
+            fan_u.append((batch.basis.eval(c[:, None, :]) @ w)[:, 0])
+            cid = np.broadcast_to(centroid_id[elems, None], polys.shape)
+            cell_keys.append(np.repeat(elems, m))
+            cells.append(np.stack([cid, polys, np.roll(polys, -1, axis=1)], axis=-1).reshape(-1, 3))
+    vert_ids, vert_u = ordered(vert_keys, vert_ids, vert_u)
+    u_sum = np.zeros((nv, 2))
+    np.add.at(u_sum, vert_ids, vert_u)
+    u_pts = u_sum / np.maximum(np.bincount(vert_ids, minlength=nv), 1)[:, None]
+    all_pts = mesh.vertices
+    if fan_keys:
+        fan_pts, fan_u = ordered(fan_keys, fan_pts, fan_u)
+        all_pts = np.vstack([all_pts, fan_pts])
+        u_pts = np.vstack([u_pts, fan_u])
+    # cells in element order: a triangle as itself, any other polygon as
+    # the fan (centroid, vertex i, vertex i+1)
+    cell_elem, cells = ordered(cell_keys, cell_keys, cells)
 
-    u_pts = np.vstack(
-        [u_sum / np.maximum(u_cnt, 1)[:, None]] + ([np.array(extra_u)] if extra_u else [])
-    )
-    all_pts = np.vstack(points + ([np.array(extra_pts)] if extra_pts else []))
+    s = sol.stress_coeffs.reshape(-1, 3, p_s)
+    mean_sigma = s[:, :, 0] / np.sqrt(area)[:, None]  # constant mode is 1/sqrt(area)
 
-    mean_sigma = []
-    for e in range(mesh.num_elements):
-        s = sol.stress_coeffs[e].reshape(3, p_s)
-        area = mesh.area(e)
-        mean_sigma.append(s[:, 0] / np.sqrt(area))  # constant mode is 1/sqrt(area)
-    mean_sigma = np.array(mean_sigma)
-
+    nc = len(cells)
+    lines = ["# vtk DataFile Version 2.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID"]
+    lines.append(f"POINTS {len(all_pts)} double")
+    lines += [f"{x:.9E} {y:.9E} 0.0" for x, y in all_pts.tolist()]
+    lines.append(f"CELLS {nc} {4 * nc}")
+    lines += [f"3 {a} {b} {c}" for a, b, c in cells.tolist()]
+    lines.append(f"CELL_TYPES {nc}")
+    lines += ["5"] * nc
+    lines.append(f"POINT_DATA {len(all_pts)}")
+    lines.append("VECTORS displacement double")
+    lines += [f"{x:.9E} {y:.9E} 0.0" for x, y in u_pts.tolist()]
+    lines.append(f"CELL_DATA {nc}")
+    for name, col in (("stress_xx", 0), ("stress_yy", 1), ("stress_xy", 2)):
+        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+        lines += [f"{v:.9E}" for v in mean_sigma[cell_elem, col].tolist()]
     with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 2.0\n")
-        fh.write(f"{title}\n")
-        fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {len(all_pts)} double\n")
-        for p in all_pts:
-            fh.write(f"{p[0]:.9E} {p[1]:.9E} 0.0\n")
-        fh.write(f"CELLS {len(tris)} {4 * len(tris)}\n")
-        for t in tris:
-            fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
-        fh.write(f"CELL_TYPES {len(tris)}\n")
-        fh.write("5\n" * len(tris))
-        fh.write(f"POINT_DATA {len(all_pts)}\n")
-        fh.write("VECTORS displacement double\n")
-        for u in u_pts:
-            fh.write(f"{u[0]:.9E} {u[1]:.9E} 0.0\n")
-        fh.write(f"CELL_DATA {len(tris)}\n")
-        for name, col in (("stress_xx", 0), ("stress_yy", 1), ("stress_xy", 2)):
-            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            for e in tri_elem:
-                fh.write(f"{mean_sigma[e, col]:.9E}\n")
+        fh.write("\n".join(lines) + "\n")

@@ -154,16 +154,19 @@ def test_criterion_3_spd_characterization():
                 np.linalg.cholesky(0.5 * (dense + dense.T))
             except np.linalg.LinAlgError:
                 failures.append(f"{family} k={k}: Cholesky failed")
-            for sys in systems:
-                w = np.linalg.eigvalsh(sys.matrix)
+            elements = [
+                (e, A) for cb in systems.batches for e, A in zip(cb.batch.elements, cb.matrix)
+            ]
+            for e, A in elements:
+                w = np.linalg.eigvalsh(A)
                 if int(np.sum(w < 1e-10 * w[-1])) != 3:
                     failures.append(
-                        f"{family} k={k} element {sys.ctx.element}: kernel dim != 3"
+                        f"{family} k={k} element {e}: kernel dim != 3"
                     )
                     break
                 if w[0] < -1e-10 * w[-1]:
                     failures.append(
-                        f"{family} k={k} element {sys.ctx.element}: negative eigenvalue"
+                        f"{family} k={k} element {e}: negative eigenvalue"
                     )
                     break
     ok = not failures

@@ -3,9 +3,11 @@ import pytest
 import scipy.sparse
 
 from hdgelast import hdg_global as G
+from hdgelast import hdg_local as L
 from hdgelast import manufactured as MF
 from hdgelast import mesh as M
 from hdgelast import postproc as P
+from hdgelast.harness import RunConfig, run_solve
 from hdgelast.material import ComplianceTensor
 
 PLANE_STRESS = ComplianceTensor.plane_stress(1.0, 0.3)
@@ -207,19 +209,18 @@ def test_boundary_lifting_values_applied():
 
 def test_assembly_deterministic():
     sol = MF.test1_solution()
-    *_, glob1, dsol1, _ = solve_manufactured("poly", 3, 1, sol, PLANE_STRESS)
-    *_, glob2, dsol2, _ = solve_manufactured("poly", 3, 1, sol, PLANE_STRESS)
+    runs = []
+    for _ in range(2):
+        mesh, tau, disc, _, glob, dsol, _ = solve_manufactured("poly", 3, 1, sol, PLANE_STRESS)
+        rep = P.error_norms(disc, dsol, sol, PLANE_STRESS, tau)
+        runs.append((glob, dsol, rep))
+    (glob1, dsol1, rep1), (glob2, dsol2, rep2) = runs
     assert np.array_equal(glob1.matrix.toarray(), glob2.matrix.toarray())
     assert np.array_equal(glob1.rhs, glob2.rhs)
     assert np.array_equal(dsol1.trace, dsol2.trace)
-
-
-def test_threaded_assembly_matches_serial(monkeypatch):
-    sol = MF.test1_solution()
-    *_, dsol1, _ = solve_manufactured("tri", 3, 1, sol, PLANE_STRESS)
-    monkeypatch.setenv("HDG_THREADS", "4")
-    *_, dsol2, _ = solve_manufactured("tri", 3, 1, sol, PLANE_STRESS)
-    assert np.array_equal(dsol1.trace, dsol2.trace)
+    assert np.array_equal(dsol1.stress_coeffs, dsol2.stress_coeffs)
+    assert np.array_equal(dsol1.disp_coeffs, dsol2.disp_coeffs)
+    assert rep1 == rep2
 
 
 def test_auto_solver_policy(monkeypatch):
@@ -230,3 +231,108 @@ def test_auto_solver_policy(monkeypatch):
     *_, stats_big = solve_manufactured("tri", 4, 1, sol, PLANE_STRESS, solver="auto")
     assert stats_big.method == "cg"
     assert stats_big.iterations > 0
+
+
+def test_near_incompressible_errors_pinned():
+    # At nu=0.49999 the condensed element matrices reach ~1e6 through
+    # cancellation, and reassociating the element arithmetic moves these
+    # norms by up to 1e-5 relative. The values are those of the
+    # element-by-element computation, which the batched one reproduces
+    # bitwise.
+    cfg = RunConfig(mesh="poly", k=2, n=12, solution="test2", material="plane_strain",
+                    E=3.0, nu=0.49999, solver="cholesky")
+    rep = run_solve(cfg).errors
+    expected = {
+        "err_sigma_proj": 7.93916021965785e-05,
+        "err_u_proj": 1.1752969081421038e-06,
+        "err_sigma": 0.00011942146590033606,
+        "err_u": 1.2309487109660392e-06,
+        "trace_diag": 7.632226558126548e-05,
+    }
+    for key, value in expected.items():
+        assert getattr(rep, key) == pytest.approx(value, rel=1e-9, abs=0.0), key
+
+
+def mixed_mesh(n):
+    """Unit square with n x n cells, alternately two triangles and one
+    square, so that elements with 3 and 4 faces interleave."""
+    xs = np.linspace(0.0, 1.0, n + 1)
+    vid = lambda i, j: j * (n + 1) + i
+    vertices = np.array([[xs[i], xs[j]] for j in range(n + 1) for i in range(n + 1)])
+    elements = []
+    for j in range(n):
+        for i in range(n):
+            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+            if (i + j) % 2 == 0:
+                elements += [(a, b, c), (a, c, d)]
+            else:
+                elements.append((a, b, c, d))
+    return M._assemble(vertices, elements, "custom", n)
+
+
+ELEMENT_RESULTS = ("matrix", "rhs", "stress_map", "disp_map", "source_stress", "source_disp")
+
+
+def mixed_solve(monkeypatch, chunk, mesh, k, sol, material):
+    """Element results in element order, and the global solve, with batches
+    of at most ``chunk`` elements."""
+    monkeypatch.setattr(L, "CHUNK_SIZE", chunk)
+    tau = 3.0 / mesh.h
+    disc = G.build_discretization(mesh, k)
+    f_fn = lambda pts: MF.body_force(sol, material, pts)
+    systems = G.build_element_systems(disc, material, tau, f_fn)
+    per_element = {}
+    for cb in systems.batches:
+        for i, e in enumerate(cb.batch.elements):
+            per_element[int(e)] = [getattr(cb, name)[i] for name in ELEMENT_RESULTS]
+    bvals = G.boundary_trace_values(disc, lambda pts: MF.boundary_data(sol, pts))
+    glob = G.assemble_global(disc, systems, bvals)
+    trace, _ = G.solve_condensed(glob, "cholesky")
+    dsol = G.recover_fields(disc, systems, trace)
+    rep = P.error_norms(disc, dsol, sol, material, tau)
+    elements = [per_element[e] for e in range(mesh.num_elements)]
+    return disc, systems, elements, (glob.matrix.toarray(), glob.rhs, trace,
+                                     dsol.stress_coeffs, dsol.disp_coeffs), rep
+
+
+def test_mixed_face_counts_batched_like_single_elements(monkeypatch):
+    mesh = mixed_mesh(3)
+    k = 2
+    material = ComplianceTensor.plane_strain(3.0, 0.49)
+    sol = MF.test1_solution()
+    disc, systems, elements, glob, rep = mixed_solve(
+        monkeypatch, mesh.num_elements, mesh, k, sol, material
+    )
+    assert sorted(cb.batch.face_ids.shape[1] for cb in systems.batches) == [3, 4]
+
+    # every element's batched results equal its one-element-batch results
+    tau = 3.0 / mesh.h
+    f_fn = lambda pts: MF.body_force(sol, material, pts)
+    for e, batched in enumerate(elements):
+        ctx = L.build_element_context(mesh, e, k, disc.face_bases, disc.face_quads)
+        blocks = L.assemble_local_blocks(ctx, material, tau)
+        ops = L.build_local_solvers(blocks)
+        qs, us = ops.source_parts(L.displacement_moments(ctx, f_fn))
+        single = [L.condense(ops, blocks), L.condensed_rhs(blocks, qs, us),
+                  ops.stress_map, ops.disp_map, qs, us]
+        for name, a, b in zip(ELEMENT_RESULTS, batched, single):
+            assert np.array_equal(a, b), (e, name)
+
+    # and nothing depends on the batch size
+    _, _, elements_1, glob_1, rep_1 = mixed_solve(monkeypatch, 1, mesh, k, sol, material)
+    for a, b in zip(elements, elements_1):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert all(np.array_equal(x, y) for x, y in zip(glob, glob_1))
+    assert rep == rep_1
+
+
+def test_mixed_face_counts_kernel_and_rigid_motion(monkeypatch):
+    mesh = mixed_mesh(3)
+    material = ComplianceTensor.plane_strain(3.0, 0.3)
+    sol = MF.rigid_motion_solution(0.7, (0.3, -0.2))
+    _, systems, elements, _, rep = mixed_solve(monkeypatch, 5, mesh, 1, sol, material)
+    for e, (A, *_) in enumerate(elements):
+        w = np.linalg.eigvalsh(A)
+        assert int(np.sum(w < 1e-10 * w[-1])) == 3, e
+        assert w[0] >= -1e-10 * w[-1], e
+    assert max(rep.err_sigma, rep.err_u, rep.trace_diag) < 1e-10

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hdgelast import fespace as F
+from hdgelast import hdg_global as G
 from hdgelast import hdg_local as L
 from hdgelast import manufactured as MF
 from hdgelast import mesh as M
@@ -307,3 +308,24 @@ def test_singular_local_system_reports_element():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             L.build_local_solvers(broken)
+
+
+@pytest.mark.parametrize("family", ["tri", "poly"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_blocks_insensitive_to_richer_quadrature(family, k):
+    # the default rule integrates every block exactly: a rule four degrees
+    # richer on elements and faces changes none beyond roundoff
+    mesh = M.build_mesh(family, 2)
+    tau = 1.0 / mesh.h
+    blocks = []
+    for exactness in (None, L.default_quadrature_exactness(k) + 4):
+        disc = G.build_discretization(mesh, k, quad_exactness=exactness)
+        systems = G.build_element_systems(disc, PLANE_STRESS, tau, quad_exactness=exactness)
+        blocks.append(
+            [L.batch_blocks(cb.batch, PLANE_STRESS, tau, "projected") for cb in systems.batches]
+        )
+    for default, rich in zip(*blocks):
+        for name in ("div_coupling", "trace_coupling", "stab_uu", "stab_ulam"):
+            a, b = getattr(default, name), getattr(rich, name)
+            err = np.abs(a - b).max(axis=(1, 2)) / np.maximum(np.abs(b).max(axis=(1, 2)), 1e-300)
+            assert err.max() <= 1e-9, (name, err.max())
