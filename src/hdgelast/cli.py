@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .harness import (
     ConfigError,
@@ -22,6 +22,7 @@ from .harness import (
     run_solve,
 )
 from .hdg_global import SolverError
+from .postproc import write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -29,11 +30,19 @@ EXIT_SOLVER = 3
 EXIT_CHECK = 4
 
 
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.replace(",", " ").split())
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(t) for t in text.replace(",", " ").split())
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--mesh", choices=["tri", "poly"])
     p.add_argument("--n", type=int)
-    p.add_argument("--n-sequence", help="comma separated subdivision counts")
+    p.add_argument("--n-sequence", type=_ints, help="comma separated subdivision counts")
     p.add_argument("--k", type=int)
     p.add_argument("--tau-c", type=float, help="stabilization constant c in tau = c/h")
     p.add_argument("--material", choices=["plane_stress", "plane_strain", "deviatoric"])
@@ -41,7 +50,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nu", type=float)
     p.add_argument("--p-d", type=float, help="deviatoric compliance constant")
     p.add_argument("--p-t", type=float, help="trace compliance constant")
-    p.add_argument("--nu-list", help="comma separated Poisson ratios")
+    p.add_argument("--nu-list", type=_floats, help="comma separated Poisson ratios")
     p.add_argument("--solution", choices=["test1", "test2", "rigid"])
     p.add_argument("--solver", choices=["auto", "cholesky", "cg"])
     p.add_argument("--tol", type=float)
@@ -56,33 +65,10 @@ def _config_from_args(args) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
             cfg = parse_config_text(fh.read(), cfg)
-    overrides = {}
-    mapping = {
-        "mesh": "mesh",
-        "n": "n",
-        "k": "k",
-        "tau_c": "tau_c",
-        "material": "material",
-        "E": "E",
-        "nu": "nu",
-        "p_d": "p_d",
-        "p_t": "p_t",
-        "solution": "solution",
-        "solver": "solver",
-        "tol": "tol",
-        "out": "out",
-        "vtk": "vtk",
-        "trace_variant": "trace_variant",
-        "allow_k0": "allow_k0",
-    }
-    for arg_name, field_name in mapping.items():
-        val = getattr(args, arg_name, None)
-        if val is not None:
-            overrides[field_name] = val
-    if getattr(args, "n_sequence", None):
-        overrides["n_sequence"] = tuple(int(t) for t in args.n_sequence.replace(",", " ").split())
-    if getattr(args, "nu_list", None):
-        overrides["nu_list"] = tuple(float(t) for t in args.nu_list.replace(",", " ").split())
+    # every RunConfig field has a flag of the same name; an empty list
+    # keeps the configured value
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    overrides = {name: val for name, val in overrides.items() if val is not None and val != ()}
     return replace(cfg, **overrides)
 
 
@@ -110,16 +96,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "solve":
             rep = run_solve(cfg)
-            e = rep.errors
+            e, st = rep.errors, rep.stats
             print(
                 f"{rep.mesh_label} k={e.k} h={e.h:.4f} dofs={e.n_trace_dofs} "
                 f"sigma_proj={e.err_sigma_proj:.3E} u_proj={e.err_u_proj:.3E} "
-                f"sigma={e.err_sigma:.3E} u={e.err_u:.3E} trace={e.trace_diag:.3E}"
+                f"sigma={e.err_sigma:.3E} u={e.err_u:.3E} trace={e.trace_diag:.3E} "
+                f"solver={st.method} it={st.iterations} residual={st.residual:.3E}"
             )
         elif args.command == "convergence":
             ns = cfg.n_sequence if cfg.n_sequence else (4, 8, 16, 32)
             table = run_convergence(cfg, ns)
-            _print_table(table)
+            write_csv(table, sys.stdout)
         elif args.command == "locking":
             cfg = replace(cfg, material="plane_strain", solution="test2",
                           E=cfg.E if cfg.E != 1.0 else 3.0)
@@ -127,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
             tables, spread = run_locking(cfg, cfg.nu_list, ns)
             for nu, table in tables.items():
                 print(f"# nu = {nu}")
-                _print_table(table)
+                write_csv(table, sys.stdout)
             print("# max relative stress-error spread across nu, per level:")
             for n, rel in spread.items():
                 print(f"n={n}: {rel:.3%}")
@@ -153,28 +140,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK
-
-
-def _print_table(table) -> None:
-    from .postproc import CSV_COLUMNS, _RATE_SOURCES
-
-    orders = {idx: table.orders(src) for idx, src in _RATE_SOURCES.items()}
-    print(",".join(CSV_COLUMNS))
-    for i, row in enumerate(table.rows):
-        cells = []
-        for idx, name in enumerate(CSV_COLUMNS):
-            if name == "order":
-                val = orders[idx][i]
-                cells.append("-" if val is None else f"{val:.2f}")
-            elif name == "h":
-                cells.append(f"{row['h']:.4f}")
-            elif name == "k":
-                cells.append(str(row["k"]))
-            elif name == "mesh":
-                cells.append(str(row["mesh"]))
-            else:
-                cells.append(f"{row[name]:.2E}")
-        print(",".join(cells))
 
 
 if __name__ == "__main__":

@@ -7,6 +7,14 @@ right-hand side during assembly, which keeps the solved matrix symmetric
 positive definite. After the solve, stress and displacement are recovered
 from the local solution operators.
 
+The trace system is solved by a sparse symmetric factorization or by
+conjugate gradients with a two-level additive Schwarz preconditioner: exact
+solves on the vertex patches (the interior faces around each mesh vertex)
+plus a coarse correction in the traces of continuous P1 fields, after
+Cockburn, Dubois, Gopalakrishnan & Tan (multigrid for HDG) and Schoberl
+(vertex-patch smoothers robust as nu -> 1/2). Its iteration counts stay
+nearly flat under refinement; see solve_condensed.
+
 Stacked layout: the element stage runs on batches of elements that share a
 face count, at most ``hdg_local.CHUNK_SIZE`` elements each, and assembly,
 recovery, the traction jump and the scheme residuals work on the same
@@ -72,7 +80,12 @@ class SolverError(Exception):
 
 
 # size above which the "auto" solver policy switches from the direct
-# factorization to preconditioned conjugate gradients
+# factorization to preconditioned conjugate gradients. Measured on tri k=1
+# test2 (one BLAS thread): at n=32 (12,032 dofs) direct 0.06 s, CG 0.10 s;
+# at n=128 (195,584 dofs), nu=0.49, direct 3.5 s and +686 MB, CG 2.5 s, 82
+# iterations and no extra memory; but at nu=0.49999 the P1 coarse space
+# locks on triangles and CG needs 881 iterations, 20 s. The direct cost does
+# not depend on nu, so it is kept up to just above n=128.
 DIRECT_SOLVER_DOF_LIMIT = 200_000
 
 
@@ -200,6 +213,9 @@ class CondensedSystem:
     rhs: np.ndarray
     boundary_values: np.ndarray  # full trace vector, nonzero on boundary dofs
     dofmap: TraceDofMap
+    # the mesh-level data the system was assembled from; cg builds its
+    # preconditioner from it
+    disc: Discretization | None = field(default=None, repr=False)
 
 
 def boundary_trace_values(disc: Discretization, g_fn, exactness: int | None = None) -> np.ndarray:
@@ -259,7 +275,7 @@ def assemble_global(
     rows, cols, vals = ordered(mat_keys, rows, cols, vals)
     matrix = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     matrix.sum_duplicates()
-    return CondensedSystem(matrix, rhs, boundary_values, dofmap)
+    return CondensedSystem(matrix, rhs, boundary_values, dofmap, disc)
 
 
 @dataclass
@@ -272,16 +288,107 @@ class SolverStats:
     residual: float = np.nan
 
 
-def _block_jacobi(system: CondensedSystem) -> scipy.sparse.csr_matrix:
-    """Inverse of the per-face diagonal blocks (interior dofs are contiguous
-    per face by construction)."""
-    A = system.matrix
-    bs = system.dofmap.ndof_face
-    blocks = []
-    for start in range(0, system.dofmap.n_interior, bs):
-        sub = A[start : start + bs, start : start + bs].toarray()
-        blocks.append(np.linalg.inv(sub))
-    return scipy.sparse.block_diag(blocks, format="csr")
+def _symmetric_lu(A: scipy.sparse.spmatrix):
+    """Sparse LU in symmetric mode with zero pivot threshold: pivots on the
+    diagonal in a minimum-degree order of A + A^T."""
+    return scipy.sparse.linalg.splu(
+        A.tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+
+
+def _interior_face_ends(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Interior face ids and their end vertices (v0, v1), shape (F, 2)."""
+    fids = np.array(mesh.interior_faces(), dtype=int)
+    ends = np.array([(mesh.faces[f].v0, mesh.faces[f].v1) for f in fids], dtype=int)
+    return fids, ends.reshape(-1, 2)
+
+
+def _vertex_patches(disc: Discretization) -> list[np.ndarray]:
+    """Condensed dofs of the vertex patches (the interior faces touching a
+    mesh vertex), one (patches, faces * ndof_face) array per patch size."""
+    fids, ends = _interior_face_ends(disc.mesh)
+    verts = ends.T.ravel()
+    order = np.argsort(verts, kind="stable")
+    faces = np.tile(fids, 2)[order]
+    _, first, sizes = np.unique(verts[order], return_index=True, return_counts=True)
+    groups = []
+    for size in np.unique(sizes):
+        patch_faces = faces[first[sizes == size, None] + np.arange(size)]
+        dofs = disc.dofmap.interior_index[disc.face_dofs(patch_faces)]
+        groups.append(dofs.reshape(len(patch_faces), -1))
+    return groups
+
+
+def _coarse_prolongation(disc: Discretization) -> scipy.sparse.csr_matrix:
+    """Face traces of the continuous P1 vector fields that vanish on the
+    boundary, one column per component and interior vertex. A P1 field is
+    linear on each face, so its moments against the face modes are exact."""
+    mesh, dofmap = disc.mesh, disc.dofmap
+    on_boundary = np.zeros(mesh.num_vertices, dtype=bool)
+    for fid in dofmap.boundary_face_ids:
+        on_boundary[[mesh.faces[fid].v0, mesh.faces[fid].v1]] = True
+    coarse_index = np.cumsum(~on_boundary) - 1
+    # moments of the hat functions of the face ends, 1 - t at v0 and t at
+    # v1: (faces, 2, k+1)
+    t = disc.face_quad.params
+    moments = (np.stack([1.0 - t, t]) * disc.face_quad.weights[:, None, :]) @ disc.face_modes
+    fids, ends = _interior_face_ends(mesh)
+    rows, cols, vals = [], [], []
+    for end in range(2):
+        keep = ~on_boundary[ends[:, end]]
+        f, v = fids[keep], ends[keep, end]
+        dofs = dofmap.interior_index[disc.face_dofs(f)].reshape(len(f), disc.k + 1, 2)
+        for comp in range(2):
+            rows.append(dofs[..., comp].ravel())
+            cols.append(np.repeat(2 * coarse_index[v] + comp, disc.k + 1))
+            vals.append(moments[f, end].ravel())
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    shape = (dofmap.n_interior, 2 * int(np.sum(~on_boundary)))
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+
+
+# vertex patches whose blocks are taken from the sparse matrix in one go;
+# bounds the temporary index arrays
+_PATCH_CHUNK = 128
+
+
+def _schwarz_preconditioner(system: CondensedSystem) -> scipy.sparse.linalg.LinearOperator:
+    """Two-level additive Schwarz preconditioner
+
+        M^-1 r = sum_v R_v^T A_v^-1 R_v r + P (P^T A P)^-1 P^T r
+
+    with R_v the dofs of vertex patch v, A_v the dense block of A on them,
+    and P the trace of continuous P1 fields (see _coarse_prolongation).
+    The patch inverses are applied matrix-free, one stacked product per
+    patch size; assembling them into one sparse matrix costs more memory."""
+    if system.disc is None:
+        raise ValueError("cg needs the Discretization the system was assembled from")
+    A, n = system.matrix, system.matrix.shape[0]
+    patches = []
+    for idx in _vertex_patches(system.disc):
+        inv = np.empty((len(idx), idx.shape[1], idx.shape[1]))
+        for start in range(0, len(idx), _PATCH_CHUNK):
+            rows = np.repeat(idx[start : start + _PATCH_CHUNK, :, None], idx.shape[1], axis=2)
+            block = np.asarray(A[rows.ravel(), rows.swapaxes(1, 2).ravel()])
+            inv[start : start + len(rows)] = np.linalg.inv(block.reshape(rows.shape))
+        patches.append((idx, inv))
+    P = _coarse_prolongation(system.disc)
+    PT = P.T.tocsr()
+    coarse = _symmetric_lu(PT @ A @ P) if P.shape[1] else None
+
+    def apply(r):
+        z = np.zeros(n)
+        for idx, inv in patches:
+            local = inv @ r[idx][..., None]
+            z += np.bincount(idx.ravel(), weights=local.ravel(), minlength=n)
+        if coarse is not None:
+            z += P @ coarse.solve(PT @ r)
+        return z
+
+    return scipy.sparse.linalg.LinearOperator((n, n), matvec=apply, dtype=float)
 
 
 def solve_condensed(
@@ -292,8 +399,10 @@ def solve_condensed(
     ``cholesky``: sparse symmetric factorization with zero pivot threshold;
     all elimination pivots must come out positive, anything else means the
     matrix is not SPD and is reported as a hard error. ``cg``: conjugate
-    gradients with a per-face block-Jacobi preconditioner. ``auto`` picks
-    the factorization up to DIRECT_SOLVER_DOF_LIMIT unknowns, cg above.
+    gradients with the two-level vertex-patch Schwarz preconditioner of
+    _schwarz_preconditioner, built from ``system.disc`` (a ValueError
+    without it). ``auto`` picks the factorization up to
+    DIRECT_SOLVER_DOF_LIMIT unknowns, cg above.
 
     Returns the full trace vector (boundary values filled in) and stats."""
     A, b = system.matrix, system.rhs
@@ -307,12 +416,7 @@ def solve_condensed(
 
     if method == "cholesky":
         try:
-            lu = scipy.sparse.linalg.splu(
-                A.tocsc(),
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
+            lu = _symmetric_lu(A)
         except RuntimeError as exc:
             raise SolverError(f"symmetric factorization failed: {exc}") from exc
         pivots = lu.U.diagonal()
@@ -323,7 +427,7 @@ def solve_condensed(
             )
         x = lu.solve(b)
     elif method == "cg":
-        M = _block_jacobi(system)
+        M = _schwarz_preconditioner(system)
         count = {"it": 0}
 
         def cb(_xk):

@@ -15,6 +15,7 @@ rates are not polluted by under-integration of the smooth exact solutions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
@@ -231,27 +232,31 @@ def _fmt(value) -> str:
     return f"{value:.2E}"
 
 
-def write_csv(table: ConvergenceTable, path: str) -> None:
+def write_csv(table: ConvergenceTable, dest: str | TextIO) -> None:
     """Write the study in the fixed column layout (errors in scientific
-    notation, orders with two decimals, '-' where undefined)."""
+    notation, orders with two decimals, '-' where undefined) to a file path
+    or a text stream."""
+    if isinstance(dest, str):
+        with open(dest, "w") as fh:
+            write_csv(table, fh)
+        return
     order_cols = {idx: table.orders(src) for idx, src in _RATE_SOURCES.items()}
-    with open(path, "w") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for i, row in enumerate(table.rows):
-            cells = []
-            for idx, name in enumerate(CSV_COLUMNS):
-                if name == "order":
-                    val = order_cols[idx][i]
-                    cells.append("-" if val is None else f"{val:.2f}")
-                elif name == "h":
-                    cells.append(f"{row['h']:.4f}")
-                elif name in ("k",):
-                    cells.append(str(row["k"]))
-                elif name == "mesh":
-                    cells.append(str(row["mesh"]))
-                else:
-                    cells.append(_fmt(row[name]))
-            fh.write(",".join(cells) + "\n")
+    dest.write(",".join(CSV_COLUMNS) + "\n")
+    for i, row in enumerate(table.rows):
+        cells = []
+        for idx, name in enumerate(CSV_COLUMNS):
+            if name == "order":
+                val = order_cols[idx][i]
+                cells.append("-" if val is None else f"{val:.2f}")
+            elif name == "h":
+                cells.append(f"{row['h']:.4f}")
+            elif name in ("k",):
+                cells.append(str(row["k"]))
+            elif name == "mesh":
+                cells.append(str(row["mesh"]))
+            else:
+                cells.append(_fmt(row[name]))
+        dest.write(",".join(cells) + "\n")
 
 
 def write_vtk(mesh: Mesh, sol: DiscreteSolution, path: str, title: str = "hdgelast") -> None:

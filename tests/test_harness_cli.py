@@ -145,6 +145,17 @@ def test_cli_rigid_solution_near_exact(capsys):
     assert err < 1e-10
 
 
+def test_cli_solve_reports_solver(capsys):
+    rc = cli.main(["solve", "--mesh", "tri", "--n", "4", "--k", "1", "--solver", "cg"])
+    assert rc == cli.EXIT_OK
+    tail = capsys.readouterr().out.split()[-3:]
+    fields = dict(item.split("=") for item in tail)
+    assert list(fields) == ["solver", "it", "residual"]
+    assert fields["solver"] == "cg"
+    assert int(fields["it"]) > 0
+    assert float(fields["residual"]) < 1e-10
+
+
 def test_cli_k0_refused(capsys):
     rc = cli.main(["solve", "--k", "0", "--n", "2"])
     assert rc == cli.EXIT_CONFIG
@@ -176,6 +187,13 @@ def test_cli_convergence_deterministic_csv(tmp_path):
     args[-1] = str(tmp_path / "c2.csv")
     assert cli.main(args) == cli.EXIT_OK
     assert first == (tmp_path / "c2.csv").read_bytes()
+
+
+def test_cli_convergence_stdout_equals_csv(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert cli.main(["convergence", "--mesh", "poly", "--k", "1", "--n-sequence", "2,4",
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 def test_cli_locking_rejects_bad_nu(capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -72,29 +74,67 @@ def test_cholesky_positive_pivots_reported():
 
 
 def test_cg_and_cholesky_agree_on_random_spd():
-    # cross-solver oracle on a synthetic SPD system with the same block layout
+    # cross-solver oracle on assembled tri and poly systems with a random load
     rng = np.random.default_rng(9)
-    nfaces, bs = 10, 5
-    n = nfaces * bs
+    for family, k in (("tri", 1), ("poly", 2)):
+        mesh = M.build_mesh(family, 4)
+        disc = G.build_discretization(mesh, k)
+        systems = G.build_element_systems(disc, PLANE_STRESS, tau=3.0 / mesh.h)
+        glob = G.assemble_global(disc, systems)
+        system = replace(glob, rhs=rng.normal(size=glob.matrix.shape[0]))
+        x_chol, _ = G.solve_condensed(system, "cholesky")
+        x_cg, stats = G.solve_condensed(system, "cg", tol=1e-13)
+        assert stats.iterations > 0
+        assert np.abs(x_chol - x_cg).max() < 1e-10 * max(1.0, np.abs(x_chol).max())
+
+
+def test_cg_needs_discretization():
+    rng = np.random.default_rng(9)
+    n = 8
     B = rng.normal(size=(n, n))
-    A = scipy.sparse.csr_matrix(B @ B.T + n * np.eye(n))
-    b = rng.normal(size=n)
     from hdgelast.fespace import TraceDofMap
 
-    dm = TraceDofMap(
-        k=1,
-        face_offset=np.arange(nfaces) * bs,
-        ndof_face=bs,
-        total=n,
-        interior_index=np.arange(n),
-        n_interior=n,
-        boundary_face_ids=(),
-    )
-    system = G.CondensedSystem(A, b, np.zeros(n), dm)
-    x_chol, _ = G.solve_condensed(system, "cholesky")
-    x_cg, stats = G.solve_condensed(system, "cg", tol=1e-13)
+    dm = TraceDofMap(k=1, face_offset=np.arange(2) * 4, ndof_face=4, total=n,
+                     interior_index=np.arange(n), n_interior=n, boundary_face_ids=())
+    system = G.CondensedSystem(scipy.sparse.csr_matrix(B @ B.T + n * np.eye(n)),
+                               np.ones(n), np.zeros(n), dm)
+    with pytest.raises(ValueError, match="Discretization"):
+        G.solve_condensed(system, "cg")
+
+
+@pytest.mark.parametrize("family,n,coarse_dim", [("tri", 1, 0), ("tri", 2, 2), ("poly", 2, 2)])
+def test_cg_matches_cholesky_on_smallest_meshes(family, n, coarse_dim):
+    # tri n=1 has no interior vertex, so the coarse space is empty
+    sol = MF.test1_solution()
+    _, _, disc, _, glob, dsol, stats = solve_manufactured(family, n, 2, sol, PLANE_STRESS,
+                                                          solver="cg")
+    assert G._coarse_prolongation(disc).shape == (glob.matrix.shape[0], coarse_dim)
+    trace, _ = G.solve_condensed(glob, "cholesky")
     assert stats.iterations > 0
-    assert np.abs(x_chol - x_cg).max() < 1e-10 * max(1.0, np.abs(x_chol).max())
+    assert np.abs(dsol.trace - trace).max() < 1e-10 * np.abs(trace).max()
+
+
+@pytest.mark.parametrize("family,k,sol,material", [
+    ("tri", 1, MF.test1_solution(), PLANE_STRESS),
+    ("poly", 2, MF.test2_solution(), ComplianceTensor.plane_strain(3.0, 0.49999)),
+], ids=["tri-k1-nu0.3", "poly-k2-nu0.49999"])
+def test_cg_iterations_flat_under_refinement(family, k, sol, material):
+    # the two-level Schwarz preconditioner keeps CG counts from growing by
+    # 1.5x per refinement, near incompressibility too
+    counts = []
+    for n in (8, 16, 32):
+        *_, glob, dsol, stats = solve_manufactured(family, n, k, sol, material, solver="cg")
+        interior = glob.dofmap.interior_index >= 0
+        x = dsol.trace[interior]
+        res = np.linalg.norm(glob.matrix @ x - glob.rhs) / np.linalg.norm(glob.rhs)
+        assert res <= 1e-8, (n, res)
+        direct, _ = G.solve_condensed(glob, "cholesky")
+        diff = np.linalg.norm(x - direct[interior]) / np.linalg.norm(direct[interior])
+        assert diff <= 1e-8, (n, diff)
+        counts.append(stats.iterations)
+    print(f"CG iterations {family} k={k} n=8,16,32: {counts}")
+    for coarse, fine in zip(counts, counts[1:]):
+        assert fine < 1.5 * coarse, counts
 
 
 def test_cg_on_actual_problem_matches_direct():
