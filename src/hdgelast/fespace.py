@@ -162,12 +162,11 @@ def face_quadratures(mesh: Mesh, face_ids, exactness: int) -> FaceQuadrature:
     """Gauss quadrature on a stack of faces, exact for 1D degree
     ``exactness``: points (F, nq, 2), weights (F, nq), shared params."""
     t, w = segment_rule(exactness)
-    faces = [mesh.faces[fid] for fid in face_ids]
-    p0 = mesh.vertices[[f.v0 for f in faces]]
-    p1 = mesh.vertices[[f.v1 for f in faces]]
-    length = np.array([f.length for f in faces])
+    face_ids = np.asarray(face_ids)
+    ends = mesh.vertices[mesh.face_vertices[face_ids]]  # (F, 2, 2)
+    p0, p1 = ends[:, 0], ends[:, 1]
     pts = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
-    return FaceQuadrature(pts, w * length[:, None], t)
+    return FaceQuadrature(pts, w * mesh.face_length[face_ids][:, None], t)
 
 
 def face_quadrature(mesh: Mesh, face_id: int, exactness: int) -> FaceQuadrature:
@@ -421,7 +420,7 @@ def face_modes(t: np.ndarray, degree: int, length) -> np.ndarray:
 
 
 def build_face_basis(mesh: Mesh, face_id: int, degree: int) -> FaceBasis:
-    return FaceBasis(face_id, degree, mesh.faces[face_id].length)
+    return FaceBasis(face_id, degree, float(mesh.face_length[face_id]))
 
 
 def project_trace(fn, basis: FaceBasis, quad: FaceQuadrature) -> np.ndarray:
@@ -456,7 +455,7 @@ class TraceDofMap:
     total: int
     interior_index: np.ndarray  # (total,), -1 on boundary faces
     n_interior: int
-    boundary_face_ids: tuple[int, ...]
+    boundary_face_ids: np.ndarray
 
     def face_dofs(self, face_id: int) -> np.ndarray:
         start = self.face_offset[face_id]
@@ -467,25 +466,18 @@ def build_trace_dof_map(mesh: Mesh, k: int) -> TraceDofMap:
     """Number the trace dofs face by face; interior condensed indices follow
     the same deterministic face order."""
     ndof_face = 2 * (k + 1)
-    nfaces = mesh.num_faces
-    face_offset = np.arange(nfaces) * ndof_face
-    total = nfaces * ndof_face
-    interior_index = np.full(total, -1, dtype=int)
-    nxt = 0
-    boundary = []
-    for fid, f in enumerate(mesh.faces):
-        if f.is_boundary:
-            boundary.append(fid)
-            continue
-        s = face_offset[fid]
-        interior_index[s : s + ndof_face] = np.arange(nxt, nxt + ndof_face)
-        nxt += ndof_face
+    interior = mesh.face_right >= 0
+    # position of each interior face among the interior faces
+    rank = np.cumsum(interior) - 1
+    interior_index = np.where(
+        interior[:, None], rank[:, None] * ndof_face + np.arange(ndof_face), -1
+    ).ravel()
     return TraceDofMap(
         k=k,
-        face_offset=face_offset,
+        face_offset=np.arange(mesh.num_faces) * ndof_face,
         ndof_face=ndof_face,
-        total=total,
+        total=mesh.num_faces * ndof_face,
         interior_index=interior_index,
-        n_interior=nxt,
-        boundary_face_ids=tuple(boundary),
+        n_interior=int(interior.sum()) * ndof_face,
+        boundary_face_ids=np.flatnonzero(~interior),
     )

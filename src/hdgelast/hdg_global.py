@@ -35,10 +35,8 @@ import scipy.sparse.linalg
 
 from . import hdg_local
 from .fespace import (
-    FaceBasis,
     FaceQuadrature,
     TraceDofMap,
-    build_face_basis,
     build_trace_dof_map,
     face_modes,
     face_quadratures,
@@ -93,16 +91,13 @@ DIRECT_SOLVER_DOF_LIMIT = 200_000
 class Discretization:
     """Mesh-level discretization data shared by all elements: the trace dof
     map, and the assembly quadrature and face-mode values of every face,
-    stacked by face (views per face in face_bases / face_quads)."""
+    stacked by face."""
 
     mesh: Mesh
     k: int
     dofmap: TraceDofMap
     face_quad: FaceQuadrature  # points (nfaces, nq, 2), weights (nfaces, nq)
     face_modes: np.ndarray  # (nfaces, nq, k+1)
-    face_length: np.ndarray  # (nfaces,)
-    face_bases: dict[int, FaceBasis]
-    face_quads: dict[int, FaceQuadrature]
 
     def face_dofs(self, face_id) -> np.ndarray:
         """Trace dofs of a face, or (..., ndof_face) for an array of faces."""
@@ -118,46 +113,33 @@ class Discretization:
         or the Gauss rule of the given exactness."""
         if exactness is None:
             return self.face_quad, self.face_modes
-        fq = face_quadratures(self.mesh, range(self.mesh.num_faces), exactness)
-        return fq, face_modes(fq.params, self.k, self.face_length)
+        return _face_rule(self.mesh, self.k, exactness)
 
     def element_batches(self, quad_exactness: int | None = None):
         """ElementBatch per face count, in chunks of at most CHUNK_SIZE
         elements, ascending element order within each."""
-        mesh = self.mesh
-        counts = np.array([len(poly) for poly in mesh.elements])
-        for m in np.unique(counts):
-            ids = np.flatnonzero(counts == m)
+        for _, ids in self.mesh.element_groups():
             for start in range(0, len(ids), hdg_local.CHUNK_SIZE):
-                elems = ids[start : start + hdg_local.CHUNK_SIZE]
-                fids = np.array([mesh.element_faces[e] for e in elems])
-                fq = FaceQuadrature(
-                    self.face_quad.points[fids], self.face_quad.weights[fids], self.face_quad.params
-                )
                 yield element_batch(
-                    mesh, self.k, elems, fq, self.face_modes[fids], quad_exactness
+                    self.mesh,
+                    self.k,
+                    ids[start : start + hdg_local.CHUNK_SIZE],
+                    self.face_quad,
+                    self.face_modes,
+                    quad_exactness,
                 )
+
+
+def _face_rule(mesh: Mesh, k: int, exactness: int) -> tuple[FaceQuadrature, np.ndarray]:
+    fq = face_quadratures(mesh, np.arange(mesh.num_faces), exactness)
+    return fq, face_modes(fq.params, k, mesh.face_length)
 
 
 def build_discretization(mesh: Mesh, k: int, quad_exactness: int | None = None) -> Discretization:
     if quad_exactness is None:
         quad_exactness = default_quadrature_exactness(k)
-    dofmap = build_trace_dof_map(mesh, k)
-    fids = range(mesh.num_faces)
-    fq = face_quadratures(mesh, fids, quad_exactness)
-    length = np.array([f.length for f in mesh.faces])
-    return Discretization(
-        mesh=mesh,
-        k=k,
-        dofmap=dofmap,
-        face_quad=fq,
-        face_modes=face_modes(fq.params, k, length),
-        face_length=length,
-        face_bases={fid: build_face_basis(mesh, fid, k) for fid in fids},
-        face_quads={
-            fid: FaceQuadrature(fq.points[fid], fq.weights[fid], fq.params) for fid in fids
-        },
-    )
+    fq, modes = _face_rule(mesh, k, quad_exactness)
+    return Discretization(mesh, k, build_trace_dof_map(mesh, k), fq, modes)
 
 
 @dataclass
@@ -301,9 +283,8 @@ def _symmetric_lu(A: scipy.sparse.spmatrix):
 
 def _interior_face_ends(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """Interior face ids and their end vertices (v0, v1), shape (F, 2)."""
-    fids = np.array(mesh.interior_faces(), dtype=int)
-    ends = np.array([(mesh.faces[f].v0, mesh.faces[f].v1) for f in fids], dtype=int)
-    return fids, ends.reshape(-1, 2)
+    fids = mesh.interior_faces()
+    return fids, mesh.face_vertices[fids]
 
 
 def _vertex_patches(disc: Discretization) -> list[np.ndarray]:
@@ -328,8 +309,7 @@ def _coarse_prolongation(disc: Discretization) -> scipy.sparse.csr_matrix:
     linear on each face, so its moments against the face modes are exact."""
     mesh, dofmap = disc.mesh, disc.dofmap
     on_boundary = np.zeros(mesh.num_vertices, dtype=bool)
-    for fid in dofmap.boundary_face_ids:
-        on_boundary[[mesh.faces[fid].v0, mesh.faces[fid].v1]] = True
+    on_boundary[mesh.face_vertices[mesh.boundary_faces()]] = True
     coarse_index = np.cumsum(~on_boundary) - 1
     # moments of the hat functions of the face ends, 1 - t at v0 and t at
     # v1: (faces, 2, k+1)
@@ -527,8 +507,8 @@ def flux_jump_norm(
     if exactness is None:
         exactness = 2 * (disc.k + 1) + 4
     fq, modes = disc.face_rule(exactness)
-    left = np.array([f.left for f in mesh.faces])
-    interior = np.array([not f.is_boundary for f in mesh.faces])
+    left = mesh.face_left
+    interior = mesh.face_right >= 0
     # one-sided tractions by face and side (0: left element, 1: right)
     flux = np.zeros((mesh.num_faces, 2) + fq.points.shape[1:])
     for cb in systems.batches:

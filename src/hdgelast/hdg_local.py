@@ -41,7 +41,6 @@ from scipy.linalg import lapack
 
 from .fespace import (
     ElementBasis,
-    FaceBasis,
     FaceQuadrature,
     Quadrature,
     basis_moments,
@@ -129,27 +128,27 @@ def element_batch(
     quad_exactness: int | None = None,
 ) -> ElementBatch:
     """Stack the elements ``elements`` (same face count). ``face_quad`` and
-    ``face_modes`` hold each element's faces in edge order, (B, m, ...)."""
+    ``face_modes`` hold every face of the mesh, (F, ...); the batch takes
+    each element's faces from them in edge order."""
     if quad_exactness is None:
         quad_exactness = default_quadrature_exactness(k)
     elements = np.asarray(elements)
     polys = mesh.polygons(elements)
     quad = polygon_quadrature(polys, quad_exactness)
-    face_ids = np.array([mesh.element_faces[e] for e in elements])
-    faces = [mesh.faces[fid] for fid in face_ids.ravel()]
-    normal = np.array([f.normal for f in faces]).reshape(face_ids.shape + (2,))
-    left = np.array([f.left for f in faces]).reshape(face_ids.shape)
-    sign = np.where(left == elements[:, None], 1.0, -1.0)
+    face_ids = mesh.element_faces[mesh.slots(elements)]
+    sign = np.where(mesh.face_left[face_ids] == elements[:, None], 1.0, -1.0)
     return ElementBatch(
         mesh=mesh,
         k=k,
         elements=elements,
         face_ids=face_ids,
-        normals=normal * sign[..., None],
+        normals=mesh.face_normal[face_ids] * sign[..., None],
         basis=build_element_bases(polys, elements, k + 1, quad),
         quad=quad,
-        face_quad=face_quad,
-        face_modes=face_modes,
+        face_quad=FaceQuadrature(
+            face_quad.points[face_ids], face_quad.weights[face_ids], face_quad.params
+        ),
+        face_modes=face_modes[face_ids],
     )
 
 
@@ -163,8 +162,7 @@ class ElementContext:
     k: int
     basis: ElementBasis  # scalar basis of degree k+1 (degree-k part nested)
     quad: Quadrature
-    face_ids: tuple[int, ...]
-    face_bases: list[FaceBasis]
+    face_ids: np.ndarray  # (m,), in edge order
 
     @property
     def n_stress(self) -> int:
@@ -183,27 +181,20 @@ def build_element_context(
     mesh: Mesh,
     e: int,
     k: int,
-    face_bases: dict[int, FaceBasis],
-    face_quads: dict[int, FaceQuadrature],
+    face_quad: FaceQuadrature,
+    face_modes: np.ndarray,
     quad_exactness: int | None = None,
 ) -> ElementContext:
-    fids = mesh.element_faces[e]
-    quads = [face_quads[fid] for fid in fids]
-    face_quad = FaceQuadrature(
-        np.stack([q.points for q in quads])[None],
-        np.stack([q.weights for q in quads])[None],
-        quads[0].params,
-    )
-    modes = np.stack([face_bases[fid].eval_param(q.params) for fid, q in zip(fids, quads)])
-    batch = element_batch(mesh, k, np.array([e]), face_quad, modes[None], quad_exactness)
+    """Element ``e`` as a one-element batch; ``face_quad`` and
+    ``face_modes`` hold every face of the mesh (as in Discretization)."""
+    batch = element_batch(mesh, k, np.array([e]), face_quad, face_modes, quad_exactness)
     return ElementContext(
         batch=batch,
         element=e,
         k=k,
         basis=batch.basis[0],
         quad=Quadrature(batch.quad.points[0], batch.quad.weights[0]),
-        face_ids=fids,
-        face_bases=[face_bases[fid] for fid in fids],
+        face_ids=batch.face_ids[0],
     )
 
 
@@ -242,13 +233,14 @@ class LocalBlocks:
 class ElementOperators:
     """Eliminated local solution operators: stress_map / disp_map send trace
     coefficients to the eliminated stress and displacement coefficients
-    (leading element axis in a batch); lu holds each element's saddle
-    factorization for source loads."""
+    (leading element axis in a batch); lu and piv hold each element's
+    LAPACK getrf factorization of its saddle matrix, for source loads."""
 
     elements: np.ndarray
     stress_map: np.ndarray  # (n_s, n_lam)
     disp_map: np.ndarray  # (n_u, n_lam)
-    lu: list[tuple[np.ndarray, np.ndarray]]
+    lu: np.ndarray  # (n, n), column-major per element
+    piv: np.ndarray  # (n,), int32
 
     def source_parts(self, f_moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Stress/displacement response to a body-force moment vector."""
@@ -260,7 +252,7 @@ _PER_ELEMENT = {
     LocalBlocks: (
         "elements", "div_coupling", "trace_coupling", "stab_uu", "stab_ulam", "face_proj"
     ),
-    ElementOperators: ("elements", "stress_map", "disp_map"),
+    ElementOperators: ("elements", "stress_map", "disp_map", "lu", "piv"),
 }
 
 
@@ -384,34 +376,38 @@ def _factor(blocks: LocalBlocks) -> ElementOperators:
     D = blocks.div_coupling
     B, n_s, n_u = D.shape
     n = n_s + n_u
-    M = np.empty((B, n, n))
+    # each element's matrix is column-major, so that LAPACK factorizes it
+    # in place: after the loop M holds the LU factors
+    M = np.empty((B, n, n)).swapaxes(-1, -2)
     M[:, :n_s, :n_s] = -blocks.stress_mass
     M[:, :n_s, n_s:] = -D
     M[:, n_s:, :n_s] = -D.swapaxes(-1, -2)
     M[:, n_s:, n_s:] = blocks.stab_uu
     rhs = -np.concatenate([blocks.trace_coupling, -blocks.stab_ulam], axis=1)
+    piv = np.empty((B, n), dtype=np.int32)
     # stored transposed, so that each solution slice keeps LAPACK's
     # column-major layout
     sol = np.empty((B, rhs.shape[-1], n))
-    lus = []
     for i in range(B):
-        lu, piv, _ = lapack.dgetrf(M[i])
-        if not np.all(np.isfinite(lu)) or np.min(np.abs(np.diag(lu))) == 0.0:
-            raise LocalSolverError(f"element {blocks.elements[i]}: singular local system")
-        sol[i] = lapack.dgetrs(lu, piv, rhs[i])[0].T
-        lus.append((lu, piv))
+        lu, piv[i], _ = lapack.dgetrf(M[i], overwrite_a=True)
+        sol[i] = lapack.dgetrs(lu, piv[i], rhs[i])[0].T
+    singular = ~np.isfinite(M).all(axis=(-2, -1))
+    singular |= np.abs(np.diagonal(M, axis1=-2, axis2=-1)).min(axis=-1) == 0.0
+    if singular.any():
+        e = blocks.elements[np.argmax(singular)]
+        raise LocalSolverError(f"element {e}: singular local system")
     sol = sol.swapaxes(-1, -2)
-    return ElementOperators(blocks.elements, sol[:, :n_s], sol[:, n_s:], lus)
+    return ElementOperators(blocks.elements, sol[:, :n_s], sol[:, n_s:], M, piv)
 
 
 def _source_parts(ops: ElementOperators, f_moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stress/displacement responses to body-force moments (B, n_u)."""
     n_s = ops.stress_map.shape[1]
     out = np.empty((len(ops.lu), n_s + f_moments.shape[-1]))
-    for i, (lu, piv) in enumerate(ops.lu):
+    for i in range(len(ops.lu)):
         rhs = np.zeros(out.shape[1])
         rhs[n_s:] = -f_moments[i]
-        out[i] = lapack.dgetrs(lu, piv, rhs)[0]
+        out[i] = lapack.dgetrs(ops.lu[i], ops.piv[i], rhs)[0]
     return out[:, :n_s], out[:, n_s:]
 
 

@@ -270,7 +270,7 @@ def write_vtk(mesh: Mesh, sol: DiscreteSolution, path: str, title: str = "hdgela
     p_s, p_u = scalar_dim(k), scalar_dim(k + 1)
     nv = mesh.num_vertices
     # point id of each polygon's centroid, appended in element order
-    is_fan = np.array([len(poly) > 3 for poly in mesh.elements])
+    is_fan = mesh.face_counts > 3
     centroid_id = nv + np.cumsum(is_fan) - 1
     area = np.empty(mesh.num_elements)
     vert_keys, vert_ids, vert_u = [], [], []
@@ -278,7 +278,7 @@ def write_vtk(mesh: Mesh, sol: DiscreteSolution, path: str, title: str = "hdgela
     cell_keys, cells = [], []
     for batch in sol.batches:
         elems = batch.elements
-        polys = np.array([mesh.elements[e] for e in elems])  # (B, m)
+        polys = mesh.element_vertices[mesh.slots(elems)]  # (B, m)
         m = polys.shape[1]
         corners = mesh.vertices[polys]
         area[elems] = polygon_areas(corners)

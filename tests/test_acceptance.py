@@ -183,7 +183,7 @@ def test_criterion_4_condensation_oracle():
         for family, e in cells:
             mesh = M.build_mesh(family, 2)
             disc = G.build_discretization(mesh, k)
-            ctx = L.build_element_context(mesh, e, k, disc.face_bases, disc.face_quads)
+            ctx = L.build_element_context(mesh, e, k, disc.face_quad, disc.face_modes)
             blocks = L.assemble_local_blocks(ctx, material, tau=3.0 / mesh.h)
             ops = L.build_local_solvers(blocks)
             A = L.condense(ops, blocks)

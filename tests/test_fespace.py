@@ -70,11 +70,11 @@ def test_element_quadrature_weight_sum(family, n):
 
 def test_face_quadrature_length_and_param():
     mesh = M.build_unit_square_tri(2)
-    for fid, face in enumerate(mesh.faces):
+    for fid, (v0, v1) in enumerate(mesh.face_vertices):
         fq = F.face_quadrature(mesh, fid, 4)
-        assert abs(fq.weights.sum() - face.length) < 1e-13
-        p_interp = mesh.vertices[face.v0] + fq.params[:, None] * (
-            mesh.vertices[face.v1] - mesh.vertices[face.v0]
+        assert abs(fq.weights.sum() - mesh.face_length[fid]) < 1e-13
+        p_interp = mesh.vertices[v0] + fq.params[:, None] * (
+            mesh.vertices[v1] - mesh.vertices[v0]
         )
         assert np.abs(p_interp - fq.points).max() < 1e-15
 
@@ -143,7 +143,7 @@ def test_divergence_theorem_consistency(family):
         for direction in (np.array([1.0, 0.0]), np.array([0.3, -1.2])):
             vol = np.einsum("q,qid,d->i", q.weights, grads, direction)
             surf = np.zeros(basis.dim)
-            for fid in mesh.element_faces[e]:
+            for fid in mesh.element_faces[mesh.slots([e])[0]]:
                 fq = F.face_quadrature(mesh, fid, 2 * k + 2)
                 nrm = mesh.outward_normal(e, fid)
                 surf += basis.eval(fq.points).T @ fq.weights * (direction @ nrm)
@@ -187,7 +187,7 @@ def test_project_trace_mean_value_k0():
     # projecting s^2 onto constants over a unit-length face gives 1/3
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     mesh = M._assemble(verts, [(0, 1, 2)], "custom", 0)
-    fid = next(i for i, f in enumerate(mesh.faces) if f.length == 1.0 and f.v0 == 0)
+    fid = np.flatnonzero((mesh.face_length == 1.0) & (mesh.face_vertices[:, 0] == 0))[0]
     fb = F.build_face_basis(mesh, fid, 0)
     fq = F.face_quadrature(mesh, fid, 6)
     fn = lambda p: np.stack([fq.params**2, np.zeros(len(p))], axis=1)

@@ -349,7 +349,7 @@ def test_mixed_face_counts_batched_like_single_elements(monkeypatch):
     tau = 3.0 / mesh.h
     f_fn = lambda pts: MF.body_force(sol, material, pts)
     for e, batched in enumerate(elements):
-        ctx = L.build_element_context(mesh, e, k, disc.face_bases, disc.face_quads)
+        ctx = L.build_element_context(mesh, e, k, disc.face_quad, disc.face_modes)
         blocks = L.assemble_local_blocks(ctx, material, tau)
         ops = L.build_local_solvers(blocks)
         qs, us = ops.source_parts(L.displacement_moments(ctx, f_fn))

@@ -10,20 +10,16 @@ from hdgelast.material import ComplianceTensor
 
 
 def make_context(mesh, e, k):
-    face_bases = {fid: F.build_face_basis(mesh, fid, k) for fid in range(mesh.num_faces)}
-    face_quads = {
-        fid: F.face_quadrature(mesh, fid, L.default_quadrature_exactness(k))
-        for fid in range(mesh.num_faces)
-    }
-    return L.build_element_context(mesh, e, k, face_bases, face_quads)
+    disc = G.build_discretization(mesh, k)
+    return L.build_element_context(mesh, e, k, disc.face_quad, disc.face_modes)
 
 
 def trace_coefficients(ctx, mesh, fn):
     """Face-space projection of a smooth vector field on the element boundary."""
     lam = []
-    for fid, fb in zip(ctx.face_ids, ctx.face_bases):
+    for fid in ctx.face_ids:
         fq = F.face_quadrature(mesh, fid, 2 * ctx.k + 8)
-        lam.append(F.project_trace(fn, fb, fq))
+        lam.append(F.project_trace(fn, F.build_face_basis(mesh, fid, ctx.k), fq))
     return np.concatenate(lam)
 
 
@@ -291,7 +287,7 @@ def test_invalid_inputs():
         L.assemble_local_blocks(ctx, PLANE_STRESS, tau=1.0, variant="bogus")
 
 
-def test_singular_local_system_reports_element():
+def test_singular_local_system_reports_element(monkeypatch):
     import dataclasses
 
     mesh = M.build_unit_square_tri(1)
@@ -308,6 +304,26 @@ def test_singular_local_system_reports_element():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             L.build_local_solvers(broken)
+
+    # in a batch, the check names the bad element: a zero pivot in the
+    # middle of the batch, and a factorization that is not finite
+    disc = G.build_discretization(M.build_unit_square_tri(2), 1)
+    batch = next(disc.element_batches())
+    assert len(batch.elements) == 8
+    good = L.batch_blocks(batch, PLANE_STRESS, 1.0, "projected")
+    zero_pivot = dataclasses.replace(
+        good, div_coupling=good.div_coupling.copy(), stab_uu=good.stab_uu.copy()
+    )
+    zero_pivot.div_coupling[3] = 0.0
+    zero_pivot.stab_uu[3] = 0.0
+    not_finite = dataclasses.replace(good, div_coupling=good.div_coupling.copy())
+    not_finite.div_coupling[5, 0, 0] = np.nan
+    for bad, e in ((zero_pivot, 3), (not_finite, 5)):
+        monkeypatch.setattr(L, "batch_blocks", lambda *args, bad=bad: bad)
+        with pytest.raises(L.LocalSolverError, match=rf"^element {e}: singular local system$"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                L.condense_batch(batch, PLANE_STRESS, 1.0)
 
 
 @pytest.mark.parametrize("family", ["tri", "poly"])

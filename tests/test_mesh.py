@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdgelast import mesh as M
+
+FACE_TABLE = ("face_vertices", "face_left", "face_right", "face_normal", "face_length")
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -69,9 +73,8 @@ def test_poly_h_regression():
 def test_poly_deterministic():
     a = M.build_unit_square_poly(5)
     b = M.build_unit_square_poly(5)
-    assert np.array_equal(a.vertices, b.vertices)
-    assert a.elements == b.elements
-    assert a.faces == b.faces
+    for name in FACE_TABLE + ("vertices", "element_offsets", "element_vertices"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 @pytest.mark.parametrize("build,n", [(M.build_unit_square_tri, 4), (M.build_unit_square_poly, 4)])
@@ -82,30 +85,30 @@ def test_validate_clean(build, n):
 @pytest.mark.parametrize("family,n", [("tri", 3), ("poly", 3)])
 def test_normals_unit_and_outward(family, n):
     m = M.build_mesh(family, n)
-    for f in m.faces:
-        nvec = np.array(f.normal)
+    for (v0, v1), left, nvec in zip(m.face_vertices, m.face_left, m.face_normal):
         assert abs(np.hypot(*nvec) - 1.0) < 1e-14
-        mid = 0.5 * (m.vertices[f.v0] + m.vertices[f.v1])
-        assert np.dot(m.centroid(f.left) - mid, nvec) < 0
+        mid = 0.5 * (m.vertices[v0] + m.vertices[v1])
+        assert np.dot(m.centroid(left) - mid, nvec) < 0
 
 
 def test_face_sides_cover_elements():
     m = M.build_unit_square_tri(3)
-    for i, f in enumerate(m.faces):
-        assert i in m.element_faces[f.left]
-        if f.right is not None:
-            assert i in m.element_faces[f.right]
+    faces_of = lambda e: m.element_faces[m.slots([e])[0]]
+    for i, (ends, left, right) in enumerate(zip(m.face_vertices, m.face_left, m.face_right)):
+        assert i in faces_of(left)
+        if right >= 0:
+            assert i in faces_of(right)
         else:
             # boundary faces lie on the unit-square boundary
-            for v in (f.v0, f.v1):
+            for v in ends:
                 x, y = m.vertices[v]
                 assert min(x, y, 1 - x, 1 - y) < 1e-15
 
 
 def test_validate_reports_reversed_element():
     m = M.build_unit_square_tri(2)
-    elements = list(m.elements)
-    elements[3] = tuple(reversed(elements[3]))
+    elements = m.element_vertices.reshape(-1, 3).copy()
+    elements[3] = elements[3, ::-1]
     broken = M._assemble(np.array(m.vertices), elements, "tri", 2)
     problems = M.validate(broken)
     assert any("orientation" in p for p in problems)
@@ -115,7 +118,9 @@ def test_validate_reports_duplicated_face():
     m = M.build_unit_square_tri(2)
     import dataclasses
 
-    broken = dataclasses.replace(m, faces=m.faces + (m.faces[0],))
+    broken = dataclasses.replace(
+        m, **{name: np.concatenate([getattr(m, name), getattr(m, name)[:1]]) for name in FACE_TABLE}
+    )
     problems = M.validate(broken)
     assert any("conformity" in p for p in problems)
 
@@ -143,3 +148,143 @@ def test_mesh_immutable_vertices():
     m = M.build_unit_square_tri(2)
     with pytest.raises(ValueError):
         m.vertices[0, 0] = 99.0
+
+
+def mixed_mesh():
+    """2 x 2 cells with the centre vertex moved off the grid: the lower-left
+    and upper-right cells split into triangles, the other two quadrilaterals."""
+    xs = [0.0, 0.5, 1.0]
+    vertices = np.array([[x, y] for y in xs for x in xs])
+    vertices[4] = (0.55, 0.45)
+    elements = [(0, 1, 4), (0, 4, 3), (1, 2, 5, 4), (3, 4, 7, 6), (4, 5, 8), (4, 8, 7)]
+    return M._assemble(vertices, elements, "custom", 2)
+
+
+def test_mixed_face_table_pinned():
+    # produced by the edge-by-edge construction the face table replaced
+    m = mixed_mesh()
+    assert m.element_offsets.tolist() == [0, 3, 6, 10, 14, 17, 20]
+    assert m.element_faces.tolist() == [
+        0, 1, 2, 2, 3, 4, 5, 6, 7, 1, 3, 8, 9, 10, 7, 11, 12, 12, 13, 8
+    ]
+    assert m.face_vertices.tolist() == [
+        [0, 1], [1, 4], [4, 0], [4, 3], [3, 0], [1, 2], [2, 5],
+        [5, 4], [4, 7], [7, 6], [6, 3], [5, 8], [8, 4], [8, 7],
+    ]
+    assert m.face_left.tolist() == [0, 0, 0, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 5]
+    assert m.face_right.tolist() == [-1, 2, 1, 3, -1, -1, -1, 4, 5, -1, -1, -1, 5, -1]
+    normal = np.array([
+        (0.0, -1.0), (0.9938837346736189, -0.11043152607484663),
+        (-0.6332377902572626, 0.773957299203321), (0.09053574604251852, 0.995893206467704),
+        (-1.0, -0.0), (0.0, -1.0), (1.0, -0.0), (-0.11043152607484652, 0.9938837346736189),
+        (0.995893206467704, 0.09053574604251861), (0.0, 1.0), (-1.0, -0.0), (1.0, -0.0),
+        (-0.7739572992033211, 0.6332377902572627), (0.0, 1.0),
+    ])
+    assert np.array_equal(m.face_normal, normal)
+    assert np.array_equal(np.signbit(m.face_normal), np.signbit(normal))
+    assert m.face_length.tolist() == [
+        0.5, 0.45276925690687087, 0.7106335201775948, 0.552268050859363, 0.5, 0.5, 0.5,
+        0.4527692569068708, 0.552268050859363, 0.5, 0.5, 0.5, 0.7106335201775947, 0.5,
+    ]
+    assert m.h == 0.7778174593052023
+    assert M.validate(m) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_face_table_follows_element_orientation(data):
+    # any element order and any starting vertex per triangle: every half-edge
+    # maps to a face with the element on the correct side and an outward
+    # normal, and faces are numbered by first appearance
+    base = M.build_unit_square_tri(3)
+    tris = base.element_vertices.reshape(-1, 3)
+    order = data.draw(st.permutations(range(len(tris))))
+    shifts = data.draw(st.lists(st.integers(0, 2), min_size=len(tris), max_size=len(tris)))
+    elements = np.array([np.roll(tris[e], -s) for e, s in zip(order, shifts)])
+    m = M._assemble(np.array(base.vertices), elements, "custom", 3)
+    assert m.num_faces == base.num_faces
+    first_use = {}
+    for e, poly in enumerate(elements):
+        for j in range(3):
+            a, b = poly[j], poly[(j + 1) % 3]
+            f = m.element_faces[3 * e + j]
+            first_use.setdefault(f, 3 * e + j)
+            if m.face_left[f] == e:
+                assert m.face_vertices[f].tolist() == [a, b]
+            else:
+                assert m.face_right[f] == e
+                assert m.face_vertices[f].tolist() == [b, a]
+            t = m.vertices[b] - m.vertices[a]
+            outward = np.array([t[1], -t[0]]) / np.hypot(*t)
+            assert np.abs(m.outward_normal(e, f) - outward).max() < 1e-15
+    assert [first_use[f] for f in range(m.num_faces)] == sorted(first_use.values())
+    assert M.validate(m) == []
+
+
+def test_zero_length_edge_names_element():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(M.MeshConstructionError, match=r"^degenerate edge in element 1$"):
+        M._assemble(verts, [(0, 1, 2), (0, 2, 3)], "custom", 0)
+
+
+def test_edge_shared_by_three_elements_named():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+    with pytest.raises(
+        M.MeshConstructionError, match=r"^edge \(0, 1\) shared by more than two elements$"
+    ):
+        M._assemble(verts, [(0, 1, 2), (1, 0, 3), (0, 1, 4)], "custom", 0)
+    # the check that meets its offending edge first reports
+    with pytest.raises(M.MeshConstructionError, match=r"^degenerate edge in element 1$"):
+        M._assemble(verts, [(0, 1, 2), (3, 3, 1), (1, 0, 3), (0, 1, 4)], "custom", 0)
+
+
+@pytest.mark.parametrize(
+    "shift,message",
+    [
+        (0.6, r"^perturbation produced a non-convex element 4$"),
+        # vertices (1, 1) and (1, 2) of the grid meet
+        (0.5, r"^degenerate edge in element 4$"),
+    ],
+)
+def test_poly_perturbation_errors_name_element(monkeypatch, shift, message):
+    monkeypatch.setattr(M, "POLY_SHIFT", shift)
+    with pytest.raises(M.MeshConstructionError, match=message):
+        M.build_unit_square_poly(4)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: M.build_unit_square_tri(4), lambda: M.build_unit_square_poly(4), mixed_mesh],
+    ids=["tri", "poly", "mixed"],
+)
+def test_mesh_text_roundtrip_bitwise(tmp_path, make):
+    m = make()
+    path = tmp_path / "mesh.txt"
+    M.write_mesh_text(m, str(path))
+    back = M.read_mesh_text(str(path))
+    for name in ("vertices", "element_offsets", "element_vertices", "element_faces") + FACE_TABLE:
+        assert np.array_equal(getattr(back, name), getattr(m, name)), name
+    assert np.array_equal(np.signbit(back.face_normal), np.signbit(m.face_normal))
+    assert back.h == m.h
+    M.write_mesh_text(back, str(tmp_path / "again.txt"))
+    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+
+def test_read_mesh_text_rejects_disagreeing_faces(tmp_path):
+    m = mixed_mesh()
+    path = tmp_path / "mesh.txt"
+    M.write_mesh_text(m, str(path))
+    lines = path.read_text().splitlines()
+    row = lines.index(f"faces {m.num_faces}") + 2  # face 1, interior
+    fields = lines[row].split()
+    fields[2], fields[3] = fields[3], fields[2]
+    swapped = lines[:row] + [" ".join(fields)] + lines[row + 1 :]
+    path.write_text("\n".join(swapped) + "\n")
+    with pytest.raises(M.MeshConstructionError, match="stored face 1 disagrees"):
+        M.read_mesh_text(str(path))
+    # one face short
+    short = lines[:-1]
+    short[short.index(f"faces {m.num_faces}")] = f"faces {m.num_faces - 1}"
+    path.write_text("\n".join(short) + "\n")
+    with pytest.raises(M.MeshConstructionError, match="holds 13 faces, the mesh has 14"):
+        M.read_mesh_text(str(path))

@@ -30,7 +30,7 @@ def small_solve(family="tri", n=2, k=1, sol=None, material=PLANE_STRESS, tau_c=3
 def contexts(disc):
     """Per-element contexts of the elements a solution was computed on."""
     return [
-        L.build_element_context(disc.mesh, e, disc.k, disc.face_bases, disc.face_quads)
+        L.build_element_context(disc.mesh, e, disc.k, disc.face_quad, disc.face_modes)
         for e in range(disc.mesh.num_elements)
     ]
 
@@ -70,9 +70,7 @@ def test_displacement_projection_error_order():
         exact = MF.test1_solution()
         total = 0.0
         for e in range(mesh.num_elements):
-            ctx = L.build_element_context(
-                mesh, e, k, disc.face_bases, disc.face_quads
-            )
+            ctx = L.build_element_context(mesh, e, k, disc.face_quad, disc.face_modes)
             quad = F.element_quadrature(mesh, e, P.error_quadrature_exactness(k))
             coeffs = P.project_displacement(ctx, quad, exact.u)
             phi = ctx.basis.eval(quad.points)
