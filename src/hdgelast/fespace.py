@@ -17,6 +17,13 @@ Face bases are scaled Legendre polynomials in the arc-length parameter, so
 they are exactly orthonormal, and they belong to the face rather than to an
 element: both neighbours of an interior face see the same trace functions.
 
+Basis values and gradients are products of coefficient rows with one
+monomial table per point set (``ElementBasis.monomials``): power tables by
+successive products, each monomial written once into a C-contiguous
+(..., npts, N) array. The table is handed to ``eval``/``grad`` wherever
+several coefficient slices, or values and gradients, are needed at the
+same points; it is never stored on the basis.
+
 Quadrature, bases and face modes are computed for stacks of elements or
 faces (leading batch axis); the per-element functions run the same code on
 a one-element stack. Stacked products keep the per-element association
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -38,6 +46,7 @@ __all__ = [
     "Quadrature",
     "FaceQuadrature",
     "ElementBasis",
+    "Monomials",
     "StressBasis",
     "FaceBasis",
     "TraceDofMap",
@@ -175,6 +184,16 @@ def face_quadrature(mesh: Mesh, face_id: int, exactness: int) -> FaceQuadrature:
     return FaceQuadrature(q.points[0], q.weights[0], q.params)
 
 
+class Monomials(NamedTuple):
+    """Bounding-box scaled monomials of a basis at one point set, in graded
+    order: values (..., npts, N) and, when tabulated with gradients, their
+    x and y derivatives in the scaled coordinates."""
+
+    values: np.ndarray
+    dx: np.ndarray | None = None
+    dy: np.ndarray | None = None
+
+
 class ElementBasis:
     """Orthonormal scalar polynomial basis on one element.
 
@@ -194,7 +213,6 @@ class ElementBasis:
         self.center = np.asarray(center, dtype=float)
         self.scale = np.asarray(scale, dtype=float)
         self.coeff = coeff  # (..., N, N), rows = basis functions over monomials
-        self.exponents = _graded_exponents(degree)
 
     @property
     def dim(self) -> int:
@@ -206,29 +224,32 @@ class ElementBasis:
             int(self.element[i]), self.degree, self.center[i], self.scale[i], self.coeff[i]
         )
 
-    def _local(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def monomials(self, pts: np.ndarray, grads: bool = False) -> Monomials:
+        """The monomial table at points (..., npts, 2), with derivatives when
+        ``grads``. ``eval`` and ``grad`` accept it in place of the points, so
+        that several coefficient slices share one table."""
         pts = np.atleast_2d(pts)
-        return (pts[..., 0] - self.center[..., 0, None]) / self.scale[..., 0, None], (
-            pts[..., 1] - self.center[..., 1, None]
-        ) / self.scale[..., 1, None]
+        X = (pts[..., 0] - self.center[..., 0, None]) / self.scale[..., 0, None]
+        Y = (pts[..., 1] - self.center[..., 1, None]) / self.scale[..., 1, None]
+        return _monomials(X, Y, self.degree, grads)
 
     def _rows(self, nfun: int | None) -> np.ndarray:
         return self.coeff if nfun is None else self.coeff[..., :nfun, :]
 
-    def eval(self, pts: np.ndarray, nfun: int | None = None) -> np.ndarray:
-        """Basis values at points, shape (..., npts, nfun)."""
-        X, Y = self._local(pts)
-        V = _monomial_values(X, Y, self.exponents)
-        return V @ self._rows(nfun).swapaxes(-1, -2)
+    def eval(self, pts, nfun: int | None = None) -> np.ndarray:
+        """Values of the leading ``nfun`` functions (all by default) at points
+        or on a Monomials table, shape (..., npts, nfun)."""
+        mono = pts if isinstance(pts, Monomials) else self.monomials(pts)
+        return mono.values @ self._rows(nfun).swapaxes(-1, -2)
 
-    def grad(self, pts: np.ndarray, nfun: int | None = None) -> np.ndarray:
-        """Basis gradients at points, shape (..., npts, nfun, 2)."""
-        X, Y = self._local(pts)
-        gx, gy = _monomial_grads(X, Y, self.exponents)
+    def grad(self, pts, nfun: int | None = None) -> np.ndarray:
+        """Gradients of the leading ``nfun`` functions at points or on a
+        Monomials table with derivatives, shape (..., npts, nfun, 2)."""
+        mono = pts if isinstance(pts, Monomials) else self.monomials(pts, grads=True)
         CT = self._rows(nfun).swapaxes(-1, -2)
-        out = np.empty(X.shape + (CT.shape[-1], 2))
-        out[..., 0] = (gx @ CT) / self.scale[..., 0, None, None]
-        out[..., 1] = (gy @ CT) / self.scale[..., 1, None, None]
+        out = np.empty(mono.dx.shape[:-1] + (CT.shape[-1], 2))
+        out[..., 0] = (mono.dx @ CT) / self.scale[..., 0, None, None]
+        out[..., 1] = (mono.dy @ CT) / self.scale[..., 1, None, None]
         return out
 
 
@@ -237,35 +258,37 @@ def _graded_exponents(degree: int) -> tuple[tuple[int, int], ...]:
     return tuple((d - b, b) for d in range(degree + 1) for b in range(d + 1))
 
 
-def _powers(x: np.ndarray, deg: int) -> np.ndarray:
-    """x**0 .. x**deg along a new last axis, as successive products (the
-    arithmetic of ``np.vander(x, deg + 1, increasing=True)``)."""
-    out = np.empty(x.shape + (deg + 1,))
-    out[..., 0] = 1.0
-    if deg > 0:
-        out[..., 1:] = x[..., None]
-        np.multiply.accumulate(out[..., 1:], axis=-1, out=out[..., 1:])
-    return out
+def _power_table(x: np.ndarray, degree: int) -> np.ndarray:
+    """x**0 .. x**degree along a leading axis, as successive products
+    P[j] = P[j-1] * x (the arithmetic of ``np.vander(x, degree + 1,
+    increasing=True)``)."""
+    P = np.empty((degree + 1,) + x.shape)
+    P[0] = 1.0
+    for j in range(1, degree + 1):
+        np.multiply(P[j - 1], x, out=P[j])
+    return P
 
 
-def _monomial_values(X, Y, exponents) -> np.ndarray:
-    deg = max(a + b for a, b in exponents)
-    Xp, Yp = _powers(X, deg), _powers(Y, deg)
-    return np.stack([Xp[..., a] * Yp[..., b] for a, b in exponents], axis=-1)
-
-
-def _monomial_grads(X, Y, exponents) -> tuple[np.ndarray, np.ndarray]:
-    deg = max(a + b for a, b in exponents)
-    Xp, Yp = _powers(X, deg), _powers(Y, deg)
-    gx = np.stack(
-        [a * Xp[..., a - 1] * Yp[..., b] if a > 0 else np.zeros_like(X) for a, b in exponents],
-        axis=-1,
-    )
-    gy = np.stack(
-        [b * Xp[..., a] * Yp[..., b - 1] if b > 0 else np.zeros_like(X) for a, b in exponents],
-        axis=-1,
-    )
-    return gx, gy
+def _monomials(X: np.ndarray, Y: np.ndarray, degree: int, grads: bool = False) -> Monomials:
+    """Graded monomials x^a y^b of total degree <= ``degree`` at scaled
+    coordinates X, Y (..., npts), written column by column into C-contiguous
+    (..., npts, N) tables. A derivative is (a * x^(a-1)) * y^b, in that
+    order; derivatives of degree-0 factors are exactly zero."""
+    Xp, Yp = _power_table(X, degree), _power_table(Y, degree)
+    exponents = _graded_exponents(degree)
+    shape = X.shape + (len(exponents),)
+    V = np.empty(shape)
+    for f, (a, b) in enumerate(exponents):
+        np.multiply(Xp[a], Yp[b], out=V[..., f])
+    if not grads:
+        return Monomials(V)
+    dx, dy = np.zeros(shape), np.zeros(shape)
+    for f, (a, b) in enumerate(exponents):
+        if a > 0:
+            np.multiply(a * Xp[a - 1], Yp[b], out=dx[..., f])
+        if b > 0:
+            np.multiply(b * Xp[a], Yp[b - 1], out=dy[..., f])
+    return Monomials(V, dx, dy)
 
 
 def build_element_basis(mesh: Mesh, e: int, degree: int, quad: Quadrature | None = None) -> ElementBasis:
@@ -298,10 +321,9 @@ def build_element_bases(
             f"element {elements[i]}: degenerate bounding box {scale[i]}"
         )
     basis = ElementBasis(elements, degree, center, scale, np.eye(scalar_dim(degree)))
-    X, Y = basis._local(quad.points)
-    V = _monomial_values(X, Y, basis.exponents)
+    mono = basis.monomials(quad.points)
     for _ in range(2):
-        W = V @ basis.coeff.swapaxes(-1, -2)
+        W = basis.eval(mono)
         gram = W.swapaxes(-1, -2) @ (quad.weights[..., None] * W)
         try:
             L = np.linalg.cholesky(gram)
@@ -325,15 +347,16 @@ def _first_failure(gram: np.ndarray) -> int:
 
 def _solve_lower(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve L X = rhs for each lower-triangular L[i], with the LAPACK call
-    ``scipy.linalg.solve_triangular`` makes for a C-ordered L. The result
-    slices are Fortran-ordered, as LAPACK returns them."""
-    out = np.empty(L.shape)
+    ``scipy.linalg.solve_triangular`` makes for a C-ordered L. The solution
+    overwrites a copy of ``rhs`` laid out column-major per element, so
+    LAPACK solves in place and the result slices are Fortran-ordered."""
+    out = np.empty(L.shape).swapaxes(-1, -2)
+    out[:] = rhs
     for i, Li in enumerate(L):
-        x, info = lapack.dtrtrs(Li.T, rhs if rhs.ndim == 2 else rhs[i], lower=0, trans=1)
+        _, info = lapack.dtrtrs(Li.T, out[i], lower=0, trans=1, overwrite_b=True)
         if info != 0:
             raise ElementConditioningError(f"triangular solve failed (info {info})")
-        out[i] = x.T
-    return out.swapaxes(-1, -2)
+    return out
 
 
 def basis_moments(phi: np.ndarray, weights: np.ndarray, vals: np.ndarray) -> np.ndarray:

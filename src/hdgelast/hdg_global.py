@@ -478,7 +478,8 @@ def _face_flux_values(
     n0 = batch.normals[:, local_face, 0, None]
     n1 = batch.normals[:, local_face, 1, None]
     s = sol.stress_coeffs[batch.elements].reshape(B, 3, p_s)
-    comp = batch.basis.eval(pts, p_s) @ s.swapaxes(-1, -2)  # (B, nq, 3): s11, s22, s12
+    mono = batch.basis.monomials(pts)
+    comp = batch.basis.eval(mono, p_s) @ s.swapaxes(-1, -2)  # (B, nq, 3): s11, s22, s12
     sig_n = np.stack(
         [comp[..., 0] * n0 + comp[..., 2] * n1, comp[..., 2] * n0 + comp[..., 1] * n1],
         axis=-1,
@@ -486,7 +487,7 @@ def _face_flux_values(
     uhat = sol.trace[disc.face_dofs(fid)].reshape(B, -1, 2)  # (B, k+1, 2)
     uhat_vals = md @ uhat
     wd = sol.disp_coeffs[batch.elements].reshape(B, 2, p_u)
-    u_face = batch.basis.eval(pts) @ wd.swapaxes(-1, -2)  # raw displacement trace
+    u_face = batch.basis.eval(mono) @ wd.swapaxes(-1, -2)  # raw displacement trace
     if variant == "projected":
         mom = md.swapaxes(-1, -2) @ (w[..., None] * u_face)  # (B, k+1, 2)
         u_face = md @ mom
@@ -548,11 +549,12 @@ def scheme_residuals(
 
     for cb in systems.batches:
         batch = cb.batch
-        b = batch_blocks(batch, systems.material, systems.tau, systems.variant)
+        table = batch.tabulate()
+        b = batch_blocks(batch, systems.material, systems.tau, systems.variant, table)
         gdofs = disc.element_dofs(batch.face_ids)
         lam = sol.trace[gdofs]
         s, w = sol.stress_coeffs[batch.elements], sol.disp_coeffs[batch.elements]
-        fm = batch_moments(batch, f_fn) if f_fn is not None else np.zeros_like(w)
+        fm = batch_moments(batch, f_fn, table[0]) if f_fn is not None else np.zeros_like(w)
         Ms = mv(b.stress_mass, s)
         Tl = mv(b.trace_coupling, lam)
         Dts = mv(b.div_coupling.swapaxes(-1, -2), s)

@@ -23,13 +23,19 @@ Stacked layout: the stage runs on an ``ElementBatch``, elements that share
 a face count in ascending element order, with every per-element array
 stacked along a leading element axis. Each stacked product keeps the
 association order and the per-element memory layout of a single element's
-computation, and the local saddle systems are factorized one element at a
-time with the LAPACK calls of ``scipy.linalg.lu_factor``/``lu_solve``, so
-an element's results are bitwise independent of the batch it is computed
-in. The per-element entry points (``build_element_context``,
-``assemble_local_blocks``, ``build_local_solvers``, ``condense``,
-``condense_flux_form``, ``condensed_rhs``, ``displacement_moments``) run
-the same kernels on a one-element batch.
+computation, so an element's results are bitwise independent of the batch
+it is computed in. ``condense_batch`` tabulates the basis values and
+gradients at the element quadrature points once (``ElementBatch.tabulate``)
+and passes them to the blocks and the body-force moments. The local saddle
+systems are factorized and solved one element at a time with LAPACK
+``dgetrf``/``dgetrs`` working in place: each element's saddle matrix and
+right-hand sides are stacked column-major, so the matrix becomes its LU
+factors and the right-hand sides its solutions without a copy, with the
+results ``scipy.linalg.lu_factor``/``lu_solve`` give. The per-element
+entry points (``build_element_context``, ``assemble_local_blocks``,
+``build_local_solvers``, ``condense``, ``condense_flux_form``,
+``condensed_rhs``, ``displacement_moments``) run the same kernels on a
+one-element batch.
 """
 
 from __future__ import annotations
@@ -117,6 +123,13 @@ class ElementBatch:
     @property
     def n_trace(self) -> int:
         return self.face_ids.shape[1] * 2 * (self.k + 1)
+
+    def tabulate(self) -> tuple[np.ndarray, np.ndarray]:
+        """Basis values at the quadrature points, (B, nq, p_u), and the
+        gradients of the degree-k part, (B, nq, p_s, 2), from one monomial
+        table."""
+        mono = self.basis.monomials(self.quad.points, grads=True)
+        return self.basis.eval(mono), self.basis.grad(mono, scalar_dim(self.k))
 
 
 def element_batch(
@@ -282,10 +295,15 @@ def assemble_local_blocks(
 
 
 def batch_blocks(
-    batch: ElementBatch, material: ComplianceTensor, tau: float, variant: str
+    batch: ElementBatch,
+    material: ComplianceTensor,
+    tau: float,
+    variant: str,
+    table: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LocalBlocks:
     """Element matrices of every element of the batch (see
-    assemble_local_blocks), with a leading element axis."""
+    assemble_local_blocks), with a leading element axis. ``table`` is the
+    batch's tabulation (ElementBatch.tabulate), computed here when None."""
     if tau <= 0:
         raise ValueError(f"stabilization parameter must be positive, got {tau}")
     if variant not in ("projected", "plain"):
@@ -301,8 +319,7 @@ def batch_blocks(
     # block is the 3x3 direction Gram matrix kron the identity.
     stress_mass = np.kron(material.compliance_direction_matrix(), np.eye(p_s))
 
-    phi_u = basis.eval(batch.quad.points)  # (B, nq, p_u)
-    grad_s = basis.grad(batch.quad.points, p_s)  # (B, nq, p_s, 2)
+    phi_u, grad_s = batch.tabulate() if table is None else table
     w_phi = batch.quad.weights[..., None] * phi_u
     gx = grad_s[..., 0].swapaxes(-1, -2) @ w_phi  # (B, p_s, p_u)
     gy = grad_s[..., 1].swapaxes(-1, -2) @ w_phi
@@ -383,31 +400,31 @@ def _factor(blocks: LocalBlocks) -> ElementOperators:
     M[:, :n_s, n_s:] = -D
     M[:, n_s:, :n_s] = -D.swapaxes(-1, -2)
     M[:, n_s:, n_s:] = blocks.stab_uu
-    rhs = -np.concatenate([blocks.trace_coupling, -blocks.stab_ulam], axis=1)
+    # the right-hand sides, column-major per element as well, are
+    # overwritten by the solutions
+    sol = np.empty((B, blocks.trace_coupling.shape[-1], n)).swapaxes(-1, -2)
+    sol[:, :n_s] = -blocks.trace_coupling
+    sol[:, n_s:] = blocks.stab_ulam
     piv = np.empty((B, n), dtype=np.int32)
-    # stored transposed, so that each solution slice keeps LAPACK's
-    # column-major layout
-    sol = np.empty((B, rhs.shape[-1], n))
     for i in range(B):
-        lu, piv[i], _ = lapack.dgetrf(M[i], overwrite_a=True)
-        sol[i] = lapack.dgetrs(lu, piv[i], rhs[i])[0].T
+        _, piv[i], _ = lapack.dgetrf(M[i], overwrite_a=True)
+        lapack.dgetrs(M[i], piv[i], sol[i], overwrite_b=True)
     singular = ~np.isfinite(M).all(axis=(-2, -1))
     singular |= np.abs(np.diagonal(M, axis1=-2, axis2=-1)).min(axis=-1) == 0.0
     if singular.any():
         e = blocks.elements[np.argmax(singular)]
         raise LocalSolverError(f"element {e}: singular local system")
-    sol = sol.swapaxes(-1, -2)
     return ElementOperators(blocks.elements, sol[:, :n_s], sol[:, n_s:], M, piv)
 
 
 def _source_parts(ops: ElementOperators, f_moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stress/displacement responses to body-force moments (B, n_u)."""
+    """Stress/displacement responses to body-force moments (B, n_u), each
+    element's right-hand side solved in place."""
     n_s = ops.stress_map.shape[1]
-    out = np.empty((len(ops.lu), n_s + f_moments.shape[-1]))
+    out = np.zeros((len(ops.lu), n_s + f_moments.shape[-1]))
+    out[:, n_s:] = -f_moments
     for i in range(len(ops.lu)):
-        rhs = np.zeros(out.shape[1])
-        rhs[n_s:] = -f_moments[i]
-        out[i] = lapack.dgetrs(ops.lu[i], ops.piv[i], rhs)[0]
+        lapack.dgetrs(ops.lu[i], ops.piv[i], out[i], overwrite_b=True)
     return out[:, :n_s], out[:, n_s:]
 
 
@@ -482,11 +499,15 @@ def displacement_moments(ctx: ElementContext, f_fn) -> np.ndarray:
     return batch_moments(ctx.batch, f_fn)[0]
 
 
-def batch_moments(batch: ElementBatch, f_fn) -> np.ndarray:
-    """displacement_moments of every element of the batch, (B, n_u)."""
+def batch_moments(batch: ElementBatch, f_fn, phi: np.ndarray | None = None) -> np.ndarray:
+    """displacement_moments of every element of the batch, (B, n_u).
+    ``phi`` holds the basis values at the quadrature points, computed here
+    when None."""
     pts = batch.quad.points
     vals = np.asarray(f_fn(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape)
-    return basis_moments(batch.basis.eval(pts), batch.quad.weights, vals)
+    if phi is None:
+        phi = batch.basis.eval(pts)
+    return basis_moments(phi, batch.quad.weights, vals)
 
 
 @dataclass
@@ -513,11 +534,19 @@ def condense_batch(
 ) -> CondensedBatch:
     """Assemble, eliminate and condense every element of the batch, with
     the body-force response to ``f_fn`` when given."""
-    blocks = batch_blocks(batch, material, tau, variant)
+    # One monomial table serves the blocks and the moments. It is made
+    # here rather than kept from the basis construction, and released
+    # before the factorization allocates the arrays the batch keeps: a
+    # table held across those allocations fragments the heap, and the
+    # direct solve that follows then peaks higher.
+    table = batch.tabulate()
+    blocks = batch_blocks(batch, material, tau, variant, table)
+    f_moments = batch_moments(batch, f_fn, table[0]) if f_fn is not None else None
+    del table
     ops = _factor(blocks)
     matrix = _condense(ops, blocks, 1e-9)
     if f_fn is not None:
-        qs, us = _source_parts(ops, batch_moments(batch, f_fn))
+        qs, us = _source_parts(ops, f_moments)
     else:
         qs = np.zeros((len(batch.elements), batch.n_stress))
         us = np.zeros((len(batch.elements), batch.n_disp))

@@ -5,6 +5,9 @@ square split along its lower-left to upper-right diagonal) and a trapezoidal
 quadrilateral mesh obtained by shifting interior grid vertices vertically in
 an alternating pattern. Both are conforming and counterclockwise oriented,
 and both halve the mesh size exactly when the subdivision count doubles.
+Every mesh, built-in or read from a file, comes from one construction that
+rejects degenerate edges, edges shared by more than two elements, and
+non-convex elements.
 
 A mesh is a set of flat arrays, with no per-element or per-face objects.
 Element e owns the slots ``element_offsets[e]:element_offsets[e + 1]`` of
@@ -168,19 +171,30 @@ def _polygon_diameters(pts: np.ndarray) -> np.ndarray:
     return np.sqrt((d**2).sum(-1)).max(axis=(-2, -1))
 
 
-def _polygon_is_convex(pts: np.ndarray) -> np.ndarray:
-    """Strict convexity (counterclockwise) of polygons given as (..., m, 2)
-    arrays: every turn from edge i to edge i+1 is to the left."""
+def _turns(pts: np.ndarray) -> np.ndarray:
+    """Cross products of edge i and edge i+1 of polygons given as (..., m, 2)
+    arrays: positive for a left turn at vertex i+1."""
     u = np.roll(pts, -1, axis=-2) - pts
     v = np.roll(u, -1, axis=-2)
-    return np.all(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0] > 0.0, axis=-1)
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def _has_reflex_vertex(pts: np.ndarray) -> np.ndarray:
+    """Whether polygons given as (..., m, 2) arrays turn against their own
+    orientation (the sign of their area) at some vertex, i.e. have an
+    interior angle above pi. Zero turns and zero-area polygons pass: such
+    degenerate elements are reported by the edge and basis checks."""
+    return np.any(_turns(pts) * polygon_areas(pts)[..., None] < 0.0, axis=-1)
 
 
 def _assemble(vertices: np.ndarray, elements, family: str, n: int) -> Mesh:
     """Derive the face table, normals and h from vertex/element data.
 
     ``elements`` is an (E, m) integer array, or a sequence of
-    counterclockwise vertex-index sequences of any lengths."""
+    counterclockwise vertex-index sequences of any lengths. Raises
+    MeshConstructionError naming the first element with a degenerate edge,
+    an edge shared by more than two elements, or a reflex vertex; a
+    clockwise element is built, and reported by ``validate``."""
     vertices = np.asarray(vertices, dtype=float)
     if isinstance(elements, np.ndarray):
         counts = np.full(len(elements), elements.shape[1])
@@ -227,10 +241,11 @@ def _assemble(vertices: np.ndarray, elements, family: str, n: int) -> Mesh:
     shared = uses == 2
     right[shared] = owner[by_face[start[shared] + 1]]
 
-    h = max(
-        float(_polygon_diameters(vertices[flat[_slots(offsets, ids)]]).max())
-        for _, ids in _groups(counts)
-    )
+    groups = [(ids, vertices[flat[_slots(offsets, ids)]]) for _, ids in _groups(counts)]
+    reflex = np.concatenate([ids[_has_reflex_vertex(polys)] for ids, polys in groups])
+    if len(reflex):
+        raise MeshConstructionError(f"non-convex element {reflex.min()}")
+    h = max(float(_polygon_diameters(polys).max()) for _, polys in groups)
     mesh = Mesh(
         vertices=vertices,
         element_offsets=offsets,
@@ -288,12 +303,15 @@ def build_unit_square_poly(n: int) -> Mesh:
     interior = (0 < i) & (i < n) & (0 < j) & (j < n)
     y[interior] += np.where((i + j) % 2 == 0, amp, -amp)[interior]
     elements = _cells(n)[:, None] + np.array([0, 1, n + 2, n + 1])
-    mesh = _assemble(np.stack([x, y], axis=1), elements, "poly", n)
-    convex = _polygon_is_convex(mesh.polygons(np.arange(mesh.num_elements)))
-    if not convex.all():
-        e = int(np.argmin(convex))
-        raise MeshConstructionError(f"perturbation produced a non-convex element {e}")
-    return mesh
+    vertices = np.stack([x, y], axis=1)
+    # the check _assemble makes, ahead of it, so that the error names the
+    # perturbation as the cause
+    reflex = _has_reflex_vertex(vertices[elements])
+    if reflex.any():
+        raise MeshConstructionError(
+            f"perturbation produced a non-convex element {int(np.argmax(reflex))}"
+        )
+    return _assemble(vertices, elements, "poly", n)
 
 
 def build_mesh(kind: str, n: int) -> Mesh:

@@ -122,8 +122,9 @@ def error_norms(
         s_h = sol.stress_coeffs[elems]
         w_h = sol.disp_coeffs[elems]
 
-        phi = batch.basis.eval(pts)  # (B, nq, p_u)
-        s_pi = _stress_projection(batch.basis.eval(pts, p_s), w, sig_ex)
+        mono = batch.basis.monomials(pts)
+        phi = batch.basis.eval(mono)  # (B, nq, p_u)
+        s_pi = _stress_projection(batch.basis.eval(mono, p_s), w, sig_ex)
         w_pi = basis_moments(phi, w, u_ex)
         ds = (s_pi - s_h).reshape(B, 3, p_s)
         keys.append(elems)

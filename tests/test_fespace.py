@@ -249,3 +249,57 @@ def test_degenerate_element_conditioning_error():
     degenerate = M._assemble(verts, [(0, 1, 2)], "custom", 0)
     with pytest.raises(F.ElementConditioningError):
         F.build_element_basis(degenerate, 0, 2)
+
+
+def _stacked_powers(x, deg):
+    # the formulation the monomial kernel replaced: powers along a last
+    # axis by np.multiply.accumulate, monomials assembled by np.stack
+    out = np.empty(x.shape + (deg + 1,))
+    out[..., 0] = 1.0
+    if deg > 0:
+        out[..., 1:] = x[..., None]
+        np.multiply.accumulate(out[..., 1:], axis=-1, out=out[..., 1:])
+    return out
+
+
+def _stacked_monomials(X, Y, exponents):
+    deg = max(a + b for a, b in exponents)
+    Xp, Yp = _stacked_powers(X, deg), _stacked_powers(Y, deg)
+    values = np.stack([Xp[..., a] * Yp[..., b] for a, b in exponents], axis=-1)
+    gx = np.stack(
+        [a * Xp[..., a - 1] * Yp[..., b] if a > 0 else np.zeros_like(X) for a, b in exponents],
+        axis=-1,
+    )
+    gy = np.stack(
+        [b * Xp[..., a] * Yp[..., b - 1] if b > 0 else np.zeros_like(X) for a, b in exponents],
+        axis=-1,
+    )
+    return values, gx, gy
+
+
+@pytest.mark.parametrize("degree", range(6))
+@pytest.mark.parametrize("shape", [(5, 13), (4, 3, 7)], ids=["B,npts", "B,m,npts"])
+def test_monomial_kernel_bitwise(degree, shape):
+    rng = np.random.default_rng(degree)
+    X, Y = rng.uniform(-1.0, 1.0, size=(2,) + shape)
+    X[..., 0] = 0.0  # exact zeros in the power tables
+    expected = _stacked_monomials(X, Y, F._graded_exponents(degree))
+    assert np.array_equal(F._monomials(X, Y, degree).values, expected[0])
+    got = F._monomials(X, Y, degree, grads=True)
+    for a, b in zip(got, expected):
+        assert a.flags.c_contiguous and a.shape == shape + (F.scalar_dim(degree),)
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_solve_lower_bitwise_against_solve_triangular():
+    import scipy.linalg
+
+    rng = np.random.default_rng(3)
+    L = np.tril(rng.normal(size=(6, 10, 10))) + 4.0 * np.eye(10)
+    rhs = rng.normal(size=(6, 10, 10))
+    for b in (rhs, np.eye(10)):
+        got = F._solve_lower(L, b)
+        for i in range(len(L)):
+            bi = b if b.ndim == 2 else b[i]
+            assert np.array_equal(got[i], scipy.linalg.solve_triangular(L[i], bi, lower=True))

@@ -345,3 +345,32 @@ def test_blocks_insensitive_to_richer_quadrature(family, k):
             a, b = getattr(default, name), getattr(rich, name)
             err = np.abs(a - b).max(axis=(1, 2)) / np.maximum(np.abs(b).max(axis=(1, 2)), 1e-300)
             assert err.max() <= 1e-9, (name, err.max())
+
+
+@pytest.mark.parametrize("family,k", [("tri", 1), ("poly", 2)])
+def test_factor_and_source_parts_bitwise_against_scipy_lu(family, k):
+    # the in-place LAPACK calls of _factor and _source_parts give exactly
+    # the per-element lu_factor/lu_solve results
+    import scipy.linalg
+
+    mesh = M.build_mesh(family, 4)
+    disc = G.build_discretization(mesh, k)
+    batch = next(disc.element_batches())
+    blocks = L.batch_blocks(batch, PLANE_STRESS, 1.0 / mesh.h, "projected")
+    ops = L._factor(blocks)
+    f_mom = np.random.default_rng(k).normal(size=(len(batch.elements), batch.n_disp))
+    qs, us = L._source_parts(ops, f_mom)
+    n_s = batch.n_stress
+    for i in range(len(batch.elements)):
+        D = blocks.div_coupling[i]
+        saddle = np.block([[-blocks.stress_mass, -D], [-D.T, blocks.stab_uu[i]]])
+        lu, piv = scipy.linalg.lu_factor(saddle)
+        assert np.array_equal(ops.lu[i], lu)
+        assert np.array_equal(ops.piv[i], piv)
+        rhs = -np.concatenate([blocks.trace_coupling[i], -blocks.stab_ulam[i]])
+        sol = scipy.linalg.lu_solve((lu, piv), rhs)
+        assert np.array_equal(ops.stress_map[i], sol[:n_s])
+        assert np.array_equal(ops.disp_map[i], sol[n_s:])
+        src = scipy.linalg.lu_solve((lu, piv), np.concatenate([np.zeros(n_s), -f_mom[i]]))
+        assert np.array_equal(qs[i], src[:n_s])
+        assert np.array_equal(us[i], src[n_s:])

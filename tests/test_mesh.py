@@ -58,7 +58,7 @@ def test_poly_convex_positive_area():
     m = M.build_unit_square_poly(4)
     for e in range(m.num_elements):
         assert m.area(e) > 0
-        assert M._polygon_is_convex(m.polygon(e))
+        assert np.all(M._turns(m.polygon(e)) > 0.0)
 
 
 def test_poly_h_regression():
@@ -287,4 +287,35 @@ def test_read_mesh_text_rejects_disagreeing_faces(tmp_path):
     short[short.index(f"faces {m.num_faces}")] = f"faces {m.num_faces - 1}"
     path.write_text("\n".join(short) + "\n")
     with pytest.raises(M.MeshConstructionError, match="holds 13 faces, the mesh has 14"):
+        M.read_mesh_text(str(path))
+
+
+def dart_elements():
+    """The unit square as a dart (0,0)-(1,0)-(0.3,0.3)-(0,1), reflex at
+    vertex 2, and the two triangles filling its notch."""
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.3], [0.0, 1.0], [1.0, 1.0]])
+    return vertices, [(0, 1, 2, 3), (1, 4, 2), (2, 4, 3)]
+
+
+def test_reflex_vertex_names_element():
+    vertices, elements = dart_elements()
+    with pytest.raises(M.MeshConstructionError, match=r"^non-convex element 0$"):
+        M._assemble(vertices, elements, "custom", 0)
+    # the dart listed last: the error names it, not the triangles
+    with pytest.raises(M.MeshConstructionError, match=r"^non-convex element 2$"):
+        M._assemble(vertices, elements[1:] + elements[:1], "custom", 0)
+    # moving the notch vertex out to (0.6, 0.6) makes every element convex
+    vertices[2] = (0.6, 0.6)
+    assert M.validate(M._assemble(vertices, elements, "custom", 0)) == []
+
+
+def test_read_mesh_text_rejects_reflex_vertex(tmp_path):
+    vertices, elements = dart_elements()
+    vertices[2] = (0.6, 0.6)
+    path = tmp_path / "mesh.txt"
+    M.write_mesh_text(M._assemble(vertices, elements, "custom", 0), str(path))
+    lines = path.read_text().splitlines()
+    lines[lines.index("vertices 5") + 3] = "0.3 0.3"  # vertex 2 into the notch
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(M.MeshConstructionError, match=r"^non-convex element 0$"):
         M.read_mesh_text(str(path))
