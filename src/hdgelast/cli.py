@@ -24,6 +24,8 @@ from .harness import (
 from .hdg_global import SolverError
 from .postproc import write_csv
 
+__all__ = ["main"]
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3

@@ -25,10 +25,11 @@ several coefficient slices, or values and gradients, are needed at the
 same points; it is never stored on the basis.
 
 Quadrature, bases and face modes are computed for stacks of elements or
-faces (leading batch axis); the per-element functions run the same code on
-a one-element stack. Stacked products keep the per-element association
-order and memory layout, so an element's values do not depend on the stack
-it is computed in.
+faces (leading batch axis): ``polygon_quadrature``, ``build_element_bases``,
+``face_quadratures`` and ``face_modes``; a single element or face is a
+one-element stack. Stacked products keep the per-element association order
+and memory layout, so an element's values do not depend on the stack it is
+computed in.
 """
 
 from __future__ import annotations
@@ -48,20 +49,14 @@ __all__ = [
     "ElementBasis",
     "Monomials",
     "StressBasis",
-    "FaceBasis",
     "TraceDofMap",
     "triangle_rule",
     "segment_rule",
     "polygon_quadrature",
-    "element_quadrature",
     "face_quadratures",
-    "face_quadrature",
-    "build_element_basis",
     "build_element_bases",
     "basis_moments",
-    "build_face_basis",
     "face_modes",
-    "project_trace",
     "trace_moments",
     "build_trace_dof_map",
     "scalar_dim",
@@ -87,16 +82,16 @@ def scalar_dim(degree: int) -> int:
 class Quadrature:
     """Quadrature rule in physical coordinates; weights carry the measure."""
 
-    points: np.ndarray  # (nq, 2)
-    weights: np.ndarray  # (nq,)
+    points: np.ndarray  # (B, nq, 2)
+    weights: np.ndarray  # (B, nq)
 
 
 @dataclass(frozen=True)
 class FaceQuadrature:
-    """Quadrature on a straight face, with arc-length parameters in [0, 1]."""
+    """Quadrature on straight faces, with arc-length parameters in [0, 1]."""
 
-    points: np.ndarray  # (nq, 2)
-    weights: np.ndarray  # (nq,), sums to the face length
+    points: np.ndarray  # (F, nq, 2)
+    weights: np.ndarray  # (F, nq), sums to the face length
     params: np.ndarray  # (nq,), position along the face from v0 to v1
 
 
@@ -160,13 +155,6 @@ def polygon_quadrature(polys: np.ndarray, exactness: int) -> Quadrature:
     return Quadrature(pts.reshape(len(polys), -1, 2), wts.reshape(len(polys), -1))
 
 
-def element_quadrature(mesh: Mesh, e: int, exactness: int) -> Quadrature:
-    """Quadrature on element ``e`` exact for bivariate total degree
-    ``exactness``; raises QuadratureDegreeError beyond MAX_EXACTNESS."""
-    q = polygon_quadrature(mesh.polygon(e)[None], exactness)
-    return Quadrature(q.points[0], q.weights[0])
-
-
 def face_quadratures(mesh: Mesh, face_ids, exactness: int) -> FaceQuadrature:
     """Gauss quadrature on a stack of faces, exact for 1D degree
     ``exactness``: points (F, nq, 2), weights (F, nq), shared params."""
@@ -176,12 +164,6 @@ def face_quadratures(mesh: Mesh, face_ids, exactness: int) -> FaceQuadrature:
     p0, p1 = ends[:, 0], ends[:, 1]
     pts = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]
     return FaceQuadrature(pts, w * mesh.face_length[face_ids][:, None], t)
-
-
-def face_quadrature(mesh: Mesh, face_id: int, exactness: int) -> FaceQuadrature:
-    """Gauss quadrature on a face, exact for 1D degree ``exactness``."""
-    q = face_quadratures(mesh, [face_id], exactness)
-    return FaceQuadrature(q.points[0], q.weights[0], q.params)
 
 
 class Monomials(NamedTuple):
@@ -195,16 +177,15 @@ class Monomials(NamedTuple):
 
 
 class ElementBasis:
-    """Orthonormal scalar polynomial basis on one element.
+    """Orthonormal scalar polynomial bases on a stack of elements.
 
     Functions are linear combinations of bounding-box scaled monomials in
     graded order; the first function is the constant 1/sqrt(area). The
     combination matrix is lower triangular, so truncating to the leading
     scalar_dim(m) functions yields an orthonormal basis of degree m.
 
-    The same object describes a batch of elements when ``center``, ``scale``
-    and ``coeff`` carry a leading batch axis; points passed to ``eval`` and
-    ``grad`` then carry it too, (B, npts, 2).
+    ``center``, ``scale`` and ``coeff`` carry a leading batch axis, and so
+    do the points passed to ``eval`` and ``grad``, (B, npts, 2).
     """
 
     def __init__(self, element, degree: int, center, scale, coeff: np.ndarray):
@@ -217,12 +198,6 @@ class ElementBasis:
     @property
     def dim(self) -> int:
         return self.coeff.shape[-1]
-
-    def __getitem__(self, i: int) -> "ElementBasis":
-        """Basis of the i-th element of a batch."""
-        return ElementBasis(
-            int(self.element[i]), self.degree, self.center[i], self.scale[i], self.coeff[i]
-        )
 
     def monomials(self, pts: np.ndarray, grads: bool = False) -> Monomials:
         """The monomial table at points (..., npts, 2), with derivatives when
@@ -289,18 +264,6 @@ def _monomials(X: np.ndarray, Y: np.ndarray, degree: int, grads: bool = False) -
         if b > 0:
             np.multiply(b * Xp[a], Yp[b - 1], out=dy[..., f])
     return Monomials(V, dx, dy)
-
-
-def build_element_basis(mesh: Mesh, e: int, degree: int, quad: Quadrature | None = None) -> ElementBasis:
-    """Orthonormal basis of total degree <= degree on element ``e``."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    poly = mesh.polygon(e)[None]
-    if quad is None:
-        q = polygon_quadrature(poly, 2 * degree)
-    else:
-        q = Quadrature(quad.points[None], quad.weights[None])
-    return build_element_bases(poly, np.array([e]), degree, q)[0]
 
 
 def build_element_bases(
@@ -398,33 +361,11 @@ class StressBasis:
         return 3 * self.nscalar
 
     def eval_field(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Evaluate the stress field with the given coefficients, (npts, 2, 2)."""
+        """Evaluate the stress field with coefficients (..., dim) at points
+        (..., npts, 2) on the scalar basis' elements, (..., npts, 2, 2)."""
         phi = self.scalar.eval(pts, self.nscalar)
-        comp = phi @ coeffs.reshape(3, self.nscalar).T  # (npts, 3)
-        return np.einsum("pc,cij->pij", comp, self.DIRECTIONS)
-
-
-class FaceBasis:
-    """Orthonormal scalar basis on one face: scaled Legendre polynomials in
-    the arc parameter. Vector trace functions pair each mode with one of the
-    two Cartesian components (mode-major, component-minor layout)."""
-
-    def __init__(self, face_id: int, degree: int, length: float):
-        self.face_id = face_id
-        self.degree = degree
-        self.length = length
-
-    @property
-    def nmodes(self) -> int:
-        return self.degree + 1
-
-    @property
-    def dim(self) -> int:
-        return 2 * (self.degree + 1)
-
-    def eval_param(self, t: np.ndarray) -> np.ndarray:
-        """Scalar mode values at arc parameters t in [0, 1], (npts, nmodes)."""
-        return face_modes(t, self.degree, self.length)
+        comp = phi @ coeffs.reshape(coeffs.shape[:-1] + (3, self.nscalar)).swapaxes(-1, -2)
+        return np.einsum("...c,cij->...ij", comp, self.DIRECTIONS)
 
 
 def face_modes(t: np.ndarray, degree: int, length) -> np.ndarray:
@@ -440,20 +381,6 @@ def face_modes(t: np.ndarray, degree: int, length) -> np.ndarray:
         c[j] = 1.0
         out[..., j] = np.polynomial.legendre.legval(x, c) * np.sqrt((2 * j + 1) / length)
     return out
-
-
-def build_face_basis(mesh: Mesh, face_id: int, degree: int) -> FaceBasis:
-    return FaceBasis(face_id, degree, float(mesh.face_length[face_id]))
-
-
-def project_trace(fn, basis: FaceBasis, quad: FaceQuadrature) -> np.ndarray:
-    """L2-orthogonal projection of a vector-valued function onto the face
-    trace space; returns the 2(degree+1) coefficients, mode-major.
-
-    ``fn`` maps (npts, 2) physical points to (npts, 2) values. With an
-    orthonormal basis the coefficients are plain quadrature moments."""
-    vals = np.asarray(fn(quad.points), dtype=float)
-    return trace_moments(basis.eval_param(quad.params), quad.weights, vals)
 
 
 def trace_moments(modes: np.ndarray, weights: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -479,10 +406,6 @@ class TraceDofMap:
     interior_index: np.ndarray  # (total,), -1 on boundary faces
     n_interior: int
     boundary_face_ids: np.ndarray
-
-    def face_dofs(self, face_id: int) -> np.ndarray:
-        start = self.face_offset[face_id]
-        return np.arange(start, start + self.ndof_face)
 
 
 def build_trace_dof_map(mesh: Mesh, k: int) -> TraceDofMap:

@@ -10,6 +10,7 @@ and the self-check suite; the command line module is a thin wrapper.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -70,10 +71,17 @@ class RunConfig:
         if self.k == 0 and not self.allow_k0:
             errs.append("k: degree 0 is unsupported (the method needs k >= 1); "
                         "pass allow_k0 to run anyway without guarantees")
-        if self.tau_c <= 0:
-            errs.append(f"tau_c: must be positive, got {self.tau_c}")
-        if self.material not in ("plane_stress", "plane_strain", "deviatoric"):
+        positive = ["tau_c", "tol"]
+        if self.material in ("plane_stress", "plane_strain"):
+            positive.append("E")
+        elif self.material == "deviatoric":
+            positive += ["p_d", "p_t"]
+        else:
             errs.append(f"material: unknown {self.material!r}")
+        for name in positive:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                errs.append(f"{name}: must be positive and finite, got {value}")
         if self.material == "plane_strain" and not -1.0 < self.nu < 0.5:
             errs.append(f"nu: plane strain needs nu in (-1, 0.5), got {self.nu}")
         if self.material == "plane_stress" and not -1.0 < self.nu < 1.0:

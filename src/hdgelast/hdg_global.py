@@ -385,6 +385,8 @@ def solve_condensed(
     DIRECT_SOLVER_DOF_LIMIT unknowns, cg above.
 
     Returns the full trace vector (boundary values filled in) and stats."""
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     A, b = system.matrix, system.rhs
     n = A.shape[0]
     if method == "auto":

@@ -31,16 +31,15 @@ systems are factorized and solved one element at a time with LAPACK
 ``dgetrf``/``dgetrs`` working in place: each element's saddle matrix and
 right-hand sides are stacked column-major, so the matrix becomes its LU
 factors and the right-hand sides its solutions without a copy, with the
-results ``scipy.linalg.lu_factor``/``lu_solve`` give. The per-element
-entry points (``build_element_context``, ``assemble_local_blocks``,
-``build_local_solvers``, ``condense``, ``condense_flux_form``,
-``condensed_rhs``, ``displacement_moments``) run the same kernels on a
-one-element batch.
+results ``scipy.linalg.lu_factor``/``lu_solve`` give. The entry points
+are ``element_batch``, which stacks elements, ``condense_batch``, which runs
+the whole stage on a batch, and its kernels ``batch_blocks`` and
+``batch_moments``; a single element is a one-element batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -60,7 +59,6 @@ from .mesh import Mesh
 __all__ = [
     "CHUNK_SIZE",
     "ElementBatch",
-    "ElementContext",
     "LocalBlocks",
     "ElementOperators",
     "CondensedBatch",
@@ -68,13 +66,6 @@ __all__ = [
     "batch_blocks",
     "batch_moments",
     "condense_batch",
-    "build_element_context",
-    "assemble_local_blocks",
-    "build_local_solvers",
-    "condense",
-    "condense_flux_form",
-    "condensed_rhs",
-    "displacement_moments",
     "default_quadrature_exactness",
 ]
 
@@ -166,56 +157,10 @@ def element_batch(
 
 
 @dataclass
-class ElementContext:
-    """One element as a one-element ElementBatch, with per-element views of
-    its basis and quadrature."""
-
-    batch: ElementBatch
-    element: int
-    k: int
-    basis: ElementBasis  # scalar basis of degree k+1 (degree-k part nested)
-    quad: Quadrature
-    face_ids: np.ndarray  # (m,), in edge order
-
-    @property
-    def n_stress(self) -> int:
-        return self.batch.n_stress
-
-    @property
-    def n_disp(self) -> int:
-        return self.batch.n_disp
-
-    @property
-    def n_trace(self) -> int:
-        return self.batch.n_trace
-
-
-def build_element_context(
-    mesh: Mesh,
-    e: int,
-    k: int,
-    face_quad: FaceQuadrature,
-    face_modes: np.ndarray,
-    quad_exactness: int | None = None,
-) -> ElementContext:
-    """Element ``e`` as a one-element batch; ``face_quad`` and
-    ``face_modes`` hold every face of the mesh (as in Discretization)."""
-    batch = element_batch(mesh, k, np.array([e]), face_quad, face_modes, quad_exactness)
-    return ElementContext(
-        batch=batch,
-        element=e,
-        k=k,
-        basis=batch.basis[0],
-        quad=Quadrature(batch.quad.points[0], batch.quad.weights[0]),
-        face_ids=batch.face_ids[0],
-    )
-
-
-@dataclass
 class LocalBlocks:
-    """Element matrices of the saddle system. The per-element blocks carry
-    a leading element axis when the blocks belong to a batch; stress_mass
-    and stab_lamlam are the same for every element.
+    """Element matrices of the saddle system of a batch. The per-element
+    blocks carry a leading element axis; stress_mass and stab_lamlam are the
+    same for every element.
 
     stress_mass     (A sigma, v)                 n_s x n_s, SPD
     div_coupling    (u, div v)                   n_s x n_u
@@ -229,7 +174,7 @@ class LocalBlocks:
                     face modes, shape (m, 2(k+1), n_u)
     """
 
-    elements: np.ndarray  # element id, or (B,) ids of a batch
+    elements: np.ndarray  # (B,)
     k: int
     tau: float
     variant: str
@@ -245,53 +190,15 @@ class LocalBlocks:
 @dataclass
 class ElementOperators:
     """Eliminated local solution operators: stress_map / disp_map send trace
-    coefficients to the eliminated stress and displacement coefficients
-    (leading element axis in a batch); lu and piv hold each element's
-    LAPACK getrf factorization of its saddle matrix, for source loads."""
+    coefficients to the eliminated stress and displacement coefficients,
+    with a leading element axis; lu and piv hold each element's LAPACK
+    getrf factorization of its saddle matrix, for source loads."""
 
-    elements: np.ndarray
-    stress_map: np.ndarray  # (n_s, n_lam)
-    disp_map: np.ndarray  # (n_u, n_lam)
-    lu: np.ndarray  # (n, n), column-major per element
-    piv: np.ndarray  # (n,), int32
-
-    def source_parts(self, f_moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Stress/displacement response to a body-force moment vector."""
-        qs, us = _source_parts(_stacked(self), f_moments[None])
-        return qs[0], us[0]
-
-
-_PER_ELEMENT = {
-    LocalBlocks: (
-        "elements", "div_coupling", "trace_coupling", "stab_uu", "stab_ulam", "face_proj"
-    ),
-    ElementOperators: ("elements", "stress_map", "disp_map", "lu", "piv"),
-}
-
-
-def _stacked(obj):
-    """One element's blocks or operators as a one-element batch."""
-    return replace(obj, **{f: np.asarray(getattr(obj, f))[None] for f in _PER_ELEMENT[type(obj)]})
-
-
-def _single(obj):
-    """The only element of a one-element batch."""
-    return replace(obj, **{f: getattr(obj, f)[0] for f in _PER_ELEMENT[type(obj)]})
-
-
-def assemble_local_blocks(
-    ctx: ElementContext,
-    material: ComplianceTensor,
-    tau: float,
-    variant: str = "projected",
-) -> LocalBlocks:
-    """Quadrature-assemble all element matrices.
-
-    The stabilization projects the displacement trace onto the face modes
-    through exact face mass matrices before pairing; ``variant="plain"``
-    skips that projection and pairs the raw degree-(k+1) traces instead.
-    """
-    return _single(batch_blocks(ctx.batch, material, tau, variant))
+    elements: np.ndarray  # (B,)
+    stress_map: np.ndarray  # (B, n_s, n_lam)
+    disp_map: np.ndarray  # (B, n_u, n_lam)
+    lu: np.ndarray  # (B, n, n), column-major per element
+    piv: np.ndarray  # (B, n), int32
 
 
 def batch_blocks(
@@ -301,9 +208,14 @@ def batch_blocks(
     variant: str,
     table: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LocalBlocks:
-    """Element matrices of every element of the batch (see
-    assemble_local_blocks), with a leading element axis. ``table`` is the
-    batch's tabulation (ElementBatch.tabulate), computed here when None."""
+    """Quadrature-assemble the element matrices of every element of the
+    batch, with a leading element axis. ``table`` is the batch's tabulation
+    (ElementBatch.tabulate), computed here when None.
+
+    The stabilization projects the displacement trace onto the face modes
+    through exact face mass matrices before pairing; ``variant="plain"``
+    skips that projection and pairs the raw degree-(k+1) traces instead.
+    """
     if tau <= 0:
         raise ValueError(f"stabilization parameter must be positive, got {tau}")
     if variant not in ("projected", "plain"):
@@ -379,17 +291,11 @@ def batch_blocks(
     )
 
 
-def build_local_solvers(blocks: LocalBlocks) -> ElementOperators:
-    """Factorize the element saddle system once and solve for the response
-    to every trace basis vector; the factorization is retained for source
-    loads."""
-    return _single(_factor(_stacked(blocks)))
-
-
 def _factor(blocks: LocalBlocks) -> ElementOperators:
     """Symmetric indefinite saddle matrix over (stress, displacement) per
     element, its LU factorization, and the solve against the coupling of
-    (stress, displacement) rows to the trace columns."""
+    (stress, displacement) rows to the trace columns: the response to every
+    trace basis vector. The factorization is kept for source loads."""
     D = blocks.div_coupling
     B, n_s, n_u = D.shape
     n = n_s + n_u
@@ -428,21 +334,13 @@ def _source_parts(ops: ElementOperators, f_moments: np.ndarray) -> tuple[np.ndar
     return out[:, :n_s], out[:, n_s:]
 
 
-def condense(
-    ops: ElementOperators,
-    blocks: LocalBlocks,
-    check_tol: float | None = 1e-9,
-) -> np.ndarray:
-    """Element trace matrix, symmetric positive semidefinite with the
+def _condense(ops: ElementOperators, blocks: LocalBlocks, check_tol: float | None) -> np.ndarray:
+    """Element trace matrices, symmetric positive semidefinite with the
     rigid-motion traces as kernel.
 
     Uses the symmetric quadratic form for the projected variant and the
-    flux pairing for the plain variant; raises AssemblyError if the result
+    flux pairing for the plain variant; raises AssemblyError if a result
     is not symmetric to ``check_tol`` (relative)."""
-    return _condense(_stacked(ops), _stacked(blocks), check_tol)[0]
-
-
-def _condense(ops: ElementOperators, blocks: LocalBlocks, check_tol: float | None) -> np.ndarray:
     if blocks.variant == "projected":
         A = ops.stress_map.swapaxes(-1, -2) @ blocks.stress_mass @ ops.stress_map
         nf_dof = 2 * (blocks.k + 1)
@@ -463,13 +361,9 @@ def _condense(ops: ElementOperators, blocks: LocalBlocks, check_tol: float | Non
     return 0.5 * (A + A.swapaxes(-1, -2))
 
 
-def condense_flux_form(ops: ElementOperators, blocks: LocalBlocks) -> np.ndarray:
-    """Condensed matrix via the numerical-traction pairing; algebraically
-    identical to the quadratic form and used as its cross-check."""
-    return _flux_form(_stacked(ops), _stacked(blocks))[0]
-
-
 def _flux_form(ops: ElementOperators, blocks: LocalBlocks) -> np.ndarray:
+    """Condensed matrices via the numerical-traction pairing; algebraically
+    identical to the quadratic form and used as its cross-check."""
     return (
         blocks.trace_coupling.swapaxes(-1, -2) @ ops.stress_map
         - blocks.stab_ulam.swapaxes(-1, -2) @ ops.disp_map
@@ -477,32 +371,20 @@ def _flux_form(ops: ElementOperators, blocks: LocalBlocks) -> np.ndarray:
     )
 
 
-def condensed_rhs(
-    blocks: LocalBlocks, source_stress: np.ndarray, source_disp: np.ndarray
-) -> np.ndarray:
-    """Element load for the trace system: the negative traction moments of
-    the source response, so that the condensed equations express flux
-    continuity of the full recovered solution."""
-    return _rhs(_stacked(blocks), source_stress[None], source_disp[None])[0]
-
-
 def _rhs(blocks: LocalBlocks, source_stress: np.ndarray, source_disp: np.ndarray) -> np.ndarray:
+    """Element loads for the trace system: the negative traction moments of
+    the source responses, so that the condensed equations express flux
+    continuity of the full recovered solution."""
     return -(
         (blocks.trace_coupling.swapaxes(-1, -2) @ source_stress[..., None])[..., 0]
         - (blocks.stab_ulam.swapaxes(-1, -2) @ source_disp[..., None])[..., 0]
     )
 
 
-def displacement_moments(ctx: ElementContext, f_fn) -> np.ndarray:
-    """Moments of a vector field against the displacement basis,
-    component-major layout."""
-    return batch_moments(ctx.batch, f_fn)[0]
-
-
 def batch_moments(batch: ElementBatch, f_fn, phi: np.ndarray | None = None) -> np.ndarray:
-    """displacement_moments of every element of the batch, (B, n_u).
-    ``phi`` holds the basis values at the quadrature points, computed here
-    when None."""
+    """Moments of a vector field against the displacement basis of every
+    element of the batch, component-major: (B, n_u). ``phi`` holds the basis
+    values at the quadrature points, computed here when None."""
     pts = batch.quad.points
     vals = np.asarray(f_fn(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape)
     if phi is None:

@@ -106,31 +106,15 @@ class Mesh:
         element_faces, shape (B, m)."""
         return _slots(self.element_offsets, np.asarray(elements))
 
-    def polygon(self, e: int) -> np.ndarray:
-        """Vertex coordinates of element ``e``, shape (m, 2)."""
-        start, stop = self.element_offsets[e : e + 2]
-        return self.vertices[self.element_vertices[start:stop]]
-
     def polygons(self, elements) -> np.ndarray:
         """Vertex coordinates of elements sharing a face count, (B, m, 2)."""
         return self.vertices[self.element_vertices[self.slots(elements)]]
-
-    def area(self, e: int) -> float:
-        return float(polygon_areas(self.polygon(e)))
-
-    def centroid(self, e: int) -> np.ndarray:
-        return polygon_centroids(self.polygon(e))
 
     def boundary_faces(self) -> np.ndarray:
         return np.flatnonzero(self.face_right < 0)
 
     def interior_faces(self) -> np.ndarray:
         return np.flatnonzero(self.face_right >= 0)
-
-    def outward_normal(self, e: int, face_id: int) -> np.ndarray:
-        """Unit normal of ``face_id`` pointing out of element ``e``."""
-        n = self.face_normal[face_id]
-        return n if self.face_left[face_id] == e else -n
 
 
 def _groups(counts: np.ndarray) -> list[tuple[int, np.ndarray]]:

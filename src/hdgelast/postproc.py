@@ -21,7 +21,6 @@ import numpy as np
 
 from .fespace import StressBasis, basis_moments, polygon_quadrature, scalar_dim
 from .hdg_global import Discretization, DiscreteSolution, ordered, ordered_sum
-from .hdg_local import ElementContext
 from .material import ComplianceTensor
 from .manufactured import ExactSolution, stress
 from .mesh import Mesh, polygon_areas, polygon_centroids
@@ -30,8 +29,6 @@ __all__ = [
     "ErrorReport",
     "ConvergenceTable",
     "error_quadrature_exactness",
-    "project_displacement",
-    "project_stress",
     "error_norms",
     "rates",
     "write_csv",
@@ -41,20 +38,6 @@ __all__ = [
 
 def error_quadrature_exactness(k: int) -> int:
     return 2 * (k + 1) + 6
-
-
-def project_displacement(ctx: ElementContext, quad, u_fn) -> np.ndarray:
-    """Coefficients of the elementwise L2 projection of a vector field onto
-    the displacement space (orthonormal basis: plain moments)."""
-    vals = np.asarray(u_fn(quad.points), dtype=float)
-    return basis_moments(ctx.basis.eval(quad.points), quad.weights, vals)
-
-
-def project_stress(ctx: ElementContext, quad, sigma_fn) -> np.ndarray:
-    """Coefficients of the elementwise L2 projection of a symmetric matrix
-    field onto the stress space."""
-    sig = np.asarray(sigma_fn(quad.points), dtype=float)  # (nq, 2, 2)
-    return _stress_projection(ctx.basis.eval(quad.points, scalar_dim(ctx.k)), quad.weights, sig)
 
 
 def _stress_projection(phi_s: np.ndarray, weights: np.ndarray, sig: np.ndarray) -> np.ndarray:

@@ -183,17 +183,12 @@ def test_criterion_4_condensation_oracle():
         for family, e in cells:
             mesh = M.build_mesh(family, 2)
             disc = G.build_discretization(mesh, k)
-            ctx = L.build_element_context(mesh, e, k, disc.face_quad, disc.face_modes)
-            blocks = L.assemble_local_blocks(ctx, material, tau=3.0 / mesh.h)
-            ops = L.build_local_solvers(blocks)
-            A = L.condense(ops, blocks)
-            MM = np.block(
-                [
-                    [-blocks.stress_mass, -blocks.div_coupling],
-                    [-blocks.div_coupling.T, blocks.stab_uu],
-                ]
-            )
-            N = np.vstack([blocks.trace_coupling, -blocks.stab_ulam])
+            batch = L.element_batch(mesh, k, np.array([e]), disc.face_quad, disc.face_modes)
+            blocks = L.batch_blocks(batch, material, 3.0 / mesh.h, "projected")
+            A = L._condense(L._factor(blocks), blocks, 1e-9)[0]
+            D = blocks.div_coupling[0]
+            MM = np.block([[-blocks.stress_mass, -D], [-D.T, blocks.stab_uu[0]]])
+            N = np.vstack([blocks.trace_coupling[0], -blocks.stab_ulam[0]])
             schur = blocks.stab_lamlam - N.T @ np.linalg.solve(MM, N)
             err = np.abs(A - schur).max() / np.abs(schur).max()
             if err > 1e-10:

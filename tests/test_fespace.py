@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hdgelast import fespace as F
+from hdgelast import hdg_global as G
 from hdgelast import mesh as M
 
 
@@ -48,56 +49,55 @@ def reference_triangle_mesh():
 
 def test_element_quadrature_monomial():
     # int over the reference triangle of x^2 y = 1/60
-    q = F.element_quadrature(reference_triangle_mesh(), 0, 3)
-    val = np.sum(q.weights * q.points[:, 0] ** 2 * q.points[:, 1])
+    q = F.polygon_quadrature(reference_triangle_mesh().polygons([0]), 3)
+    val = np.sum(q.weights * q.points[..., 0] ** 2 * q.points[..., 1])
     assert abs(val - 1.0 / 60.0) < 1e-15
 
 
 def test_element_quadrature_fan_on_square():
-    q = F.element_quadrature(unit_square_mesh(), 0, 5)
+    q = F.polygon_quadrature(unit_square_mesh().polygons([0]), 5)
     assert abs(q.weights.sum() - 1.0) < 1e-13
-    assert abs(np.sum(q.weights * q.points[:, 0]) - 0.5) < 1e-13
+    assert abs(np.sum(q.weights * q.points[..., 0]) - 0.5) < 1e-13
 
 
 @pytest.mark.parametrize("family,n", [("tri", 2), ("poly", 2)])
 def test_element_quadrature_weight_sum(family, n):
     mesh = M.build_mesh(family, n)
-    for e in range(mesh.num_elements):
-        q = F.element_quadrature(mesh, e, 6)
-        assert abs(q.weights.sum() - mesh.area(e)) < 1e-13
-        assert np.all(q.weights > 0)
+    polys = mesh.polygons(np.arange(mesh.num_elements))
+    q = F.polygon_quadrature(polys, 6)
+    assert np.abs(q.weights.sum(axis=-1) - M.polygon_areas(polys)).max() < 1e-13
+    assert np.all(q.weights > 0)
 
 
 def test_face_quadrature_length_and_param():
     mesh = M.build_unit_square_tri(2)
-    for fid, (v0, v1) in enumerate(mesh.face_vertices):
-        fq = F.face_quadrature(mesh, fid, 4)
-        assert abs(fq.weights.sum() - mesh.face_length[fid]) < 1e-13
-        p_interp = mesh.vertices[v0] + fq.params[:, None] * (
-            mesh.vertices[v1] - mesh.vertices[v0]
-        )
-        assert np.abs(p_interp - fq.points).max() < 1e-15
+    fq = F.face_quadratures(mesh, np.arange(mesh.num_faces), 4)
+    assert np.abs(fq.weights.sum(axis=-1) - mesh.face_length).max() < 1e-13
+    v0, v1 = mesh.vertices[mesh.face_vertices].swapaxes(0, 1)[..., None, :]
+    p_interp = v0 + fq.params[:, None] * (v1 - v0)
+    assert np.abs(p_interp - fq.points).max() < 1e-15
 
 
 def test_basis_dimension_and_constant():
     mesh = M.build_unit_square_poly(2)
-    basis = F.build_element_basis(mesh, 1, 2)
+    poly = mesh.polygons([1])
+    basis = F.build_element_bases(poly, np.array([1]), 2, F.polygon_quadrature(poly, 4))
     assert basis.dim == 6
-    area = mesh.area(1)
-    vals = basis.eval(mesh.centroid(1)[None, :])
-    assert abs(vals[0, 0] - 1.0 / np.sqrt(area)) < 1e-12
+    vals = basis.eval(M.polygon_centroids(poly)[:, None, :])
+    assert abs(vals[0, 0, 0] - 1.0 / np.sqrt(M.polygon_areas(poly)[0])) < 1e-12
 
 
 @pytest.mark.parametrize("family", ["tri", "poly"])
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_basis_gram_identity(family, degree):
     mesh = M.build_mesh(family, 2)
-    for e in range(mesh.num_elements):
-        basis = F.build_element_basis(mesh, e, degree)
-        q = F.element_quadrature(mesh, e, 2 * degree)
-        V = basis.eval(q.points)
-        gram = V.T @ (q.weights[:, None] * V)
-        assert np.abs(gram - np.eye(basis.dim)).max() < 1e-10
+    elements = np.arange(mesh.num_elements)
+    polys = mesh.polygons(elements)
+    q = F.polygon_quadrature(polys, 2 * degree)
+    basis = F.build_element_bases(polys, elements, degree, q)
+    V = basis.eval(q.points)
+    gram = V.swapaxes(-1, -2) @ (q.weights[..., None] * V)
+    assert np.abs(gram - np.eye(basis.dim)).max() < 1e-10
 
 
 @pytest.mark.parametrize("family", ["tri", "poly"])
@@ -106,27 +106,29 @@ def test_monomial_reproduction(family, degree):
     # projecting any monomial of total degree <= m onto the basis reproduces it
     mesh = M.build_mesh(family, 2)
     rng = np.random.default_rng(42)
-    pts = rng.uniform(0.0, 1.0, size=(20, 2))
-    for e in range(mesh.num_elements):
-        basis = F.build_element_basis(mesh, e, degree)
-        q = F.element_quadrature(mesh, e, 2 * degree)
-        V = basis.eval(q.points)
-        for a in range(degree + 1):
-            for b in range(degree + 1 - a):
-                f = lambda p: p[:, 0] ** a * p[:, 1] ** b
-                coeff = V.T @ (q.weights * f(q.points))
-                err = np.abs(basis.eval(pts) @ coeff - f(pts)).max()
-                assert err < 1e-10
+    pts = np.broadcast_to(rng.uniform(0.0, 1.0, size=(20, 2)), (mesh.num_elements, 20, 2))
+    elements = np.arange(mesh.num_elements)
+    polys = mesh.polygons(elements)
+    q = F.polygon_quadrature(polys, 2 * degree)
+    basis = F.build_element_bases(polys, elements, degree, q)
+    V = basis.eval(q.points)
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
+            f = lambda p: p[..., 0] ** a * p[..., 1] ** b
+            coeff = V.swapaxes(-1, -2) @ (q.weights * f(q.points))[..., None]
+            err = np.abs((basis.eval(pts) @ coeff)[..., 0] - f(pts)).max()
+            assert err < 1e-10
 
 
 def test_basis_gradient_matches_finite_differences():
     mesh = M.build_unit_square_poly(3)
-    basis = F.build_element_basis(mesh, 4, 3)
-    p0 = mesh.centroid(4)[None, :]
+    poly = mesh.polygons([4])
+    basis = F.build_element_bases(poly, np.array([4]), 3, F.polygon_quadrature(poly, 6))
+    p0 = M.polygon_centroids(poly)[:, None, :]
     h = 1e-6
-    g = basis.grad(p0)[0]
-    fx = (basis.eval(p0 + [[h, 0.0]]) - basis.eval(p0 - [[h, 0.0]]))[0] / (2 * h)
-    fy = (basis.eval(p0 + [[0.0, h]]) - basis.eval(p0 - [[0.0, h]]))[0] / (2 * h)
+    g = basis.grad(p0)[0, 0]
+    fx = (basis.eval(p0 + [h, 0.0]) - basis.eval(p0 - [h, 0.0]))[0, 0] / (2 * h)
+    fy = (basis.eval(p0 + [0.0, h]) - basis.eval(p0 - [0.0, h]))[0, 0] / (2 * h)
     assert np.abs(g[:, 0] - fx).max() < 1e-6
     assert np.abs(g[:, 1] - fy).max() < 1e-6
 
@@ -136,85 +138,86 @@ def test_divergence_theorem_consistency(family):
     # volume integral of grad(phi) . e equals the boundary flux of phi * e
     mesh = M.build_mesh(family, 2)
     k = 2
-    for e in range(mesh.num_elements):
-        basis = F.build_element_basis(mesh, e, k)
-        q = F.element_quadrature(mesh, e, 2 * k + 2)
+    # batches carry element bases of degree k and outward face normals
+    for batch in G.build_discretization(mesh, k - 1).element_batches():
+        basis = batch.basis
+        q = F.polygon_quadrature(mesh.polygons(batch.elements), 2 * k + 2)
         grads = basis.grad(q.points)
+        B, m = batch.face_ids.shape
+        fq = F.face_quadratures(mesh, batch.face_ids.ravel(), 2 * k + 2)
+        phif = basis.eval(fq.points.reshape(B, -1, 2)).reshape(B, m, len(fq.params), -1)
+        fw = fq.weights.reshape(B, m, -1)
         for direction in (np.array([1.0, 0.0]), np.array([0.3, -1.2])):
-            vol = np.einsum("q,qid,d->i", q.weights, grads, direction)
-            surf = np.zeros(basis.dim)
-            for fid in mesh.element_faces[mesh.slots([e])[0]]:
-                fq = F.face_quadrature(mesh, fid, 2 * k + 2)
-                nrm = mesh.outward_normal(e, fid)
-                surf += basis.eval(fq.points).T @ fq.weights * (direction @ nrm)
+            vol = np.einsum("bq,bqid,d->bi", q.weights, grads, direction)
+            surf = np.einsum("bmqi,bmq,bm->bi", phif, fw, batch.normals @ direction)
             assert np.abs(vol - surf).max() < 1e-11
 
 
 def test_stress_basis_symmetry_and_dimension():
     mesh = M.build_unit_square_tri(1)
-    scalar = F.build_element_basis(mesh, 0, 3)
+    poly = mesh.polygons([0])
+    scalar = F.build_element_bases(poly, np.array([0]), 3, F.polygon_quadrature(poly, 6))
     for k in (1, 2):
         sb = F.StressBasis(scalar, k)
         assert sb.dim == 3 * (k + 1) * (k + 2) // 2
         rng = np.random.default_rng(0)
         coeffs = rng.normal(size=sb.dim)
-        vals = sb.eval_field(coeffs, rng.uniform(0.2, 0.6, size=(7, 2)))
-        assert np.abs(vals - np.swapaxes(vals, 1, 2)).max() == 0.0
+        vals = sb.eval_field(coeffs, rng.uniform(0.2, 0.6, size=(1, 7, 2)))
+        assert vals.shape == (1, 7, 2, 2)
+        assert np.abs(vals - np.swapaxes(vals, -1, -2)).max() == 0.0
 
 
 def test_face_basis_orthonormal():
     mesh = M.build_unit_square_poly(2)
-    for fid in range(mesh.num_faces):
-        fb = F.build_face_basis(mesh, fid, 3)
-        fq = F.face_quadrature(mesh, fid, 8)
-        modes = fb.eval_param(fq.params)
-        gram = modes.T @ (fq.weights[:, None] * modes)
-        assert np.abs(gram - np.eye(fb.nmodes)).max() < 1e-12
+    fq = F.face_quadratures(mesh, np.arange(mesh.num_faces), 8)
+    modes = F.face_modes(fq.params, 3, mesh.face_length)
+    gram = modes.swapaxes(-1, -2) @ (fq.weights[..., None] * modes)
+    assert np.abs(gram - np.eye(4)).max() < 1e-12
 
 
 def test_project_trace_reproduces_linear():
     mesh = M.build_unit_square_tri(2)
-    fid = mesh.interior_faces()[0]
-    fb = F.build_face_basis(mesh, fid, 1)
-    fq = F.face_quadrature(mesh, fid, 6)
+    fid = mesh.interior_faces()[:1]
+    fq = F.face_quadratures(mesh, fid, 6)
+    modes = F.face_modes(fq.params, 1, mesh.face_length[fid])[0]
     fn = lambda p: np.stack([2.0 * p[:, 0] - p[:, 1], 0.5 + p[:, 1]], axis=1)
-    coeffs = F.project_trace(fn, fb, fq)
-    vals = fb.eval_param(fq.params) @ coeffs.reshape(-1, 2)
-    assert np.abs(vals - fn(fq.points)).max() < 1e-12
+    pts, w = fq.points[0], fq.weights[0]
+    coeffs = F.trace_moments(modes, w, fn(pts))
+    vals = modes @ coeffs.reshape(-1, 2)
+    assert np.abs(vals - fn(pts)).max() < 1e-12
 
 
 def test_project_trace_mean_value_k0():
     # projecting s^2 onto constants over a unit-length face gives 1/3
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     mesh = M._assemble(verts, [(0, 1, 2)], "custom", 0)
-    fid = np.flatnonzero((mesh.face_length == 1.0) & (mesh.face_vertices[:, 0] == 0))[0]
-    fb = F.build_face_basis(mesh, fid, 0)
-    fq = F.face_quadrature(mesh, fid, 6)
-    fn = lambda p: np.stack([fq.params**2, np.zeros(len(p))], axis=1)
-    coeffs = F.project_trace(fn, fb, fq)
-    value = fb.eval_param(np.array([0.5])) @ coeffs.reshape(-1, 2)
+    fid = np.flatnonzero((mesh.face_length == 1.0) & (mesh.face_vertices[:, 0] == 0))[:1]
+    fq = F.face_quadratures(mesh, fid, 6)
+    length = mesh.face_length[fid]
+    vals = np.stack([fq.params**2, np.zeros(len(fq.params))], axis=1)
+    coeffs = F.trace_moments(F.face_modes(fq.params, 0, length)[0], fq.weights[0], vals)
+    value = F.face_modes(np.array([0.5]), 0, length)[0] @ coeffs.reshape(-1, 2)
     assert abs(value[0, 0] - 1.0 / 3.0) < 1e-14
 
 
 def test_project_trace_orthogonality_and_idempotence():
     mesh = M.build_unit_square_poly(3)
-    fid = mesh.interior_faces()[3]
-    fb = F.build_face_basis(mesh, fid, 2)
-    fq = F.face_quadrature(mesh, fid, 12)
+    fid = mesh.interior_faces()[3:4]
+    fq = F.face_quadratures(mesh, fid, 12)
+    modes = F.face_modes(fq.params, 2, mesh.face_length[fid])[0]
+    pts, w = fq.points[0], fq.weights[0]
     rng = np.random.default_rng(11)
     c = rng.normal(size=6)
     fn = lambda p: np.stack(
         [np.sin(3.0 * p[:, 0]) + c[0] * p[:, 1] ** 3, np.cos(2.0 * p[:, 1]) + c[1]], axis=1
     )
-    coeffs = F.project_trace(fn, fb, fq)
-    modes = fb.eval_param(fq.params)
-    residual = fn(fq.points) - modes @ coeffs.reshape(-1, 2)
+    coeffs = F.trace_moments(modes, w, fn(pts))
+    residual = fn(pts) - modes @ coeffs.reshape(-1, 2)
     # residual orthogonal to every trace function
-    orth = modes.T @ (fq.weights[:, None] * residual)
+    orth = modes.T @ (w[:, None] * residual)
     assert np.abs(orth).max() < 1e-11
     # projecting the projection changes nothing
-    proj_fn = lambda p: fb.eval_param(fq.params) @ coeffs.reshape(-1, 2)
-    again = F.project_trace(proj_fn, fb, fq)
+    again = F.trace_moments(modes, w, modes @ coeffs.reshape(-1, 2))
     assert np.abs(again - coeffs).max() < 1e-14
 
 
@@ -233,9 +236,11 @@ def test_trace_dof_map_counts_and_ranges():
     assert dm2b.n_interior == 48
 
     # ranges are disjoint and contiguous, interior indices are a permutation
+    disc = G.build_discretization(mesh2, 1)
+    assert np.array_equal(disc.dofmap.face_offset, dm2.face_offset)
     seen = set()
     for fid in range(mesh2.num_faces):
-        dofs = dm2.face_dofs(fid)
+        dofs = disc.face_dofs(fid)
         assert list(dofs) == list(range(dofs[0], dofs[0] + 4))
         assert not seen & set(dofs)
         seen |= set(dofs)
@@ -247,8 +252,9 @@ def test_degenerate_element_conditioning_error():
     # a zero-area (collinear) triangle cannot support an orthonormal basis
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     degenerate = M._assemble(verts, [(0, 1, 2)], "custom", 0)
+    poly = degenerate.polygons([0])
     with pytest.raises(F.ElementConditioningError):
-        F.build_element_basis(degenerate, 0, 2)
+        F.build_element_bases(poly, np.array([0]), 2, F.polygon_quadrature(poly, 4))
 
 
 def _stacked_powers(x, deg):

@@ -61,6 +61,26 @@ def test_plane_strain_nu_range():
     assert any("nu:" in p for p in H.RunConfig(material="plane_strain", nu=0.5).problems())
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "field,value,material",
+    [
+        ("E", 0.0, "plane_stress"),
+        ("E", INF, "plane_strain"),
+        ("tau_c", NAN, "plane_stress"),
+        ("tol", -1.0, "plane_stress"),
+        ("tol", 0.0, "plane_stress"),
+        ("p_d", 0.0, "deviatoric"),
+        ("p_t", NAN, "deviatoric"),
+    ],
+)
+def test_problems_reject_nonpositive_or_nonfinite(field, value, material):
+    msgs = H.RunConfig(material=material, **{field: value}).problems()
+    assert [m for m in msgs if m.startswith(f"{field}: must be positive and finite")], msgs
+
+
 def test_run_solve_smoke_and_artifacts(tmp_path):
     out = tmp_path / "row.csv"
     vtk = tmp_path / "field.vtk"
@@ -251,3 +271,22 @@ def test_cli_deviatoric_flags(capsys):
                    "--solution", "test1"])
     assert rc == cli.EXIT_OK
     assert "sigma_proj=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags,field",
+    [
+        (["--E", "0"], "E"),
+        (["--tau-c", "nan"], "tau_c"),
+        (["--tol", "-1"], "tol"),
+        (["--tol", "0", "--solver", "cg"], "tol"),
+        (["--material", "deviatoric", "--p-d", "0"], "p_d"),
+        (["--material", "deviatoric", "--p-t", "nan"], "p_t"),
+    ],
+)
+def test_cli_bad_value_is_config_error(flags, field, capsys):
+    rc = cli.main(["solve", "--mesh", "tri", "--n", "2", "--k", "1", *flags])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_CONFIG
+    assert err.startswith(f"config error: {field}: must be positive and finite")
+    assert "Traceback" not in err

@@ -30,6 +30,15 @@ def solve_manufactured(family, n, k, sol, material, tau_c=3.0, variant="projecte
     return mesh, tau, disc, systems, glob, dsol, stats
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan")])
+@pytest.mark.parametrize("method", ["cholesky", "cg"])
+def test_solve_condensed_rejects_nonpositive_tol(method, tol):
+    disc = G.build_discretization(M.build_unit_square_tri(2), 1)
+    glob = G.assemble_global(disc, G.build_element_systems(disc, PLANE_STRESS, tau=2.0))
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        G.solve_condensed(glob, method, tol)
+
+
 def test_system_size_single_interior_face():
     mesh = M.build_unit_square_tri(1)
     disc = G.build_discretization(mesh, 1)
@@ -349,12 +358,9 @@ def test_mixed_face_counts_batched_like_single_elements(monkeypatch):
     tau = 3.0 / mesh.h
     f_fn = lambda pts: MF.body_force(sol, material, pts)
     for e, batched in enumerate(elements):
-        ctx = L.build_element_context(mesh, e, k, disc.face_quad, disc.face_modes)
-        blocks = L.assemble_local_blocks(ctx, material, tau)
-        ops = L.build_local_solvers(blocks)
-        qs, us = ops.source_parts(L.displacement_moments(ctx, f_fn))
-        single = [L.condense(ops, blocks), L.condensed_rhs(blocks, qs, us),
-                  ops.stress_map, ops.disp_map, qs, us]
+        batch = L.element_batch(mesh, k, np.array([e]), disc.face_quad, disc.face_modes)
+        cb = L.condense_batch(batch, material, tau, f_fn=f_fn)
+        single = [getattr(cb, name)[0] for name in ELEMENT_RESULTS]
         for name, a, b in zip(ELEMENT_RESULTS, batched, single):
             assert np.array_equal(a, b), (e, name)
 

@@ -9,18 +9,20 @@ from hdgelast import mesh as M
 from hdgelast.material import ComplianceTensor
 
 
-def make_context(mesh, e, k):
+def one_element(mesh, e, k):
+    """Element ``e`` as a one-element batch."""
     disc = G.build_discretization(mesh, k)
-    return L.build_element_context(mesh, e, k, disc.face_quad, disc.face_modes)
+    return L.element_batch(mesh, k, np.array([e]), disc.face_quad, disc.face_modes)
 
 
-def trace_coefficients(ctx, mesh, fn):
-    """Face-space projection of a smooth vector field on the element boundary."""
-    lam = []
-    for fid in ctx.face_ids:
-        fq = F.face_quadrature(mesh, fid, 2 * ctx.k + 8)
-        lam.append(F.project_trace(fn, F.build_face_basis(mesh, fid, ctx.k), fq))
-    return np.concatenate(lam)
+def trace_coefficients(batch, fn):
+    """Face-space projection of a smooth vector field on the boundary of the
+    element of a one-element batch."""
+    fids = batch.face_ids[0]
+    fq = F.face_quadratures(batch.mesh, fids, 2 * batch.k + 8)
+    modes = F.face_modes(fq.params, batch.k, batch.mesh.face_length[fids])
+    vals = fn(fq.points.reshape(-1, 2)).reshape(fq.points.shape)
+    return F.trace_moments(modes, fq.weights, vals).ravel()
 
 
 PLANE_STRESS = ComplianceTensor.plane_stress(1.0, 0.3)
@@ -29,13 +31,12 @@ PLANE_STRESS = ComplianceTensor.plane_stress(1.0, 0.3)
 def test_block_dimensions():
     mesh = M.build_unit_square_poly(2)
     for k in (1, 2):
-        ctx = make_context(mesh, 0, k)
-        blocks = L.assemble_local_blocks(ctx, PLANE_STRESS, tau=4.0)
+        blocks = L.batch_blocks(one_element(mesh, 0, k), PLANE_STRESS, 4.0, "projected")
         p_s = (k + 1) * (k + 2) // 2
         p_u = (k + 2) * (k + 3) // 2
         assert blocks.stress_mass.shape == (3 * p_s, 3 * p_s)
-        assert blocks.div_coupling.shape == (3 * p_s, 2 * p_u)
-        assert blocks.trace_coupling.shape == (3 * p_s, 4 * 2 * (k + 1))
+        assert blocks.div_coupling.shape == (1, 3 * p_s, 2 * p_u)
+        assert blocks.trace_coupling.shape == (1, 3 * p_s, 4 * 2 * (k + 1))
         assert blocks.stab_lamlam.shape[0] == 4 * 2 * (k + 1)
 
 
@@ -44,14 +45,13 @@ def test_stress_mass_spd_and_unit_entry():
     # unit-area element integrates to exactly 1
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     mesh = M._assemble(verts, [(0, 1, 2, 3)], "custom", 0)
-    ctx = make_context(mesh, 0, 1)
     identity_material = ComplianceTensor.plane_stress(1.0, 0.0)
-    blocks = L.assemble_local_blocks(ctx, identity_material, tau=1.0)
+    blocks = L.batch_blocks(one_element(mesh, 0, 1), identity_material, 1.0, "projected")
     p_s = 3
     # coefficients of the constant function e11: first scalar mode is
     # 1/sqrt(area), so the coefficient is sqrt(area) = 1
     c = np.zeros(3 * p_s)
-    c[0] = np.sqrt(mesh.area(0))
+    c[0] = np.sqrt(M.polygon_areas(mesh.polygons([0]))[0])
     assert c @ blocks.stress_mass @ c == pytest.approx(1.0, abs=1e-13)
     w = np.linalg.eigvalsh(blocks.stress_mass)
     assert w.min() > 0
@@ -61,46 +61,45 @@ def test_divergence_coupling_integration_by_parts():
     # (u, div v) = <u, v n> - (grad u : v) for polynomial u, v
     mesh = M.build_unit_square_poly(2)
     k = 2
-    ctx = make_context(mesh, 1, k)
-    blocks = L.assemble_local_blocks(ctx, PLANE_STRESS, tau=2.0)
+    batch = one_element(mesh, 1, k)
+    blocks = L.batch_blocks(batch, PLANE_STRESS, 2.0, "projected")
     p_s = F.scalar_dim(k)
     p_u = F.scalar_dim(k + 1)
     rng = np.random.default_rng(8)
     s = rng.normal(size=3 * p_s)
     w = rng.normal(size=2 * p_u)
-    lhs = s @ blocks.div_coupling @ w
+    lhs = s @ blocks.div_coupling[0] @ w
 
-    quad = F.element_quadrature(mesh, 1, 2 * k + 4)
+    quad = F.polygon_quadrature(mesh.polygons([1]), 2 * k + 4)
     dirs = F.StressBasis.DIRECTIONS
-    phi = ctx.basis.eval(quad.points, p_s)
+    phi = batch.basis.eval(quad.points, p_s)[0]
     sig = np.einsum("qi,ci,cab->qab", phi, s.reshape(3, p_s), dirs)
-    gphi = ctx.basis.grad(quad.points)
+    gphi = batch.basis.grad(quad.points)[0]
     grad_u = np.einsum("qjd,mj->qmd", gphi, w.reshape(2, p_u))
-    volume = np.einsum("q,qab,qab->", quad.weights, grad_u, sig)
+    volume = np.einsum("q,qab,qab->", quad.weights[0], grad_u, sig)
     surface = 0.0
-    for fid in ctx.face_ids:
-        fq = F.face_quadrature(mesh, fid, 2 * k + 4)
-        nrm = mesh.outward_normal(1, fid)
-        phif = ctx.basis.eval(fq.points)
+    fq = F.face_quadratures(mesh, batch.face_ids[0], 2 * k + 4)
+    for j, nrm in enumerate(batch.normals[0]):
+        phif = batch.basis.eval(fq.points[j][None])[0]
         uf = np.einsum("qj,mj->qm", phif, w.reshape(2, p_u))
         sigf = np.einsum("qi,ci,cab->qab", phif[:, :p_s], s.reshape(3, p_s), dirs)
-        surface += np.einsum("q,qm,qm->", fq.weights, uf, sigf @ nrm)
+        surface += np.einsum("q,qm,qm->", fq.weights[j], uf, sigf @ nrm)
     assert lhs == pytest.approx(surface - volume, abs=1e-12 * max(1.0, abs(lhs)))
 
 
 def test_trace_mass_is_scaled_identity():
     mesh = M.build_unit_square_tri(2)
-    ctx = make_context(mesh, 0, 1)
+    batch = one_element(mesh, 0, 1)
     tau = 2.5
-    blocks = L.assemble_local_blocks(ctx, PLANE_STRESS, tau=tau)
-    assert np.abs(blocks.stab_lamlam - tau * np.eye(ctx.n_trace)).max() == 0.0
+    blocks = L.batch_blocks(batch, PLANE_STRESS, tau, "projected")
+    assert np.abs(blocks.stab_lamlam - tau * np.eye(batch.n_trace)).max() == 0.0
 
 
 def test_stabilization_scales_linearly_with_tau():
     mesh = M.build_unit_square_poly(2)
-    ctx = make_context(mesh, 2, 1)
-    b1 = L.assemble_local_blocks(ctx, PLANE_STRESS, tau=1.0)
-    b2 = L.assemble_local_blocks(ctx, PLANE_STRESS, tau=2.0)
+    batch = one_element(mesh, 2, 1)
+    b1 = L.batch_blocks(batch, PLANE_STRESS, 1.0, "projected")
+    b2 = L.batch_blocks(batch, PLANE_STRESS, 2.0, "projected")
     assert np.abs(b2.stab_uu - 2.0 * b1.stab_uu).max() < 1e-14
     assert np.abs(b2.stab_ulam - 2.0 * b1.stab_ulam).max() < 1e-14
     assert np.abs(b2.stab_lamlam - 2.0 * b1.stab_lamlam).max() < 1e-14
@@ -110,12 +109,12 @@ def test_stabilization_scales_linearly_with_tau():
 
 def test_local_solver_zero_data():
     mesh = M.build_unit_square_tri(1)
-    ctx = make_context(mesh, 0, 1)
-    blocks = L.assemble_local_blocks(ctx, PLANE_STRESS, tau=3.0)
-    ops = L.build_local_solvers(blocks)
-    lam = np.zeros(ctx.n_trace)
-    assert np.abs(ops.stress_map @ lam).max() == 0.0
-    qs, us = ops.source_parts(np.zeros(ctx.n_disp))
+    batch = one_element(mesh, 0, 1)
+    blocks = L.batch_blocks(batch, PLANE_STRESS, 3.0, "projected")
+    ops = L._factor(blocks)
+    lam = np.zeros(batch.n_trace)
+    assert np.abs(ops.stress_map[0] @ lam).max() == 0.0
+    qs, us = L._source_parts(ops, np.zeros((1, batch.n_disp)))
     assert np.abs(qs).max() == 0.0 and np.abs(us).max() == 0.0
 
 
@@ -126,17 +125,17 @@ def test_rigid_motion_is_local_kernel(family):
     k = 1
     sol = MF.rigid_motion_solution(0.9, (0.2, -0.4))
     for e in (0, mesh.num_elements - 1):
-        ctx = make_context(mesh, e, k)
-        blocks = L.assemble_local_blocks(ctx, PLANE_STRESS, tau=1.0 / mesh.h)
-        ops = L.build_local_solvers(blocks)
-        lam = trace_coefficients(ctx, mesh, sol.u)
-        q = ops.stress_map @ lam
-        u = ops.disp_map @ lam
+        batch = one_element(mesh, e, k)
+        blocks = L.batch_blocks(batch, PLANE_STRESS, 1.0 / mesh.h, "projected")
+        ops = L._factor(blocks)
+        lam = trace_coefficients(batch, sol.u)
+        q = ops.stress_map[0] @ lam
+        u = ops.disp_map[0] @ lam
         assert np.abs(q).max() < 1e-11
-        quad = F.element_quadrature(mesh, e, 6)
+        pts = F.polygon_quadrature(mesh.polygons([e]), 6).points
         p_u = F.scalar_dim(k + 1)
-        uh = ctx.basis.eval(quad.points) @ u.reshape(2, p_u).T
-        assert np.abs(uh - sol.u(quad.points)).max() < 1e-11
+        uh = batch.basis.eval(pts)[0] @ u.reshape(2, p_u).T
+        assert np.abs(uh - sol.u(pts[0])).max() < 1e-11
 
 
 def test_linear_displacement_constant_stress():
@@ -146,19 +145,19 @@ def test_linear_displacement_constant_stress():
     sol = MF.polynomial_solution([[0.0], [1.0]], [[0.0]], name="stretch")
     expected_sigma = MF.stress(sol, PLANE_STRESS, np.array([[0.5, 0.5]]))[0]
     for e in range(mesh.num_elements):
-        ctx = make_context(mesh, e, k)
-        blocks = L.assemble_local_blocks(ctx, PLANE_STRESS, tau=2.0 / mesh.h)
-        ops = L.build_local_solvers(blocks)
-        lam = trace_coefficients(ctx, mesh, sol.u)
-        q = ops.stress_map @ lam
-        u = ops.disp_map @ lam
-        pts = F.element_quadrature(mesh, e, 4).points
+        batch = one_element(mesh, e, k)
+        blocks = L.batch_blocks(batch, PLANE_STRESS, 2.0 / mesh.h, "projected")
+        ops = L._factor(blocks)
+        lam = trace_coefficients(batch, sol.u)
+        q = ops.stress_map[0] @ lam
+        u = ops.disp_map[0] @ lam
+        pts = F.polygon_quadrature(mesh.polygons([e]), 4).points
         p_s, p_u = F.scalar_dim(k), F.scalar_dim(k + 1)
-        sb = F.StressBasis(ctx.basis, k)
-        sig = sb.eval_field(q, pts)
+        sb = F.StressBasis(batch.basis, k)
+        sig = sb.eval_field(q, pts)[0]
         assert np.abs(sig - expected_sigma).max() < 1e-10
-        uh = ctx.basis.eval(pts) @ u.reshape(2, p_u).T
-        assert np.abs(uh - sol.u(pts)).max() < 1e-10
+        uh = batch.basis.eval(pts)[0] @ u.reshape(2, p_u).T
+        assert np.abs(uh - sol.u(pts[0])).max() < 1e-10
 
 
 @pytest.mark.parametrize("family", ["tri", "poly"])
@@ -167,10 +166,10 @@ def test_condensed_kernel_and_psd(family, k):
     mesh = M.build_mesh(family, 2)
     material = ComplianceTensor.plane_strain(3.0, 0.49)
     for e in (0, mesh.num_elements // 2):
-        ctx = make_context(mesh, e, k)
-        blocks = L.assemble_local_blocks(ctx, material, tau=1.0 / mesh.h)
-        ops = L.build_local_solvers(blocks)
-        A = L.condense(ops, blocks)
+        batch = one_element(mesh, e, k)
+        blocks = L.batch_blocks(batch, material, 1.0 / mesh.h, "projected")
+        ops = L._factor(blocks)
+        A = L._condense(ops, blocks, 1e-9)[0]
         w = np.linalg.eigvalsh(A)
         assert w[0] >= -1e-10 * w[-1]
         assert int(np.sum(w < 1e-10 * w[-1])) == 3
@@ -180,7 +179,7 @@ def test_condensed_kernel_and_psd(family, k):
             MF.rigid_motion_solution(0.0, (1.0, 0.0)),
             MF.rigid_motion_solution(0.0, (0.0, 1.0)),
         ):
-            lam = trace_coefficients(ctx, mesh, rigid.u)
+            lam = trace_coefficients(batch, rigid.u)
             assert np.abs(A @ lam).max() < 1e-10 * np.abs(A).max() * max(
                 1.0, np.abs(lam).max()
             )
@@ -193,16 +192,16 @@ def test_flux_and_quadratic_forms_agree(k):
     material = PLANE_STRESS
     rng = np.random.default_rng(123)
     for e in range(mesh.num_elements):
-        ctx = make_context(mesh, e, k)
-        blocks = L.assemble_local_blocks(ctx, material, tau=1.0 / mesh.h)
-        ops = L.build_local_solvers(blocks)
-        A_quad = L.condense(ops, blocks)
-        A_flux = L.condense_flux_form(ops, blocks)
+        batch = one_element(mesh, e, k)
+        blocks = L.batch_blocks(batch, material, 1.0 / mesh.h, "projected")
+        ops = L._factor(blocks)
+        A_quad = L._condense(ops, blocks, 1e-9)[0]
+        A_flux = L._flux_form(ops, blocks)[0]
         scale = np.abs(A_quad).max()
         assert np.abs(A_quad - A_flux).max() < 1e-10 * scale
         for _ in range(20):
-            lam = rng.normal(size=ctx.n_trace)
-            mu = rng.normal(size=ctx.n_trace)
+            lam = rng.normal(size=batch.n_trace)
+            mu = rng.normal(size=batch.n_trace)
             a1 = lam @ A_quad @ mu
             a2 = lam @ A_flux @ mu
             assert abs(a1 - a2) < 1e-10 * scale * np.linalg.norm(lam) * np.linalg.norm(mu)
@@ -216,30 +215,25 @@ def test_condensed_matches_dense_schur_complement(family, elems, k):
     mesh = M.build_mesh(family, 2)
     material = ComplianceTensor.plane_strain(3.0, 0.3)
     for e in elems:
-        ctx = make_context(mesh, e, k)
-        blocks = L.assemble_local_blocks(ctx, material, tau=2.0 / mesh.h)
-        ops = L.build_local_solvers(blocks)
-        A = L.condense(ops, blocks)
+        batch = one_element(mesh, e, k)
+        blocks = L.batch_blocks(batch, material, 2.0 / mesh.h, "projected")
+        ops = L._factor(blocks)
+        A = L._condense(ops, blocks, 1e-9)[0]
 
-        n_s, n_u = ctx.n_stress, ctx.n_disp
-        MM = np.block(
-            [
-                [-blocks.stress_mass, -blocks.div_coupling],
-                [-blocks.div_coupling.T, blocks.stab_uu],
-            ]
-        )
-        N = np.vstack([blocks.trace_coupling, -blocks.stab_ulam])
+        D = blocks.div_coupling[0]
+        MM = np.block([[-blocks.stress_mass, -D], [-D.T, blocks.stab_uu[0]]])
+        N = np.vstack([blocks.trace_coupling[0], -blocks.stab_ulam[0]])
         schur = blocks.stab_lamlam - N.T @ np.linalg.solve(MM, N)
         assert np.abs(A - schur).max() < 1e-10 * np.abs(schur).max()
 
 
 def test_condensed_rhs_zero_for_zero_force():
     mesh = M.build_unit_square_tri(1)
-    ctx = make_context(mesh, 0, 1)
-    blocks = L.assemble_local_blocks(ctx, PLANE_STRESS, tau=1.0)
-    ops = L.build_local_solvers(blocks)
-    qs, us = ops.source_parts(np.zeros(ctx.n_disp))
-    assert np.abs(L.condensed_rhs(blocks, qs, us)).max() == 0.0
+    batch = one_element(mesh, 0, 1)
+    blocks = L.batch_blocks(batch, PLANE_STRESS, 1.0, "projected")
+    ops = L._factor(blocks)
+    qs, us = L._source_parts(ops, np.zeros((1, batch.n_disp)))
+    assert np.abs(L._rhs(blocks, qs, us)).max() == 0.0
 
 
 def test_local_equations_satisfied_by_solvers():
@@ -247,32 +241,30 @@ def test_local_equations_satisfied_by_solvers():
     # equations for every trace basis vector and for a source load
     mesh = M.build_unit_square_poly(2)
     k = 2
-    ctx = make_context(mesh, 0, k)
+    batch = one_element(mesh, 0, k)
     material = ComplianceTensor.plane_strain(3.0, 0.49)
     tau = 1.0 / mesh.h
-    blocks = L.assemble_local_blocks(ctx, material, tau)
-    ops = L.build_local_solvers(blocks)
-    n_lam = ctx.n_trace
-    eye = np.eye(n_lam)
-    r1 = blocks.stress_mass @ ops.stress_map + blocks.div_coupling @ ops.disp_map - blocks.trace_coupling
-    r2 = (
-        -blocks.div_coupling.T @ ops.stress_map
-        + blocks.stab_uu @ ops.disp_map
-        - blocks.stab_ulam @ eye
-    )
+    blocks = L.batch_blocks(batch, material, tau, "projected")
+    ops = L._factor(blocks)
+    A, D, C = blocks.stress_mass, blocks.div_coupling[0], blocks.trace_coupling[0]
+    S_uu, S_ulam = blocks.stab_uu[0], blocks.stab_ulam[0]
+    Q, U = ops.stress_map[0], ops.disp_map[0]
+    eye = np.eye(batch.n_trace)
+    r1 = A @ Q + D @ U - C
+    r2 = -D.T @ Q + S_uu @ U - S_ulam @ eye
     assert np.abs(r1).max() < 1e-11
     assert np.abs(r2).max() < 1e-11
-    f_mom = L.displacement_moments(ctx, lambda p: np.stack([p[:, 0], -p[:, 1]], axis=1))
-    qs, us = ops.source_parts(f_mom)
-    assert np.abs(blocks.stress_mass @ qs + blocks.div_coupling @ us).max() < 1e-11
-    assert np.abs(-blocks.div_coupling.T @ qs + blocks.stab_uu @ us + f_mom).max() < 1e-11
+    f_mom = L.batch_moments(batch, lambda p: np.stack([p[:, 0], -p[:, 1]], axis=1))
+    qs, us = (x[0] for x in L._source_parts(ops, f_mom))
+    assert np.abs(A @ qs + D @ us).max() < 1e-11
+    assert np.abs(-D.T @ qs + S_uu @ us + f_mom[0]).max() < 1e-11
 
 
 def test_variant_plain_changes_only_uu_stabilization():
     mesh = M.build_unit_square_tri(2)
-    ctx = make_context(mesh, 0, 1)
-    bp = L.assemble_local_blocks(ctx, PLANE_STRESS, tau=1.0, variant="projected")
-    bu = L.assemble_local_blocks(ctx, PLANE_STRESS, tau=1.0, variant="plain")
+    batch = one_element(mesh, 0, 1)
+    bp = L.batch_blocks(batch, PLANE_STRESS, 1.0, "projected")
+    bu = L.batch_blocks(batch, PLANE_STRESS, 1.0, "plain")
     assert np.abs(bp.trace_coupling - bu.trace_coupling).max() == 0.0
     assert np.abs(bp.stab_ulam - bu.stab_ulam).max() == 0.0
     assert np.abs(bp.stab_uu - bu.stab_uu).max() > 1e-8
@@ -280,19 +272,18 @@ def test_variant_plain_changes_only_uu_stabilization():
 
 def test_invalid_inputs():
     mesh = M.build_unit_square_tri(1)
-    ctx = make_context(mesh, 0, 1)
+    batch = one_element(mesh, 0, 1)
     with pytest.raises(ValueError):
-        L.assemble_local_blocks(ctx, PLANE_STRESS, tau=0.0)
+        L.batch_blocks(batch, PLANE_STRESS, 0.0, "projected")
     with pytest.raises(ValueError):
-        L.assemble_local_blocks(ctx, PLANE_STRESS, tau=1.0, variant="bogus")
+        L.batch_blocks(batch, PLANE_STRESS, 1.0, "bogus")
 
 
 def test_singular_local_system_reports_element(monkeypatch):
     import dataclasses
 
     mesh = M.build_unit_square_tri(1)
-    ctx = make_context(mesh, 0, 1)
-    blocks = L.assemble_local_blocks(ctx, PLANE_STRESS, tau=1.0)
+    blocks = L.batch_blocks(one_element(mesh, 0, 1), PLANE_STRESS, 1.0, "projected")
     broken = dataclasses.replace(
         blocks,
         stress_mass=np.zeros_like(blocks.stress_mass),
@@ -303,7 +294,7 @@ def test_singular_local_system_reports_element(monkeypatch):
     with pytest.raises(L.LocalSolverError, match="element 0"):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            L.build_local_solvers(broken)
+            L._factor(broken)
 
     # in a batch, the check names the bad element: a zero pivot in the
     # middle of the batch, and a factorization that is not finite

@@ -3,7 +3,6 @@ import pytest
 
 from hdgelast import fespace as F
 from hdgelast import hdg_global as G
-from hdgelast import hdg_local as L
 from hdgelast import manufactured as MF
 from hdgelast import mesh as M
 from hdgelast import postproc as P
@@ -27,36 +26,35 @@ def small_solve(family="tri", n=2, k=1, sol=None, material=PLANE_STRESS, tau_c=3
     return mesh, tau, disc, dsol
 
 
-def contexts(disc):
-    """Per-element contexts of the elements a solution was computed on."""
-    return [
-        L.build_element_context(disc.mesh, e, disc.k, disc.face_quad, disc.face_modes)
-        for e in range(disc.mesh.num_elements)
-    ]
+def error_quadratures(disc, batches):
+    """Each batch with its error quadrature."""
+    qe = P.error_quadrature_exactness(disc.k)
+    for batch in batches:
+        yield batch, F.polygon_quadrature(disc.mesh.polygons(batch.elements), qe)
 
 
 def test_projection_reproduces_discrete_stress():
     mesh, tau, disc, dsol = small_solve()
-    ctx = contexts(disc)[0]
-    quad = F.element_quadrature(mesh, 0, P.error_quadrature_exactness(1))
+    batch, quad = next(error_quadratures(disc, dsol.batches))
     p_s = F.scalar_dim(1)
-    sb = F.StressBasis(ctx.basis, 1)
+    sb = F.StressBasis(batch.basis, 1)
     rng = np.random.default_rng(4)
-    coeffs = rng.normal(size=sb.dim)
-    proj = P.project_stress(ctx, quad, lambda pts: sb.eval_field(coeffs, pts))
+    coeffs = rng.normal(size=(len(batch.elements), sb.dim))
+    sig = sb.eval_field(coeffs, quad.points)
+    proj = P._stress_projection(batch.basis.eval(quad.points, p_s), quad.weights, sig)
     assert np.abs(proj - coeffs).max() < 1e-11
 
 
 def test_projection_orthogonality_displacement():
     mesh, tau, disc, dsol = small_solve()
-    ctx = contexts(disc)[1]
-    quad = F.element_quadrature(mesh, 1, P.error_quadrature_exactness(1))
+    batch, quad = next(error_quadratures(disc, dsol.batches))
     exact = MF.test1_solution()
-    coeffs = P.project_displacement(ctx, quad, exact.u)
+    u_ex = exact.u(quad.points.reshape(-1, 2)).reshape(quad.points.shape)
+    phi = batch.basis.eval(quad.points)
+    coeffs = F.basis_moments(phi, quad.weights, u_ex)
     p_u = F.scalar_dim(2)
-    phi = ctx.basis.eval(quad.points)
-    residual = exact.u(quad.points) - phi @ coeffs.reshape(2, p_u).T
-    orth = phi.T @ (quad.weights[:, None] * residual)
+    residual = u_ex - phi @ coeffs.reshape(-1, 2, p_u).swapaxes(-1, -2)
+    orth = phi.swapaxes(-1, -2) @ (quad.weights[..., None] * residual)
     assert np.abs(orth).max() < 1e-11
 
 
@@ -69,14 +67,13 @@ def test_displacement_projection_error_order():
         disc = G.build_discretization(mesh, k)
         exact = MF.test1_solution()
         total = 0.0
-        for e in range(mesh.num_elements):
-            ctx = L.build_element_context(mesh, e, k, disc.face_quad, disc.face_modes)
-            quad = F.element_quadrature(mesh, e, P.error_quadrature_exactness(k))
-            coeffs = P.project_displacement(ctx, quad, exact.u)
-            phi = ctx.basis.eval(quad.points)
+        for batch, quad in error_quadratures(disc, disc.element_batches()):
+            u_ex = exact.u(quad.points.reshape(-1, 2)).reshape(quad.points.shape)
+            phi = batch.basis.eval(quad.points)
+            coeffs = F.basis_moments(phi, quad.weights, u_ex)
             p_u = F.scalar_dim(k + 1)
-            diff = exact.u(quad.points) - phi @ coeffs.reshape(2, p_u).T
-            total += float(np.sum(quad.weights * (diff**2).sum(axis=1)))
+            diff = u_ex - phi @ coeffs.reshape(-1, 2, p_u).swapaxes(-1, -2)
+            total += float(np.sum(quad.weights * (diff**2).sum(axis=-1)))
         errs.append(np.sqrt(total))
     orders = P.rates(errs)
     assert orders[-1] == pytest.approx(k + 2, abs=0.2)
@@ -85,10 +82,12 @@ def test_displacement_projection_error_order():
 def test_error_zero_when_solution_is_projection():
     mesh, tau, disc, dsol = small_solve()
     exact = MF.test1_solution()
-    exact_sigma = lambda pts: MF.stress(exact, PLANE_STRESS, pts)
-    for e, ctx in enumerate(contexts(disc)):
-        quad = F.element_quadrature(mesh, e, P.error_quadrature_exactness(1))
-        dsol.stress_coeffs[e] = P.project_stress(ctx, quad, exact_sigma)
+    p_s = F.scalar_dim(1)
+    for batch, quad in error_quadratures(disc, dsol.batches):
+        sig = MF.stress(exact, PLANE_STRESS, quad.points.reshape(-1, 2))
+        sig = sig.reshape(quad.points.shape[:-1] + (2, 2))
+        phi_s = batch.basis.eval(quad.points, p_s)
+        dsol.stress_coeffs[batch.elements] = P._stress_projection(phi_s, quad.weights, sig)
     rep = P.error_norms(disc, dsol, exact, PLANE_STRESS, tau)
     assert rep.err_sigma_proj < 1e-13
 
@@ -98,15 +97,15 @@ def test_triangle_inequality():
     exact = MF.test1_solution()
     rep = P.error_norms(disc, dsol, exact, PLANE_STRESS, tau)
     # projection distance of the stress
-    exact_sigma = lambda pts: MF.stress(exact, PLANE_STRESS, pts)
     dist_sq = 0.0
     p_s = F.scalar_dim(1)
-    for e, ctx in enumerate(contexts(disc)):
-        quad = F.element_quadrature(mesh, e, P.error_quadrature_exactness(1))
-        proj = P.project_stress(ctx, quad, exact_sigma)
-        sb = F.StressBasis(ctx.basis, 1)
-        diff = sb.eval_field(proj, quad.points) - exact_sigma(quad.points)
-        dist_sq += float(np.sum(quad.weights * (diff**2).sum(axis=(1, 2))))
+    for batch, quad in error_quadratures(disc, dsol.batches):
+        sig = MF.stress(exact, PLANE_STRESS, quad.points.reshape(-1, 2))
+        sig = sig.reshape(quad.points.shape[:-1] + (2, 2))
+        proj = P._stress_projection(batch.basis.eval(quad.points, p_s), quad.weights, sig)
+        sb = F.StressBasis(batch.basis, 1)
+        diff = sb.eval_field(proj, quad.points) - sig
+        dist_sq += float(np.sum(quad.weights * (diff**2).sum(axis=(-2, -1))))
     assert rep.err_sigma <= np.sqrt(dist_sq) + rep.err_sigma_proj + 1e-12
     assert rep.err_u <= rep.err_u_proj + rep.err_u + 1e-12  # sanity: norms nonnegative
     assert min(rep.err_sigma_proj, rep.err_u_proj, rep.err_sigma, rep.err_u, rep.trace_diag) >= 0
