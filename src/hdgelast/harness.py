@@ -277,6 +277,10 @@ def run_check(cfg: RunConfig | None = None, spd_perturbation=None) -> list[Check
     ``spd_perturbation`` hook (tests only) maps the condensed matrix to a
     perturbed one before the SPD check."""
     cfg = cfg if cfg is not None else RunConfig()
+    # k=0 runs as k=1 here, so it is no configuration error
+    errs = replace(cfg, allow_k0=True).problems()
+    if errs:
+        raise ConfigError("; ".join(errs))
     variant = cfg.trace_variant
     results: list[CheckResult] = []
 

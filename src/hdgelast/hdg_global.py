@@ -19,10 +19,11 @@ Stacked layout: the element stage runs on batches of elements that share a
 face count, at most ``hdg_local.CHUNK_SIZE`` elements each, and assembly,
 recovery, the traction jump and the scheme residuals work on the same
 batches, with each batch's global trace dofs gathered as one index array.
-Contributions are scattered, and sums accumulated, in element order, and
-duplicates are summed by a deterministic conversion, so repeated runs with
-the same configuration produce bit-identical results whatever the batch
-size.
+The trace matrix is assembled face block by face block, each block a sum
+of at most two element blocks (see assemble_global); other contributions
+are scattered, and sums accumulated, in element order. So repeated runs
+with the same configuration produce bit-identical results whatever the
+batch size.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .fespace import (
     trace_moments,
 )
 from .hdg_local import (
+    AssemblyError,
     CondensedBatch,
     ElementBatch,
     batch_blocks,
@@ -213,22 +215,56 @@ def boundary_trace_values(disc: Discretization, g_fn, exactness: int | None = No
     return values
 
 
+def _interior_rank(dofmap: TraceDofMap) -> np.ndarray:
+    """Rank of each face among the interior faces, -1 on the boundary."""
+    return dofmap.interior_index[dofmap.face_offset] // dofmap.ndof_face
+
+
 def assemble_global(
     disc: Discretization,
     systems: ElementSystems,
     boundary_values: np.ndarray | None = None,
 ) -> CondensedSystem:
-    """Scatter element contributions into the interior trace system, lifting
-    prescribed boundary coefficients to the right-hand side."""
+    """Assemble the interior trace system face block by face block, lifting
+    prescribed boundary coefficients to the right-hand side.
+
+    A face block couples two interior faces that share an element. It sums
+    the element blocks of at most two elements, and a two-term sum does not
+    depend on the order, so the matrix does not depend on the batching and
+    is exactly symmetric, as every element matrix is."""
     dofmap = disc.dofmap
     if boundary_values is None:
         boundary_values = np.zeros(dofmap.total)
-    n = dofmap.n_interior
+    n, nd = dofmap.n_interior, dofmap.ndof_face
+    nf = n // nd
+    # each element's pairs of interior faces (ranks r, c), keyed r * nf + c
+    rank = _interior_rank(dofmap)
+    ranks = [rank[cb.batch.face_ids] for cb in systems.batches]
+    pair_masks = [(r[:, :, None] >= 0) & (r[:, None, :] >= 0) for r in ranks]
+    keys = np.concatenate([(r[:, :, None] * nf + r[:, None, :])[pair]
+                           for r, pair in zip(ranks, pair_masks)])
+    pairs, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    if counts.max(initial=0) > 2:
+        r, c = np.divmod(pairs[np.argmax(counts)], nf)
+        f, g = disc.mesh.interior_faces()[[r, c]]
+        raise AssemblyError(f"faces {f} and {g}: more than two element blocks to sum")
+    is_first = np.zeros(len(keys), dtype=bool)
+    is_first[first] = True
+    blocks = np.empty((len(pairs), nd, nd))
     # per element: the interior part of its load, then its lifted boundary
-    # coupling (keys 2e and 2e+1); matrix entries row-major (key e)
+    # coupling (keys 2e and 2e+1)
     rhs_keys, rhs_idx, rhs_vals = [], [], []
-    mat_keys, rows, cols, vals = [], [], [], []
-    for cb in systems.batches:
+    done = 0
+    for cb, pair in zip(systems.batches, pair_masks):
+        B, m = pair.shape[:2]
+        blk, new = inverse[done : done + pair.sum()], is_first[done : done + pair.sum()]
+        done += len(blk)
+        vals = cb.matrix.reshape(B, m, nd, m, nd).swapaxes(2, 3)[pair]
+        # the first element block of a face block is copied, the second added
+        blocks[blk[new]] = vals[new]
+        blocks[blk[~new]] += vals[~new]
         elems = cb.batch.elements
         gdofs = disc.element_dofs(cb.batch.face_ids)
         red = dofmap.interior_index[gdofs]
@@ -236,11 +272,6 @@ def assemble_global(
         rhs_keys.append(np.broadcast_to(2 * elems[:, None], red.shape)[inside])
         rhs_idx.append(red[inside])
         rhs_vals.append(cb.rhs[inside])
-        pair = inside[:, :, None] & inside[:, None, :]
-        mat_keys.append(np.broadcast_to(elems[:, None, None], pair.shape)[pair])
-        rows.append(np.broadcast_to(red[:, :, None], pair.shape)[pair])
-        cols.append(np.broadcast_to(red[:, None, :], pair.shape)[pair])
-        vals.append(cb.matrix[pair])
         n_bdry = (~inside).sum(axis=1)
         for count in np.unique(n_bdry[n_bdry > 0]):
             sel = np.flatnonzero(n_bdry == count)
@@ -254,9 +285,8 @@ def assemble_global(
             rhs_vals.append(-lift.ravel())
     rhs = np.zeros(n)
     np.add.at(rhs, *ordered(rhs_keys, rhs_idx, rhs_vals))
-    rows, cols, vals = ordered(mat_keys, rows, cols, vals)
-    matrix = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    matrix.sum_duplicates()
+    bptr = np.searchsorted(pairs, np.arange(nf + 1) * nf)
+    matrix = scipy.sparse.bsr_matrix((blocks, pairs % nf, bptr), shape=(n, n)).tocsr()
     return CondensedSystem(matrix, rhs, boundary_values, dofmap, disc)
 
 
@@ -270,37 +300,48 @@ class SolverStats:
     residual: float = np.nan
 
 
-def _symmetric_lu(A: scipy.sparse.spmatrix):
-    """Sparse LU in symmetric mode with zero pivot threshold: pivots on the
-    diagonal in a minimum-degree order of A + A^T."""
+def _symmetric_lu(A: scipy.sparse.csc_matrix):
+    """Sparse LU of a CSC matrix in symmetric mode with zero pivot
+    threshold: pivots on the diagonal in a minimum-degree order of A + A^T."""
     return scipy.sparse.linalg.splu(
-        A.tocsc(),
+        A,
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
 
 
-def _interior_face_ends(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Interior face ids and their end vertices (v0, v1), shape (F, 2)."""
-    fids = mesh.interior_faces()
-    return fids, mesh.face_vertices[fids]
+def _patch_blocks(system: CondensedSystem) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Condensed dofs (patches, d) of the vertex patches (the interior faces
+    touching a mesh vertex), and the dense blocks (patches, d, d) of the
+    matrix on them, one pair per patch size.
 
-
-def _vertex_patches(disc: Discretization) -> list[np.ndarray]:
-    """Condensed dofs of the vertex patches (the interior faces touching a
-    mesh vertex), one (patches, faces * ndof_face) array per patch size."""
-    fids, ends = _interior_face_ends(disc.mesh)
-    verts = ends.T.ravel()
+    The blocks are looked up among the face blocks of the matrix (see
+    assemble_global): row a of face block j of face row r is the chunk of
+    ndof_face entries j + a * (blocks in row r) after the row's first."""
+    A, nd = system.matrix, system.dofmap.ndof_face
+    nf = A.shape[0] // nd
+    chunks = np.diff(A.indptr) // nd
+    row = np.repeat(np.arange(A.shape[0]), chunks)
+    # the first chunk of each face block and its key r * nf + c, ascending
+    lead = np.flatnonzero(row % nd == 0)
+    keys = row[lead] // nd * nf + A.indices[lead * nd] // nd
+    fids = system.disc.mesh.interior_faces()
+    verts = system.disc.mesh.face_vertices[fids].T.ravel()
     order = np.argsort(verts, kind="stable")
-    faces = np.tile(fids, 2)[order]
-    _, first, sizes = np.unique(verts[order], return_index=True, return_counts=True)
-    groups = []
+    faces = _interior_rank(system.dofmap)[np.tile(fids, 2)[order]]
+    _, start, sizes = np.unique(verts[order], return_index=True, return_counts=True)
+    out = []
     for size in np.unique(sizes):
-        patch_faces = faces[first[sizes == size, None] + np.arange(size)]
-        dofs = disc.dofmap.interior_index[disc.face_dofs(patch_faces)]
-        groups.append(dofs.reshape(len(patch_faces), -1))
-    return groups
+        patch = faces[start[sizes == size, None] + np.arange(size)]
+        want = patch[:, :, None] * nf + patch[:, None, :]
+        blk = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        stride = chunks[patch * nd][:, :, None, None] * np.arange(nd)[:, None]
+        blocks = A.data.reshape(-1, nd)[lead[blk][:, :, None, :] + stride]
+        blocks.swapaxes(2, 3)[keys[blk] != want] = 0.0
+        dofs = (patch[..., None] * nd + np.arange(nd)).reshape(len(patch), -1)
+        out.append((dofs, blocks.reshape(dofs.shape + dofs.shape[1:])))
+    return out
 
 
 def _coarse_prolongation(disc: Discretization) -> scipy.sparse.csr_matrix:
@@ -315,7 +356,8 @@ def _coarse_prolongation(disc: Discretization) -> scipy.sparse.csr_matrix:
     # v1: (faces, 2, k+1)
     t = disc.face_quad.params
     moments = (np.stack([1.0 - t, t]) * disc.face_quad.weights[:, None, :]) @ disc.face_modes
-    fids, ends = _interior_face_ends(mesh)
+    fids = mesh.interior_faces()
+    ends = mesh.face_vertices[fids]
     rows, cols, vals = [], [], []
     for end in range(2):
         keep = ~on_boundary[ends[:, end]]
@@ -330,11 +372,6 @@ def _coarse_prolongation(disc: Discretization) -> scipy.sparse.csr_matrix:
     return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
-# vertex patches whose blocks are taken from the sparse matrix in one go;
-# bounds the temporary index arrays
-_PATCH_CHUNK = 128
-
-
 def _schwarz_preconditioner(system: CondensedSystem) -> scipy.sparse.linalg.LinearOperator:
     """Two-level additive Schwarz preconditioner
 
@@ -347,17 +384,10 @@ def _schwarz_preconditioner(system: CondensedSystem) -> scipy.sparse.linalg.Line
     if system.disc is None:
         raise ValueError("cg needs the Discretization the system was assembled from")
     A, n = system.matrix, system.matrix.shape[0]
-    patches = []
-    for idx in _vertex_patches(system.disc):
-        inv = np.empty((len(idx), idx.shape[1], idx.shape[1]))
-        for start in range(0, len(idx), _PATCH_CHUNK):
-            rows = np.repeat(idx[start : start + _PATCH_CHUNK, :, None], idx.shape[1], axis=2)
-            block = np.asarray(A[rows.ravel(), rows.swapaxes(1, 2).ravel()])
-            inv[start : start + len(rows)] = np.linalg.inv(block.reshape(rows.shape))
-        patches.append((idx, inv))
+    patches = [(idx, np.linalg.inv(block)) for idx, block in _patch_blocks(system)]
     P = _coarse_prolongation(system.disc)
     PT = P.T.tocsr()
-    coarse = _symmetric_lu(PT @ A @ P) if P.shape[1] else None
+    coarse = _symmetric_lu((PT @ A @ P).tocsc()) if P.shape[1] else None
 
     def apply(r):
         z = np.zeros(n)
@@ -398,7 +428,8 @@ def solve_condensed(
 
     if method == "cholesky":
         try:
-            lu = _symmetric_lu(A)
+            # A is exactly symmetric, so its CSR arrays are its CSC arrays
+            lu = _symmetric_lu(A.T)
         except RuntimeError as exc:
             raise SolverError(f"symmetric factorization failed: {exc}") from exc
         pivots = lu.U.diagonal()

@@ -290,3 +290,15 @@ def test_cli_bad_value_is_config_error(flags, field, capsys):
     assert rc == cli.EXIT_CONFIG
     assert err.startswith(f"config error: {field}: must be positive and finite")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags,field", [(["--E", "0"], "E"), (["--tau-c", "nan"], "tau_c")])
+def test_cli_check_bad_value_is_config_error(flags, field, capsys):
+    assert cli.main(["check", *flags]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: must be positive and finite")
+    assert "Traceback" not in err
+
+
+def test_cli_check_runs_k0_as_k1():
+    assert cli.main(["check", "--k", "0"]) == cli.EXIT_OK

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +72,110 @@ def test_global_matrix_symmetric_and_spd(family, k):
     assert asym <= 1e-11 * abs(A).max()
     dense = A.toarray()
     np.linalg.cholesky(0.5 * (dense + dense.T))  # raises if not SPD
+
+
+def coo_oracle(disc, systems, boundary_values):
+    """The interior trace system from one triplet per element-matrix entry,
+    scattered in element order and summed by the COO -> CSR conversion."""
+    dofmap = disc.dofmap
+    rhs_keys, rhs_idx, rhs_vals = [], [], []
+    mat_keys, rows, cols, vals = [], [], [], []
+    for cb in systems.batches:
+        elems = cb.batch.elements
+        gdofs = disc.element_dofs(cb.batch.face_ids)
+        red = dofmap.interior_index[gdofs]
+        inside = red >= 0
+        rhs_keys.append(np.broadcast_to(2 * elems[:, None], red.shape)[inside])
+        rhs_idx.append(red[inside])
+        rhs_vals.append(cb.rhs[inside])
+        pair = inside[:, :, None] & inside[:, None, :]
+        mat_keys.append(np.broadcast_to(elems[:, None, None], pair.shape)[pair])
+        rows.append(np.broadcast_to(red[:, :, None], pair.shape)[pair])
+        cols.append(np.broadcast_to(red[:, None, :], pair.shape)[pair])
+        vals.append(cb.matrix[pair])
+        n_bdry = (~inside).sum(axis=1)
+        for count in np.unique(n_bdry[n_bdry > 0]):
+            sel = np.flatnonzero(n_bdry == count)
+            ii = np.nonzero(inside[sel])[1].reshape(len(sel), -1)
+            bb = np.nonzero(~inside[sel])[1].reshape(len(sel), -1)
+            sub = cb.matrix[sel[:, None, None], ii[:, :, None], bb[:, None, :]]
+            g = boundary_values[np.take_along_axis(gdofs[sel], bb, axis=1)]
+            lift = (sub @ g[..., None])[..., 0]
+            rhs_keys.append(np.broadcast_to(2 * elems[sel, None] + 1, ii.shape).ravel())
+            rhs_idx.append(np.take_along_axis(red[sel], ii, axis=1).ravel())
+            rhs_vals.append(-lift.ravel())
+    n = dofmap.n_interior
+    rhs = np.zeros(n)
+    np.add.at(rhs, *G.ordered(rhs_keys, rhs_idx, rhs_vals))
+    rows, cols, vals = G.ordered(mat_keys, rows, cols, vals)
+    matrix = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    matrix.sum_duplicates()
+    return matrix, rhs
+
+
+FACE_BLOCK_CASES = [("tri", 1), ("tri", 2), ("tri", 3), ("poly", 1), ("poly", 2)]
+
+
+def assembled_with_data(family, k, n=4):
+    sol = MF.test2_solution()
+    material = ComplianceTensor.plane_strain(3.0, 0.49)
+    mesh = M.build_mesh(family, n)
+    disc = G.build_discretization(mesh, k)
+    systems = G.build_element_systems(disc, material, 3.0 / mesh.h,
+                                      lambda pts: MF.body_force(sol, material, pts))
+    bvals = G.boundary_trace_values(disc, lambda pts: MF.boundary_data(sol, pts))
+    return disc, systems, bvals, G.assemble_global(disc, systems, bvals)
+
+
+@pytest.mark.parametrize("family,k", FACE_BLOCK_CASES)
+def test_face_block_assembly_matches_triplet_oracle(family, k):
+    disc, systems, bvals, glob = assembled_with_data(family, k)
+    matrix, rhs = coo_oracle(disc, systems, bvals)
+    A = glob.matrix
+    assert A.indptr.dtype == matrix.indptr.dtype and A.indices.dtype == matrix.indices.dtype
+    assert np.array_equal(A.indptr, matrix.indptr)
+    assert np.array_equal(A.indices, matrix.indices)
+    assert A.data.tobytes() == matrix.data.tobytes()
+    assert glob.rhs.tobytes() == rhs.tobytes()
+
+
+@pytest.mark.parametrize("family,k", FACE_BLOCK_CASES)
+def test_global_matrix_bitwise_symmetric(family, k):
+    A = assembled_with_data(family, k)[-1].matrix
+    assert (A != A.T).nnz == 0
+
+
+def test_face_block_summing_more_than_two_element_blocks_rejected():
+    disc, systems, bvals, _ = assembled_with_data("tri", 1, n=2)
+    systems.batches.append(systems.batches[0])  # every element counted twice
+    with pytest.raises(L.AssemblyError, match="more than two element blocks"):
+        G.assemble_global(disc, systems, bvals)
+
+
+def test_assembly_peak_memory_bounded_by_matrix():
+    # the triplet assembly peaked at ~6.8x the bytes of the matrix it
+    # returned; face blocks need one block array besides the matrix
+    disc, systems, bvals, _ = assembled_with_data("poly", 2, n=24)
+    tracemalloc.start()
+    try:
+        A = G.assemble_global(disc, systems, bvals).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+
+
+@pytest.mark.parametrize("family,k", [("tri", 1), ("tri", 3), ("poly", 2)])
+def test_patch_blocks_equal_sampled_matrix(family, k):
+    glob = assembled_with_data(family, k)[-1]
+    patches = G._patch_blocks(glob)
+    assert sum(len(dofs) for dofs, _ in patches) == len(np.unique(
+        glob.disc.mesh.face_vertices[glob.disc.mesh.interior_faces()]))
+    for dofs, blocks in patches:
+        rows = np.broadcast_to(dofs[:, :, None], blocks.shape)
+        cols = np.broadcast_to(dofs[:, None, :], blocks.shape)
+        sampled = np.asarray(glob.matrix[rows.ravel(), cols.ravel()]).reshape(blocks.shape)
+        assert sampled.tobytes() == blocks.tobytes()
 
 
 def test_cholesky_positive_pivots_reported():
