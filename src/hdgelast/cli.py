@@ -15,6 +15,7 @@ from dataclasses import fields, replace
 from .harness import (
     ConfigError,
     RunConfig,
+    _parse_list,
     parse_config_text,
     run_check,
     run_convergence,
@@ -33,11 +34,11 @@ EXIT_CHECK = 4
 
 
 def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.replace(",", " ").split())
+    return _parse_list(text, int)
 
 
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.replace(",", " ").split())
+    return _parse_list(text, float)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

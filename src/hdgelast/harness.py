@@ -109,6 +109,8 @@ class RunConfig:
 
 
 _BOOL_FIELDS = {"allow_k0"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 _TUPLE_FIELDS = {"n_sequence": int, "nu_list": float}
 
 
@@ -130,18 +132,22 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     return replace(cfg, **updates)
 
 
+def _parse_list(text: str, conv) -> tuple:
+    """Values separated by commas and/or whitespace."""
+    return tuple(conv(tok) for tok in text.replace(",", " ").split())
+
+
 def _coerce(key: str, value: str, ftype):
-    if key in _TUPLE_FIELDS:
-        conv = _TUPLE_FIELDS[key]
-        return tuple(conv(tok) for tok in value.replace(",", " ").split())
-    if key in _BOOL_FIELDS:
-        return value.lower() in ("1", "true", "yes", "on")
-    for caster in (int, float):
-        if caster.__name__ in str(ftype):
-            try:
+    try:
+        if key in _TUPLE_FIELDS:
+            return _parse_list(value, _TUPLE_FIELDS[key])
+        if key in _BOOL_FIELDS:
+            return _BOOL_WORDS[value.lower()]
+        for caster in (int, float):
+            if caster.__name__ in str(ftype):
                 return caster(value)
-            except ValueError as exc:
-                raise ConfigError(f"{key}: cannot parse {value!r}") from exc
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{key}: cannot parse {value!r}") from exc
     return value
 
 
@@ -191,6 +197,7 @@ def run_solve(cfg: RunConfig, n: int | None = None) -> SolveReport:
         raise ConfigError("; ".join(errs))
     n = cfg.n if n is None else n
     mesh, material, exact, tau, disc, systems, sol, stats = _pipeline(cfg, n)
+    del systems  # the condensed element systems are not needed after recovery
     report = postproc.error_norms(disc, sol, exact, material, tau)
     label = f"{cfg.mesh}-n{n}"
     if cfg.vtk:

@@ -19,11 +19,14 @@ Stacked layout: the element stage runs on batches of elements that share a
 face count, at most ``hdg_local.CHUNK_SIZE`` elements each, and assembly,
 recovery, the traction jump and the scheme residuals work on the same
 batches, with each batch's global trace dofs gathered as one index array.
-The trace matrix is assembled face block by face block, each block a sum
-of at most two element blocks (see assemble_global); other contributions
-are scattered, and sums accumulated, in element order. So repeated runs
-with the same configuration produce bit-identical results whatever the
-batch size.
+Each batch writes its per-element results into arrays indexed by element,
+by slot (one (element, edge) pair of the mesh layout, element-major) or by
+face and side, so the layout, not the batching, fixes the order of every
+sum: sums over elements or slots run in index order, and a face adds its
+left element's terms before its right's, the left one having the lower
+index. The trace matrix and the right-hand side are both assembled face by
+face (see assemble_global). So repeated runs with the same configuration
+produce bit-identical results whatever the batch size.
 """
 
 from __future__ import annotations
@@ -171,22 +174,9 @@ def build_element_systems(
     return ElementSystems(batches, material, tau, variant)
 
 
-def ordered(keys: list[np.ndarray], *parts: list[np.ndarray]) -> list[np.ndarray]:
-    """Concatenate per-batch pieces, ordered by ascending key and stable
-    within a key, so that a batch-by-batch computation yields the sequence
-    an element-by-element loop would."""
-    order = np.argsort(np.concatenate(keys), kind="stable")
-    return [np.concatenate(p)[order] for p in parts]
-
-
 def running_sum(values: np.ndarray) -> float:
     """Sum of the values added one at a time, in order."""
     return float(np.cumsum(values)[-1]) if len(values) else 0.0
-
-
-def ordered_sum(keys: list[np.ndarray], values: list[np.ndarray]) -> float:
-    """Sum of per-batch values added one at a time in key order (see ordered)."""
-    return running_sum(ordered(keys, values)[0])
 
 
 @dataclass
@@ -231,7 +221,9 @@ def assemble_global(
     A face block couples two interior faces that share an element. It sums
     the element blocks of at most two elements, and a two-term sum does not
     depend on the order, so the matrix does not depend on the batching and
-    is exactly symmetric, as every element matrix is."""
+    is exactly symmetric, as every element matrix is. An interior dof of
+    the right-hand side sums, per face, the load and the lifted boundary
+    coupling of the left element, then those of the right one."""
     dofmap = disc.dofmap
     if boundary_values is None:
         boundary_values = np.zeros(dofmap.total)
@@ -253,9 +245,10 @@ def assemble_global(
     is_first = np.zeros(len(keys), dtype=bool)
     is_first[first] = True
     blocks = np.empty((len(pairs), nd, nd))
-    # per element: the interior part of its load, then its lifted boundary
-    # coupling (keys 2e and 2e+1)
-    rhs_keys, rhs_idx, rhs_vals = [], [], []
+    # rhs terms by face and side (0: left element, 1: right): the element's
+    # load on the face, then its lifted boundary coupling as 0 - lift, which
+    # is never -0.0, so no rhs entry is -0.0, as in a sum started from zero
+    terms = np.zeros((disc.mesh.num_faces, 2, 2, nd))
     done = 0
     for cb, pair in zip(systems.batches, pair_masks):
         B, m = pair.shape[:2]
@@ -265,13 +258,11 @@ def assemble_global(
         # the first element block of a face block is copied, the second added
         blocks[blk[new]] = vals[new]
         blocks[blk[~new]] += vals[~new]
-        elems = cb.batch.elements
-        gdofs = disc.element_dofs(cb.batch.face_ids)
-        red = dofmap.interior_index[gdofs]
-        inside = red >= 0
-        rhs_keys.append(np.broadcast_to(2 * elems[:, None], red.shape)[inside])
-        rhs_idx.append(red[inside])
-        rhs_vals.append(cb.rhs[inside])
+        fids = cb.batch.face_ids
+        side = (disc.mesh.face_left[fids] != cb.batch.elements[:, None]).astype(int)
+        terms[fids, side, 0] = cb.rhs.reshape(B, m, nd)
+        gdofs = disc.element_dofs(fids)
+        inside = dofmap.interior_index[gdofs] >= 0
         n_bdry = (~inside).sum(axis=1)
         for count in np.unique(n_bdry[n_bdry > 0]):
             sel = np.flatnonzero(n_bdry == count)
@@ -280,11 +271,12 @@ def assemble_global(
             sub = cb.matrix[sel[:, None, None], ii[:, :, None], bb[:, None, :]]
             g = boundary_values[np.take_along_axis(gdofs[sel], bb, axis=1)]
             lift = (sub @ g[..., None])[..., 0]
-            rhs_keys.append(np.broadcast_to(2 * elems[sel, None] + 1, ii.shape).ravel())
-            rhs_idx.append(np.take_along_axis(red[sel], ii, axis=1).ravel())
-            rhs_vals.append(-lift.ravel())
-    rhs = np.zeros(n)
-    np.add.at(rhs, *ordered(rhs_keys, rhs_idx, rhs_vals))
+            j = ii // nd
+            terms[fids[sel[:, None], j], side[sel[:, None], j], 1, ii % nd] = 0.0 - lift
+    # each interior dof sums its left element's terms, then its right's: the
+    # element order
+    t = terms[disc.mesh.face_right >= 0]
+    rhs = (((t[:, 0, 0] + t[:, 0, 1]) + t[:, 1, 0]) + t[:, 1, 1]).ravel()
     bptr = np.searchsorted(pairs, np.arange(nf + 1) * nf)
     matrix = scipy.sparse.bsr_matrix((blocks, pairs % nf, bptr), shape=(n, n)).tocsr()
     return CondensedSystem(matrix, rhs, boundary_values, dofmap, disc)
@@ -570,9 +562,9 @@ def scheme_residuals(
 
     Keys: constitutive (stress equation), balance (momentum equation),
     transmission (interior traction moments), boundary (trace data)."""
-    keys = []
-    parts = {t: [] for t in ("con_res", "con_scale", "bal_res", "bal_scale", "trans_scale")}
-    trans_keys, trans_idx, trans_vals = [], [], []
+    # squared norms by element: con_res, con_scale, bal_res, bal_scale, trans_scale
+    parts = np.empty((5, disc.mesh.num_elements))
+    trans = np.zeros(disc.dofmap.total)
 
     def mv(A, x):
         return (A @ x[..., None])[..., 0]
@@ -598,31 +590,24 @@ def scheme_residuals(
             - mv(b.stab_ulam.swapaxes(-1, -2), w)
             + mv(b.stab_lamlam, lam)
         )
-        keys.append(batch.elements)
-        parts["con_res"].append(sq(r1))
-        parts["con_scale"].append(sq(Ms) + sq(Tl))
-        parts["bal_res"].append(sq(r2))
-        parts["bal_scale"].append(sq(Dts) + sq(fm))
-        parts["trans_scale"].append(sq(tmom))
-        trans_keys.append(np.broadcast_to(batch.elements[:, None], gdofs.shape).ravel())
-        trans_idx.append(gdofs.ravel())
-        trans_vals.append(tmom.ravel())
-    total = {t: ordered_sum(keys, v) for t, v in parts.items()}
-    trans = np.zeros(disc.dofmap.total)
-    np.add.at(trans, *ordered(trans_keys, trans_idx, trans_vals))
+        parts[:, batch.elements] = [sq(r1), sq(Ms) + sq(Tl), sq(r2), sq(Dts) + sq(fm), sq(tmom)]
+        # a dof gets one term per element of its face, at most two, so the
+        # order of the scatter does not matter
+        np.add.at(trans, gdofs, tmom)
+    con_res, con_scale, bal_res, bal_scale, trans_scale = (running_sum(p) for p in parts)
     interior = disc.dofmap.interior_index >= 0
     g_vals = boundary_trace_values(disc, g_fn)
     diff = sol.trace[~interior] - g_vals[~interior]
     res = {
-        "constitutive": total["con_res"],
-        "balance": total["bal_res"],
+        "constitutive": con_res,
+        "balance": bal_res,
         "transmission": float(np.sum(trans[interior] ** 2)),
         "boundary": float(diff @ diff),
     }
     scale = {
-        "constitutive": total["con_scale"],
-        "balance": total["bal_scale"],
-        "transmission": total["trans_scale"],
+        "constitutive": con_scale,
+        "balance": bal_scale,
+        "transmission": trans_scale,
         "boundary": float(np.sum(g_vals[~interior] ** 2)),
     }
     out = {}

@@ -20,7 +20,7 @@ from typing import TextIO
 import numpy as np
 
 from .fespace import StressBasis, basis_moments, polygon_quadrature, scalar_dim
-from .hdg_global import Discretization, DiscreteSolution, ordered, ordered_sum
+from .hdg_global import Discretization, DiscreteSolution, running_sum
 from .material import ComplianceTensor
 from .manufactured import ExactSolution, stress
 from .mesh import Mesh, polygon_areas, polygon_centroids
@@ -93,8 +93,10 @@ def error_norms(
     qe = error_quadrature_exactness(k)
     fq, modes = disc.face_rule(qe)
 
-    keys, face_keys = [], []
-    parts = {name: [] for name in ("sigma_proj", "u_proj", "sigma", "u", "trace")}
+    # squared errors by element (sigma_proj, u_proj, sigma, u), and the
+    # trace term by slot
+    parts = np.empty((4, mesh.num_elements))
+    trace = np.empty(len(mesh.element_faces))
     for batch in sol.batches:
         elems = batch.elements
         B, m = batch.face_ids.shape
@@ -110,27 +112,25 @@ def error_norms(
         s_pi = _stress_projection(batch.basis.eval(mono, p_s), w, sig_ex)
         w_pi = basis_moments(phi, w, u_ex)
         ds = (s_pi - s_h).reshape(B, 3, p_s)
-        keys.append(elems)
-        parts["sigma_proj"].append(
-            np.sum((ds**2 * StressBasis.DIR_NORMSQ[:, None]).reshape(B, -1), axis=-1)
-        )
-        parts["u_proj"].append(np.sum((w_pi - w_h) ** 2, axis=-1))
+        parts[0, elems] = np.sum((ds**2 * StressBasis.DIR_NORMSQ[:, None]).reshape(B, -1), axis=-1)
+        parts[1, elems] = np.sum((w_pi - w_h) ** 2, axis=-1)
 
         du = phi @ w_h.reshape(B, 2, p_u).swapaxes(-1, -2) - u_ex
-        parts["u"].append(np.sum(w * (du**2).sum(axis=-1), axis=-1))
+        parts[3, elems] = np.sum(w * (du**2).sum(axis=-1), axis=-1)
         comp = phi[..., :p_s] @ s_h.reshape(B, 3, p_s).swapaxes(-1, -2)  # (B, nq, 3)
         sig_h = np.empty(comp.shape[:-1] + (2, 2))
         sig_h[..., 0, 0] = comp[..., 0]
         sig_h[..., 1, 1] = comp[..., 1]
         sig_h[..., 0, 1] = sig_h[..., 1, 0] = comp[..., 2]
         dsig = sig_h - sig_ex
-        parts["sigma"].append(np.sum(w * (dsig**2).sum(axis=(-2, -1)), axis=-1))
+        parts[2, elems] = np.sum(w * (dsig**2).sum(axis=(-2, -1)), axis=-1)
 
         # trace mismatch sqrt(tau) * (face-projected displacement error
         # minus trace error) over the element boundary, face by face
         fpts = fq.points[batch.face_ids]  # (B, m, nq, 2)
         u_face = exact.u(fpts.reshape(-1, 2)).reshape(fpts.shape)
         dw = (w_pi - w_h).reshape(B, 2, p_u).swapaxes(-1, -2)
+        slots = mesh.slots(elems)
         for j in range(m):
             fid = batch.face_ids[:, j]
             fw, md = fq.weights[fid][..., None], modes[fid]
@@ -139,11 +139,9 @@ def error_norms(
             pm_u = md.swapaxes(-1, -2) @ (fw * u_face[:, j])
             uhat = sol.trace[disc.face_dofs(fid)].reshape(B, -1, 2)
             mismatch = pm_du - (pm_u - uhat)
-            face_keys.append(elems)
-            parts["trace"].append(tau * np.sum(mismatch.reshape(B, -1) ** 2, axis=-1))
+            trace[slots[:, j]] = tau * np.sum(mismatch.reshape(B, -1) ** 2, axis=-1)
 
-    err = {name: ordered_sum(keys, parts[name]) for name in ("sigma_proj", "u_proj", "sigma", "u")}
-    err["trace"] = ordered_sum(face_keys, parts["trace"])
+    sigma_proj, u_proj, sigma, u = (running_sum(p) for p in parts)
     return ErrorReport(
         h=mesh.h,
         k=k,
@@ -151,11 +149,11 @@ def error_norms(
         n_trace_dofs=disc.dofmap.n_interior,
         tau=tau,
         material=material.mode,
-        err_sigma_proj=float(np.sqrt(err["sigma_proj"])),
-        err_u_proj=float(np.sqrt(err["u_proj"])),
-        err_sigma=float(np.sqrt(err["sigma"])),
-        err_u=float(np.sqrt(err["u"])),
-        trace_diag=float(np.sqrt(err["trace"])),
+        err_sigma_proj=float(np.sqrt(sigma_proj)),
+        err_u_proj=float(np.sqrt(u_proj)),
+        err_sigma=float(np.sqrt(sigma)),
+        err_u=float(np.sqrt(u)),
+        trace_diag=float(np.sqrt(running_sum(trace))),
     )
 
 
@@ -252,47 +250,42 @@ def write_vtk(mesh: Mesh, sol: DiscreteSolution, path: str, title: str = "hdgela
     the element mean."""
     k = sol.k
     p_s, p_u = scalar_dim(k), scalar_dim(k + 1)
-    nv = mesh.num_vertices
+    nv, ne = mesh.num_vertices, mesh.num_elements
     # point id of each polygon's centroid, appended in element order
     is_fan = mesh.face_counts > 3
     centroid_id = nv + np.cumsum(is_fan) - 1
-    area = np.empty(mesh.num_elements)
-    vert_keys, vert_ids, vert_u = [], [], []
-    fan_keys, fan_pts, fan_u = [], [], []
-    cell_keys, cells = [], []
+    area = np.empty(ne)
+    # displacement at each slot's vertex; centroid and its displacement by
+    # element; a cell per slot: a triangle in its first slot as itself, any
+    # other polygon as the fans (centroid, vertex i, vertex i+1)
+    ns = len(mesh.element_vertices)
+    slot_u, (fan_pts, fan_u) = np.empty((ns, 2)), np.empty((2, ne, 2))
+    cells, keep = np.empty((ns, 3), dtype=int), np.ones(ns, dtype=bool)
     for batch in sol.batches:
         elems = batch.elements
-        polys = mesh.element_vertices[mesh.slots(elems)]  # (B, m)
+        slots = mesh.slots(elems)
+        polys = mesh.element_vertices[slots]  # (B, m)
         m = polys.shape[1]
         corners = mesh.vertices[polys]
         area[elems] = polygon_areas(corners)
         w = sol.disp_coeffs[elems].reshape(len(elems), 2, p_u).swapaxes(-1, -2)
-        vert_keys.append(np.repeat(elems, m))
-        vert_ids.append(polys.ravel())
-        vert_u.append((batch.basis.eval(corners) @ w).reshape(-1, 2))
+        slot_u[slots] = batch.basis.eval(corners) @ w
         if m == 3:
-            cell_keys.append(elems)
-            cells.append(polys)
+            cells[slots[:, 0]] = polys
+            keep[slots[:, 1:]] = False
         else:
             c = polygon_centroids(corners)
-            fan_keys.append(elems)
-            fan_pts.append(c)
-            fan_u.append((batch.basis.eval(c[:, None, :]) @ w)[:, 0])
+            fan_pts[elems] = c
+            fan_u[elems] = (batch.basis.eval(c[:, None, :]) @ w)[:, 0]
             cid = np.broadcast_to(centroid_id[elems, None], polys.shape)
-            cell_keys.append(np.repeat(elems, m))
-            cells.append(np.stack([cid, polys, np.roll(polys, -1, axis=1)], axis=-1).reshape(-1, 3))
-    vert_ids, vert_u = ordered(vert_keys, vert_ids, vert_u)
+            cells[slots] = np.stack([cid, polys, np.roll(polys, -1, axis=1)], axis=-1)
     u_sum = np.zeros((nv, 2))
-    np.add.at(u_sum, vert_ids, vert_u)
-    u_pts = u_sum / np.maximum(np.bincount(vert_ids, minlength=nv), 1)[:, None]
-    all_pts = mesh.vertices
-    if fan_keys:
-        fan_pts, fan_u = ordered(fan_keys, fan_pts, fan_u)
-        all_pts = np.vstack([all_pts, fan_pts])
-        u_pts = np.vstack([u_pts, fan_u])
-    # cells in element order: a triangle as itself, any other polygon as
-    # the fan (centroid, vertex i, vertex i+1)
-    cell_elem, cells = ordered(cell_keys, cell_keys, cells)
+    np.add.at(u_sum, mesh.element_vertices, slot_u)
+    u_pts = u_sum / np.maximum(np.bincount(mesh.element_vertices, minlength=nv), 1)[:, None]
+    all_pts = np.vstack([mesh.vertices, fan_pts[is_fan]])
+    u_pts = np.vstack([u_pts, fan_u[is_fan]])
+    cells = cells[keep]
+    cell_elem = np.repeat(np.arange(ne), mesh.face_counts)[keep]
 
     s = sol.stress_coeffs.reshape(-1, 3, p_s)
     mean_sigma = s[:, :, 0] / np.sqrt(area)[:, None]  # constant mode is 1/sqrt(area)

@@ -45,6 +45,42 @@ def test_config_bad_value():
         H.parse_config_text("n = three")
 
 
+MALFORMED_LINES = [
+    ("n_sequence = 4, x", "n_sequence"),
+    ("nu_list = 0.49 abc", "nu_list"),
+    ("allow_k0 = maybe", "allow_k0"),
+]
+
+
+@pytest.mark.parametrize("line,key", MALFORMED_LINES)
+def test_config_malformed_value_names_key(line, key):
+    with pytest.raises(H.ConfigError, match=f"^{key}: cannot parse"):
+        H.parse_config_text(line)
+
+
+@pytest.mark.parametrize("word,value", [("yes", True), ("ON", True), ("0", False), ("off", False)])
+def test_config_bool_words(word, value):
+    assert H.parse_config_text(f"allow_k0 = {word}").allow_k0 is value
+
+
+@pytest.mark.parametrize("line,key", MALFORMED_LINES)
+def test_cli_malformed_config_file_is_config_error(tmp_path, capsys, line, key):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"n = 2\n{line}\n")
+    assert cli.main(["solve", "--config", str(cfgfile)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: cannot parse")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,value", [("--n-sequence", "4,x"), ("--nu-list", "0.49 abc")])
+def test_cli_malformed_list_flag_is_usage_error(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["convergence", flag, value])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+
 def test_problems_named_fields():
     cfg = H.RunConfig(k=0, tau_c=-1.0, mesh="hex")
     msgs = cfg.problems()

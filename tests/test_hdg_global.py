@@ -74,6 +74,13 @@ def test_global_matrix_symmetric_and_spd(family, k):
     np.linalg.cholesky(0.5 * (dense + dense.T))  # raises if not SPD
 
 
+def ordered(keys, *parts):
+    """Concatenate per-batch pieces, ordered by ascending key and stable
+    within a key: the sequence an element-by-element loop would produce."""
+    order = np.argsort(np.concatenate(keys), kind="stable")
+    return [np.concatenate(p)[order] for p in parts]
+
+
 def coo_oracle(disc, systems, boundary_values):
     """The interior trace system from one triplet per element-matrix entry,
     scattered in element order and summed by the COO -> CSR conversion."""
@@ -106,8 +113,8 @@ def coo_oracle(disc, systems, boundary_values):
             rhs_vals.append(-lift.ravel())
     n = dofmap.n_interior
     rhs = np.zeros(n)
-    np.add.at(rhs, *G.ordered(rhs_keys, rhs_idx, rhs_vals))
-    rows, cols, vals = G.ordered(mat_keys, rows, cols, vals)
+    np.add.at(rhs, *ordered(rhs_keys, rhs_idx, rhs_vals))
+    rows, cols, vals = ordered(mat_keys, rows, cols, vals)
     matrix = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     matrix.sum_duplicates()
     return matrix, rhs
@@ -116,8 +123,14 @@ def coo_oracle(disc, systems, boundary_values):
 FACE_BLOCK_CASES = [("tri", 1), ("tri", 2), ("tri", 3), ("poly", 1), ("poly", 2)]
 
 
-def assembled_with_data(family, k, n=4):
-    sol = MF.test2_solution()
+def cubic_solution():
+    a, b = np.indices((4, 4))
+    c1, c2 = np.random.default_rng(5).uniform(-1, 1, (2, 4, 4)) * (a + b <= 3)
+    return MF.polynomial_solution(c1, c2, name="cubic")
+
+
+def assembled_with_data(family, k, n=4, sol=None):
+    sol = MF.test2_solution() if sol is None else sol
     material = ComplianceTensor.plane_strain(3.0, 0.49)
     mesh = M.build_mesh(family, n)
     disc = G.build_discretization(mesh, k)
@@ -129,14 +142,20 @@ def assembled_with_data(family, k, n=4):
 
 @pytest.mark.parametrize("family,k", FACE_BLOCK_CASES)
 def test_face_block_assembly_matches_triplet_oracle(family, k):
-    disc, systems, bvals, glob = assembled_with_data(family, k)
-    matrix, rhs = coo_oracle(disc, systems, bvals)
-    A = glob.matrix
-    assert A.indptr.dtype == matrix.indptr.dtype and A.indices.dtype == matrix.indices.dtype
-    assert np.array_equal(A.indptr, matrix.indptr)
-    assert np.array_equal(A.indices, matrix.indices)
-    assert A.data.tobytes() == matrix.data.tobytes()
-    assert glob.rhs.tobytes() == rhs.tobytes()
+    # test2 vanishes on the boundary; the other two lift nonzero boundary
+    # data to the right-hand side
+    for sol in (MF.test2_solution(), MF.rigid_motion_solution(), cubic_solution()):
+        disc, systems, bvals, glob = assembled_with_data(family, k, sol=sol)
+        matrix, rhs = coo_oracle(disc, systems, bvals)
+        A = glob.matrix
+        assert A.indptr.dtype == matrix.indptr.dtype and A.indices.dtype == matrix.indices.dtype
+        assert np.array_equal(A.indptr, matrix.indptr)
+        assert np.array_equal(A.indices, matrix.indices)
+        assert A.data.tobytes() == matrix.data.tobytes()
+        assert glob.rhs.tobytes() == rhs.tobytes()
+        if sol.name != "test2":
+            unlifted = G.assemble_global(disc, systems).rhs
+            assert np.abs(glob.rhs - unlifted).max() > 1e-3 * np.abs(glob.rhs).max()
 
 
 @pytest.mark.parametrize("family,k", FACE_BLOCK_CASES)
@@ -427,36 +446,47 @@ def mixed_mesh(n):
 ELEMENT_RESULTS = ("matrix", "rhs", "stress_map", "disp_map", "source_stress", "source_disp")
 
 
-def mixed_solve(monkeypatch, chunk, mesh, k, sol, material):
-    """Element results in element order, and the global solve, with batches
-    of at most ``chunk`` elements."""
+def mixed_solve(monkeypatch, tmp_path, chunk, mesh, k, sol, material):
+    """Element results in element order, the global solve, and the outputs
+    derived from it (error report, scheme residuals, traction jump, VTK
+    bytes), with batches of at most ``chunk`` elements."""
     monkeypatch.setattr(L, "CHUNK_SIZE", chunk)
     tau = 3.0 / mesh.h
     disc = G.build_discretization(mesh, k)
     f_fn = lambda pts: MF.body_force(sol, material, pts)
+    g_fn = lambda pts: MF.boundary_data(sol, pts)
     systems = G.build_element_systems(disc, material, tau, f_fn)
     per_element = {}
     for cb in systems.batches:
         for i, e in enumerate(cb.batch.elements):
             per_element[int(e)] = [getattr(cb, name)[i] for name in ELEMENT_RESULTS]
-    bvals = G.boundary_trace_values(disc, lambda pts: MF.boundary_data(sol, pts))
+    bvals = G.boundary_trace_values(disc, g_fn)
     glob = G.assemble_global(disc, systems, bvals)
     trace, _ = G.solve_condensed(glob, "cholesky")
     dsol = G.recover_fields(disc, systems, trace)
-    rep = P.error_norms(disc, dsol, sol, material, tau)
+    vtk = tmp_path / f"chunk{chunk}.vtk"
+    P.write_vtk(mesh, dsol, str(vtk))
+    derived = (P.error_norms(disc, dsol, sol, material, tau),
+               G.scheme_residuals(disc, systems, dsol, f_fn, g_fn),
+               G.flux_jump_norm(disc, systems, dsol, tau), vtk.read_bytes())
     elements = [per_element[e] for e in range(mesh.num_elements)]
     return disc, systems, elements, (glob.matrix.toarray(), glob.rhs, trace,
-                                     dsol.stress_coeffs, dsol.disp_coeffs), rep
+                                     dsol.stress_coeffs, dsol.disp_coeffs), derived
 
 
-def test_mixed_face_counts_batched_like_single_elements(monkeypatch):
+def assert_same_solve(a, b):
+    """Two mixed_solve results agree bit for bit past the element stage."""
+    assert all(np.array_equal(x, y) for x, y in zip(a[3], b[3]))
+    assert a[4] == b[4]
+
+
+def test_mixed_face_counts_batched_like_single_elements(monkeypatch, tmp_path):
     mesh = mixed_mesh(3)
     k = 2
     material = ComplianceTensor.plane_strain(3.0, 0.49)
     sol = MF.test1_solution()
-    disc, systems, elements, glob, rep = mixed_solve(
-        monkeypatch, mesh.num_elements, mesh, k, sol, material
-    )
+    full = mixed_solve(monkeypatch, tmp_path, mesh.num_elements, mesh, k, sol, material)
+    disc, systems, elements = full[:3]
     assert sorted(cb.batch.face_ids.shape[1] for cb in systems.batches) == [3, 4]
 
     # every element's batched results equal its one-element-batch results
@@ -470,20 +500,26 @@ def test_mixed_face_counts_batched_like_single_elements(monkeypatch):
             assert np.array_equal(a, b), (e, name)
 
     # and nothing depends on the batch size
-    _, _, elements_1, glob_1, rep_1 = mixed_solve(monkeypatch, 1, mesh, k, sol, material)
-    for a, b in zip(elements, elements_1):
+    single = mixed_solve(monkeypatch, tmp_path, 1, mesh, k, sol, material)
+    for a, b in zip(elements, single[2]):
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
-    assert all(np.array_equal(x, y) for x, y in zip(glob, glob_1))
-    assert rep == rep_1
+    assert_same_solve(full, single)
 
 
-def test_mixed_face_counts_kernel_and_rigid_motion(monkeypatch):
+def test_mixed_face_counts_kernel_and_rigid_motion(monkeypatch, tmp_path):
     mesh = mixed_mesh(3)
     material = ComplianceTensor.plane_strain(3.0, 0.3)
     sol = MF.rigid_motion_solution(0.7, (0.3, -0.2))
-    _, systems, elements, _, rep = mixed_solve(monkeypatch, 5, mesh, 1, sol, material)
-    for e, (A, *_) in enumerate(elements):
+    runs = [mixed_solve(monkeypatch, tmp_path, chunk, mesh, 1, sol, material)
+            for chunk in (5, mesh.num_elements, 1)]
+    for e, (A, *_) in enumerate(runs[0][2]):
         w = np.linalg.eigvalsh(A)
         assert int(np.sum(w < 1e-10 * w[-1])) == 3, e
         assert w[0] >= -1e-10 * w[-1], e
+    rep = runs[0][4][0]
     assert max(rep.err_sigma, rep.err_u, rep.trace_diag) < 1e-10
+    # nonzero boundary data: the lifted rhs, residuals, jump and VTK agree
+    # whatever the batch size
+    assert np.abs(runs[0][3][1]).max() > 0
+    assert_same_solve(runs[1], runs[2])
+    assert_same_solve(runs[0], runs[2])
