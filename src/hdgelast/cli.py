@@ -2,7 +2,8 @@
 
 Subcommands: solve (single run), convergence (refinement study), locking
 (incompressibility sweep), check (self-check suite). Flags override values
-from an optional flat key/value config file. Exit codes: 0 success,
+from an optional flat key/value config file, which overrides the defaults;
+locking defaults to plane strain, test2 and E = 3. Exit codes: 0 success,
 2 configuration error, 3 solver failure, 4 check-suite failure.
 """
 
@@ -60,11 +61,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--vtk", help="VTK output path")
     p.add_argument("--trace-variant", choices=["projected", "plain"])
-    p.add_argument("--allow-k0", action="store_true", default=None)
+
+
+# the locking sweep's base configuration, under --config and the flags
+_LOCKING_BASE = RunConfig(material="plane_strain", solution="test2", E=3.0)
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig()
+    cfg = _LOCKING_BASE if args.command == "locking" else RunConfig()
     if args.config:
         with open(args.config) as fh:
             cfg = parse_config_text(fh.read(), cfg)
@@ -111,8 +115,6 @@ def main(argv: list[str] | None = None) -> int:
             table = run_convergence(cfg, ns)
             write_csv(table, sys.stdout)
         elif args.command == "locking":
-            cfg = replace(cfg, material="plane_strain", solution="test2",
-                          E=cfg.E if cfg.E != 1.0 else 3.0)
             ns = cfg.n_sequence if cfg.n_sequence else (4, 8, 16, 32)
             tables, spread = run_locking(cfg, cfg.nu_list, ns)
             for nu, table in tables.items():

@@ -58,7 +58,6 @@ class RunConfig:
     out: str = ""
     vtk: str = ""
     trace_variant: str = "projected"
-    allow_k0: bool = False
 
     def problems(self) -> list[str]:
         errs = []
@@ -66,11 +65,8 @@ class RunConfig:
             errs.append(f"mesh: expected 'tri' or 'poly', got {self.mesh!r}")
         if self.n < 1:
             errs.append(f"n: must be >= 1, got {self.n}")
-        if self.k < 0:
-            errs.append(f"k: must be >= 0, got {self.k}")
-        if self.k == 0 and not self.allow_k0:
-            errs.append("k: degree 0 is unsupported (the method needs k >= 1); "
-                        "pass allow_k0 to run anyway without guarantees")
+        if self.k < 1:
+            errs.append(f"k: must be >= 1 (the method needs k >= 1), got {self.k}")
         positive = ["tau_c", "tol"]
         if self.material in ("plane_stress", "plane_strain"):
             positive.append("E")
@@ -108,9 +104,6 @@ class RunConfig:
         return self.n_sequence if self.n_sequence else (self.n,)
 
 
-_BOOL_FIELDS = {"allow_k0"}
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
-               "0": False, "false": False, "no": False, "off": False}
 _TUPLE_FIELDS = {"n_sequence": int, "nu_list": float}
 
 
@@ -141,12 +134,10 @@ def _coerce(key: str, value: str, ftype):
     try:
         if key in _TUPLE_FIELDS:
             return _parse_list(value, _TUPLE_FIELDS[key])
-        if key in _BOOL_FIELDS:
-            return _BOOL_WORDS[value.lower()]
         for caster in (int, float):
             if caster.__name__ in str(ftype):
                 return caster(value)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {value!r}") from exc
     return value
 
@@ -170,25 +161,22 @@ class SolveReport:
 
 
 def _pipeline(cfg: RunConfig, n: int):
-    """mesh -> condense -> solve -> recover; returns everything the studies
-    and diagnostics need."""
+    """mesh -> condense -> solve -> recover. The element systems are freed
+    on return; the solution carries the parameters they were built with."""
     mesh = build_mesh(cfg.mesh, n)
     material = cfg.material_law()
     exact = cfg.exact_solution()
-    tau = cfg.tau_c / mesh.h
     f_fn = lambda pts: manufactured.body_force(exact, material, pts)
     g_fn = lambda pts: manufactured.boundary_data(exact, pts)
     disc = hdg_global.build_discretization(mesh, cfg.k)
     systems = hdg_global.build_element_systems(
-        disc, material, tau, f_fn, variant=cfg.trace_variant
+        disc, material, cfg.tau_c / mesh.h, f_fn, variant=cfg.trace_variant
     )
-    bvals = hdg_global.boundary_trace_values(
-        disc, g_fn, exactness=postproc.error_quadrature_exactness(cfg.k)
-    )
+    bvals = hdg_global.boundary_trace_values(disc, g_fn)
     system = hdg_global.assemble_global(disc, systems, bvals)
     trace, stats = hdg_global.solve_condensed(system, cfg.solver, cfg.tol)
     sol = hdg_global.recover_fields(disc, systems, trace)
-    return mesh, material, exact, tau, disc, systems, sol, stats
+    return disc, exact, sol, stats
 
 
 def run_solve(cfg: RunConfig, n: int | None = None) -> SolveReport:
@@ -196,12 +184,11 @@ def run_solve(cfg: RunConfig, n: int | None = None) -> SolveReport:
     if errs:
         raise ConfigError("; ".join(errs))
     n = cfg.n if n is None else n
-    mesh, material, exact, tau, disc, systems, sol, stats = _pipeline(cfg, n)
-    del systems  # the condensed element systems are not needed after recovery
-    report = postproc.error_norms(disc, sol, exact, material, tau)
+    disc, exact, sol, stats = _pipeline(cfg, n)
+    report = postproc.error_norms(disc, sol, exact)
     label = f"{cfg.mesh}-n{n}"
     if cfg.vtk:
-        write_vtk(mesh, sol, cfg.vtk)
+        write_vtk(disc.mesh, sol, cfg.vtk)
     if cfg.out:
         table = ConvergenceTable()
         table.add_row(report.as_row(label))
@@ -284,8 +271,7 @@ def run_check(cfg: RunConfig | None = None, spd_perturbation=None) -> list[Check
     ``spd_perturbation`` hook (tests only) maps the condensed matrix to a
     perturbed one before the SPD check."""
     cfg = cfg if cfg is not None else RunConfig()
-    # k=0 runs as k=1 here, so it is no configuration error
-    errs = replace(cfg, allow_k0=True).problems()
+    errs = cfg.problems()
     if errs:
         raise ConfigError("; ".join(errs))
     variant = cfg.trace_variant
@@ -301,12 +287,11 @@ def run_check(cfg: RunConfig | None = None, spd_perturbation=None) -> list[Check
         record(f"mesh.validate[{fam}]", not issues, "; ".join(issues))
 
     # local element structure on a small mesh of each family
-    k = max(cfg.k, 1)
+    material = cfg.material_law()
     for fam in ("tri", "poly"):
         mesh = build_mesh(fam, 2)
-        material = cfg.material_law()
         tau = cfg.tau_c / mesh.h
-        disc = hdg_global.build_discretization(mesh, k)
+        disc = hdg_global.build_discretization(mesh, cfg.k)
         systems = hdg_global.build_element_systems(disc, material, tau, None, variant=variant)
         kernel_ok, psd_ok, sym_ok = True, True, True
         for cb in systems.batches:
@@ -323,9 +308,8 @@ def run_check(cfg: RunConfig | None = None, spd_perturbation=None) -> list[Check
 
     # global SPD after boundary elimination
     mesh = build_mesh("tri", 4)
-    material = cfg.material_law()
     tau = cfg.tau_c / mesh.h
-    disc = hdg_global.build_discretization(mesh, k)
+    disc = hdg_global.build_discretization(mesh, cfg.k)
     systems = hdg_global.build_element_systems(disc, material, tau, None, variant=variant)
     system = hdg_global.assemble_global(disc, systems)
     A = system.matrix.toarray()
@@ -347,16 +331,16 @@ def run_check(cfg: RunConfig | None = None, spd_perturbation=None) -> list[Check
     sysb = hdg_global.assemble_global(disc, systems, bvals)
     trace, _ = hdg_global.solve_condensed(sysb, cfg.solver, cfg.tol)
     sol = hdg_global.recover_fields(disc, systems, trace)
-    rep = postproc.error_norms(disc, sol, exact, material, tau)
+    rep = postproc.error_norms(disc, sol, exact)
     exact_ok = max(rep.err_sigma, rep.err_u, rep.trace_diag) < 1e-10
     record("hdg_global.rigid-motion-exactness", exact_ok,
            f"max error {max(rep.err_sigma, rep.err_u, rep.trace_diag):.2e}")
 
     # traction single-valuedness on a manufactured solve
-    run_cfg = replace(cfg, mesh="tri", k=k, solution="test1",
+    run_cfg = replace(cfg, mesh="tri", solution="test1",
                       material="plane_stress", E=1.0, nu=0.3, out="", vtk="")
-    mesh, mat, exa, tau, disc, systems, sol, _ = _pipeline(run_cfg, 4)
-    jump, scale = hdg_global.flux_jump_norm(disc, systems, sol, tau, variant=variant)
+    disc, _, sol, _ = _pipeline(run_cfg, 4)
+    jump, scale = hdg_global.flux_jump_norm(disc, sol)
     rel = jump / max(scale, 1e-300)
     record(
         "hdg_global.flux-single-valued",
@@ -370,9 +354,9 @@ def run_check(cfg: RunConfig | None = None, spd_perturbation=None) -> list[Check
     pts = rng.uniform(0.05, 0.95, size=(50, 2))
     for name in ("test1", "test2"):
         s = manufactured.solution_by_name(name)
-        sig = manufactured.stress(s, mat, pts)
+        sig = manufactured.stress(s, sol.material, pts)
         eps = manufactured.strain(s, pts)
-        err = np.abs(mat.apply_compliance(sig) - eps).max()
+        err = np.abs(sol.material.apply_compliance(sig) - eps).max()
         record(f"manufactured.constitutive[{name}]", err < 1e-12, f"max residual {err:.2e}")
 
     return results

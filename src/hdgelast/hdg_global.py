@@ -7,6 +7,13 @@ right-hand side during assembly, which keeps the solved matrix symmetric
 positive definite. After the solve, stress and displacement are recovered
 from the local solution operators.
 
+Each solve parameter is given once. build_element_systems takes the
+material, tau and trace variant; recover_fields copies them onto the
+DiscreteSolution, and the traction jump, the scheme residuals and the error
+norms read them from there. The quadrature rules are hdg_local's two
+policies: the assembly rule for the element stage, and the error rule
+(error_face_rule) for boundary data, the traction jump and the error norms.
+
 The trace system is solved by a sparse symmetric factorization or by
 conjugate gradients with a two-level additive Schwarz preconditioner: exact
 solves on the vertex patches (the interior faces around each mesh vertex)
@@ -54,7 +61,6 @@ from .hdg_local import (
     batch_blocks,
     batch_moments,
     condense_batch,
-    default_quadrature_exactness,
     element_batch,
 )
 from .material import ComplianceTensor
@@ -73,6 +79,7 @@ __all__ = [
     "boundary_trace_values",
     "solve_condensed",
     "recover_fields",
+    "error_face_rule",
     "flux_jump_norm",
     "scheme_residuals",
 ]
@@ -113,14 +120,7 @@ class Discretization:
         """Trace dofs of elements with faces ``face_ids`` (B, m): (B, m * ndof_face)."""
         return self.face_dofs(face_ids).reshape(len(face_ids), -1)
 
-    def face_rule(self, exactness: int | None = None) -> tuple[FaceQuadrature, np.ndarray]:
-        """Quadrature and face-mode values on every face: the assembly rule,
-        or the Gauss rule of the given exactness."""
-        if exactness is None:
-            return self.face_quad, self.face_modes
-        return _face_rule(self.mesh, self.k, exactness)
-
-    def element_batches(self, quad_exactness: int | None = None):
+    def element_batches(self):
         """ElementBatch per face count, in chunks of at most CHUNK_SIZE
         elements, ascending element order within each."""
         for _, ids in self.mesh.element_groups():
@@ -131,7 +131,6 @@ class Discretization:
                     ids[start : start + hdg_local.CHUNK_SIZE],
                     self.face_quad,
                     self.face_modes,
-                    quad_exactness,
                 )
 
 
@@ -140,11 +139,16 @@ def _face_rule(mesh: Mesh, k: int, exactness: int) -> tuple[FaceQuadrature, np.n
     return fq, face_modes(fq.params, k, mesh.face_length)
 
 
-def build_discretization(mesh: Mesh, k: int, quad_exactness: int | None = None) -> Discretization:
-    if quad_exactness is None:
-        quad_exactness = default_quadrature_exactness(k)
-    fq, modes = _face_rule(mesh, k, quad_exactness)
+def build_discretization(mesh: Mesh, k: int) -> Discretization:
+    fq, modes = _face_rule(mesh, k, hdg_local.default_quadrature_exactness(k))
     return Discretization(mesh, k, build_trace_dof_map(mesh, k), fq, modes)
+
+
+def error_face_rule(disc: Discretization) -> tuple[FaceQuadrature, np.ndarray]:
+    """Quadrature and face-mode values on every face in the rule of
+    hdg_local.error_quadrature_exactness, for boundary data, error norms and
+    the traction jump."""
+    return _face_rule(disc.mesh, disc.k, hdg_local.error_quadrature_exactness(disc.k))
 
 
 @dataclass
@@ -164,12 +168,10 @@ def build_element_systems(
     tau: float,
     f_fn=None,
     variant: str = "projected",
-    quad_exactness: int | None = None,
 ) -> ElementSystems:
     """Build, eliminate and condense every element, batch by batch."""
     batches = [
-        condense_batch(batch, material, tau, variant, f_fn)
-        for batch in disc.element_batches(quad_exactness)
+        condense_batch(batch, material, tau, variant, f_fn) for batch in disc.element_batches()
     ]
     return ElementSystems(batches, material, tau, variant)
 
@@ -186,19 +188,23 @@ class CondensedSystem:
     matrix: scipy.sparse.csr_matrix
     rhs: np.ndarray
     boundary_values: np.ndarray  # full trace vector, nonzero on boundary dofs
-    dofmap: TraceDofMap
     # the mesh-level data the system was assembled from; cg builds its
     # preconditioner from it
-    disc: Discretization | None = field(default=None, repr=False)
+    disc: Discretization = field(repr=False)
+
+    @property
+    def dofmap(self) -> TraceDofMap:
+        return self.disc.dofmap
 
 
-def boundary_trace_values(disc: Discretization, g_fn, exactness: int | None = None) -> np.ndarray:
-    """Full trace vector holding the face projection of the boundary data."""
+def boundary_trace_values(disc: Discretization, g_fn) -> np.ndarray:
+    """Full trace vector holding the face projection of the boundary data,
+    in the error rule (see error_face_rule)."""
     values = np.zeros(disc.dofmap.total)
     fids = np.array(disc.dofmap.boundary_face_ids, dtype=int)
     if g_fn is None or not len(fids):
         return values
-    fq, modes = disc.face_rule(exactness)
+    fq, modes = error_face_rule(disc)
     pts = fq.points[fids]
     vals = np.asarray(g_fn(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape)
     values[disc.face_dofs(fids)] = trace_moments(modes[fids], fq.weights[fids], vals)
@@ -279,7 +285,7 @@ def assemble_global(
     rhs = (((t[:, 0, 0] + t[:, 0, 1]) + t[:, 1, 0]) + t[:, 1, 1]).ravel()
     bptr = np.searchsorted(pairs, np.arange(nf + 1) * nf)
     matrix = scipy.sparse.bsr_matrix((blocks, pairs % nf, bptr), shape=(n, n)).tocsr()
-    return CondensedSystem(matrix, rhs, boundary_values, dofmap, disc)
+    return CondensedSystem(matrix, rhs, boundary_values, disc)
 
 
 @dataclass
@@ -373,8 +379,6 @@ def _schwarz_preconditioner(system: CondensedSystem) -> scipy.sparse.linalg.Line
     and P the trace of continuous P1 fields (see _coarse_prolongation).
     The patch inverses are applied matrix-free, one stacked product per
     patch size; assembling them into one sparse matrix costs more memory."""
-    if system.disc is None:
-        raise ValueError("cg needs the Discretization the system was assembled from")
     A, n = system.matrix, system.matrix.shape[0]
     patches = [(idx, np.linalg.inv(block)) for idx, block in _patch_blocks(system)]
     P = _coarse_prolongation(system.disc)
@@ -402,9 +406,8 @@ def solve_condensed(
     all elimination pivots must come out positive, anything else means the
     matrix is not SPD and is reported as a hard error. ``cg``: conjugate
     gradients with the two-level vertex-patch Schwarz preconditioner of
-    _schwarz_preconditioner, built from ``system.disc`` (a ValueError
-    without it). ``auto`` picks the factorization up to
-    DIRECT_SOLVER_DOF_LIMIT unknowns, cg above.
+    _schwarz_preconditioner, built from ``system.disc``. ``auto`` picks the
+    factorization up to DIRECT_SOLVER_DOF_LIMIT unknowns, cg above.
 
     Returns the full trace vector (boundary values filled in) and stats."""
     if not tol > 0:
@@ -456,7 +459,8 @@ def solve_condensed(
 
 @dataclass
 class DiscreteSolution:
-    """Recovered fields plus the trace vector. Row e of stress_coeffs /
+    """Recovered fields plus the trace vector, and the parameters of the
+    element systems they were recovered from. Row e of stress_coeffs /
     disp_coeffs holds element e's coefficients in the basis of its
     ElementBatch in ``batches``."""
 
@@ -465,6 +469,9 @@ class DiscreteSolution:
     disp_coeffs: np.ndarray  # (nelements, n_u)
     trace: np.ndarray
     batches: list[ElementBatch] = field(repr=False)
+    material: ComplianceTensor
+    tau: float
+    variant: str
 
 
 def recover_fields(
@@ -479,7 +486,10 @@ def recover_fields(
         lam = trace[disc.element_dofs(cb.batch.face_ids)][..., None]
         stress[cb.batch.elements] = (cb.stress_map @ lam)[..., 0] + cb.source_stress
         disp[cb.batch.elements] = (cb.disp_map @ lam)[..., 0] + cb.source_disp
-    return DiscreteSolution(k, stress, disp, trace, [cb.batch for cb in systems.batches])
+    return DiscreteSolution(
+        k, stress, disp, trace, [cb.batch for cb in systems.batches],
+        systems.material, systems.tau, systems.variant,
+    )
 
 
 def _face_flux_values(
@@ -489,8 +499,6 @@ def _face_flux_values(
     local_face: int,
     fq: FaceQuadrature,
     modes: np.ndarray,
-    variant: str,
-    tau: float,
 ) -> np.ndarray:
     """Numerical traction of each element of the batch on its local face
     ``local_face``, at the quadrature points of ``fq`` (stacked by face, with
@@ -513,36 +521,27 @@ def _face_flux_values(
     uhat_vals = md @ uhat
     wd = sol.disp_coeffs[batch.elements].reshape(B, 2, p_u)
     u_face = batch.basis.eval(mono) @ wd.swapaxes(-1, -2)  # raw displacement trace
-    if variant == "projected":
+    if sol.variant == "projected":
         mom = md.swapaxes(-1, -2) @ (w[..., None] * u_face)  # (B, k+1, 2)
         u_face = md @ mom
-    return sig_n - tau * (u_face - uhat_vals)
+    return sig_n - sol.tau * (u_face - uhat_vals)
 
 
-def flux_jump_norm(
-    disc: Discretization,
-    systems: ElementSystems,
-    sol: DiscreteSolution,
-    tau: float,
-    variant: str = "projected",
-    exactness: int | None = None,
-) -> tuple[float, float]:
+def flux_jump_norm(disc: Discretization, sol: DiscreteSolution) -> tuple[float, float]:
     """(L2 norm of the traction jump over interior faces, L2 norm of the
-    one-sided tractions) for relative single-valuedness checks."""
+    one-sided tractions) for relative single-valuedness checks, with the
+    traction of the solve's tau and variant, in the error rule."""
     mesh = disc.mesh
-    if exactness is None:
-        exactness = 2 * (disc.k + 1) + 4
-    fq, modes = disc.face_rule(exactness)
+    fq, modes = error_face_rule(disc)
     left = mesh.face_left
     interior = mesh.face_right >= 0
     # one-sided tractions by face and side (0: left element, 1: right)
     flux = np.zeros((mesh.num_faces, 2) + fq.points.shape[1:])
-    for cb in systems.batches:
-        batch = cb.batch
+    for batch in sol.batches:
         for j in range(batch.face_ids.shape[1]):
             fid = batch.face_ids[:, j]
             side = (left[fid] != batch.elements).astype(int)
-            flux[fid, side] = _face_flux_values(disc, batch, sol, j, fq, modes, variant, tau)
+            flux[fid, side] = _face_flux_values(disc, batch, sol, j, fq, modes)
     one_sided = np.sum(fq.weights[:, None] * (flux**2).sum(axis=-1), axis=-1)
     present = np.stack([np.ones_like(interior), interior], axis=1)
     jump = flux[interior, 0] + flux[interior, 1]
@@ -551,14 +550,11 @@ def flux_jump_norm(
 
 
 def scheme_residuals(
-    disc: Discretization,
-    systems: ElementSystems,
-    sol: DiscreteSolution,
-    f_fn=None,
-    g_fn=None,
+    disc: Discretization, sol: DiscreteSolution, f_fn=None, g_fn=None
 ) -> dict[str, float]:
     """Residual norms of the discrete equations for the recovered solution,
-    relative to the size of the terms entering each equation.
+    with the solve's material, tau and variant, relative to the size of the
+    terms entering each equation.
 
     Keys: constitutive (stress equation), balance (momentum equation),
     transmission (interior traction moments), boundary (trace data)."""
@@ -572,10 +568,9 @@ def scheme_residuals(
     def sq(x):
         return np.sum(x**2, axis=-1)
 
-    for cb in systems.batches:
-        batch = cb.batch
+    for batch in sol.batches:
         table = batch.tabulate()
-        b = batch_blocks(batch, systems.material, systems.tau, systems.variant, table)
+        b = batch_blocks(batch, sol.material, sol.tau, sol.variant, table)
         gdofs = disc.element_dofs(batch.face_ids)
         lam = sol.trace[gdofs]
         s, w = sol.stress_coeffs[batch.elements], sol.disp_coeffs[batch.elements]

@@ -35,6 +35,10 @@ results ``scipy.linalg.lu_factor``/``lu_solve`` give. The entry points
 are ``element_batch``, which stacks elements, ``condense_batch``, which runs
 the whole stage on a batch, and its kernels ``batch_blocks`` and
 ``batch_moments``; a single element is a one-element batch.
+
+The module owns both quadrature policies: default_quadrature_exactness,
+the rule of the element stage, and error_quadrature_exactness, the richer
+rule of boundary data, error norms and the traction jump.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ __all__ = [
     "batch_moments",
     "condense_batch",
     "default_quadrature_exactness",
+    "error_quadrature_exactness",
 ]
 
 # Elements per batch. Bounds the memory of the stacked saddle matrices,
@@ -86,6 +91,13 @@ def default_quadrature_exactness(k: int) -> int:
     """Assembly quadrature exactness: covers every bilinear pairing of the
     degree-(k, k+1, k) spaces on straight-sided elements with margin."""
     return 2 * (k + 1) + 2
+
+
+def error_quadrature_exactness(k: int) -> int:
+    """Exactness of the rule for data and diagnostics: boundary data, error
+    norms and the traction jump. Higher than assembly, so that smooth
+    exact data are not under-integrated."""
+    return 2 * (k + 1) + 6
 
 
 @dataclass
@@ -129,16 +141,14 @@ def element_batch(
     elements: np.ndarray,
     face_quad: FaceQuadrature,
     face_modes: np.ndarray,
-    quad_exactness: int | None = None,
 ) -> ElementBatch:
-    """Stack the elements ``elements`` (same face count). ``face_quad`` and
-    ``face_modes`` hold every face of the mesh, (F, ...); the batch takes
-    each element's faces from them in edge order."""
-    if quad_exactness is None:
-        quad_exactness = default_quadrature_exactness(k)
+    """Stack the elements ``elements`` (same face count), with the assembly
+    rule on each element. ``face_quad`` and ``face_modes`` hold every face
+    of the mesh, (F, ...); the batch takes each element's faces from them in
+    edge order."""
     elements = np.asarray(elements)
     polys = mesh.polygons(elements)
-    quad = polygon_quadrature(polys, quad_exactness)
+    quad = polygon_quadrature(polys, default_quadrature_exactness(k))
     face_ids = mesh.element_faces[mesh.slots(elements)]
     sign = np.where(mesh.face_left[face_ids] == elements[:, None], 1.0, -1.0)
     return ElementBatch(

@@ -8,8 +8,10 @@ error, is measured over all element boundaries; with tau = 1/h it converges
 one order faster than the displacement gradient, which is the
 superconvergence effect the solver relies on.
 
-Error quadrature uses a higher exactness than assembly so that measured
-rates are not polluted by under-integration of the smooth exact solutions.
+The errors of a solution are measured with the material and tau it was
+solved with (DiscreteSolution), in hdg_local's error rule: a higher
+exactness than assembly, so that measured rates are not polluted by
+under-integration of the smooth exact solutions.
 """
 
 from __future__ import annotations
@@ -20,24 +22,20 @@ from typing import TextIO
 import numpy as np
 
 from .fespace import StressBasis, basis_moments, polygon_quadrature, scalar_dim
-from .hdg_global import Discretization, DiscreteSolution, running_sum
-from .material import ComplianceTensor
+from .hdg_global import Discretization, DiscreteSolution, error_face_rule, running_sum
+from .hdg_local import error_quadrature_exactness
 from .manufactured import ExactSolution, stress
 from .mesh import Mesh, polygon_areas, polygon_centroids
 
 __all__ = [
     "ErrorReport",
     "ConvergenceTable",
-    "error_quadrature_exactness",
     "error_norms",
     "rates",
     "write_csv",
     "write_vtk",
     "CSV_COLUMNS",
 ]
-
-def error_quadrature_exactness(k: int) -> int:
-    return 2 * (k + 1) + 6
 
 
 def _stress_projection(phi_s: np.ndarray, weights: np.ndarray, sig: np.ndarray) -> np.ndarray:
@@ -79,19 +77,15 @@ class ErrorReport:
         }
 
 
-def error_norms(
-    disc: Discretization,
-    sol: DiscreteSolution,
-    exact: ExactSolution,
-    material: ComplianceTensor,
-    tau: float,
-) -> ErrorReport:
-    """All error norms of a recovered solution against an exact one,
-    evaluated batch by batch and summed in element order."""
+def error_norms(disc: Discretization, sol: DiscreteSolution, exact: ExactSolution) -> ErrorReport:
+    """All error norms of a recovered solution against an exact one, with
+    the solve's material and tau, evaluated batch by batch and summed in
+    element order."""
     mesh, k = disc.mesh, disc.k
+    material, tau = sol.material, sol.tau
     p_s, p_u = scalar_dim(k), scalar_dim(k + 1)
     qe = error_quadrature_exactness(k)
-    fq, modes = disc.face_rule(qe)
+    fq, modes = error_face_rule(disc)
 
     # squared errors by element (sigma_proj, u_proj, sigma, u), and the
     # trace term by slot

@@ -205,13 +205,10 @@ def _solve(sol, material, family, n, k, variant="projected", tau_c=3.0):
     systems = G.build_element_systems(
         disc, material, tau, lambda p: MF.body_force(sol, material, p), variant=variant
     )
-    bvals = G.boundary_trace_values(
-        disc, lambda p: MF.boundary_data(sol, p), exactness=P.error_quadrature_exactness(k)
-    )
+    bvals = G.boundary_trace_values(disc, lambda p: MF.boundary_data(sol, p))
     glob = G.assemble_global(disc, systems, bvals)
     trace, _ = G.solve_condensed(glob)
-    dsol = G.recover_fields(disc, systems, trace)
-    return mesh, tau, disc, systems, dsol
+    return disc, G.recover_fields(disc, systems, trace)
 
 
 def test_criterion_5_polynomial_exactness():
@@ -232,8 +229,8 @@ def test_criterion_5_polynomial_exactness():
         cases.append(MF.polynomial_solution(c1, c2, name=f"deg{deg}"))
         for family in ("tri", "poly"):
             for sol in cases:
-                mesh, tau, disc, systems, dsol = _solve(sol, material, family, 2, k)
-                rep = P.error_norms(disc, dsol, sol, material, tau)
+                disc, dsol = _solve(sol, material, family, 2, k)
+                rep = P.error_norms(disc, dsol, sol)
                 scale = max(1.0, rep.err_sigma_proj, rep.err_u_proj)
                 worst = max(rep.err_sigma_proj, rep.err_u_proj, rep.err_sigma,
                             rep.err_u, rep.trace_diag)
@@ -252,13 +249,13 @@ def test_criterion_6_flux_single_valuedness():
     details = []
     ok = True
     for family in ("tri", "poly"):
-        mesh, tau, disc, systems, dsol = _solve(sol, material, family, 4, 1)
-        jump, scale = G.flux_jump_norm(disc, systems, dsol, tau, variant="projected")
+        disc, dsol = _solve(sol, material, family, 4, 1)
+        jump, scale = G.flux_jump_norm(disc, dsol)
         details.append(f"{family} projected jump {jump / scale:.2e}")
         if jump > 1e-9 * scale:
             ok = False
-    mesh, tau, disc, systems, dsol = _solve(sol, material, "tri", 4, 1, variant="plain")
-    jump, scale = G.flux_jump_norm(disc, systems, dsol, tau, variant="plain")
+    disc, dsol = _solve(sol, material, "tri", 4, 1, variant="plain")
+    jump, scale = G.flux_jump_norm(disc, dsol)
     details.append(f"plain jump {jump / scale:.2e} (expected violation)")
     if jump <= 1e-6 * scale:
         ok = False
@@ -272,13 +269,11 @@ def test_criterion_7_superconvergence():
     values = []
     for n in (2, 4, 8, 16):
         cfg = RunConfig(mesh="tri", k=1, solution="test1", tau_c=1.0)
-        mesh = M.build_unit_square_tri(n)
         sol = MF.test1_solution()
-        material = cfg.material_law()
-        _, tau, disc, systems, dsol = _solve(sol, material, "tri", n, 1, tau_c=1.0)
-        rep = P.error_norms(disc, dsol, sol, material, tau)
+        disc, dsol = _solve(sol, cfg.material_law(), "tri", n, 1, tau_c=1.0)
+        rep = P.error_norms(disc, dsol, sol)
         # tau = 1/h makes sqrt(h)*||mismatch|| equal h times the tau-weighted norm
-        values.append(mesh.h * rep.trace_diag)
+        values.append(disc.mesh.h * rep.trace_diag)
     orders = P.rates(values)
     final = orders[-1]
     ok = final >= 2.8

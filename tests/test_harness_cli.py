@@ -14,7 +14,6 @@ def test_config_parse_and_overrides():
     tau_c = 2.5
     nu_list = 0.49 0.4999
     n_sequence = 2, 4, 8
-    allow_k0 = true
     """
     cfg = H.parse_config_text(text)
     assert cfg.mesh == "poly"
@@ -23,7 +22,6 @@ def test_config_parse_and_overrides():
     assert cfg.tau_c == 2.5
     assert cfg.nu_list == (0.49, 0.4999)
     assert cfg.n_sequence == (2, 4, 8)
-    assert cfg.allow_k0 is True
 
 
 def test_config_roundtrip():
@@ -48,7 +46,6 @@ def test_config_bad_value():
 MALFORMED_LINES = [
     ("n_sequence = 4, x", "n_sequence"),
     ("nu_list = 0.49 abc", "nu_list"),
-    ("allow_k0 = maybe", "allow_k0"),
 ]
 
 
@@ -56,11 +53,6 @@ MALFORMED_LINES = [
 def test_config_malformed_value_names_key(line, key):
     with pytest.raises(H.ConfigError, match=f"^{key}: cannot parse"):
         H.parse_config_text(line)
-
-
-@pytest.mark.parametrize("word,value", [("yes", True), ("ON", True), ("0", False), ("off", False)])
-def test_config_bool_words(word, value):
-    assert H.parse_config_text(f"allow_k0 = {word}").allow_k0 is value
 
 
 @pytest.mark.parametrize("line,key", MALFORMED_LINES)
@@ -86,11 +78,6 @@ def test_problems_named_fields():
     msgs = cfg.problems()
     joined = " ".join(msgs)
     assert "k:" in joined and "tau_c:" in joined and "mesh:" in joined
-
-
-def test_k0_requires_flag():
-    assert any("k:" in p for p in H.RunConfig(k=0).problems())
-    assert H.RunConfig(k=0, allow_k0=True).problems() == []
 
 
 def test_plane_strain_nu_range():
@@ -213,14 +200,10 @@ def test_cli_solve_reports_solver(capsys):
 
 
 def test_cli_k0_refused(capsys):
-    rc = cli.main(["solve", "--k", "0", "--n", "2"])
-    assert rc == cli.EXIT_CONFIG
-    assert "k" in capsys.readouterr().err
-
-
-def test_cli_k0_allowed_with_flag():
-    rc = cli.main(["solve", "--k", "0", "--n", "2", "--allow-k0"])
-    assert rc == cli.EXIT_OK
+    for command in ("solve", "convergence", "locking", "check"):
+        rc = cli.main([command, "--k", "0", "--n", "2", "--n-sequence", "2,4"])
+        assert rc == cli.EXIT_CONFIG, command
+        assert capsys.readouterr().err.startswith("config error: k: must be >= 1"), command
 
 
 def test_cli_config_file_with_override(tmp_path, capsys):
@@ -255,6 +238,30 @@ def test_cli_convergence_stdout_equals_csv(tmp_path, capsys):
 def test_cli_locking_rejects_bad_nu(capsys):
     rc = cli.main(["locking", "--nu-list", "0.6", "--n-sequence", "2,4", "--k", "1"])
     assert rc == cli.EXIT_CONFIG
+
+
+LOCKING = ["locking", "--k", "1", "--n-sequence", "2,4", "--nu-list", "0.3"]
+
+
+def test_cli_locking_defaults_yield_to_config_and_flags(tmp_path, capsys):
+    # plane strain, test2 and E = 3 are the sweep's defaults, not overrides
+    def run(*extra):
+        assert cli.main(LOCKING + list(extra)) == cli.EXIT_OK
+        return capsys.readouterr().out
+
+    bare = run()
+    assert bare == run("--material", "plane_strain", "--solution", "test2", "--E", "3")
+    e1 = run("--E", "1")
+    assert e1 != bare
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("E = 1\n")
+    assert run("--config", str(cfgfile)) == e1
+    assert run("--solution", "test1") != bare
+
+
+def test_cli_locking_rejects_plane_stress(capsys):
+    assert cli.main(LOCKING + ["--material", "plane_stress"]) == cli.EXIT_CONFIG
+    assert "plane_strain" in capsys.readouterr().err
 
 
 def test_cli_check_passes(capsys):
@@ -335,6 +342,3 @@ def test_cli_check_bad_value_is_config_error(flags, field, capsys):
     assert err.startswith(f"config error: {field}: must be positive and finite")
     assert "Traceback" not in err
 
-
-def test_cli_check_runs_k0_as_k1():
-    assert cli.main(["check", "--k", "0"]) == cli.EXIT_OK

@@ -24,7 +24,7 @@ def solve_manufactured(family, n, k, sol, material, tau_c=3.0, variant="projecte
     f_fn = lambda pts: MF.body_force(sol, material, pts)
     g_fn = lambda pts: MF.boundary_data(sol, pts)
     systems = G.build_element_systems(disc, material, tau, f_fn, variant=variant)
-    bvals = G.boundary_trace_values(disc, g_fn, exactness=P.error_quadrature_exactness(k))
+    bvals = G.boundary_trace_values(disc, g_fn)
     glob = G.assemble_global(disc, systems, bvals)
     trace, stats = G.solve_condensed(glob, solver, tol)
     dsol = G.recover_fields(disc, systems, trace)
@@ -221,20 +221,6 @@ def test_cg_and_cholesky_agree_on_random_spd():
         assert np.abs(x_chol - x_cg).max() < 1e-10 * max(1.0, np.abs(x_chol).max())
 
 
-def test_cg_needs_discretization():
-    rng = np.random.default_rng(9)
-    n = 8
-    B = rng.normal(size=(n, n))
-    from hdgelast.fespace import TraceDofMap
-
-    dm = TraceDofMap(k=1, face_offset=np.arange(2) * 4, ndof_face=4, total=n,
-                     interior_index=np.arange(n), n_interior=n, boundary_face_ids=())
-    system = G.CondensedSystem(scipy.sparse.csr_matrix(B @ B.T + n * np.eye(n)),
-                               np.ones(n), np.zeros(n), dm)
-    with pytest.raises(ValueError, match="Discretization"):
-        G.solve_condensed(system, "cg")
-
-
 @pytest.mark.parametrize("family,n,coarse_dim", [("tri", 1, 0), ("tri", 2, 2), ("poly", 2, 2)])
 def test_cg_matches_cholesky_on_smallest_meshes(family, n, coarse_dim):
     # tri n=1 has no interior vertex, so the coarse space is empty
@@ -279,25 +265,12 @@ def test_cg_on_actual_problem_matches_direct():
 
 
 def test_non_spd_detected():
-    rng = np.random.default_rng(2)
-    n = 12
-    B = rng.normal(size=(n, n))
-    A = B @ B.T + n * np.eye(n)
-    A[0, 0] = -5.0  # break positive definiteness
-    from hdgelast.fespace import TraceDofMap
-
-    dm = TraceDofMap(
-        k=1,
-        face_offset=np.arange(3) * 4,
-        ndof_face=4,
-        total=n,
-        interior_index=np.arange(n),
-        n_interior=n,
-        boundary_face_ids=(),
-    )
-    system = G.CondensedSystem(scipy.sparse.csr_matrix(A), np.ones(n), np.zeros(n), dm)
-    with pytest.raises(G.SolverError):
-        G.solve_condensed(system, "cholesky")
+    disc = G.build_discretization(M.build_unit_square_tri(2), 1)
+    glob = G.assemble_global(disc, G.build_element_systems(disc, PLANE_STRESS, tau=2.0))
+    A = glob.matrix.copy()
+    A[0, 0] = -A[0, 0]  # break positive definiteness, keep the symmetry
+    with pytest.raises(G.SolverError, match="not positive definite"):
+        G.solve_condensed(replace(glob, matrix=A), "cholesky")
 
 
 def test_unknown_solver_rejected():
@@ -314,7 +287,7 @@ def test_rigid_motion_dirichlet_reproduced():
     mesh, tau, disc, systems, glob, dsol, _ = solve_manufactured(
         "poly", 3, 1, sol, PLANE_STRESS
     )
-    rep = P.error_norms(disc, dsol, sol, PLANE_STRESS, tau)
+    rep = P.error_norms(disc, dsol, sol)
     assert rep.err_sigma < 1e-10
     assert rep.err_u < 1e-10
     assert rep.trace_diag < 1e-10
@@ -336,7 +309,7 @@ def test_polynomial_exactness(family, k):
     sol = MF.polynomial_solution(c1, c2, name=f"poly-deg{deg}")
     material = ComplianceTensor.plane_strain(3.0, 0.3)
     mesh, tau, disc, systems, glob, dsol, _ = solve_manufactured(family, 2, k, sol, material)
-    rep = P.error_norms(disc, dsol, sol, material, tau)
+    rep = P.error_norms(disc, dsol, sol)
     assert rep.err_sigma_proj < 1e-9
     assert rep.err_u_proj < 1e-9
     assert rep.err_sigma < 1e-9
@@ -349,7 +322,7 @@ def test_discrete_equations_residuals():
     mesh, tau, disc, systems, glob, dsol, _ = solve_manufactured("tri", 4, 2, sol, PLANE_STRESS)
     f_fn = lambda pts: MF.body_force(sol, PLANE_STRESS, pts)
     g_fn = lambda pts: MF.boundary_data(sol, pts)
-    res = G.scheme_residuals(disc, systems, dsol, f_fn, g_fn)
+    res = G.scheme_residuals(disc, dsol, f_fn, g_fn)
     for key, val in res.items():
         assert val < 1e-9, (key, val)
 
@@ -358,7 +331,7 @@ def test_discrete_equations_residuals():
 def test_flux_single_valued_projected(family):
     sol = MF.test1_solution()
     mesh, tau, disc, systems, glob, dsol, _ = solve_manufactured(family, 4, 1, sol, PLANE_STRESS)
-    jump, scale = G.flux_jump_norm(disc, systems, dsol, tau, variant="projected")
+    jump, scale = G.flux_jump_norm(disc, dsol)
     assert jump <= 1e-9 * scale
 
 
@@ -367,7 +340,7 @@ def test_flux_jump_visible_in_plain_variant():
     mesh, tau, disc, systems, glob, dsol, _ = solve_manufactured(
         "tri", 4, 1, sol, PLANE_STRESS, variant="plain"
     )
-    jump, scale = G.flux_jump_norm(disc, systems, dsol, tau, variant="plain")
+    jump, scale = G.flux_jump_norm(disc, dsol)
     assert jump > 1e-6 * scale
 
 
@@ -385,7 +358,7 @@ def test_assembly_deterministic():
     runs = []
     for _ in range(2):
         mesh, tau, disc, _, glob, dsol, _ = solve_manufactured("poly", 3, 1, sol, PLANE_STRESS)
-        rep = P.error_norms(disc, dsol, sol, PLANE_STRESS, tau)
+        rep = P.error_norms(disc, dsol, sol)
         runs.append((glob, dsol, rep))
     (glob1, dsol1, rep1), (glob2, dsol2, rep2) = runs
     assert np.array_equal(glob1.matrix.toarray(), glob2.matrix.toarray())
@@ -466,9 +439,9 @@ def mixed_solve(monkeypatch, tmp_path, chunk, mesh, k, sol, material):
     dsol = G.recover_fields(disc, systems, trace)
     vtk = tmp_path / f"chunk{chunk}.vtk"
     P.write_vtk(mesh, dsol, str(vtk))
-    derived = (P.error_norms(disc, dsol, sol, material, tau),
-               G.scheme_residuals(disc, systems, dsol, f_fn, g_fn),
-               G.flux_jump_norm(disc, systems, dsol, tau), vtk.read_bytes())
+    derived = (P.error_norms(disc, dsol, sol),
+               G.scheme_residuals(disc, dsol, f_fn, g_fn),
+               G.flux_jump_norm(disc, dsol), vtk.read_bytes())
     elements = [per_element[e] for e in range(mesh.num_elements)]
     return disc, systems, elements, (glob.matrix.toarray(), glob.rhs, trace,
                                      dsol.stress_coeffs, dsol.disp_coeffs), derived

@@ -319,18 +319,24 @@ def test_singular_local_system_reports_element(monkeypatch):
 
 @pytest.mark.parametrize("family", ["tri", "poly"])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_blocks_insensitive_to_richer_quadrature(family, k):
+def test_blocks_insensitive_to_richer_quadrature(monkeypatch, family, k):
     # the default rule integrates every block exactly: a rule four degrees
     # richer on elements and faces changes none beyond roundoff
     mesh = M.build_mesh(family, 2)
     tau = 1.0 / mesh.h
-    blocks = []
-    for exactness in (None, L.default_quadrature_exactness(k) + 4):
-        disc = G.build_discretization(mesh, k, quad_exactness=exactness)
-        systems = G.build_element_systems(disc, PLANE_STRESS, tau, quad_exactness=exactness)
+    default_rule = L.default_quadrature_exactness
+    blocks, points = [], []
+    for extra in (0, 4):
+        monkeypatch.setattr(L, "default_quadrature_exactness", lambda k: default_rule(k) + extra)
+        disc = G.build_discretization(mesh, k)
+        systems = G.build_element_systems(disc, PLANE_STRESS, tau)
         blocks.append(
             [L.batch_blocks(cb.batch, PLANE_STRESS, tau, "projected") for cb in systems.batches]
         )
+        points.append([disc.face_quad.weights.shape[1],
+                       systems.batches[0].batch.quad.weights.shape[1]])
+    # the richer rule reached the faces and the elements
+    assert all(rich > default for default, rich in zip(*points))
     for default, rich in zip(*blocks):
         for name in ("div_coupling", "trace_coupling", "stab_uu", "stab_ulam"):
             a, b = getattr(default, name), getattr(rich, name)

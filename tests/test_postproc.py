@@ -3,6 +3,7 @@ import pytest
 
 from hdgelast import fespace as F
 from hdgelast import hdg_global as G
+from hdgelast import hdg_local as L
 from hdgelast import manufactured as MF
 from hdgelast import mesh as M
 from hdgelast import postproc as P
@@ -19,7 +20,7 @@ def small_solve(family="tri", n=2, k=1, sol=None, material=PLANE_STRESS, tau_c=3
     systems = G.build_element_systems(
         disc, material, tau, lambda p: MF.body_force(sol, material, p)
     )
-    bvals = G.boundary_trace_values(disc, lambda p: MF.boundary_data(sol, p), exactness=12)
+    bvals = G.boundary_trace_values(disc, lambda p: MF.boundary_data(sol, p))
     glob = G.assemble_global(disc, systems, bvals)
     trace, _ = G.solve_condensed(glob)
     dsol = G.recover_fields(disc, systems, trace)
@@ -28,7 +29,7 @@ def small_solve(family="tri", n=2, k=1, sol=None, material=PLANE_STRESS, tau_c=3
 
 def error_quadratures(disc, batches):
     """Each batch with its error quadrature."""
-    qe = P.error_quadrature_exactness(disc.k)
+    qe = L.error_quadrature_exactness(disc.k)
     for batch in batches:
         yield batch, F.polygon_quadrature(disc.mesh.polygons(batch.elements), qe)
 
@@ -88,14 +89,14 @@ def test_error_zero_when_solution_is_projection():
         sig = sig.reshape(quad.points.shape[:-1] + (2, 2))
         phi_s = batch.basis.eval(quad.points, p_s)
         dsol.stress_coeffs[batch.elements] = P._stress_projection(phi_s, quad.weights, sig)
-    rep = P.error_norms(disc, dsol, exact, PLANE_STRESS, tau)
+    rep = P.error_norms(disc, dsol, exact)
     assert rep.err_sigma_proj < 1e-13
 
 
 def test_triangle_inequality():
     mesh, tau, disc, dsol = small_solve(n=4)
     exact = MF.test1_solution()
-    rep = P.error_norms(disc, dsol, exact, PLANE_STRESS, tau)
+    rep = P.error_norms(disc, dsol, exact)
     # projection distance of the stress
     dist_sq = 0.0
     p_s = F.scalar_dim(1)
@@ -161,9 +162,7 @@ def golden_solution():
     sol_exact = MF.polynomial_solution([[0.0], [1.0]], [[0.0]], name="stretch")
     disc = G.build_discretization(mesh, 1)
     systems = G.build_element_systems(disc, mat, tau=2.0)
-    bvals = G.boundary_trace_values(
-        disc, lambda p: MF.boundary_data(sol_exact, p), exactness=10
-    )
+    bvals = G.boundary_trace_values(disc, lambda p: MF.boundary_data(sol_exact, p))
     glob = G.assemble_global(disc, systems, bvals)
     trace, _ = G.solve_condensed(glob)
     return mesh, G.recover_fields(disc, systems, trace)
