@@ -41,6 +41,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import lapack
 
+from .errors import ConfigError, SolverError
 from .mesh import Mesh, polygon_centroids
 
 __all__ = [
@@ -65,11 +66,11 @@ __all__ = [
 MAX_EXACTNESS = 50
 
 
-class QuadratureDegreeError(Exception):
+class QuadratureDegreeError(ConfigError):
     """Requested polynomial exactness beyond the supported range."""
 
 
-class ElementConditioningError(Exception):
+class ElementConditioningError(SolverError):
     """Element geometry too degenerate to orthonormalize a basis on."""
 
 

@@ -9,13 +9,17 @@ and the self-check suite; the command line module is a thin wrapper.
 
 from __future__ import annotations
 
-import io
 import math
+import os
 from dataclasses import dataclass, fields, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import hdg_global, manufactured, postproc
+from .errors import ConfigError
+from .fespace import MAX_EXACTNESS
+from .hdg_local import TRACE_VARIANTS, error_quadrature_exactness
 from .material import ComplianceTensor
 from .mesh import build_mesh, validate
 from .postproc import ConvergenceTable, ErrorReport, write_csv, write_vtk
@@ -33,8 +37,14 @@ __all__ = [
 ]
 
 
-class ConfigError(Exception):
-    """Invalid run configuration; message names the offending fields."""
+# The allowed values of each choice-valued setting.
+CHOICES = {
+    "mesh": ("tri", "poly"),
+    "material": ("plane_stress", "plane_strain", "deviatoric"),
+    "solution": ("test1", "test2", "rigid"),
+    "solver": ("auto", "cholesky", "cg"),
+    "trace_variant": TRACE_VARIANTS,
+}
 
 
 @dataclass
@@ -61,19 +71,21 @@ class RunConfig:
 
     def problems(self) -> list[str]:
         errs = []
-        if self.mesh not in ("tri", "poly"):
-            errs.append(f"mesh: expected 'tri' or 'poly', got {self.mesh!r}")
-        if self.n < 1:
-            errs.append(f"n: must be >= 1, got {self.n}")
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                errs.append(f"{name}: expected one of {', '.join(allowed)}, got {value!r}")
+        low = 2 if self.mesh == "poly" else 1
+        for name, ns in (("n", (self.n,)), ("n_sequence", self.n_sequence)):
+            if ns and min(ns) < low:
+                errs.append(f"{name}: must be >= {low} for the {self.mesh} mesh, got {min(ns)}")
+        if any(b <= a for a, b in zip(self.n_sequence, self.n_sequence[1:])):
+            errs.append(f"n_sequence: levels must increase strictly, got {self.n_sequence}")
         if self.k < 1:
             errs.append(f"k: must be >= 1 (the method needs k >= 1), got {self.k}")
-        positive = ["tau_c", "tol"]
-        if self.material in ("plane_stress", "plane_strain"):
-            positive.append("E")
-        elif self.material == "deviatoric":
-            positive += ["p_d", "p_t"]
-        else:
-            errs.append(f"material: unknown {self.material!r}")
+        elif (qe := error_quadrature_exactness(self.k)) > MAX_EXACTNESS:
+            errs.append(f"k: needs quadrature exactness {qe} > {MAX_EXACTNESS}, got {self.k}")
+        positive = ["tau_c", "tol"] + (["p_d", "p_t"] if self.material == "deviatoric" else ["E"])
         for name in positive:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -82,35 +94,50 @@ class RunConfig:
             errs.append(f"nu: plane strain needs nu in (-1, 0.5), got {self.nu}")
         if self.material == "plane_stress" and not -1.0 < self.nu < 1.0:
             errs.append(f"nu: plane stress needs nu in (-1, 1), got {self.nu}")
-        if self.solver not in ("auto", "cholesky", "cg"):
-            errs.append(f"solver: expected 'auto', 'cholesky' or 'cg', got {self.solver!r}")
-        if self.trace_variant not in ("projected", "plain"):
-            errs.append(f"trace_variant: expected 'projected' or 'plain', got {self.trace_variant!r}")
-        if self.solution not in ("test1", "test2", "rigid"):
-            errs.append(f"solution: unknown {self.solution!r}")
         return errs
 
     def material_law(self) -> ComplianceTensor:
-        if self.material == "plane_stress":
-            return ComplianceTensor.plane_stress(self.E, self.nu)
-        if self.material == "plane_strain":
-            return ComplianceTensor.plane_strain(self.E, self.nu)
-        return ComplianceTensor.deviatoric(self.p_d, self.p_t)
-
-    def exact_solution(self) -> manufactured.ExactSolution:
-        return manufactured.solution_by_name(self.solution)
+        if self.material == "deviatoric":
+            return ComplianceTensor.deviatoric(self.p_d, self.p_t)
+        return getattr(ComplianceTensor, self.material)(self.E, self.nu)
 
     def levels(self) -> tuple[int, ...]:
-        return self.n_sequence if self.n_sequence else (self.n,)
+        """The levels of a study: n_sequence, or 4, 8, 16, 32 when it is empty."""
+        return self.n_sequence or (4, 8, 16, 32)
 
 
-_TUPLE_FIELDS = {"n_sequence": int, "nu_list": float}
+def _parser(ftype):
+    """The text parser for a RunConfig field of the given type; a tuple
+    field takes values separated by commas and/or whitespace."""
+    if get_origin(ftype) is not tuple:
+        return ftype
+    item = get_args(ftype)[0]
+    parse = lambda text: tuple(item(tok) for tok in text.replace(",", " ").split())
+    parse.__name__ = f"{item.__name__} list"
+    return parse
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse a flat 'key = value' configuration; '#' starts a comment."""
+# One text parser per RunConfig field, for config files and flags alike.
+PARSERS = {name: _parser(ftype) for name, ftype in get_type_hints(RunConfig).items()}
+
+# The RunConfig fields each command's driver reads: the command line offers
+# exactly these as flags, and a config file for the command may set only these.
+_DISCRETE = ("k", "tau_c", "material", "E", "nu", "p_d", "p_t", "solver", "tol", "trace_variant")
+_STUDY = ("mesh", "n_sequence", *_DISCRETE, "solution", "out")
+COMMAND_FIELDS = {
+    "solve": ("mesh", "n", *_DISCRETE, "solution", "out", "vtk"),
+    "convergence": _STUDY,
+    # the sweep's ratios replace nu, and it admits plane strain only
+    "locking": tuple(f for f in _STUDY if f not in ("nu", "p_d", "p_t")) + ("nu_list",),
+    "check": _DISCRETE,
+}
+
+
+def parse_config_text(text: str, base: RunConfig | None = None,
+                      command: str | None = None) -> RunConfig:
+    """Parse a flat 'key = value' configuration; '#' starts a comment.
+    With ``command``, only the keys that command reads are accepted."""
     cfg = base if base is not None else RunConfig()
-    known = {f.name: f for f in fields(RunConfig)}
     updates = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -119,44 +146,31 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        updates[key] = _coerce(key, value, known[key].type)
+        try:
+            updates[key] = PARSERS[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: cannot parse {value!r}") from exc
+        if command is not None and key not in COMMAND_FIELDS[command]:
+            raise ConfigError(f"line {lineno}: key {key!r} is not read by {command}")
     return replace(cfg, **updates)
 
 
-def _parse_list(text: str, conv) -> tuple:
-    """Values separated by commas and/or whitespace."""
-    return tuple(conv(tok) for tok in text.replace(",", " ").split())
-
-
-def _coerce(key: str, value: str, ftype):
-    try:
-        if key in _TUPLE_FIELDS:
-            return _parse_list(value, _TUPLE_FIELDS[key])
-        for caster in (int, float):
-            if caster.__name__ in str(ftype):
-                return caster(value)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: cannot parse {value!r}") from exc
-    return value
-
-
 def serialize_config(cfg: RunConfig) -> str:
-    buf = io.StringIO()
+    lines = []
     for f in fields(RunConfig):
         val = getattr(cfg, f.name)
         if isinstance(val, tuple):
             val = " ".join(str(v) for v in val)
-        buf.write(f"{f.name} = {val}\n")
-    return buf.getvalue()
+        lines.append(f"{f.name} = {val}\n")
+    return "".join(lines)
 
 
 @dataclass
 class SolveReport:
     errors: ErrorReport
     stats: hdg_global.SolverStats
-    config: RunConfig
     mesh_label: str
 
 
@@ -165,7 +179,7 @@ def _pipeline(cfg: RunConfig, n: int):
     on return; the solution carries the parameters they were built with."""
     mesh = build_mesh(cfg.mesh, n)
     material = cfg.material_law()
-    exact = cfg.exact_solution()
+    exact = manufactured.solution_by_name(cfg.solution)
     f_fn = lambda pts: manufactured.body_force(exact, material, pts)
     g_fn = lambda pts: manufactured.boundary_data(exact, pts)
     disc = hdg_global.build_discretization(mesh, cfg.k)
@@ -179,30 +193,30 @@ def _pipeline(cfg: RunConfig, n: int):
     return disc, exact, sol, stats
 
 
-def run_solve(cfg: RunConfig, n: int | None = None) -> SolveReport:
+def _require_valid(cfg: RunConfig) -> None:
     errs = cfg.problems()
     if errs:
         raise ConfigError("; ".join(errs))
+
+
+def run_solve(cfg: RunConfig, n: int | None = None) -> SolveReport:
     n = cfg.n if n is None else n
+    _require_valid(replace(cfg, n=n))
     disc, exact, sol, stats = _pipeline(cfg, n)
     report = postproc.error_norms(disc, sol, exact)
     label = f"{cfg.mesh}-n{n}"
     if cfg.vtk:
         write_vtk(disc.mesh, sol, cfg.vtk)
     if cfg.out:
-        table = ConvergenceTable()
-        table.add_row(report.as_row(label))
-        write_csv(table, cfg.out)
-    return SolveReport(errors=report, stats=stats, config=cfg, mesh_label=label)
+        write_csv(ConvergenceTable([report.as_row(label)]), cfg.out)
+    return SolveReport(errors=report, stats=stats, mesh_label=label)
 
 
 def run_convergence(cfg: RunConfig, ns: tuple[int, ...] | None = None) -> ConvergenceTable:
     """Refinement study at fixed degree; rows must halve h, which the two
     built-in families do when n doubles."""
-    errs = cfg.problems()
-    if errs:
-        raise ConfigError("; ".join(errs))
-    ns = ns if ns is not None else cfg.levels()
+    ns = tuple(ns) if ns is not None else cfg.levels()
+    _require_valid(replace(cfg, n_sequence=ns))
     if len(ns) < 2:
         raise ConfigError("n_sequence: need at least two levels for a study")
     table = ConvergenceTable()
@@ -224,30 +238,22 @@ def run_locking(
     if cfg.material != "plane_strain":
         raise ConfigError("material: locking study requires plane_strain")
     nus = nus if nus is not None else cfg.nu_list
-    for nu in nus:
-        if not 0.0 < nu < 0.5:
-            raise ConfigError(f"nu_list: values must lie in (0, 0.5), got {nu}")
+    if not nus or not all(0.0 < nu < 0.5 for nu in nus):
+        raise ConfigError(f"nu_list: need one or more values in (0, 0.5), got {nus}")
     tables = {}
     for nu in nus:
         sub = replace(cfg, nu=nu, out="", vtk="")
         tables[nu] = run_convergence(sub, ns)
     spread = {}
-    ns_used = ns if ns is not None else cfg.levels()
-    for i, n in enumerate(ns_used):
+    for i, n in enumerate(ns if ns is not None else cfg.levels()):
         errs = [tables[nu].rows[i]["err_sigma_proj"] for nu in nus]
         lo, hi = min(errs), max(errs)
         spread[n] = (hi - lo) / hi if hi > 0 else 0.0
     if cfg.out:
+        stem, ext = os.path.splitext(cfg.out)
         for nu, table in tables.items():
-            write_csv(table, _suffix_path(cfg.out, f"nu{nu}"))
+            write_csv(table, f"{stem}_nu{nu}{ext}")
     return tables, spread
-
-
-def _suffix_path(path: str, tag: str) -> str:
-    if "." in path.rsplit("/", 1)[-1]:
-        stem, ext = path.rsplit(".", 1)
-        return f"{stem}_{tag}.{ext}"
-    return f"{path}_{tag}"
 
 
 @dataclass
@@ -271,9 +277,7 @@ def run_check(cfg: RunConfig | None = None, spd_perturbation=None) -> list[Check
     ``spd_perturbation`` hook (tests only) maps the condensed matrix to a
     perturbed one before the SPD check."""
     cfg = cfg if cfg is not None else RunConfig()
-    errs = cfg.problems()
-    if errs:
-        raise ConfigError("; ".join(errs))
+    _require_valid(cfg)
     variant = cfg.trace_variant
     results: list[CheckResult] = []
 
@@ -324,21 +328,14 @@ def run_check(cfg: RunConfig | None = None, spd_perturbation=None) -> list[Check
     record("hdg_global.spd", sym and chol, "" if sym and chol else "condensed matrix not SPD")
 
     # exactness: rigid motion data reproduced to roundoff
-    exact = manufactured.rigid_motion_solution()
-    bvals = hdg_global.boundary_trace_values(
-        disc, lambda pts: manufactured.boundary_data(exact, pts)
-    )
-    sysb = hdg_global.assemble_global(disc, systems, bvals)
-    trace, _ = hdg_global.solve_condensed(sysb, cfg.solver, cfg.tol)
-    sol = hdg_global.recover_fields(disc, systems, trace)
+    disc, exact, sol, _ = _pipeline(replace(cfg, mesh="tri", solution="rigid"), 4)
     rep = postproc.error_norms(disc, sol, exact)
     exact_ok = max(rep.err_sigma, rep.err_u, rep.trace_diag) < 1e-10
     record("hdg_global.rigid-motion-exactness", exact_ok,
            f"max error {max(rep.err_sigma, rep.err_u, rep.trace_diag):.2e}")
 
     # traction single-valuedness on a manufactured solve
-    run_cfg = replace(cfg, mesh="tri", solution="test1",
-                      material="plane_stress", E=1.0, nu=0.3, out="", vtk="")
+    run_cfg = replace(cfg, mesh="tri", solution="test1", material="plane_stress", E=1.0, nu=0.3)
     disc, _, sol, _ = _pipeline(run_cfg, 4)
     jump, scale = hdg_global.flux_jump_norm(disc, sol)
     rel = jump / max(scale, 1e-300)

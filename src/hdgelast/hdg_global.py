@@ -45,6 +45,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import hdg_local
+from .errors import SolverError
 from .fespace import (
     FaceQuadrature,
     TraceDofMap,
@@ -83,10 +84,6 @@ __all__ = [
     "flux_jump_norm",
     "scheme_residuals",
 ]
-
-
-class SolverError(Exception):
-    """Linear solve failed (non-SPD matrix or no convergence)."""
 
 
 # size above which the "auto" solver policy switches from the direct

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
+from .errors import SolverError
 from .fespace import (
     ElementBasis,
     FaceQuadrature,
@@ -78,12 +79,16 @@ __all__ = [
 # their LU copies and right-hand sides; results do not depend on it.
 CHUNK_SIZE = 128
 
+# relative asymmetry of a condensed element matrix that _condense reports
+ASYMMETRY_TOL = 1e-9
+TRACE_VARIANTS = ("projected", "plain")
 
-class LocalSolverError(Exception):
+
+class LocalSolverError(SolverError):
     """Local element system could not be factorized."""
 
 
-class AssemblyError(Exception):
+class AssemblyError(SolverError):
     """An assembled matrix violates a structural requirement."""
 
 
@@ -228,7 +233,7 @@ def batch_blocks(
     """
     if tau <= 0:
         raise ValueError(f"stabilization parameter must be positive, got {tau}")
-    if variant not in ("projected", "plain"):
+    if variant not in TRACE_VARIANTS:
         raise ValueError(f"unknown trace variant {variant!r}")
     k = batch.k
     p_s, p_u = scalar_dim(k), scalar_dim(k + 1)
@@ -344,13 +349,13 @@ def _source_parts(ops: ElementOperators, f_moments: np.ndarray) -> tuple[np.ndar
     return out[:, :n_s], out[:, n_s:]
 
 
-def _condense(ops: ElementOperators, blocks: LocalBlocks, check_tol: float | None) -> np.ndarray:
+def _condense(ops: ElementOperators, blocks: LocalBlocks) -> np.ndarray:
     """Element trace matrices, symmetric positive semidefinite with the
     rigid-motion traces as kernel.
 
     Uses the symmetric quadratic form for the projected variant and the
     flux pairing for the plain variant; raises AssemblyError if a result
-    is not symmetric to ``check_tol`` (relative)."""
+    is not symmetric to ASYMMETRY_TOL (relative)."""
     if blocks.variant == "projected":
         A = ops.stress_map.swapaxes(-1, -2) @ blocks.stress_mass @ ops.stress_map
         nf_dof = 2 * (blocks.k + 1)
@@ -360,14 +365,13 @@ def _condense(ops: ElementOperators, blocks: LocalBlocks, check_tol: float | Non
             A += blocks.tau * R.swapaxes(-1, -2) @ R
     else:
         A = _flux_form(ops, blocks)
-    if check_tol is not None:
-        scale = np.maximum(np.abs(A).max(axis=(-2, -1)), 1e-300)
-        asym = np.abs(A - A.swapaxes(-1, -2)).max(axis=(-2, -1)) / scale
-        if np.any(asym > check_tol):
-            i = int(np.argmax(asym > check_tol))
-            raise AssemblyError(
-                f"element {blocks.elements[i]}: condensed matrix asymmetry {asym[i]:.2e}"
-            )
+    scale = np.maximum(np.abs(A).max(axis=(-2, -1)), 1e-300)
+    asym = np.abs(A - A.swapaxes(-1, -2)).max(axis=(-2, -1)) / scale
+    if np.any(asym > ASYMMETRY_TOL):
+        i = int(np.argmax(asym > ASYMMETRY_TOL))
+        raise AssemblyError(
+            f"element {blocks.elements[i]}: condensed matrix asymmetry {asym[i]:.2e}"
+        )
     return 0.5 * (A + A.swapaxes(-1, -2))
 
 
@@ -436,7 +440,7 @@ def condense_batch(
     f_moments = batch_moments(batch, f_fn, table[0]) if f_fn is not None else None
     del table
     ops = _factor(blocks)
-    matrix = _condense(ops, blocks, 1e-9)
+    matrix = _condense(ops, blocks)
     if f_fn is not None:
         qs, us = _source_parts(ops, f_moments)
     else:

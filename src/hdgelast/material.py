@@ -23,10 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = ["ComplianceTensor", "SingularMaterialError"]
 
 
-class SingularMaterialError(Exception):
+class SingularMaterialError(ConfigError):
     """The material law is not invertible for the given parameters."""
 
 

@@ -28,6 +28,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "Mesh",
     "MeshConstructionError",
@@ -44,7 +46,7 @@ __all__ = [
 POLY_SHIFT = 0.15
 
 
-class MeshConstructionError(Exception):
+class MeshConstructionError(ConfigError):
     """Raised when a requested mesh cannot be built."""
 
 

@@ -185,7 +185,7 @@ def test_criterion_4_condensation_oracle():
             disc = G.build_discretization(mesh, k)
             batch = L.element_batch(mesh, k, np.array([e]), disc.face_quad, disc.face_modes)
             blocks = L.batch_blocks(batch, material, 3.0 / mesh.h, "projected")
-            A = L._condense(L._factor(blocks), blocks, 1e-9)[0]
+            A = L._condense(L._factor(blocks), blocks)[0]
             D = blocks.div_coupling[0]
             MM = np.block([[-blocks.stress_mass, -D], [-D.T, blocks.stab_uu[0]]])
             N = np.vstack([blocks.trace_coupling[0], -blocks.stab_ulam[0]])

@@ -1,8 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from hdgelast import cli
 from hdgelast import harness as H
+from hdgelast.errors import HdgelastError
 
 
 def test_config_parse_and_overrides():
@@ -65,10 +68,13 @@ def test_cli_malformed_config_file_is_config_error(tmp_path, capsys, line, key):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag,value", [("--n-sequence", "4,x"), ("--nu-list", "0.49 abc")])
-def test_cli_malformed_list_flag_is_usage_error(flag, value, capsys):
+@pytest.mark.parametrize("command,flag,value", [
+    pytest.param("convergence", "--n-sequence", "4,x", id="--n-sequence-4,x"),
+    pytest.param("locking", "--nu-list", "0.49 abc", id="--nu-list-0.49 abc"),
+])
+def test_cli_malformed_list_flag_is_usage_error(command, flag, value, capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["convergence", flag, value])
+        cli.main([command, flag, value])
     assert exc.value.code == cli.EXIT_CONFIG
     assert f"argument {flag}: invalid" in capsys.readouterr().err
 
@@ -200,8 +206,9 @@ def test_cli_solve_reports_solver(capsys):
 
 
 def test_cli_k0_refused(capsys):
-    for command in ("solve", "convergence", "locking", "check"):
-        rc = cli.main([command, "--k", "0", "--n", "2", "--n-sequence", "2,4"])
+    for command, flags in (("solve", ["--n", "2"]), ("convergence", ["--n-sequence", "2,4"]),
+                           ("locking", ["--n-sequence", "2,4"]), ("check", [])):
+        rc = cli.main([command, "--k", "0", *flags])
         assert rc == cli.EXIT_CONFIG, command
         assert capsys.readouterr().err.startswith("config error: k: must be >= 1"), command
 
@@ -342,3 +349,83 @@ def test_cli_check_bad_value_is_config_error(flags, field, capsys):
     assert err.startswith(f"config error: {field}: must be positive and finite")
     assert "Traceback" not in err
 
+
+# --- failures and flags declared once ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,code,prefix,names",
+    [
+        (["solve", "--k", "25"], 2, "config error: ", "k:"),
+        (["solve", "--n", "2", "--k", "12"], 3, "solver failure: ", "element 0"),
+        (["solve", "--material", "deviatoric", "--p-t", "1e-300"], 2, "config error: ", "p_t"),
+        (["solve", "--material", "plane_strain", "--nu", "0.4999999999"], 3,
+         "solver failure: ", "element 0"),
+        (["solve", "--n", "2", "--tau-c", "1e-300"], 3, "solver failure: ", "element 0"),
+        (["solve", "--mesh", "poly", "--n", "1"], 2, "config error: ", "n:"),
+        (["convergence", "--n-sequence", "4,4"], 2, "config error: ", "n_sequence:"),
+    ],
+)
+def test_cli_failure_is_one_line_named_exit(argv, code, prefix, names, capsys):
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and names in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "module,name,code",
+    [
+        ("harness", "ConfigError", 2),
+        ("mesh", "MeshConstructionError", 2),
+        ("fespace", "QuadratureDegreeError", 2),
+        ("material", "SingularMaterialError", 2),
+        ("hdg_global", "SolverError", 3),
+        ("hdg_local", "LocalSolverError", 3),
+        ("hdg_local", "AssemblyError", 3),
+        ("fespace", "ElementConditioningError", 3),
+    ],
+)
+def test_package_errors_carry_exit_code(module, name, code):
+    cls = getattr(importlib.import_module(f"hdgelast.{module}"), name)
+    assert issubclass(cls, HdgelastError)
+    assert cls.exit_code == code
+    assert cls.prefix == {2: "config error", 3: "solver failure"}[code]
+
+
+FLAG_VALUES = {"--n": "2", "--n-sequence": "2,4", "--nu-list": "0.3", "--vtk": "f.vtk",
+               "--nu": "0.3", "--p-d": "1", "--p-t": "1", "--mesh": "tri",
+               "--solution": "test1", "--out": "f.csv"}
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("solve", f) for f in ("--n-sequence", "--nu-list")]
+    + [("convergence", f) for f in ("--n", "--nu-list", "--vtk")]
+    + [("locking", f) for f in ("--n", "--nu", "--p-d", "--p-t", "--vtk")]
+    + [("check", f) for f in ("--mesh", "--n", "--n-sequence", "--nu-list", "--solution",
+                              "--out", "--vtk")],
+)
+def test_cli_flag_the_command_does_not_read_is_usage_error(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag, FLAG_VALUES[flag]])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_config_key_the_command_does_not_read(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("n = 2\nn_sequence = 2 4\n")
+    assert cli.main(["solve", "--config", str(cfgfile)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "'n_sequence'" in err and "solve" in err
+
+
+def test_cli_unwritable_output_and_empty_sweep_are_config_errors(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "row.csv"
+    assert cli.main(["solve", "--n", "2", "--out", str(missing)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("nu_list =\n")
+    assert cli.main(["locking", "--config", str(cfgfile), "--n-sequence", "2,4"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: nu_list:")

@@ -169,7 +169,7 @@ def test_condensed_kernel_and_psd(family, k):
         batch = one_element(mesh, e, k)
         blocks = L.batch_blocks(batch, material, 1.0 / mesh.h, "projected")
         ops = L._factor(blocks)
-        A = L._condense(ops, blocks, 1e-9)[0]
+        A = L._condense(ops, blocks)[0]
         w = np.linalg.eigvalsh(A)
         assert w[0] >= -1e-10 * w[-1]
         assert int(np.sum(w < 1e-10 * w[-1])) == 3
@@ -195,7 +195,7 @@ def test_flux_and_quadratic_forms_agree(k):
         batch = one_element(mesh, e, k)
         blocks = L.batch_blocks(batch, material, 1.0 / mesh.h, "projected")
         ops = L._factor(blocks)
-        A_quad = L._condense(ops, blocks, 1e-9)[0]
+        A_quad = L._condense(ops, blocks)[0]
         A_flux = L._flux_form(ops, blocks)[0]
         scale = np.abs(A_quad).max()
         assert np.abs(A_quad - A_flux).max() < 1e-10 * scale
@@ -218,7 +218,7 @@ def test_condensed_matches_dense_schur_complement(family, elems, k):
         batch = one_element(mesh, e, k)
         blocks = L.batch_blocks(batch, material, 2.0 / mesh.h, "projected")
         ops = L._factor(blocks)
-        A = L._condense(ops, blocks, 1e-9)[0]
+        A = L._condense(ops, blocks)[0]
 
         D = blocks.div_coupling[0]
         MM = np.block([[-blocks.stress_mass, -D], [-D.T, blocks.stab_uu[0]]])
