@@ -106,7 +106,7 @@ class RunConfig:
         return self.n_sequence or (4, 8, 16, 32)
 
 
-def _parser(ftype):
+def _text_parser(ftype):
     """The text parser for a RunConfig field of the given type; a tuple
     field takes values separated by commas and/or whitespace."""
     if get_origin(ftype) is not tuple:
@@ -118,7 +118,7 @@ def _parser(ftype):
 
 
 # One text parser per RunConfig field, for config files and flags alike.
-PARSERS = {name: _parser(ftype) for name, ftype in get_type_hints(RunConfig).items()}
+PARSERS = {name: _text_parser(ftype) for name, ftype in get_type_hints(RunConfig).items()}
 
 # The RunConfig fields each command's driver reads: the command line offers
 # exactly these as flags, and a config file for the command may set only these.
