@@ -104,13 +104,9 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "check":
             results = run_check(cfg)
             for r in results:
-                if r.expected_failure:
-                    status = "XFAIL (expected)" if not r.passed else "XPASS (unexpected)"
-                else:
-                    status = "PASS" if r.passed else "FAIL"
                 detail = f"  [{r.detail}]" if r.detail else ""
-                print(f"{status:18s} {r.name}{detail}")
-            failed = sum(not r.ok for r in results)
+                print(f"{'PASS' if r.passed else 'FAIL':18s} {r.name}{detail}")
+            failed = sum(not r.passed for r in results)
             if failed:
                 print(f"{failed} check(s) failed", file=sys.stderr)
                 return EXIT_CHECK

@@ -189,8 +189,7 @@ class ElementBasis:
     do the points passed to ``eval`` and ``grad``, (B, npts, 2).
     """
 
-    def __init__(self, element, degree: int, center, scale, coeff: np.ndarray):
-        self.element = element
+    def __init__(self, degree: int, center, scale, coeff: np.ndarray):
         self.degree = degree
         self.center = np.asarray(center, dtype=float)
         self.scale = np.asarray(scale, dtype=float)
@@ -270,8 +269,9 @@ def _monomials(X: np.ndarray, Y: np.ndarray, degree: int, grads: bool = False) -
 def build_element_bases(
     polys: np.ndarray, elements: np.ndarray, degree: int, quad: Quadrature
 ) -> ElementBasis:
-    """Batched basis on polygons (B, m, 2) with element ids ``elements``,
-    orthonormalized against the element mass matrices of ``quad``.
+    """Batched basis on polygons (B, m, 2), orthonormalized against the
+    element mass matrices of ``quad``; ``elements`` holds the polygons'
+    element ids, which the error messages name.
 
     A Cholesky factorization of the monomial Gram matrix plays the role of
     modified Gram-Schmidt in the L2(K) inner product; a second pass removes
@@ -284,7 +284,7 @@ def build_element_bases(
         raise ElementConditioningError(
             f"element {elements[i]}: degenerate bounding box {scale[i]}"
         )
-    basis = ElementBasis(elements, degree, center, scale, np.eye(scalar_dim(degree)))
+    basis = ElementBasis(degree, center, scale, np.eye(scalar_dim(degree)))
     mono = basis.monomials(quad.points)
     for _ in range(2):
         W = basis.eval(mono)

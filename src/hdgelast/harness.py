@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from . import hdg_global, manufactured, postproc
 from .errors import ConfigError
 from .fespace import MAX_EXACTNESS
-from .hdg_local import TRACE_VARIANTS, error_quadrature_exactness
+from .hdg_local import error_quadrature_exactness
 from .material import ComplianceTensor
 from .mesh import build_mesh, validate
 from .postproc import ConvergenceTable, ErrorReport, write_csv, write_vtk
@@ -43,7 +43,6 @@ CHOICES = {
     "material": ("plane_stress", "plane_strain", "deviatoric"),
     "solution": ("test1", "test2", "rigid"),
     "solver": ("auto", "cholesky", "cg"),
-    "trace_variant": TRACE_VARIANTS,
 }
 
 
@@ -67,7 +66,6 @@ class RunConfig:
     tol: float = 1e-12
     out: str = ""
     vtk: str = ""
-    trace_variant: str = "projected"
 
     def problems(self) -> list[str]:
         errs = []
@@ -122,7 +120,7 @@ PARSERS = {name: _text_parser(ftype) for name, ftype in get_type_hints(RunConfig
 
 # The RunConfig fields each command's driver reads: the command line offers
 # exactly these as flags, and a config file for the command may set only these.
-_DISCRETE = ("k", "tau_c", "material", "E", "nu", "p_d", "p_t", "solver", "tol", "trace_variant")
+_DISCRETE = ("k", "tau_c", "material", "E", "nu", "p_d", "p_t", "solver", "tol")
 _STUDY = ("mesh", "n_sequence", *_DISCRETE, "solution", "out")
 COMMAND_FIELDS = {
     "solve": ("mesh", "n", *_DISCRETE, "solution", "out", "vtk"),
@@ -157,16 +155,6 @@ def parse_config_text(text: str, base: RunConfig | None = None,
     return replace(cfg, **updates)
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    lines = []
-    for f in fields(RunConfig):
-        val = getattr(cfg, f.name)
-        if isinstance(val, tuple):
-            val = " ".join(str(v) for v in val)
-        lines.append(f"{f.name} = {val}\n")
-    return "".join(lines)
-
-
 @dataclass
 class SolveReport:
     errors: ErrorReport
@@ -183,9 +171,7 @@ def _pipeline(cfg: RunConfig, n: int):
     f_fn = lambda pts: manufactured.body_force(exact, material, pts)
     g_fn = lambda pts: manufactured.boundary_data(exact, pts)
     disc = hdg_global.build_discretization(mesh, cfg.k)
-    systems = hdg_global.build_element_systems(
-        disc, material, cfg.tau_c / mesh.h, f_fn, variant=cfg.trace_variant
-    )
+    systems = hdg_global.build_element_systems(disc, material, cfg.tau_c / mesh.h, f_fn)
     bvals = hdg_global.boundary_trace_values(disc, g_fn)
     system = hdg_global.assemble_global(disc, systems, bvals)
     trace, stats = hdg_global.solve_condensed(system, cfg.solver, cfg.tol)
@@ -261,28 +247,18 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
-    expected_failure: bool = False
-
-    @property
-    def ok(self) -> bool:
-        """An expected failure that indeed failed counts as suite success."""
-        return self.passed != self.expected_failure
 
 
 def run_check(cfg: RunConfig | None = None, spd_perturbation=None) -> list[CheckResult]:
-    """Small-scale invariant suite across all modules.
-
-    With trace_variant='plain' the traction single-valuedness check is
-    expected to fail and is reported as a demonstration. The
-    ``spd_perturbation`` hook (tests only) maps the condensed matrix to a
-    perturbed one before the SPD check."""
+    """Small-scale invariant suite across all modules; every check is
+    expected to pass. The ``spd_perturbation`` hook (tests only) maps the
+    condensed matrix to a perturbed one before the SPD check."""
     cfg = cfg if cfg is not None else RunConfig()
     _require_valid(cfg)
-    variant = cfg.trace_variant
     results: list[CheckResult] = []
 
-    def record(name, passed, detail="", expected_failure=False):
-        results.append(CheckResult(name, bool(passed), detail, expected_failure))
+    def record(name, passed, detail=""):
+        results.append(CheckResult(name, bool(passed), detail))
 
     # mesh invariants
     for fam, n in (("tri", 4), ("poly", 4)):
@@ -296,7 +272,7 @@ def run_check(cfg: RunConfig | None = None, spd_perturbation=None) -> list[Check
         mesh = build_mesh(fam, 2)
         tau = cfg.tau_c / mesh.h
         disc = hdg_global.build_discretization(mesh, cfg.k)
-        systems = hdg_global.build_element_systems(disc, material, tau, None, variant=variant)
+        systems = hdg_global.build_element_systems(disc, material, tau)
         kernel_ok, psd_ok, sym_ok = True, True, True
         for cb in systems.batches:
             A = cb.matrix
@@ -314,7 +290,7 @@ def run_check(cfg: RunConfig | None = None, spd_perturbation=None) -> list[Check
     mesh = build_mesh("tri", 4)
     tau = cfg.tau_c / mesh.h
     disc = hdg_global.build_discretization(mesh, cfg.k)
-    systems = hdg_global.build_element_systems(disc, material, tau, None, variant=variant)
+    systems = hdg_global.build_element_systems(disc, material, tau)
     system = hdg_global.assemble_global(disc, systems)
     A = system.matrix.toarray()
     if spd_perturbation is not None:
@@ -339,12 +315,7 @@ def run_check(cfg: RunConfig | None = None, spd_perturbation=None) -> list[Check
     disc, _, sol, _ = _pipeline(run_cfg, 4)
     jump, scale = hdg_global.flux_jump_norm(disc, sol)
     rel = jump / max(scale, 1e-300)
-    record(
-        "hdg_global.flux-single-valued",
-        rel <= 1e-9,
-        f"relative traction jump {rel:.2e}",
-        expected_failure=(variant == "plain"),
-    )
+    record("hdg_global.flux-single-valued", rel <= 1e-9, f"relative traction jump {rel:.2e}")
 
     # manufactured data consistency: compliance of stress equals strain
     rng = np.random.default_rng(7)

@@ -8,11 +8,14 @@ positive definite. After the solve, stress and displacement are recovered
 from the local solution operators.
 
 Each solve parameter is given once. build_element_systems takes the
-material, tau and trace variant; recover_fields copies them onto the
-DiscreteSolution, and the traction jump, the scheme residuals and the error
-norms read them from there. The quadrature rules are hdg_local's two
-policies: the assembly rule for the element stage, and the error rule
-(error_face_rule) for boundary data, the traction jump and the error norms.
+material and tau; recover_fields copies them onto the DiscreteSolution, and
+the traction jump, the scheme residuals and the error norms read them from
+there. The traction is the paper's numerical trace of the stress,
+sigma n - tau (P_M u - u_hat), with the displacement trace projected onto
+the degree-k face modes (see _face_flux_values). The quadrature rules are
+hdg_local's two policies: the assembly rule for the element stage, and the
+error rule (error_face_rule) for boundary data, the traction jump and the
+error norms.
 
 The trace system is solved by a sparse symmetric factorization or by
 conjugate gradients with a two-level additive Schwarz preconditioner: exact
@@ -156,7 +159,6 @@ class ElementSystems:
     batches: list[CondensedBatch]
     material: ComplianceTensor
     tau: float
-    variant: str
 
 
 def build_element_systems(
@@ -164,13 +166,10 @@ def build_element_systems(
     material: ComplianceTensor,
     tau: float,
     f_fn=None,
-    variant: str = "projected",
 ) -> ElementSystems:
     """Build, eliminate and condense every element, batch by batch."""
-    batches = [
-        condense_batch(batch, material, tau, variant, f_fn) for batch in disc.element_batches()
-    ]
-    return ElementSystems(batches, material, tau, variant)
+    batches = [condense_batch(batch, material, tau, f_fn) for batch in disc.element_batches()]
+    return ElementSystems(batches, material, tau)
 
 
 def running_sum(values: np.ndarray) -> float:
@@ -468,7 +467,6 @@ class DiscreteSolution:
     batches: list[ElementBatch] = field(repr=False)
     material: ComplianceTensor
     tau: float
-    variant: str
 
 
 def recover_fields(
@@ -484,8 +482,7 @@ def recover_fields(
         stress[cb.batch.elements] = (cb.stress_map @ lam)[..., 0] + cb.source_stress
         disp[cb.batch.elements] = (cb.disp_map @ lam)[..., 0] + cb.source_disp
     return DiscreteSolution(
-        k, stress, disp, trace, [cb.batch for cb in systems.batches],
-        systems.material, systems.tau, systems.variant,
+        k, stress, disp, trace, [cb.batch for cb in systems.batches], systems.material, systems.tau
     )
 
 
@@ -497,7 +494,8 @@ def _face_flux_values(
     fq: FaceQuadrature,
     modes: np.ndarray,
 ) -> np.ndarray:
-    """Numerical traction of each element of the batch on its local face
+    """Numerical traction sigma n - tau (P_M u - u_hat), P_M the projection
+    onto the face modes, of each element of the batch on its local face
     ``local_face``, at the quadrature points of ``fq`` (stacked by face, with
     face-mode values ``modes``), shape (B, nq, 2)."""
     k = disc.k
@@ -518,16 +516,14 @@ def _face_flux_values(
     uhat_vals = md @ uhat
     wd = sol.disp_coeffs[batch.elements].reshape(B, 2, p_u)
     u_face = batch.basis.eval(mono) @ wd.swapaxes(-1, -2)  # raw displacement trace
-    if sol.variant == "projected":
-        mom = md.swapaxes(-1, -2) @ (w[..., None] * u_face)  # (B, k+1, 2)
-        u_face = md @ mom
-    return sig_n - sol.tau * (u_face - uhat_vals)
+    mom = md.swapaxes(-1, -2) @ (w[..., None] * u_face)  # (B, k+1, 2)
+    return sig_n - sol.tau * (md @ mom - uhat_vals)
 
 
 def flux_jump_norm(disc: Discretization, sol: DiscreteSolution) -> tuple[float, float]:
     """(L2 norm of the traction jump over interior faces, L2 norm of the
     one-sided tractions) for relative single-valuedness checks, with the
-    traction of the solve's tau and variant, in the error rule."""
+    traction of the solve's tau, in the error rule."""
     mesh = disc.mesh
     fq, modes = error_face_rule(disc)
     left = mesh.face_left
@@ -550,7 +546,7 @@ def scheme_residuals(
     disc: Discretization, sol: DiscreteSolution, f_fn=None, g_fn=None
 ) -> dict[str, float]:
     """Residual norms of the discrete equations for the recovered solution,
-    with the solve's material, tau and variant, relative to the size of the
+    with the solve's material and tau, relative to the size of the
     terms entering each equation.
 
     Keys: constitutive (stress equation), balance (momentum equation),
@@ -567,7 +563,7 @@ def scheme_residuals(
 
     for batch in sol.batches:
         table = batch.tabulate()
-        b = batch_blocks(batch, sol.material, sol.tau, sol.variant, table)
+        b = batch_blocks(batch, sol.material, sol.tau, table)
         gdofs = disc.element_dofs(batch.face_ids)
         lam = sol.trace[gdofs]
         s, w = sol.stress_coeffs[batch.elements], sol.disp_coeffs[batch.elements]

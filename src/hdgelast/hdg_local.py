@@ -16,8 +16,7 @@ The condensed matrix is assembled in its symmetric quadratic form
 where Q and U map trace coefficients to the eliminated stress and
 displacement coefficients. An equivalent "flux" expression, obtained by
 pairing the numerical traction with the face test functions, is kept as a
-cross-check and as the assembly route for the unprojected stabilization
-variant (where the quadratic form above does not apply).
+cross-check.
 
 Stacked layout: the stage runs on an ``ElementBatch``, elements that share
 a face count in ascending element order, with every per-element array
@@ -81,7 +80,6 @@ CHUNK_SIZE = 128
 
 # relative asymmetry of a condensed element matrix that _condense reports
 ASYMMETRY_TOL = 1e-9
-TRACE_VARIANTS = ("projected", "plain")
 
 
 class LocalSolverError(SolverError):
@@ -181,7 +179,7 @@ class LocalBlocks:
     div_coupling    (u, div v)                   n_s x n_u
     trace_coupling  <lam, v n>                   n_s x n_lam
     stab_uu         tau-weighted pairing of face-projected displacement
-                    traces (raw traces in the plain variant)
+                    traces
     stab_ulam       tau-weighted pairing of trace unknowns with projected
                     displacement traces, n_u x n_lam
     stab_lamlam     tau <lam, mu> = tau I        n_lam x n_lam
@@ -192,7 +190,6 @@ class LocalBlocks:
     elements: np.ndarray  # (B,)
     k: int
     tau: float
-    variant: str
     stress_mass: np.ndarray
     div_coupling: np.ndarray
     trace_coupling: np.ndarray
@@ -220,7 +217,6 @@ def batch_blocks(
     batch: ElementBatch,
     material: ComplianceTensor,
     tau: float,
-    variant: str,
     table: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LocalBlocks:
     """Quadrature-assemble the element matrices of every element of the
@@ -228,13 +224,10 @@ def batch_blocks(
     (ElementBatch.tabulate), computed here when None.
 
     The stabilization projects the displacement trace onto the face modes
-    through exact face mass matrices before pairing; ``variant="plain"``
-    skips that projection and pairs the raw degree-(k+1) traces instead.
+    through exact face mass matrices before pairing.
     """
     if tau <= 0:
         raise ValueError(f"stabilization parameter must be positive, got {tau}")
-    if variant not in TRACE_VARIANTS:
-        raise ValueError(f"unknown trace variant {variant!r}")
     k = batch.k
     p_s, p_u = scalar_dim(k), scalar_dim(k + 1)
     n_s, n_u, n_lam = batch.n_stress, batch.n_disp, batch.n_trace
@@ -263,8 +256,7 @@ def batch_blocks(
 
     for j in range(m):
         tr_full = basis.eval(batch.face_quad.points[:, j])  # (B, nq, p_u)
-        wf = batch.face_quad.weights[:, j, :, None]
-        w_mu = wf * batch.face_modes[:, j]  # (B, nq, k+1)
+        w_mu = batch.face_quad.weights[:, j, :, None] * batch.face_modes[:, j]  # (B, nq, k+1)
         ms = tr_full[..., :p_s].swapaxes(-1, -2) @ w_mu  # (B, p_s, k+1)
         mu_u = tr_full.swapaxes(-1, -2) @ w_mu  # (B, p_u, k+1)
 
@@ -281,21 +273,13 @@ def batch_blocks(
         for comp in range(2):
             proj[:, comp::2, comp * p_u : (comp + 1) * p_u] = mu_u.swapaxes(-1, -2)
         face_proj[:, j] = proj
-
-        if variant == "projected":
-            stab_uu += tau * proj.swapaxes(-1, -2) @ proj
-        else:
-            fmass = tr_full.swapaxes(-1, -2) @ (wf * tr_full)  # (B, p_u, p_u)
-            for comp in range(2):
-                blk = slice(comp * p_u, (comp + 1) * p_u)
-                stab_uu[:, blk, blk] += tau * fmass
+        stab_uu += tau * proj.swapaxes(-1, -2) @ proj
         stab_ulam[:, :, j * nf_dof : (j + 1) * nf_dof] = tau * proj.swapaxes(-1, -2)
 
     return LocalBlocks(
         elements=batch.elements,
         k=k,
         tau=tau,
-        variant=variant,
         stress_mass=stress_mass,
         div_coupling=div_coupling,
         trace_coupling=trace_coupling,
@@ -351,20 +335,14 @@ def _source_parts(ops: ElementOperators, f_moments: np.ndarray) -> tuple[np.ndar
 
 def _condense(ops: ElementOperators, blocks: LocalBlocks) -> np.ndarray:
     """Element trace matrices, symmetric positive semidefinite with the
-    rigid-motion traces as kernel.
-
-    Uses the symmetric quadratic form for the projected variant and the
-    flux pairing for the plain variant; raises AssemblyError if a result
-    is not symmetric to ASYMMETRY_TOL (relative)."""
-    if blocks.variant == "projected":
-        A = ops.stress_map.swapaxes(-1, -2) @ blocks.stress_mass @ ops.stress_map
-        nf_dof = 2 * (blocks.k + 1)
-        for j in range(blocks.face_proj.shape[1]):
-            R = blocks.face_proj[:, j] @ ops.disp_map
-            R[:, :, j * nf_dof : (j + 1) * nf_dof] -= np.eye(nf_dof)
-            A += blocks.tau * R.swapaxes(-1, -2) @ R
-    else:
-        A = _flux_form(ops, blocks)
+    rigid-motion traces as kernel, in the symmetric quadratic form; raises
+    AssemblyError if a result is not symmetric to ASYMMETRY_TOL (relative)."""
+    A = ops.stress_map.swapaxes(-1, -2) @ blocks.stress_mass @ ops.stress_map
+    nf_dof = 2 * (blocks.k + 1)
+    for j in range(blocks.face_proj.shape[1]):
+        R = blocks.face_proj[:, j] @ ops.disp_map
+        R[:, :, j * nf_dof : (j + 1) * nf_dof] -= np.eye(nf_dof)
+        A += blocks.tau * R.swapaxes(-1, -2) @ R
     scale = np.maximum(np.abs(A).max(axis=(-2, -1)), 1e-300)
     asym = np.abs(A - A.swapaxes(-1, -2)).max(axis=(-2, -1)) / scale
     if np.any(asym > ASYMMETRY_TOL):
@@ -425,7 +403,6 @@ def condense_batch(
     batch: ElementBatch,
     material: ComplianceTensor,
     tau: float,
-    variant: str = "projected",
     f_fn=None,
 ) -> CondensedBatch:
     """Assemble, eliminate and condense every element of the batch, with
@@ -436,7 +413,7 @@ def condense_batch(
     # table held across those allocations fragments the heap, and the
     # direct solve that follows then peaks higher.
     table = batch.tabulate()
-    blocks = batch_blocks(batch, material, tau, variant, table)
+    blocks = batch_blocks(batch, material, tau, table)
     f_moments = batch_moments(batch, f_fn, table[0]) if f_fn is not None else None
     del table
     ops = _factor(blocks)

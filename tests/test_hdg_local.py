@@ -31,7 +31,7 @@ PLANE_STRESS = ComplianceTensor.plane_stress(1.0, 0.3)
 def test_block_dimensions():
     mesh = M.build_unit_square_poly(2)
     for k in (1, 2):
-        blocks = L.batch_blocks(one_element(mesh, 0, k), PLANE_STRESS, 4.0, "projected")
+        blocks = L.batch_blocks(one_element(mesh, 0, k), PLANE_STRESS, 4.0)
         p_s = (k + 1) * (k + 2) // 2
         p_u = (k + 2) * (k + 3) // 2
         assert blocks.stress_mass.shape == (3 * p_s, 3 * p_s)
@@ -46,7 +46,7 @@ def test_stress_mass_spd_and_unit_entry():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     mesh = M._assemble(verts, [(0, 1, 2, 3)], "custom", 0)
     identity_material = ComplianceTensor.plane_stress(1.0, 0.0)
-    blocks = L.batch_blocks(one_element(mesh, 0, 1), identity_material, 1.0, "projected")
+    blocks = L.batch_blocks(one_element(mesh, 0, 1), identity_material, 1.0)
     p_s = 3
     # coefficients of the constant function e11: first scalar mode is
     # 1/sqrt(area), so the coefficient is sqrt(area) = 1
@@ -62,7 +62,7 @@ def test_divergence_coupling_integration_by_parts():
     mesh = M.build_unit_square_poly(2)
     k = 2
     batch = one_element(mesh, 1, k)
-    blocks = L.batch_blocks(batch, PLANE_STRESS, 2.0, "projected")
+    blocks = L.batch_blocks(batch, PLANE_STRESS, 2.0)
     p_s = F.scalar_dim(k)
     p_u = F.scalar_dim(k + 1)
     rng = np.random.default_rng(8)
@@ -91,15 +91,15 @@ def test_trace_mass_is_scaled_identity():
     mesh = M.build_unit_square_tri(2)
     batch = one_element(mesh, 0, 1)
     tau = 2.5
-    blocks = L.batch_blocks(batch, PLANE_STRESS, tau, "projected")
+    blocks = L.batch_blocks(batch, PLANE_STRESS, tau)
     assert np.abs(blocks.stab_lamlam - tau * np.eye(batch.n_trace)).max() == 0.0
 
 
 def test_stabilization_scales_linearly_with_tau():
     mesh = M.build_unit_square_poly(2)
     batch = one_element(mesh, 2, 1)
-    b1 = L.batch_blocks(batch, PLANE_STRESS, 1.0, "projected")
-    b2 = L.batch_blocks(batch, PLANE_STRESS, 2.0, "projected")
+    b1 = L.batch_blocks(batch, PLANE_STRESS, 1.0)
+    b2 = L.batch_blocks(batch, PLANE_STRESS, 2.0)
     assert np.abs(b2.stab_uu - 2.0 * b1.stab_uu).max() < 1e-14
     assert np.abs(b2.stab_ulam - 2.0 * b1.stab_ulam).max() < 1e-14
     assert np.abs(b2.stab_lamlam - 2.0 * b1.stab_lamlam).max() < 1e-14
@@ -110,7 +110,7 @@ def test_stabilization_scales_linearly_with_tau():
 def test_local_solver_zero_data():
     mesh = M.build_unit_square_tri(1)
     batch = one_element(mesh, 0, 1)
-    blocks = L.batch_blocks(batch, PLANE_STRESS, 3.0, "projected")
+    blocks = L.batch_blocks(batch, PLANE_STRESS, 3.0)
     ops = L._factor(blocks)
     lam = np.zeros(batch.n_trace)
     assert np.abs(ops.stress_map[0] @ lam).max() == 0.0
@@ -126,7 +126,7 @@ def test_rigid_motion_is_local_kernel(family):
     sol = MF.rigid_motion_solution(0.9, (0.2, -0.4))
     for e in (0, mesh.num_elements - 1):
         batch = one_element(mesh, e, k)
-        blocks = L.batch_blocks(batch, PLANE_STRESS, 1.0 / mesh.h, "projected")
+        blocks = L.batch_blocks(batch, PLANE_STRESS, 1.0 / mesh.h)
         ops = L._factor(blocks)
         lam = trace_coefficients(batch, sol.u)
         q = ops.stress_map[0] @ lam
@@ -146,7 +146,7 @@ def test_linear_displacement_constant_stress():
     expected_sigma = MF.stress(sol, PLANE_STRESS, np.array([[0.5, 0.5]]))[0]
     for e in range(mesh.num_elements):
         batch = one_element(mesh, e, k)
-        blocks = L.batch_blocks(batch, PLANE_STRESS, 2.0 / mesh.h, "projected")
+        blocks = L.batch_blocks(batch, PLANE_STRESS, 2.0 / mesh.h)
         ops = L._factor(blocks)
         lam = trace_coefficients(batch, sol.u)
         q = ops.stress_map[0] @ lam
@@ -167,7 +167,7 @@ def test_condensed_kernel_and_psd(family, k):
     material = ComplianceTensor.plane_strain(3.0, 0.49)
     for e in (0, mesh.num_elements // 2):
         batch = one_element(mesh, e, k)
-        blocks = L.batch_blocks(batch, material, 1.0 / mesh.h, "projected")
+        blocks = L.batch_blocks(batch, material, 1.0 / mesh.h)
         ops = L._factor(blocks)
         A = L._condense(ops, blocks)[0]
         w = np.linalg.eigvalsh(A)
@@ -193,7 +193,7 @@ def test_flux_and_quadratic_forms_agree(k):
     rng = np.random.default_rng(123)
     for e in range(mesh.num_elements):
         batch = one_element(mesh, e, k)
-        blocks = L.batch_blocks(batch, material, 1.0 / mesh.h, "projected")
+        blocks = L.batch_blocks(batch, material, 1.0 / mesh.h)
         ops = L._factor(blocks)
         A_quad = L._condense(ops, blocks)[0]
         A_flux = L._flux_form(ops, blocks)[0]
@@ -216,7 +216,7 @@ def test_condensed_matches_dense_schur_complement(family, elems, k):
     material = ComplianceTensor.plane_strain(3.0, 0.3)
     for e in elems:
         batch = one_element(mesh, e, k)
-        blocks = L.batch_blocks(batch, material, 2.0 / mesh.h, "projected")
+        blocks = L.batch_blocks(batch, material, 2.0 / mesh.h)
         ops = L._factor(blocks)
         A = L._condense(ops, blocks)[0]
 
@@ -230,7 +230,7 @@ def test_condensed_matches_dense_schur_complement(family, elems, k):
 def test_condensed_rhs_zero_for_zero_force():
     mesh = M.build_unit_square_tri(1)
     batch = one_element(mesh, 0, 1)
-    blocks = L.batch_blocks(batch, PLANE_STRESS, 1.0, "projected")
+    blocks = L.batch_blocks(batch, PLANE_STRESS, 1.0)
     ops = L._factor(blocks)
     qs, us = L._source_parts(ops, np.zeros((1, batch.n_disp)))
     assert np.abs(L._rhs(blocks, qs, us)).max() == 0.0
@@ -244,7 +244,7 @@ def test_local_equations_satisfied_by_solvers():
     batch = one_element(mesh, 0, k)
     material = ComplianceTensor.plane_strain(3.0, 0.49)
     tau = 1.0 / mesh.h
-    blocks = L.batch_blocks(batch, material, tau, "projected")
+    blocks = L.batch_blocks(batch, material, tau)
     ops = L._factor(blocks)
     A, D, C = blocks.stress_mass, blocks.div_coupling[0], blocks.trace_coupling[0]
     S_uu, S_ulam = blocks.stab_uu[0], blocks.stab_ulam[0]
@@ -260,30 +260,18 @@ def test_local_equations_satisfied_by_solvers():
     assert np.abs(-D.T @ qs + S_uu @ us + f_mom[0]).max() < 1e-11
 
 
-def test_variant_plain_changes_only_uu_stabilization():
-    mesh = M.build_unit_square_tri(2)
-    batch = one_element(mesh, 0, 1)
-    bp = L.batch_blocks(batch, PLANE_STRESS, 1.0, "projected")
-    bu = L.batch_blocks(batch, PLANE_STRESS, 1.0, "plain")
-    assert np.abs(bp.trace_coupling - bu.trace_coupling).max() == 0.0
-    assert np.abs(bp.stab_ulam - bu.stab_ulam).max() == 0.0
-    assert np.abs(bp.stab_uu - bu.stab_uu).max() > 1e-8
-
-
 def test_invalid_inputs():
     mesh = M.build_unit_square_tri(1)
     batch = one_element(mesh, 0, 1)
     with pytest.raises(ValueError):
-        L.batch_blocks(batch, PLANE_STRESS, 0.0, "projected")
-    with pytest.raises(ValueError):
-        L.batch_blocks(batch, PLANE_STRESS, 1.0, "bogus")
+        L.batch_blocks(batch, PLANE_STRESS, 0.0)
 
 
 def test_singular_local_system_reports_element(monkeypatch):
     import dataclasses
 
     mesh = M.build_unit_square_tri(1)
-    blocks = L.batch_blocks(one_element(mesh, 0, 1), PLANE_STRESS, 1.0, "projected")
+    blocks = L.batch_blocks(one_element(mesh, 0, 1), PLANE_STRESS, 1.0)
     broken = dataclasses.replace(
         blocks,
         stress_mass=np.zeros_like(blocks.stress_mass),
@@ -301,7 +289,7 @@ def test_singular_local_system_reports_element(monkeypatch):
     disc = G.build_discretization(M.build_unit_square_tri(2), 1)
     batch = next(disc.element_batches())
     assert len(batch.elements) == 8
-    good = L.batch_blocks(batch, PLANE_STRESS, 1.0, "projected")
+    good = L.batch_blocks(batch, PLANE_STRESS, 1.0)
     zero_pivot = dataclasses.replace(
         good, div_coupling=good.div_coupling.copy(), stab_uu=good.stab_uu.copy()
     )
@@ -331,7 +319,7 @@ def test_blocks_insensitive_to_richer_quadrature(monkeypatch, family, k):
         disc = G.build_discretization(mesh, k)
         systems = G.build_element_systems(disc, PLANE_STRESS, tau)
         blocks.append(
-            [L.batch_blocks(cb.batch, PLANE_STRESS, tau, "projected") for cb in systems.batches]
+            [L.batch_blocks(cb.batch, PLANE_STRESS, tau) for cb in systems.batches]
         )
         points.append([disc.face_quad.weights.shape[1],
                        systems.batches[0].batch.quad.weights.shape[1]])
@@ -353,7 +341,7 @@ def test_factor_and_source_parts_bitwise_against_scipy_lu(family, k):
     mesh = M.build_mesh(family, 4)
     disc = G.build_discretization(mesh, k)
     batch = next(disc.element_batches())
-    blocks = L.batch_blocks(batch, PLANE_STRESS, 1.0 / mesh.h, "projected")
+    blocks = L.batch_blocks(batch, PLANE_STRESS, 1.0 / mesh.h)
     ops = L._factor(blocks)
     f_mom = np.random.default_rng(k).normal(size=(len(batch.elements), batch.n_disp))
     qs, us = L._source_parts(ops, f_mom)
