@@ -43,8 +43,6 @@ _COMMANDS = {
 _HELP = {
     "n_sequence": "comma separated subdivision counts",
     "tau_c": "stabilization constant c in tau = c/h",
-    "p_d": "deviatoric compliance constant",
-    "p_t": "trace compliance constant",
     "nu_list": "comma separated Poisson ratios",
     "out": "CSV output path",
     "vtk": "VTK output path",

@@ -395,18 +395,16 @@ def trace_moments(modes: np.ndarray, weights: np.ndarray, vals: np.ndarray) -> n
 class TraceDofMap:
     """Global numbering of the trace unknowns.
 
-    Every face owns 2(k+1) consecutive dofs (mode-major, component-minor).
+    Face f owns the ndof_face = 2(k+1) consecutive dofs from f * ndof_face
+    (mode-major, component-minor).
     Interior dofs additionally carry a condensed-system index; boundary
     dofs map to -1 there and hold prescribed data instead.
     """
 
-    k: int
-    face_offset: np.ndarray  # (nfaces,), start of each face's dof block
     ndof_face: int
     total: int
     interior_index: np.ndarray  # (total,), -1 on boundary faces
     n_interior: int
-    boundary_face_ids: np.ndarray
 
 
 def build_trace_dof_map(mesh: Mesh, k: int) -> TraceDofMap:
@@ -420,11 +418,8 @@ def build_trace_dof_map(mesh: Mesh, k: int) -> TraceDofMap:
         interior[:, None], rank[:, None] * ndof_face + np.arange(ndof_face), -1
     ).ravel()
     return TraceDofMap(
-        k=k,
-        face_offset=np.arange(mesh.num_faces) * ndof_face,
         ndof_face=ndof_face,
         total=mesh.num_faces * ndof_face,
         interior_index=interior_index,
         n_interior=int(interior.sum()) * ndof_face,
-        boundary_face_ids=np.flatnonzero(~interior),
     )

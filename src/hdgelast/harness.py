@@ -1,10 +1,10 @@
 """Run configuration and the study drivers behind the command line.
 
 A run is described by a flat key/value configuration (mesh family and
-subdivision, polynomial degree, stabilization constant, material law,
-manufactured solution, solver choice, output paths). The drivers here
-execute single solves, mesh-refinement studies, incompressibility sweeps,
-and the self-check suite; the command line module is a thin wrapper.
+subdivision, polynomial degree, stabilization constant, plane stress or
+strain law, manufactured solution, solver choice, output paths). The
+drivers here execute single solves, refinement studies, incompressibility
+sweeps and the self-check suite; the command line module is a thin wrapper.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ __all__ = [
 # The allowed values of each choice-valued setting.
 CHOICES = {
     "mesh": ("tri", "poly"),
-    "material": ("plane_stress", "plane_strain", "deviatoric"),
+    "material": ("plane_stress", "plane_strain"),
     "solution": ("test1", "test2", "rigid"),
     "solver": ("auto", "cholesky", "cg"),
 }
@@ -59,8 +59,6 @@ class RunConfig:
     E: float = 1.0
     nu: float = 0.3
     nu_list: tuple[float, ...] = (0.49, 0.4999, 0.49999)
-    p_d: float = 1.0
-    p_t: float = 1.0
     solution: str = "test1"
     solver: str = "auto"
     tol: float = 1e-12
@@ -83,8 +81,7 @@ class RunConfig:
             errs.append(f"k: must be >= 1 (the method needs k >= 1), got {self.k}")
         elif (qe := error_quadrature_exactness(self.k)) > MAX_EXACTNESS:
             errs.append(f"k: needs quadrature exactness {qe} > {MAX_EXACTNESS}, got {self.k}")
-        positive = ["tau_c", "tol"] + (["p_d", "p_t"] if self.material == "deviatoric" else ["E"])
-        for name in positive:
+        for name in ("tau_c", "tol", "E"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 errs.append(f"{name}: must be positive and finite, got {value}")
@@ -95,8 +92,6 @@ class RunConfig:
         return errs
 
     def material_law(self) -> ComplianceTensor:
-        if self.material == "deviatoric":
-            return ComplianceTensor.deviatoric(self.p_d, self.p_t)
         return getattr(ComplianceTensor, self.material)(self.E, self.nu)
 
     def levels(self) -> tuple[int, ...]:
@@ -120,13 +115,13 @@ PARSERS = {name: _text_parser(ftype) for name, ftype in get_type_hints(RunConfig
 
 # The RunConfig fields each command's driver reads: the command line offers
 # exactly these as flags, and a config file for the command may set only these.
-_DISCRETE = ("k", "tau_c", "material", "E", "nu", "p_d", "p_t", "solver", "tol")
+_DISCRETE = ("k", "tau_c", "material", "E", "nu", "solver", "tol")
 _STUDY = ("mesh", "n_sequence", *_DISCRETE, "solution", "out")
 COMMAND_FIELDS = {
     "solve": ("mesh", "n", *_DISCRETE, "solution", "out", "vtk"),
     "convergence": _STUDY,
-    # the sweep's ratios replace nu, and it admits plane strain only
-    "locking": tuple(f for f in _STUDY if f not in ("nu", "p_d", "p_t")) + ("nu_list",),
+    # the sweep's ratios replace nu, and plane strain is its only material
+    "locking": tuple(f for f in _STUDY if f not in ("material", "nu")) + ("nu_list",),
     "check": _DISCRETE,
 }
 
@@ -146,6 +141,8 @@ def parse_config_text(text: str, base: RunConfig | None = None,
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in updates:
+            raise ConfigError(f"line {lineno}: key {key!r} is set twice")
         try:
             updates[key] = PARSERS[key](value)
         except ValueError as exc:
@@ -224,8 +221,8 @@ def run_locking(
     if cfg.material != "plane_strain":
         raise ConfigError("material: locking study requires plane_strain")
     nus = nus if nus is not None else cfg.nu_list
-    if not nus or not all(0.0 < nu < 0.5 for nu in nus):
-        raise ConfigError(f"nu_list: need one or more values in (0, 0.5), got {nus}")
+    if not nus or len(set(nus)) < len(nus) or not all(0.0 < nu < 0.5 for nu in nus):
+        raise ConfigError(f"nu_list: need one or more distinct values in (0, 0.5), got {nus}")
     tables = {}
     for nu in nus:
         sub = replace(cfg, nu=nu, out="", vtk="")

@@ -113,8 +113,8 @@ class Discretization:
 
     def face_dofs(self, face_id) -> np.ndarray:
         """Trace dofs of a face, or (..., ndof_face) for an array of faces."""
-        d = self.dofmap
-        return d.face_offset[face_id][..., None] + np.arange(d.ndof_face)
+        nd = self.dofmap.ndof_face
+        return np.asarray(face_id)[..., None] * nd + np.arange(nd)
 
     def element_dofs(self, face_ids: np.ndarray) -> np.ndarray:
         """Trace dofs of elements with faces ``face_ids`` (B, m): (B, m * ndof_face)."""
@@ -197,7 +197,7 @@ def boundary_trace_values(disc: Discretization, g_fn) -> np.ndarray:
     """Full trace vector holding the face projection of the boundary data,
     in the error rule (see error_face_rule)."""
     values = np.zeros(disc.dofmap.total)
-    fids = np.array(disc.dofmap.boundary_face_ids, dtype=int)
+    fids = disc.mesh.boundary_faces()
     if g_fn is None or not len(fids):
         return values
     fq, modes = error_face_rule(disc)
@@ -209,7 +209,7 @@ def boundary_trace_values(disc: Discretization, g_fn) -> np.ndarray:
 
 def _interior_rank(dofmap: TraceDofMap) -> np.ndarray:
     """Rank of each face among the interior faces, -1 on the boundary."""
-    return dofmap.interior_index[dofmap.face_offset] // dofmap.ndof_face
+    return dofmap.interior_index[:: dofmap.ndof_face] // dofmap.ndof_face
 
 
 def assemble_global(

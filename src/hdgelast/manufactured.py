@@ -27,7 +27,6 @@ __all__ = [
     "rigid_motion_solution",
     "polynomial_solution",
     "solution_by_name",
-    "eval_exact",
     "strain",
     "stress",
     "body_force",
@@ -41,12 +40,6 @@ class ExactSolution:
     u: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
-
-
-def eval_exact(sol: ExactSolution, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Displacement, gradient, and Hessian at a single point."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    return sol.u(pts)[0], sol.grad(pts)[0], sol.hess(pts)[0]
 
 
 def test1_solution() -> ExactSolution:

@@ -1,20 +1,19 @@
 """Isotropic 2D material laws: compliance (stress -> strain) and stiffness.
 
-Three parameterizations are supported and all reduce to the affine form
+Two parameterizations are supported and both reduce to the affine form
 A tau = a * tau + b * tr(tau) * I:
 
 - plane stress:        a = (1+nu)/E,  b = -nu/E
 - plane strain:        a = (1+nu)/E,  b = -(1+nu)*nu/E
-- deviatoric split:    A tau = p_d * dev(tau) + p_t * (tr(tau)/2) * I,
-                       i.e. a = p_d, b = (p_t - p_d)/2
 
-In 2D the deviatoric part is dev(tau) = tau - (tr(tau)/2) I. Plane strain
-with Poisson ratio nu corresponds to p_d = (1+nu)/E and
+The deviatoric/trace split A tau = p_d dev(tau) + p_t (tr(tau)/2) I, with
+dev(tau) = tau - (tr(tau)/2) I, is plane stress with E = 2/(p_d + p_t) and
+nu = (p_d - p_t)/(p_d + p_t). Plane strain has p_d = (1+nu)/E and
 p_t = (1+nu)(1-2*nu)/E, so p_t -> 0 in the incompressible limit.
 
 The stiffness is the closed-form inverse, C eps = a' eps + b' tr(eps) I with
 a' = 1/a and b' = -b / (a * (a + 2b)); it is singular exactly when
-a + 2b = 0 (plane strain at nu = 1/2, or p_t = 0).
+a + 2b = 0 (plane strain at nu = 1/2).
 """
 
 from __future__ import annotations
@@ -58,12 +57,6 @@ class ComplianceTensor:
         if not -1.0 < nu <= 0.5:
             raise ValueError(f"plane strain requires -1 < nu <= 0.5, got {nu}")
         return cls("plane_strain", (1 + nu) / E, -(1 + nu) * nu / E, {"E": E, "nu": nu})
-
-    @classmethod
-    def deviatoric(cls, p_d: float, p_t: float) -> "ComplianceTensor":
-        if p_d <= 0 or p_t <= 0:
-            raise ValueError(f"deviatoric constants must be positive, got {p_d}, {p_t}")
-        return cls("deviatoric", p_d, (p_t - p_d) / 2.0, {"p_d": p_d, "p_t": p_t})
 
     # --- derived constants -------------------------------------------------
 

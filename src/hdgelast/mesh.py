@@ -79,8 +79,6 @@ class Mesh:
     face_normal: np.ndarray
     face_length: np.ndarray
     h: float
-    family: str = "custom"
-    n: int = 0
 
     @property
     def num_vertices(self) -> int:
@@ -173,7 +171,7 @@ def _has_reflex_vertex(pts: np.ndarray) -> np.ndarray:
     return np.any(_turns(pts) * polygon_areas(pts)[..., None] < 0.0, axis=-1)
 
 
-def _assemble(vertices: np.ndarray, elements, family: str, n: int) -> Mesh:
+def _assemble(vertices: np.ndarray, elements) -> Mesh:
     """Derive the face table, normals and h from vertex/element data.
 
     ``elements`` is an (E, m) integer array, or a sequence of
@@ -243,8 +241,6 @@ def _assemble(vertices: np.ndarray, elements, family: str, n: int) -> Mesh:
         face_normal=np.stack([t[:, 1], -t[:, 0]], axis=1),
         face_length=length,
         h=h,
-        family=family,
-        n=n,
     )
     for f in fields(mesh):
         value = getattr(mesh, f.name)
@@ -270,7 +266,7 @@ def build_unit_square_tri(n: int) -> Mesh:
     # lower triangle (a, b, c), then upper (a, c, d) of each cell a-b-c-d
     corners = np.array([[0, 1, n + 2], [0, n + 2, n + 1]])
     elements = (_cells(n)[:, None, None] + corners).reshape(-1, 3)
-    return _assemble(vertices, elements, "tri", n)
+    return _assemble(vertices, elements)
 
 
 def build_unit_square_poly(n: int) -> Mesh:
@@ -297,7 +293,7 @@ def build_unit_square_poly(n: int) -> Mesh:
         raise MeshConstructionError(
             f"perturbation produced a non-convex element {int(np.argmax(reflex))}"
         )
-    return _assemble(vertices, elements, "poly", n)
+    return _assemble(vertices, elements)
 
 
 def build_mesh(kind: str, n: int) -> Mesh:
@@ -392,9 +388,7 @@ def read_mesh_text(path: str) -> Mesh:
     The mesh is rebuilt through the same construction as the built-in
     families from the ``vertices`` and ``elements`` sections; the stored
     ``faces`` section must equal the rebuilt face table exactly, else
-    MeshConstructionError names the first disagreeing face. The file does
-    not record the family or subdivision count: the result is a "custom"
-    mesh with n = 0."""
+    MeshConstructionError names the first disagreeing face."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith("# hdgelast mesh"):
@@ -412,7 +406,7 @@ def read_mesh_text(path: str) -> Mesh:
         pos += 1 + count
     vertices = np.array([[float(x) for x in row] for row in sections["vertices"]])
     elements = [[int(v) for v in row] for row in sections["elements"]]
-    mesh = _assemble(vertices.reshape(-1, 2), elements, "custom", 0)
+    mesh = _assemble(vertices.reshape(-1, 2), elements)
     stored = np.array([[float(x) for x in row] for row in sections["faces"]]).reshape(-1, 7)
     rebuilt = np.column_stack(
         [mesh.face_vertices, mesh.face_left, mesh.face_right, mesh.face_normal, mesh.face_length]

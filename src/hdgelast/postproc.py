@@ -54,10 +54,7 @@ def _stress_projection(phi_s: np.ndarray, weights: np.ndarray, sig: np.ndarray) 
 class ErrorReport:
     h: float
     k: int
-    n_elements: int
     n_trace_dofs: int
-    tau: float
-    material: str
     err_sigma_proj: float
     err_u_proj: float
     err_sigma: float
@@ -139,10 +136,7 @@ def error_norms(disc: Discretization, sol: DiscreteSolution, exact: ExactSolutio
     return ErrorReport(
         h=mesh.h,
         k=k,
-        n_elements=mesh.num_elements,
         n_trace_dofs=disc.dofmap.n_interior,
-        tau=tau,
-        material=material.mode,
         err_sigma_proj=float(np.sqrt(sigma_proj)),
         err_u_proj=float(np.sqrt(u_proj)),
         err_sigma=float(np.sqrt(sigma)),

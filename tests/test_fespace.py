@@ -39,12 +39,12 @@ def test_segment_rule_cubic():
 
 def unit_square_mesh():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    return M._assemble(verts, [(0, 1, 2, 3)], "custom", 0)
+    return M._assemble(verts, [(0, 1, 2, 3)])
 
 
 def reference_triangle_mesh():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    return M._assemble(verts, [(0, 1, 2)], "custom", 0)
+    return M._assemble(verts, [(0, 1, 2)])
 
 
 def test_element_quadrature_monomial():
@@ -190,7 +190,7 @@ def test_project_trace_reproduces_linear():
 def test_project_trace_mean_value_k0():
     # projecting s^2 onto constants over a unit-length face gives 1/3
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    mesh = M._assemble(verts, [(0, 1, 2)], "custom", 0)
+    mesh = M._assemble(verts, [(0, 1, 2)])
     fid = np.flatnonzero((mesh.face_length == 1.0) & (mesh.face_vertices[:, 0] == 0))[:1]
     fq = F.face_quadratures(mesh, fid, 6)
     length = mesh.face_length[fid]
@@ -237,7 +237,7 @@ def test_trace_dof_map_counts_and_ranges():
 
     # ranges are disjoint and contiguous, interior indices are a permutation
     disc = G.build_discretization(mesh2, 1)
-    assert np.array_equal(disc.dofmap.face_offset, dm2.face_offset)
+    assert np.array_equal(disc.dofmap.interior_index, dm2.interior_index)
     seen = set()
     for fid in range(mesh2.num_faces):
         dofs = disc.face_dofs(fid)
@@ -251,7 +251,7 @@ def test_trace_dof_map_counts_and_ranges():
 def test_degenerate_element_conditioning_error():
     # a zero-area (collinear) triangle cannot support an orthonormal basis
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    degenerate = M._assemble(verts, [(0, 1, 2)], "custom", 0)
+    degenerate = M._assemble(verts, [(0, 1, 2)])
     poly = degenerate.polygons([0])
     with pytest.raises(F.ElementConditioningError):
         F.build_element_bases(poly, np.array([0]), 2, F.polygon_quadrature(poly, 4))

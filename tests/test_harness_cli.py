@@ -43,6 +43,11 @@ def test_config_unknown_key():
         H.parse_config_text("meshh = tri")
 
 
+def test_config_repeated_key():
+    with pytest.raises(H.ConfigError, match="^line 3: key 'k' is set twice$"):
+        H.parse_config_text("k = 1\nn = 4\nk = 2")
+
+
 def test_config_bad_value():
     with pytest.raises(H.ConfigError, match="cannot parse"):
         H.parse_config_text("n = three")
@@ -103,8 +108,6 @@ NAN, INF = float("nan"), float("inf")
         ("tau_c", NAN, "plane_stress"),
         ("tol", -1.0, "plane_stress"),
         ("tol", 0.0, "plane_stress"),
-        ("p_d", 0.0, "deviatoric"),
-        ("p_t", NAN, "deviatoric"),
     ],
 )
 def test_problems_reject_nonpositive_or_nonfinite(field, value, material):
@@ -142,6 +145,12 @@ def test_run_locking_rejects_incompressible_nu():
     cfg = H.RunConfig(material="plane_strain", solution="test2", E=3.0)
     with pytest.raises(H.ConfigError):
         H.run_locking(cfg, (0.5,), (2, 4))
+
+
+def test_run_locking_rejects_repeated_nu():
+    cfg = H.RunConfig(material="plane_strain", solution="test2", E=3.0)
+    with pytest.raises(H.ConfigError, match="^nu_list: "):
+        H.run_locking(cfg, (0.49, 0.4999, 0.49), (2, 4))
 
 
 def test_run_locking_spread(tmp_path):
@@ -251,7 +260,7 @@ def test_cli_locking_defaults_yield_to_config_and_flags(tmp_path, capsys):
         return capsys.readouterr().out
 
     bare = run()
-    assert bare == run("--material", "plane_strain", "--solution", "test2", "--E", "3")
+    assert bare == run("--solution", "test2", "--E", "3")
     e1 = run("--E", "1")
     assert e1 != bare
     cfgfile = tmp_path / "run.cfg"
@@ -260,9 +269,30 @@ def test_cli_locking_defaults_yield_to_config_and_flags(tmp_path, capsys):
     assert run("--solution", "test1") != bare
 
 
-def test_cli_locking_rejects_plane_stress(capsys):
-    assert cli.main(LOCKING + ["--material", "plane_stress"]) == cli.EXIT_CONFIG
-    assert "plane_strain" in capsys.readouterr().err
+def test_cli_locking_rejects_plane_stress(tmp_path, capsys):
+    # plane strain is the sweep's only material: locking reads no material
+    with pytest.raises(SystemExit) as exc:
+        cli.main(LOCKING + ["--material", "plane_stress"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments: --material" in capsys.readouterr().err
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("material = plane_stress\n")
+    assert cli.main(LOCKING + ["--config", str(cfgfile)]) == cli.EXIT_CONFIG
+    assert "key 'material' is not read by locking" in capsys.readouterr().err
+
+
+def test_cli_locking_rejects_repeated_nu(capsys):
+    argv = ["locking", "--k", "1", "--n-sequence", "2,4", "--nu-list", "0.49,0.49"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: nu_list: ") and err.count("\n") == 1
+
+
+def test_cli_unknown_material_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--n", "2", "--material", "deviatoric"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "argument --material: invalid choice: 'deviatoric'" in capsys.readouterr().err
 
 
 def test_cli_check_passes(capsys):
@@ -303,29 +333,6 @@ def test_cli_solver_failure_exit_code(monkeypatch, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
-def test_deviatoric_material_equivalent_to_plane_strain():
-    # the same physical law through both parameterizations gives the same
-    # discrete solution to roundoff
-    E, nu = 3.0, 0.49
-    base = H.RunConfig(mesh="tri", n=4, k=1, solution="test2",
-                       material="plane_strain", E=E, nu=nu)
-    dev = H.RunConfig(mesh="tri", n=4, k=1, solution="test2",
-                      material="deviatoric",
-                      p_d=(1 + nu) / E, p_t=(1 + nu) * (1 - 2 * nu) / E)
-    r1 = H.run_solve(base)
-    r2 = H.run_solve(dev)
-    assert r1.errors.err_sigma_proj == pytest.approx(r2.errors.err_sigma_proj, rel=1e-10)
-    assert r1.errors.err_u_proj == pytest.approx(r2.errors.err_u_proj, rel=1e-10)
-
-
-def test_cli_deviatoric_flags(capsys):
-    rc = cli.main(["solve", "--mesh", "tri", "--n", "2", "--k", "1",
-                   "--material", "deviatoric", "--p-d", "0.5", "--p-t", "0.2",
-                   "--solution", "test1"])
-    assert rc == cli.EXIT_OK
-    assert "sigma_proj=" in capsys.readouterr().out
-
-
 @pytest.mark.parametrize(
     "flags,field",
     [
@@ -333,8 +340,6 @@ def test_cli_deviatoric_flags(capsys):
         (["--tau-c", "nan"], "tau_c"),
         (["--tol", "-1"], "tol"),
         (["--tol", "0", "--solver", "cg"], "tol"),
-        (["--material", "deviatoric", "--p-d", "0"], "p_d"),
-        (["--material", "deviatoric", "--p-t", "nan"], "p_t"),
     ],
 )
 def test_cli_bad_value_is_config_error(flags, field, capsys):
@@ -361,7 +366,7 @@ def test_cli_check_bad_value_is_config_error(flags, field, capsys):
     [
         (["solve", "--k", "25"], 2, "config error: ", "k:"),
         (["solve", "--n", "2", "--k", "12"], 3, "solver failure: ", "element 0"),
-        (["solve", "--material", "deviatoric", "--p-t", "1e-300"], 2, "config error: ", "p_t"),
+        (["solve", "--n", "2", "--E", "1e-300"], 2, "config error: ", "singular"),
         (["solve", "--material", "plane_strain", "--nu", "0.4999999999"], 3,
          "solver failure: ", "element 0"),
         (["solve", "--n", "2", "--tau-c", "1e-300"], 3, "solver failure: ", "element 0"),
@@ -403,7 +408,7 @@ FLAG_VALUES = {"--n": "2", "--n-sequence": "2,4", "--nu-list": "0.3", "--vtk": "
 
 @pytest.mark.parametrize(
     "command,flag",
-    [("solve", f) for f in ("--n-sequence", "--nu-list")]
+    [("solve", f) for f in ("--n-sequence", "--nu-list", "--p-d")]
     + [("convergence", f) for f in ("--n", "--nu-list", "--vtk")]
     + [("locking", f) for f in ("--n", "--nu", "--p-d", "--p-t", "--vtk")]
     + [("check", f) for f in ("--mesh", "--n", "--n-sequence", "--nu-list", "--solution",

@@ -413,7 +413,7 @@ def mixed_mesh(n):
                 elements += [(a, b, c), (a, c, d)]
             else:
                 elements.append((a, b, c, d))
-    return M._assemble(vertices, elements, "custom", n)
+    return M._assemble(vertices, elements)
 
 
 ELEMENT_RESULTS = ("matrix", "rhs", "stress_map", "disp_map", "source_stress", "source_disp")

@@ -44,7 +44,7 @@ def test_stress_mass_spd_and_unit_entry():
     # constant stress e11 paired with itself under the identity material on a
     # unit-area element integrates to exactly 1
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    mesh = M._assemble(verts, [(0, 1, 2, 3)], "custom", 0)
+    mesh = M._assemble(verts, [(0, 1, 2, 3)])
     identity_material = ComplianceTensor.plane_stress(1.0, 0.0)
     blocks = L.batch_blocks(one_element(mesh, 0, 1), identity_material, 1.0)
     p_s = 3

@@ -41,7 +41,7 @@ def test_hessian_matches_finite_differences(sol):
 
 def test_test1_midpoint_value():
     # 10 * sin(pi/2) * (1 - 1/2) * (1/2 - 1/4) * (1 - 1/4) = 0.9375
-    u, _, _ = MF.eval_exact(MF.test1_solution(), (0.5, 0.5))
+    u = MF.test1_solution().u(np.array([[0.5, 0.5]]))[0]
     assert u[0] == pytest.approx(0.9375, abs=1e-15)
     assert u[1] == 0.0
 

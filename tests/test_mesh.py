@@ -110,7 +110,7 @@ def test_validate_reports_reversed_element():
     m = M.build_unit_square_tri(2)
     elements = m.element_vertices.reshape(-1, 3).copy()
     elements[3] = elements[3, ::-1]
-    broken = M._assemble(np.array(m.vertices), elements, "tri", 2)
+    broken = M._assemble(np.array(m.vertices), elements)
     problems = M.validate(broken)
     assert any("orientation" in p for p in problems)
 
@@ -128,7 +128,7 @@ def test_validate_reports_duplicated_face():
 
 def test_area_sum_violation_detected():
     verts = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
-    stretched = M._assemble(verts, [(0, 1, 2, 3)], "custom", 0)
+    stretched = M._assemble(verts, [(0, 1, 2, 3)])
     problems = M.validate(stretched)
     assert any("area" in p for p in problems)
 
@@ -158,7 +158,7 @@ def mixed_mesh():
     vertices = np.array([[x, y] for y in xs for x in xs])
     vertices[4] = (0.55, 0.45)
     elements = [(0, 1, 4), (0, 4, 3), (1, 2, 5, 4), (3, 4, 7, 6), (4, 5, 8), (4, 8, 7)]
-    return M._assemble(vertices, elements, "custom", 2)
+    return M._assemble(vertices, elements)
 
 
 def test_mixed_face_table_pinned():
@@ -202,7 +202,7 @@ def test_face_table_follows_element_orientation(data):
     order = data.draw(st.permutations(range(len(tris))))
     shifts = data.draw(st.lists(st.integers(0, 2), min_size=len(tris), max_size=len(tris)))
     elements = np.array([np.roll(tris[e], -s) for e, s in zip(order, shifts)])
-    m = M._assemble(np.array(base.vertices), elements, "custom", 3)
+    m = M._assemble(np.array(base.vertices), elements)
     assert m.num_faces == base.num_faces
     first_use = {}
     for e, poly in enumerate(elements):
@@ -227,7 +227,7 @@ def test_face_table_follows_element_orientation(data):
 def test_zero_length_edge_names_element():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(M.MeshConstructionError, match=r"^degenerate edge in element 1$"):
-        M._assemble(verts, [(0, 1, 2), (0, 2, 3)], "custom", 0)
+        M._assemble(verts, [(0, 1, 2), (0, 2, 3)])
 
 
 def test_edge_shared_by_three_elements_named():
@@ -235,10 +235,10 @@ def test_edge_shared_by_three_elements_named():
     with pytest.raises(
         M.MeshConstructionError, match=r"^edge \(0, 1\) shared by more than two elements$"
     ):
-        M._assemble(verts, [(0, 1, 2), (1, 0, 3), (0, 1, 4)], "custom", 0)
+        M._assemble(verts, [(0, 1, 2), (1, 0, 3), (0, 1, 4)])
     # the check that meets its offending edge first reports
     with pytest.raises(M.MeshConstructionError, match=r"^degenerate edge in element 1$"):
-        M._assemble(verts, [(0, 1, 2), (3, 3, 1), (1, 0, 3), (0, 1, 4)], "custom", 0)
+        M._assemble(verts, [(0, 1, 2), (3, 3, 1), (1, 0, 3), (0, 1, 4)])
 
 
 @pytest.mark.parametrize(
@@ -303,20 +303,20 @@ def dart_elements():
 def test_reflex_vertex_names_element():
     vertices, elements = dart_elements()
     with pytest.raises(M.MeshConstructionError, match=r"^non-convex element 0$"):
-        M._assemble(vertices, elements, "custom", 0)
+        M._assemble(vertices, elements)
     # the dart listed last: the error names it, not the triangles
     with pytest.raises(M.MeshConstructionError, match=r"^non-convex element 2$"):
-        M._assemble(vertices, elements[1:] + elements[:1], "custom", 0)
+        M._assemble(vertices, elements[1:] + elements[:1])
     # moving the notch vertex out to (0.6, 0.6) makes every element convex
     vertices[2] = (0.6, 0.6)
-    assert M.validate(M._assemble(vertices, elements, "custom", 0)) == []
+    assert M.validate(M._assemble(vertices, elements)) == []
 
 
 def test_read_mesh_text_rejects_reflex_vertex(tmp_path):
     vertices, elements = dart_elements()
     vertices[2] = (0.6, 0.6)
     path = tmp_path / "mesh.txt"
-    M.write_mesh_text(M._assemble(vertices, elements, "custom", 0), str(path))
+    M.write_mesh_text(M._assemble(vertices, elements), str(path))
     lines = path.read_text().splitlines()
     lines[lines.index("vertices 5") + 3] = "0.3 0.3"  # vertex 2 into the notch
     path.write_text("\n".join(lines) + "\n")
