@@ -46,6 +46,12 @@ CHOICES = {
 }
 
 
+# Highest degree the tri family runs: beyond it the orthonormalization of
+# the degree-(k+1) basis fails on its right triangles, which fill half of
+# the bounding box the monomials are scaled to.
+TRI_MAX_K = 10
+
+
 @dataclass
 class RunConfig:
     mesh: str = "tri"
@@ -81,6 +87,8 @@ class RunConfig:
             errs.append(f"k: must be >= 1 (the method needs k >= 1), got {self.k}")
         elif (qe := error_quadrature_exactness(self.k)) > MAX_EXACTNESS:
             errs.append(f"k: needs quadrature exactness {qe} > {MAX_EXACTNESS}, got {self.k}")
+        elif self.mesh == "tri" and self.k > TRI_MAX_K:
+            errs.append(f"k: the tri mesh admits k <= {TRI_MAX_K}, got {self.k}")
         for name in ("tau_c", "tol", "E"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

@@ -25,15 +25,31 @@ association order and the per-element memory layout of a single element's
 computation, so an element's results are bitwise independent of the batch
 it is computed in. ``condense_batch`` tabulates the basis values and
 gradients at the element quadrature points once (``ElementBatch.tabulate``)
-and passes them to the blocks and the body-force moments. The local saddle
-systems are factorized and solved one element at a time with LAPACK
-``dgetrf``/``dgetrs`` working in place: each element's saddle matrix and
-right-hand sides are stacked column-major, so the matrix becomes its LU
-factors and the right-hand sides its solutions without a copy, with the
-results ``scipy.linalg.lu_factor``/``lu_solve`` give. The entry points
+and passes them to the blocks and the body-force moments. The entry points
 are ``element_batch``, which stacks elements, ``condense_batch``, which runs
 the whole stage on a batch, and its kernels ``batch_blocks`` and
 ``batch_moments``; a single element is a one-element batch.
+
+Local-solve policy. The stress basis is orthonormal, so the stress mass is
+C kron I, with C the 3x3 compliance direction matrix, and its inverse
+C^-1 kron I costs nothing to form. ``condense_batch`` takes the condition
+number kappa of C (ratio of its largest to its smallest eigenvalue; plane
+stress at nu = 0.3 has 3.7, plane strain has 2/(1-2nu)) and
+
+- for kappa <= CLOSED_FORM_MAX_CONDITION eliminates the stress in closed
+  form: each element solves one symmetric positive definite displacement
+  system, K = stab_uu + D^T (C^-1 kron I) D, of n_u unknowns with LAPACK
+  ``dposv``, in place of the LU of its saddle matrix of n_s + n_u;
+- above it factorizes the whole saddle matrix with the pivoted LU of
+  LAPACK ``dgetrf``/``dgetrs``, with the results ``scipy.linalg.lu_factor``
+  and ``lu_solve`` give.
+
+The closed form passes the rounding of K through C^-1, so it departs from
+the pivoted solve by about kappa * 1e-14 relative. Near incompressibility
+(kappa of 1e5 at nu = 0.49999) that is more than rounding, so those
+materials keep the pivoted solve, bit for bit. Both paths work in place on
+per-element column-major arrays, one element at a time, and return the
+same operators.
 
 The module owns both quadrature policies: default_quadrature_exactness,
 the rule of the element stage, and error_quadrature_exactness, the richer
@@ -62,6 +78,7 @@ from .mesh import Mesh
 
 __all__ = [
     "CHUNK_SIZE",
+    "CLOSED_FORM_MAX_CONDITION",
     "ElementBatch",
     "LocalBlocks",
     "ElementOperators",
@@ -74,9 +91,14 @@ __all__ = [
     "error_quadrature_exactness",
 ]
 
-# Elements per batch. Bounds the memory of the stacked saddle matrices,
-# their LU copies and right-hand sides; results do not depend on it.
+# Elements per batch. Bounds the memory of the stacked local systems and
+# their right-hand sides; results do not depend on it.
 CHUNK_SIZE = 128
+
+# Largest condition number of the compliance direction matrix for which
+# condense_batch eliminates the stress in closed form (module docstring).
+# Plane strain reaches it at nu = 0.48.
+CLOSED_FORM_MAX_CONDITION = 50.0
 
 # relative asymmetry of a condensed element matrix that _condense reports
 ASYMMETRY_TOL = 1e-9
@@ -201,16 +223,16 @@ class LocalBlocks:
 
 @dataclass
 class ElementOperators:
-    """Eliminated local solution operators: stress_map / disp_map send trace
-    coefficients to the eliminated stress and displacement coefficients,
-    with a leading element axis; lu and piv hold each element's LAPACK
-    getrf factorization of its saddle matrix, for source loads."""
+    """Eliminated local solution operators, with a leading element axis:
+    stress_map / disp_map send trace coefficients to the eliminated stress
+    and displacement coefficients; source_stress / source_disp are the
+    responses to the body-force moments (zero without a body force)."""
 
     elements: np.ndarray  # (B,)
     stress_map: np.ndarray  # (B, n_s, n_lam)
     disp_map: np.ndarray  # (B, n_u, n_lam)
-    lu: np.ndarray  # (B, n, n), column-major per element
-    piv: np.ndarray  # (B, n), int32
+    source_stress: np.ndarray  # (B, n_s)
+    source_disp: np.ndarray  # (B, n_u)
 
 
 def batch_blocks(
@@ -290,11 +312,17 @@ def batch_blocks(
     )
 
 
-def _factor(blocks: LocalBlocks) -> ElementOperators:
-    """Symmetric indefinite saddle matrix over (stress, displacement) per
-    element, its LU factorization, and the solve against the coupling of
-    (stress, displacement) rows to the trace columns: the response to every
-    trace basis vector. The factorization is kept for source loads."""
+def _singular(elements: np.ndarray, singular: np.ndarray) -> LocalSolverError:
+    """The error naming the first element flagged in ``singular``."""
+    return LocalSolverError(f"element {elements[np.argmax(singular)]}: singular local system")
+
+
+def _factor(blocks: LocalBlocks, f_moments: np.ndarray | None = None) -> ElementOperators:
+    """Pivoted local solve: the symmetric indefinite saddle matrix over
+    (stress, displacement) per element, its LU factorization, and the solves
+    against the coupling of (stress, displacement) rows to the trace columns
+    (the response to every trace basis vector) and against the body-force
+    moments ``f_moments`` (B, n_u), when given."""
     D = blocks.div_coupling
     B, n_s, n_u = D.shape
     n = n_s + n_u
@@ -317,20 +345,72 @@ def _factor(blocks: LocalBlocks) -> ElementOperators:
     singular = ~np.isfinite(M).all(axis=(-2, -1))
     singular |= np.abs(np.diagonal(M, axis1=-2, axis2=-1)).min(axis=-1) == 0.0
     if singular.any():
-        e = blocks.elements[np.argmax(singular)]
-        raise LocalSolverError(f"element {e}: singular local system")
-    return ElementOperators(blocks.elements, sol[:, :n_s], sol[:, n_s:], M, piv)
+        raise _singular(blocks.elements, singular)
+    src = np.zeros((B, n))
+    if f_moments is not None:
+        src[:, n_s:] = -f_moments
+        for i in range(B):
+            lapack.dgetrs(M[i], piv[i], src[i], overwrite_b=True)
+    return ElementOperators(
+        blocks.elements, sol[:, :n_s], sol[:, n_s:], src[:, :n_s], src[:, n_s:]
+    )
 
 
-def _source_parts(ops: ElementOperators, f_moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stress/displacement responses to body-force moments (B, n_u), each
-    element's right-hand side solved in place."""
-    n_s = ops.stress_map.shape[1]
-    out = np.zeros((len(ops.lu), n_s + f_moments.shape[-1]))
-    out[:, n_s:] = -f_moments
-    for i in range(len(ops.lu)):
-        lapack.dgetrs(ops.lu[i], ops.piv[i], out[i], overwrite_b=True)
-    return out[:, :n_s], out[:, n_s:]
+def _inverse_mass(c_inv: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(C^-1 kron I) X for stacked stress rows X, (B, 3 p_s, n): the inverse
+    stress mass, one 3 x 3 product per element over the direction axis."""
+    return (c_inv @ X.reshape(X.shape[0], 3, -1)).reshape(X.shape)
+
+
+def _eliminate(
+    blocks: LocalBlocks, c_inv: np.ndarray, f_moments: np.ndarray | None = None
+) -> ElementOperators:
+    """Closed-form local solve, for a well-conditioned compliance with
+    direction matrix inverse ``c_inv``. With the right-hand sides (r1, r2)
+    of the saddle system, (-trace_coupling, stab_ulam) for the trace
+    columns and (0, -f) for the body force, and G = (C^-1 kron I) D:
+
+        (stab_uu + D^T G) u = r2 - G^T r1,    sigma = -(C^-1 kron I) r1 - G u.
+
+    One in-place LAPACK ``dposv`` per element solves for every column at
+    once. Raises LocalSolverError naming the first element whose system is
+    not positive definite or whose solution is not finite."""
+    D = blocks.div_coupling
+    B, n_s, n_u = D.shape
+    n_lam = blocks.trace_coupling.shape[-1]
+    # The solutions u and sigma, which the batch keeps, are allocated
+    # before the temporaries G and K, so that releasing those leaves no
+    # hole between kept arrays (see the monomial table in condense_batch).
+    # u holds the right-hand sides, column-major per element, and is
+    # overwritten by the solutions.
+    cols = n_lam + (f_moments is not None)
+    u = np.empty((B, cols, n_u)).swapaxes(-1, -2)
+    sigma = np.empty((B, n_s, cols))
+    G = _inverse_mass(c_inv, D)
+    K = blocks.stab_uu + D.swapaxes(-1, -2) @ G
+    np.matmul(G.swapaxes(-1, -2), blocks.trace_coupling, out=u[..., :n_lam])
+    u[..., :n_lam] += blocks.stab_ulam
+    if f_moments is not None:
+        u[..., n_lam] = -f_moments
+    # dposv reads one triangle of K, so each element's C-ordered block is
+    # passed as its column-major transpose, without a copy
+    info = np.empty(B, dtype=int)
+    for i in range(B):
+        *_, info[i] = lapack.dposv(K[i].T, u[i], overwrite_a=True, overwrite_b=True)
+    del K
+    np.matmul(G, u, out=sigma)
+    del G
+    np.negative(sigma, out=sigma)
+    sigma[..., :n_lam] += _inverse_mass(c_inv, blocks.trace_coupling)
+    singular = info != 0
+    singular |= ~np.isfinite(u).all(axis=(-2, -1)) | ~np.isfinite(sigma).all(axis=(-2, -1))
+    if singular.any():
+        raise _singular(blocks.elements, singular)
+    if f_moments is None:
+        qs, us = np.zeros((B, n_s)), np.zeros((B, n_u))
+    else:
+        qs, us = sigma[..., n_lam], u[..., n_lam]
+    return ElementOperators(blocks.elements, sigma[..., :n_lam], u[..., :n_lam], qs, us)
 
 
 def _condense(ops: ElementOperators, blocks: LocalBlocks) -> np.ndarray:
@@ -409,20 +489,20 @@ def condense_batch(
     the body-force response to ``f_fn`` when given."""
     # One monomial table serves the blocks and the moments. It is made
     # here rather than kept from the basis construction, and released
-    # before the factorization allocates the arrays the batch keeps: a
+    # before the local solve allocates the arrays the batch keeps: a
     # table held across those allocations fragments the heap, and the
     # direct solve that follows then peaks higher.
     table = batch.tabulate()
     blocks = batch_blocks(batch, material, tau, table)
     f_moments = batch_moments(batch, f_fn, table[0]) if f_fn is not None else None
     del table
-    ops = _factor(blocks)
-    matrix = _condense(ops, blocks)
-    if f_fn is not None:
-        qs, us = _source_parts(ops, f_moments)
+    c = material.compliance_direction_matrix()
+    w = np.linalg.eigvalsh(c)
+    if w[-1] <= CLOSED_FORM_MAX_CONDITION * w[0]:
+        ops = _eliminate(blocks, np.linalg.inv(c), f_moments)
     else:
-        qs = np.zeros((len(batch.elements), batch.n_stress))
-        us = np.zeros((len(batch.elements), batch.n_disp))
+        ops = _factor(blocks, f_moments)
+    qs, us = ops.source_stress, ops.source_disp
     return CondensedBatch(
-        batch, matrix, _rhs(blocks, qs, us), ops.stress_map, ops.disp_map, qs, us
+        batch, _condense(ops, blocks), _rhs(blocks, qs, us), ops.stress_map, ops.disp_map, qs, us
     )

@@ -93,6 +93,13 @@ def test_problems_named_fields():
     assert "k:" in joined and "tau_c:" in joined and "mesh:" in joined
 
 
+def test_problems_tri_degree_limit():
+    assert H.RunConfig(mesh="tri", k=H.TRI_MAX_K).problems() == []
+    assert H.RunConfig(mesh="poly", k=H.TRI_MAX_K + 1).problems() == []
+    msgs = H.RunConfig(mesh="tri", k=H.TRI_MAX_K + 1).problems()
+    assert msgs == [f"k: the tri mesh admits k <= {H.TRI_MAX_K}, got {H.TRI_MAX_K + 1}"]
+
+
 def test_plane_strain_nu_range():
     assert any("nu:" in p for p in H.RunConfig(material="plane_strain", nu=0.5).problems())
 
@@ -365,7 +372,7 @@ def test_cli_check_bad_value_is_config_error(flags, field, capsys):
     "argv,code,prefix,names",
     [
         (["solve", "--k", "25"], 2, "config error: ", "k:"),
-        (["solve", "--n", "2", "--k", "12"], 3, "solver failure: ", "element 0"),
+        (["solve", "--n", "2", "--k", "12"], 2, "config error: ", "k <= 10"),
         (["solve", "--n", "2", "--E", "1e-300"], 2, "config error: ", "singular"),
         (["solve", "--material", "plane_strain", "--nu", "0.4999999999"], 3,
          "solver failure: ", "element 0"),
@@ -402,7 +409,7 @@ def test_package_errors_carry_exit_code(module, name, code):
 
 
 FLAG_VALUES = {"--n": "2", "--n-sequence": "2,4", "--nu-list": "0.3", "--vtk": "f.vtk",
-               "--nu": "0.3", "--p-d": "1", "--p-t": "1", "--mesh": "tri",
+               "--nu": "0.3", "--p-d": "1", "--material": "plane_strain", "--mesh": "tri",
                "--solution": "test1", "--out": "f.csv"}
 
 
@@ -410,7 +417,7 @@ FLAG_VALUES = {"--n": "2", "--n-sequence": "2,4", "--nu-list": "0.3", "--vtk": "
     "command,flag",
     [("solve", f) for f in ("--n-sequence", "--nu-list", "--p-d")]
     + [("convergence", f) for f in ("--n", "--nu-list", "--vtk")]
-    + [("locking", f) for f in ("--n", "--nu", "--p-d", "--p-t", "--vtk")]
+    + [("locking", f) for f in ("--n", "--nu", "--material", "--vtk")]
     + [("check", f) for f in ("--mesh", "--n", "--n-sequence", "--nu-list", "--solution",
                               "--out", "--vtk")],
 )
