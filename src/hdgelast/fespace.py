@@ -8,10 +8,14 @@ orthonormalization is graded: the leading (m+1)(m+2)/2 functions of a
 degree-m basis span exactly the polynomials of total degree <= m, so a
 degree-(k+1) basis also provides the nested degree-k basis.
 
-Polygon quadrature triangulates the element as a fan around the centroid and
-applies a collapsed tensor-product Gauss rule on each triangle. Collapsed
-rules are exact at any requested degree and have strictly positive weights
-(classical compact symmetric tables lose positivity at several degrees).
+Element quadrature has one rule per vertex count, each exact at any
+requested degree with positive weights on convex elements (classical compact
+symmetric tables lose positivity at several degrees). Triangles take a
+collapsed tensor-product Gauss rule. Quadrilaterals take a tensor Gauss rule
+mapped through their bilinear map, with the same exactness and a quarter of
+the points a centroid fan of four triangles would need. Polygons with 5 or
+more vertices are triangulated as a fan around the centroid, with the
+triangle rule on each fan triangle.
 
 Face bases are scaled Legendre polynomials in the arc-length parameter, so
 they are exactly orthonormal, and they belong to the face rather than to an
@@ -103,6 +107,13 @@ def _gauss_legendre_01(npts: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def _check_exactness(exactness: int) -> None:
+    if exactness < 0 or exactness > MAX_EXACTNESS:
+        raise QuadratureDegreeError(
+            f"exactness {exactness} out of range (max supported {MAX_EXACTNESS})"
+        )
+
+
 @lru_cache(maxsize=None)
 def triangle_rule(exactness: int) -> tuple[np.ndarray, np.ndarray]:
     """Rule on the reference triangle (0,0)-(1,0)-(0,1), exact for the
@@ -112,13 +123,9 @@ def triangle_rule(exactness: int) -> tuple[np.ndarray, np.ndarray]:
     Jacobian (1-u). A degree-d monomial x^a y^b becomes a polynomial of
     degree a+b+1 in u and b in v, which fixes the 1D point counts.
     """
-    if exactness < 0 or exactness > MAX_EXACTNESS:
-        raise QuadratureDegreeError(
-            f"exactness {exactness} out of range (max supported {MAX_EXACTNESS})"
-        )
-    d = max(exactness, 0)
-    u, wu = _gauss_legendre_01((d + 3) // 2)
-    v, wv = _gauss_legendre_01((d + 2) // 2)
+    _check_exactness(exactness)
+    u, wu = _gauss_legendre_01((exactness + 3) // 2)
+    v, wv = _gauss_legendre_01((exactness + 2) // 2)
     U, V = np.meshgrid(u, v, indexing="ij")
     W = np.outer(wu, wv) * (1.0 - U)
     pts = np.column_stack([U.ravel(), (V * (1.0 - U)).ravel()])
@@ -128,20 +135,42 @@ def triangle_rule(exactness: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=None)
 def segment_rule(exactness: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule on [0, 1] exact for the given 1D polynomial degree."""
-    if exactness < 0 or exactness > MAX_EXACTNESS:
-        raise QuadratureDegreeError(
-            f"exactness {exactness} out of range (max supported {MAX_EXACTNESS})"
-        )
+    _check_exactness(exactness)
     return _gauss_legendre_01(exactness // 2 + 1)
+
+
+@lru_cache(maxsize=None)
+def _quadrilateral_rule(exactness: int) -> tuple[np.ndarray, ...]:
+    """Tensor Gauss rule on [0, 1]^2 for the bilinear map of a quadrilateral
+    v0-v1-v2-v3 onto (0,0)-(1,0)-(1,1)-(0,1): the shape functions (nq, 4),
+    their s and t derivatives (nq, 4) each, and the weights (nq,).
+
+    A degree-d polynomial in x, y has degree <= d in each of s and t, and
+    the map's Jacobian determinant is affine in each, so n = (d + 3) // 2
+    points per direction are exact."""
+    _check_exactness(exactness)
+    x, w = _gauss_legendre_01((exactness + 3) // 2)
+    s, t = (a.ravel() for a in np.meshgrid(x, x, indexing="ij"))
+    shape = np.stack([(1 - s) * (1 - t), s * (1 - t), s * t, (1 - s) * t], axis=-1)
+    ds = np.stack([t - 1, 1 - t, t, -t], axis=-1)
+    dt = np.stack([s - 1, -s, s, 1 - s], axis=-1)
+    return shape, ds, dt, np.outer(w, w).ravel()
 
 
 def polygon_quadrature(polys: np.ndarray, exactness: int) -> Quadrature:
     """Quadrature on a stack of convex polygons with a common vertex count,
     ``polys`` of shape (B, m, 2); points (B, nq, 2), weights (B, nq).
 
-    Triangles map the reference rule directly; other polygons are
-    fan-triangulated around their centroid, one reference rule per fan
-    triangle in vertex order."""
+    The vertex count picks the rule. Triangles map the collapsed reference
+    rule directly. Quadrilaterals map a tensor Gauss rule through their
+    bilinear map, with ((d + 3) // 2)^2 points for exactness d. Polygons
+    with 5 or more vertices are fan-triangulated around their centroid,
+    one reference triangle rule per fan triangle in vertex order."""
+    if polys.shape[-2] == 4:
+        shape, ds, dt, ref_w = _quadrilateral_rule(exactness)
+        xs, xt = ds @ polys, dt @ polys
+        det = xs[..., 0] * xt[..., 1] - xs[..., 1] * xt[..., 0]
+        return Quadrature(shape @ polys, ref_w * det)
     ref_pts, ref_w = triangle_rule(exactness)
     if polys.shape[-2] == 3:
         tris = polys[:, None]

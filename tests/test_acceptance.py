@@ -41,6 +41,9 @@ LEVELS_WHY = (
 SIGMA_TOL = 0.15
 U_TOL = 0.2
 NUS = (0.49, 0.4999, 0.49999)
+# Criterion 2 cells. Poly k=1 stays out: its stress order at n=16->32
+# (2.145) sits 0.005 inside the window, and the window is an open decision.
+LOCKING_CELLS = (("tri", 1), ("tri", 2), ("tri", 3), ("poly", 2), ("poly", 3))
 
 
 def _levels(family, k, solution):
@@ -69,11 +72,11 @@ def convergence_tables():
 @pytest.fixture(scope="module")
 def locking_tables():
     tables = {}
-    for k in (1, 2, 3):
+    for family, k in LOCKING_CELLS:
         for nu in NUS:
-            cfg = RunConfig(mesh="tri", k=k, solution="test2",
+            cfg = RunConfig(mesh=family, k=k, solution="test2",
                             material="plane_strain", E=3.0, nu=nu)
-            tables[k, nu] = run_convergence(cfg, _levels("tri", k, "test2"))
+            tables[family, k, nu] = run_convergence(cfg, _levels(family, k, "test2"))
     return tables
 
 
@@ -115,22 +118,22 @@ def test_criterion_2_locking_study(locking_tables):
     """Near-incompressible study: optimal orders at every nu, and stress
     errors insensitive to nu (< 10% spread at every computed level)."""
     failures, notes = [], []
-    for (k, nu), table in locking_tables.items():
-        levels = _levels("tri", k, "test2")
-        bad, note = _check_orders(table, k, f"k={k} nu={nu} {_pair(levels)}")
+    for (family, k, nu), table in locking_tables.items():
+        levels = _levels(family, k, "test2")
+        bad, note = _check_orders(table, k, f"{family} k={k} nu={nu} {_pair(levels)}")
         failures += bad
         if levels != LEVELS:
             notes.append(note)
-    for k in (1, 2, 3):
-        levels = _levels("tri", k, "test2")
+    for family, k in LOCKING_CELLS:
+        levels = _levels(family, k, "test2")
         spreads = []
         for i, n in enumerate(levels):
-            errs = [locking_tables[k, nu].rows[i]["err_sigma_proj"] for nu in NUS]
+            errs = [locking_tables[family, k, nu].rows[i]["err_sigma_proj"] for nu in NUS]
             spreads.append((max(errs) - min(errs)) / max(errs))
             if spreads[-1] >= 0.10:
-                failures.append(f"k={k} n={n}: stress error spread {spreads[-1]:.1%}")
+                failures.append(f"{family} k={k} n={n}: stress error spread {spreads[-1]:.1%}")
         if levels != LEVELS:
-            notes.append(f"k={k} largest stress spread across nu at "
+            notes.append(f"{family} k={k} largest stress spread across nu at "
                          f"n={levels[0]}..{levels[-1]}: {max(spreads):.2%}")
     ok = not failures
     _report("2 locking-study", ok, "; ".join(notes + failures))
@@ -268,20 +271,34 @@ def test_criterion_6_flux_single_valuedness():
 
 def test_criterion_7_superconvergence():
     """With tau = 1/h the face mismatch between the projected displacement
-    and its trace, weighted by sqrt(h), gains a full extra order."""
-    values = []
-    for n in (2, 4, 8, 16):
-        cfg = RunConfig(mesh="tri", k=1, solution="test1", tau_c=1.0)
-        sol = MF.test1_solution()
-        disc, dsol = _solve(sol, cfg.material_law(), "tri", n, 1, tau_c=1.0)
-        rep = P.error_norms(disc, dsol, sol)
-        # tau = 1/h makes sqrt(h)*||mismatch|| equal h times the tau-weighted norm
-        values.append(disc.mesh.h * rep.trace_diag)
-    orders = P.rates(values)
-    final = orders[-1]
-    ok = final >= 2.8
-    _report("7 superconvergence", ok, f"final order {final:.3f} (threshold 2.8)")
-    assert ok, (values, orders)
+    and its trace, weighted by sqrt(h), gains a full extra order: tri k=1
+    on `test1`, and poly k=1..3 on `test1` (nu=0.3) and `test2`
+    (nu=0.49999), each within 0.15 of k+2 on its final pair."""
+    problems = {
+        "test1": (MF.test1_solution(), ComplianceTensor.plane_stress(1.0, 0.3)),
+        "test2": (MF.test2_solution(), ComplianceTensor.plane_strain(3.0, 0.49999)),
+    }
+    cells = [("tri", 1, "test1", (2, 4, 8, 16), 2.8)]
+    for k in (1, 2, 3):
+        levels = (2, 4, 8, 16, 32) if k < 3 else (2, 4, 8, 16)
+        cells += [("poly", k, s, levels, k + 2 - SIGMA_TOL) for s in ("test1", "test2")]
+    details, failures = [], []
+    for family, k, solution, levels, threshold in cells:
+        sol, material = problems[solution]
+        values = []
+        for n in levels:
+            disc, dsol = _solve(sol, material, family, n, k, tau_c=1.0)
+            rep = P.error_norms(disc, dsol, sol)
+            # tau = 1/h makes sqrt(h)*||mismatch|| equal h times the tau-weighted norm
+            values.append(disc.mesh.h * rep.trace_diag)
+        final = P.rates(values)[-1]
+        details.append(f"{family} k={k} {solution} {_pair(levels)}: final order "
+                       f"{final:.3f} (threshold {threshold:.2f})")
+        if final < threshold:
+            failures.append(details[-1])
+    ok = not failures
+    _report("7 superconvergence", ok, "; ".join(details))
+    assert ok, failures
 
 
 def test_criterion_8_manufactured_data_oracle():

@@ -1,3 +1,4 @@
+import math
 from math import factorial
 
 import numpy as np
@@ -37,11 +38,6 @@ def test_segment_rule_cubic():
     assert abs(np.sum(w * t**3) - 0.25) < 1e-15
 
 
-def unit_square_mesh():
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    return M._assemble(verts, [(0, 1, 2, 3)])
-
-
 def reference_triangle_mesh():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     return M._assemble(verts, [(0, 1, 2)])
@@ -54,10 +50,107 @@ def test_element_quadrature_monomial():
     assert abs(val - 1.0 / 60.0) < 1e-15
 
 
-def test_element_quadrature_fan_on_square():
-    q = F.polygon_quadrature(unit_square_mesh().polygons([0]), 5)
-    assert abs(q.weights.sum() - 1.0) < 1e-13
-    assert abs(np.sum(q.weights * q.points[..., 0]) - 0.5) < 1e-13
+def _regular_polygon(m, center, radius):
+    angle = 2.0 * np.pi * np.arange(m) / m
+    return np.asarray(center) + radius * np.column_stack([np.cos(angle), np.sin(angle)])
+
+
+# counterclockwise convex shapes in the positive quadrant, as (B, m, 2)
+# stacks, so that every monomial has a positive integral
+RULE_SHAPES = {
+    "unit_square": np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]]),
+    "poly_trapezoids": M.build_unit_square_poly(2).polygons(np.arange(4)),
+    "skewed_quad": np.array([[[0.2, 0.1], [1.3, 0.35], [1.1, 1.2], [0.35, 0.8]]]),
+    # v1 lies on the edge v0-v2: a zero turn, where det J vanishes
+    "collinear_quad": np.array([[[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [0.3, 0.9]]]),
+    "pentagon": np.array([[[0.1, 0.0], [1.0, 0.2], [1.2, 0.9], [0.6, 1.4], [0.0, 0.8]]]),
+    "hexagon": _regular_polygon(6, (0.6, 0.6), 0.5)[None],
+}
+STRICTLY_CONVEX = set(RULE_SHAPES) - {"collinear_quad"}
+
+
+def green_moment(poly, a, b):
+    # int_P x^a y^b dA as the boundary integral of x^(a+1) y^b / (a+1) dy,
+    # each straight edge by a 16-point Gauss rule (exact to degree 31)
+    tau, w = np.polynomial.legendre.leggauss(16)
+    tau, w = 0.5 * (tau + 1.0), 0.5 * w
+    p, q = poly, np.roll(poly, -1, axis=0)
+    pts = p[:, None, :] + tau[:, None] * (q - p)[:, None, :]
+    terms = pts[..., 0] ** (a + 1) * pts[..., 1] ** b * w * (q - p)[:, 1:2]
+    return math.fsum(terms.ravel()) / (a + 1)
+
+
+@pytest.mark.parametrize("shape", RULE_SHAPES)
+@pytest.mark.parametrize("degree", [0, 1, 2, 5, 8, 12, 14])
+def test_polygon_rule_exact(degree, shape):
+    polys = RULE_SHAPES[shape]
+    q = F.polygon_quadrature(polys, degree)
+    m = polys.shape[1]
+    npts = ((degree + 3) // 2) ** 2 if m == 4 else m * len(F.triangle_rule(degree)[1])
+    assert q.points.shape == (len(polys), npts, 2) and q.weights.shape == (len(polys), npts)
+    if shape in STRICTLY_CONVEX:
+        assert np.all(q.weights > 0)
+    else:
+        assert np.all(q.weights >= 0)
+    assert np.abs(q.weights.sum(axis=-1) - M.polygon_areas(polys)).max() < 1e-14
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
+            got = np.sum(q.weights * q.points[..., 0] ** a * q.points[..., 1] ** b, axis=-1)
+            exact = np.array([green_moment(p, a, b) for p in polys])
+            assert np.all(np.abs(got - exact) <= 1e-12 * exact), (a, b, got, exact)
+
+
+@pytest.mark.parametrize("shape", ["unit_square", "poly_trapezoids", "pentagon"])
+def test_polygon_rule_degree_guard(shape):
+    F.polygon_quadrature(RULE_SHAPES[shape], F.MAX_EXACTNESS)
+    for exactness in (-1, F.MAX_EXACTNESS + 1):
+        with pytest.raises(F.QuadratureDegreeError, match=str(F.MAX_EXACTNESS)):
+            F.polygon_quadrature(RULE_SHAPES[shape], exactness)
+
+
+def _fan_quadrature(polys, exactness):
+    # the triangle and centroid-fan rule as it stood before quadrilaterals
+    # got a rule of their own, for a bitwise comparison
+    d = max(exactness, 0)
+    x, w = np.polynomial.legendre.leggauss((d + 3) // 2)
+    u, wu = 0.5 * (x + 1.0), 0.5 * w
+    x, w = np.polynomial.legendre.leggauss((d + 2) // 2)
+    v, wv = 0.5 * (x + 1.0), 0.5 * w
+    U, V = np.meshgrid(u, v, indexing="ij")
+    W = np.outer(wu, wv) * (1.0 - U)
+    ref_pts = np.column_stack([U.ravel(), (V * (1.0 - U)).ravel()])
+    ref_w = W.ravel()
+    if polys.shape[-2] == 3:
+        tris = polys[:, None]
+    else:
+        c = np.broadcast_to(M.polygon_centroids(polys)[:, None], polys.shape)
+        tris = np.stack([c, polys, np.roll(polys, -1, axis=1)], axis=2)
+    v0 = tris[..., 0, :]
+    jac = np.stack([tris[..., 1, :] - v0, tris[..., 2, :] - v0], axis=-1)
+    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+    pts = ref_pts @ jac.swapaxes(-1, -2) + v0[..., None, :]
+    wts = ref_w * det[..., None]
+    return pts.reshape(len(polys), -1, 2), wts.reshape(len(polys), -1)
+
+
+@pytest.mark.parametrize("exactness", [0, 1, 4, 8, 12])
+def test_triangle_and_fan_rules_bitwise(exactness):
+    tri = M.build_unit_square_tri(3)
+    for polys in (tri.polygons(np.arange(tri.num_elements)),
+                  RULE_SHAPES["pentagon"], RULE_SHAPES["hexagon"]):
+        q = F.polygon_quadrature(polys, exactness)
+        pts, wts = _fan_quadrature(polys, exactness)
+        assert np.array_equal(q.points, pts) and np.array_equal(q.weights, wts)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_basis_gram_identity_on_pentagon(degree):
+    polys = RULE_SHAPES["pentagon"]
+    q = F.polygon_quadrature(polys, 2 * degree)
+    basis = F.build_element_bases(polys, np.array([0]), degree, q)
+    V = basis.eval(q.points)
+    gram = V.swapaxes(-1, -2) @ (q.weights[..., None] * V)
+    assert np.abs(gram - np.eye(basis.dim)).max() < 1e-12
 
 
 @pytest.mark.parametrize("family,n", [("tri", 2), ("poly", 2)])
