@@ -8,13 +8,12 @@ Works on triangular and general convex polygonal meshes.
 """
 
 from .material import ComplianceTensor
-from .mesh import build_unit_square_poly, build_unit_square_tri, validate
+from .mesh import build_unit_square_poly, build_unit_square_tri
 
 __all__ = [
     "ComplianceTensor",
     "build_unit_square_tri",
     "build_unit_square_poly",
-    "validate",
 ]
 
 __version__ = "0.1.0"

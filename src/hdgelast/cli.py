@@ -1,11 +1,11 @@
 """Command line front end.
 
-Subcommands: solve (single run), convergence (refinement study), locking
-(incompressibility sweep), check (self-check suite), each with one flag per
-RunConfig field its driver reads (harness.COMMAND_FIELDS). Flags override
-an optional flat key/value config file, which overrides the defaults;
-locking defaults to plane strain, test2 and E = 3. Exit codes: 0 success,
-2 invalid input, 3 numerical failure (see errors), 4 check-suite failure.
+Subcommands: solve (single run), convergence (refinement study) and locking
+(incompressibility sweep), each with one flag per RunConfig field its driver
+reads (harness.COMMAND_FIELDS). Flags override an optional flat key/value
+config file, which overrides the defaults; locking defaults to plane strain,
+test2 and E = 3. Exit codes: 0 success, 2 invalid input, 3 numerical failure
+(see errors).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .harness import (
     PARSERS,
     RunConfig,
     parse_config_text,
-    run_check,
     run_convergence,
     run_locking,
     run_solve,
@@ -30,14 +29,13 @@ from .postproc import write_csv
 
 __all__ = ["main"]
 
-EXIT_OK, EXIT_CHECK = 0, 4
+EXIT_OK = 0
 EXIT_CONFIG, EXIT_SOLVER = ConfigError.exit_code, SolverError.exit_code
 
 _COMMANDS = {
     "solve": "single solve with error report",
     "convergence": "mesh refinement study",
     "locking": "near-incompressible sweep (plane strain)",
-    "check": "run the self-check suite",
 }
 
 _HELP = {
@@ -99,15 +97,6 @@ def main(argv: list[str] | None = None) -> int:
             print("# max relative stress-error spread across nu, per level:")
             for n, rel in spread.items():
                 print(f"n={n}: {rel:.3%}")
-        elif args.command == "check":
-            results = run_check(cfg)
-            for r in results:
-                detail = f"  [{r.detail}]" if r.detail else ""
-                print(f"{'PASS' if r.passed else 'FAIL':18s} {r.name}{detail}")
-            failed = sum(not r.passed for r in results)
-            if failed:
-                print(f"{failed} check(s) failed", file=sys.stderr)
-                return EXIT_CHECK
     except OSError as exc:  # an unreadable config file or unwritable output
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -3,8 +3,8 @@
 A run is described by a flat key/value configuration (mesh family and
 subdivision, polynomial degree, stabilization constant, plane stress or
 strain law, manufactured solution, solver choice, output paths). The
-drivers here execute single solves, refinement studies, incompressibility
-sweeps and the self-check suite; the command line module is a thin wrapper.
+drivers here execute single solves, refinement studies and incompressibility
+sweeps; the command line module is a thin wrapper.
 """
 
 from __future__ import annotations
@@ -14,14 +14,12 @@ import os
 from dataclasses import dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
-import numpy as np
-
 from . import hdg_global, manufactured, postproc
 from .errors import ConfigError
 from .fespace import MAX_EXACTNESS
 from .hdg_local import error_quadrature_exactness
 from .material import ComplianceTensor
-from .mesh import build_mesh, validate
+from .mesh import build_mesh
 from .postproc import ConvergenceTable, ErrorReport, write_csv, write_vtk
 
 __all__ = [
@@ -32,8 +30,6 @@ __all__ = [
     "run_solve",
     "run_convergence",
     "run_locking",
-    "run_check",
-    "CheckResult",
 ]
 
 
@@ -81,8 +77,9 @@ class RunConfig:
         for name, ns in (("n", (self.n,)), ("n_sequence", self.n_sequence)):
             if ns and min(ns) < low:
                 errs.append(f"{name}: must be >= {low} for the {self.mesh} mesh, got {min(ns)}")
-        if any(b <= a for a, b in zip(self.n_sequence, self.n_sequence[1:])):
-            errs.append(f"n_sequence: levels must increase strictly, got {self.n_sequence}")
+        # a study's orders are log2 of error ratios, so each level must halve h
+        if any(b != 2 * a for a, b in zip(self.n_sequence, self.n_sequence[1:])):
+            errs.append(f"n_sequence: each level must double the last, got {self.n_sequence}")
         if self.k < 1:
             errs.append(f"k: must be >= 1 (the method needs k >= 1), got {self.k}")
         elif (qe := error_quadrature_exactness(self.k)) > MAX_EXACTNESS:
@@ -130,7 +127,6 @@ COMMAND_FIELDS = {
     "convergence": _STUDY,
     # the sweep's ratios replace nu, and plane strain is its only material
     "locking": tuple(f for f in _STUDY if f not in ("material", "nu")) + ("nu_list",),
-    "check": _DISCRETE,
 }
 
 
@@ -204,8 +200,8 @@ def run_solve(cfg: RunConfig, n: int | None = None) -> SolveReport:
 
 
 def run_convergence(cfg: RunConfig, ns: tuple[int, ...] | None = None) -> ConvergenceTable:
-    """Refinement study at fixed degree; rows must halve h, which the two
-    built-in families do when n doubles."""
+    """Refinement study at fixed degree. Each level doubles n, which halves
+    h on both built-in families, as the orders of the table assume."""
     ns = tuple(ns) if ns is not None else cfg.levels()
     _require_valid(replace(cfg, n_sequence=ns))
     if len(ns) < 2:
@@ -213,7 +209,7 @@ def run_convergence(cfg: RunConfig, ns: tuple[int, ...] | None = None) -> Conver
     table = ConvergenceTable()
     for n in ns:
         rep = run_solve(replace(cfg, out="", vtk=""), n=n)
-        table.add_row(rep.errors.as_row(f"{cfg.mesh}-n{n}"))
+        table.add_row(rep.errors.as_row(rep.mesh_label))
     if cfg.out:
         write_csv(table, cfg.out)
     return table
@@ -245,91 +241,3 @@ def run_locking(
         for nu, table in tables.items():
             write_csv(table, f"{stem}_nu{nu}{ext}")
     return tables, spread
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-def run_check(cfg: RunConfig | None = None, spd_perturbation=None) -> list[CheckResult]:
-    """Small-scale invariant suite across all modules; every check is
-    expected to pass. The ``spd_perturbation`` hook (tests only) maps the
-    condensed matrix to a perturbed one before the SPD check."""
-    cfg = cfg if cfg is not None else RunConfig()
-    _require_valid(cfg)
-    results: list[CheckResult] = []
-
-    def record(name, passed, detail=""):
-        results.append(CheckResult(name, bool(passed), detail))
-
-    # mesh invariants
-    for fam, n in (("tri", 4), ("poly", 4)):
-        mesh = build_mesh(fam, n)
-        issues = validate(mesh)
-        record(f"mesh.validate[{fam}]", not issues, "; ".join(issues))
-
-    # local element structure on a small mesh of each family
-    material = cfg.material_law()
-    for fam in ("tri", "poly"):
-        mesh = build_mesh(fam, 2)
-        tau = cfg.tau_c / mesh.h
-        disc = hdg_global.build_discretization(mesh, cfg.k)
-        systems = hdg_global.build_element_systems(disc, material, tau)
-        kernel_ok, psd_ok, sym_ok = True, True, True
-        for cb in systems.batches:
-            A = cb.matrix
-            w = np.linalg.eigvalsh(A)
-            top = w[:, -1:]
-            kernel_ok &= bool(np.all(np.sum(w < 1e-10 * top, axis=1) == 3))
-            psd_ok &= bool(np.all(w[:, :1] >= -1e-10 * top))
-            asym = np.abs(A - A.swapaxes(1, 2)).max(axis=(1, 2))
-            sym_ok &= bool(np.all(asym <= 1e-11 * np.maximum(np.abs(A).max(axis=(1, 2)), 1e-300)))
-        record(f"hdg_local.kernel-dim-3[{fam}]", kernel_ok)
-        record(f"hdg_local.positive-semidefinite[{fam}]", psd_ok)
-        record(f"hdg_local.symmetry[{fam}]", sym_ok)
-
-    # global SPD after boundary elimination
-    mesh = build_mesh("tri", 4)
-    tau = cfg.tau_c / mesh.h
-    disc = hdg_global.build_discretization(mesh, cfg.k)
-    systems = hdg_global.build_element_systems(disc, material, tau)
-    system = hdg_global.assemble_global(disc, systems)
-    A = system.matrix.toarray()
-    if spd_perturbation is not None:
-        A = spd_perturbation(A)
-    sym = np.abs(A - A.T).max() <= 1e-11 * max(np.abs(A).max(), 1e-300)
-    try:
-        np.linalg.cholesky(0.5 * (A + A.T))
-        chol = True
-    except np.linalg.LinAlgError:
-        chol = False
-    record("hdg_global.spd", sym and chol, "" if sym and chol else "condensed matrix not SPD")
-
-    # exactness: rigid motion data reproduced to roundoff
-    disc, exact, sol, _ = _pipeline(replace(cfg, mesh="tri", solution="rigid"), 4)
-    rep = postproc.error_norms(disc, sol, exact)
-    exact_ok = max(rep.err_sigma, rep.err_u, rep.trace_diag) < 1e-10
-    record("hdg_global.rigid-motion-exactness", exact_ok,
-           f"max error {max(rep.err_sigma, rep.err_u, rep.trace_diag):.2e}")
-
-    # traction single-valuedness on a manufactured solve
-    run_cfg = replace(cfg, mesh="tri", solution="test1", material="plane_stress", E=1.0, nu=0.3)
-    disc, _, sol, _ = _pipeline(run_cfg, 4)
-    jump, scale = hdg_global.flux_jump_norm(disc, sol)
-    rel = jump / max(scale, 1e-300)
-    record("hdg_global.flux-single-valued", rel <= 1e-9, f"relative traction jump {rel:.2e}")
-
-    # manufactured data consistency: compliance of stress equals strain
-    rng = np.random.default_rng(7)
-    pts = rng.uniform(0.05, 0.95, size=(50, 2))
-    for name in ("test1", "test2"):
-        s = manufactured.solution_by_name(name)
-        sig = manufactured.stress(s, sol.material, pts)
-        eps = manufactured.strain(s, pts)
-        err = np.abs(sol.material.apply_compliance(sig) - eps).max()
-        record(f"manufactured.constitutive[{name}]", err < 1e-12, f"max residual {err:.2e}")
-
-    return results

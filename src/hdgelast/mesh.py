@@ -5,9 +5,8 @@ square split along its lower-left to upper-right diagonal) and a trapezoidal
 quadrilateral mesh obtained by shifting interior grid vertices vertically in
 an alternating pattern. Both are conforming and counterclockwise oriented,
 and both halve the mesh size exactly when the subdivision count doubles.
-Every mesh, built-in or read from a file, comes from one construction that
-rejects degenerate edges, edges shared by more than two elements, and
-non-convex elements.
+Every mesh comes from one construction that rejects degenerate edges, edges
+shared by more than two elements, and non-convex elements.
 
 A mesh is a set of flat arrays, with no per-element or per-face objects.
 Element e owns the slots ``element_offsets[e]:element_offsets[e + 1]`` of
@@ -36,9 +35,6 @@ __all__ = [
     "build_unit_square_tri",
     "build_unit_square_poly",
     "build_mesh",
-    "validate",
-    "write_mesh_text",
-    "read_mesh_text",
 ]
 
 # Vertical shift of interior grid vertices in the quadrilateral family,
@@ -177,8 +173,9 @@ def _assemble(vertices: np.ndarray, elements) -> Mesh:
     ``elements`` is an (E, m) integer array, or a sequence of
     counterclockwise vertex-index sequences of any lengths. Raises
     MeshConstructionError naming the first element with a degenerate edge,
-    an edge shared by more than two elements, or a reflex vertex; a
-    clockwise element is built, and reported by ``validate``."""
+    an edge shared by more than two elements, or a reflex vertex. A
+    clockwise element is not rejected; both built-in families are
+    counterclockwise."""
     vertices = np.asarray(vertices, dtype=float)
     if isinstance(elements, np.ndarray):
         counts = np.full(len(elements), elements.shape[1])
@@ -303,121 +300,3 @@ def build_mesh(kind: str, n: int) -> Mesh:
         return build_unit_square_poly(n)
     raise ValueError(f"unknown mesh family {kind!r} (expected 'tri' or 'poly')")
 
-
-def validate(mesh: Mesh) -> list[str]:
-    """Check mesh invariants; returns a list of violation messages.
-
-    Checks orientation (positive area, counterclockwise), conformity
-    (each face used by one or two elements, no duplicated faces), normal
-    direction and normalization, total area, and the Euler relation.
-    """
-    problems: list[str] = []
-
-    areas = np.empty(mesh.num_elements)
-    centroids = np.empty((mesh.num_elements, 2))
-    for _, ids in mesh.element_groups():
-        polys = mesh.polygons(ids)
-        areas[ids] = polygon_areas(polys)
-        centroids[ids] = polygon_centroids(polys)
-    for e in np.flatnonzero(areas <= 0.0):
-        problems.append(f"orientation: element {e} has non-positive signed area {areas[e]:.3e}")
-    if abs(areas.sum() - 1.0) > 1e-12:
-        problems.append(f"area: element areas sum to {areas.sum():.15f}, expected 1")
-
-    lo, hi = np.sort(mesh.face_vertices, axis=1).T
-    key = lo * mesh.num_vertices + hi
-    order = np.argsort(key, kind="stable")
-    repeat = np.flatnonzero(np.diff(key[order]) == 0)
-    earlier, later = order[repeat], order[repeat + 1]
-    for i, j in sorted(zip(later, earlier)):
-        edge = (int(lo[i]), int(hi[i]))
-        problems.append(f"conformity: faces {j} and {i} duplicate edge {edge}")
-
-    use_count = np.bincount(mesh.element_faces, minlength=mesh.num_faces)
-    expected = np.where(mesh.face_right >= 0, 2, 1)
-    for i in np.flatnonzero(use_count != expected):
-        problems.append(
-            f"conformity: face {i} referenced by {use_count[i]} elements, expected {expected[i]}"
-        )
-
-    nvec = mesh.face_normal
-    nlen = np.hypot(nvec[:, 0], nvec[:, 1])
-    mid = 0.5 * (mesh.vertices[mesh.face_vertices[:, 0]] + mesh.vertices[mesh.face_vertices[:, 1]])
-    offset = centroids[mesh.face_left] - mid
-    bad_length = np.abs(nlen - 1.0) > 1e-14
-    inward = offset[:, 0] * nvec[:, 0] + offset[:, 1] * nvec[:, 1] >= 0.0
-    for i in np.flatnonzero(bad_length | inward):
-        if bad_length[i]:
-            problems.append(f"normal: face {i} normal has length {nlen[i]:.16f}")
-        if inward[i]:
-            problems.append(
-                f"normal: face {i} normal does not point out of element {mesh.face_left[i]}"
-            )
-
-    euler = mesh.num_vertices - mesh.num_faces + mesh.num_elements
-    if euler != 1:
-        problems.append(f"euler: V - E + F = {euler}, expected 1")
-
-    return problems
-
-
-def write_mesh_text(mesh: Mesh, path: str) -> None:
-    """Dump the mesh in a plain-text format (see README for the layout).
-    Coordinates, normals and lengths are written with 17 significant
-    digits, so read_mesh_text recovers them exactly."""
-    lines = ["# hdgelast mesh v1", f"vertices {mesh.num_vertices}"]
-    lines += [f"{x:.17g} {y:.17g}" for x, y in mesh.vertices.tolist()]
-    lines.append(f"elements {mesh.num_elements}")
-    polys = np.split(mesh.element_vertices, mesh.element_offsets[1:-1])
-    lines += [" ".join(map(str, poly.tolist())) for poly in polys]
-    lines.append(f"faces {mesh.num_faces}")
-    ends = np.column_stack([mesh.face_vertices, mesh.face_left, mesh.face_right])
-    lines += [
-        f"{v0} {v1} {left} {right} {nx:.17g} {ny:.17g} {length:.17g}"
-        for (v0, v1, left, right), (nx, ny), length in zip(
-            ends.tolist(), mesh.face_normal.tolist(), mesh.face_length.tolist()
-        )
-    ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_mesh_text(path: str) -> Mesh:
-    """Read a mesh written by write_mesh_text.
-
-    The mesh is rebuilt through the same construction as the built-in
-    families from the ``vertices`` and ``elements`` sections; the stored
-    ``faces`` section must equal the rebuilt face table exactly, else
-    MeshConstructionError names the first disagreeing face."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("# hdgelast mesh"):
-        raise MeshConstructionError(f"{path}: not an hdgelast mesh file")
-    sections = {}
-    pos = 1
-    for name in ("vertices", "elements", "faces"):
-        head = lines[pos].split() if pos < len(lines) else []
-        if len(head) != 2 or head[0] != name:
-            raise MeshConstructionError(f"{path}: expected a '{name} N' line at line {pos + 1}")
-        count = int(head[1])
-        sections[name] = [line.split() for line in lines[pos + 1 : pos + 1 + count]]
-        if len(sections[name]) != count:
-            raise MeshConstructionError(f"{path}: {name} section ends early")
-        pos += 1 + count
-    vertices = np.array([[float(x) for x in row] for row in sections["vertices"]])
-    elements = [[int(v) for v in row] for row in sections["elements"]]
-    mesh = _assemble(vertices.reshape(-1, 2), elements)
-    stored = np.array([[float(x) for x in row] for row in sections["faces"]]).reshape(-1, 7)
-    rebuilt = np.column_stack(
-        [mesh.face_vertices, mesh.face_left, mesh.face_right, mesh.face_normal, mesh.face_length]
-    )
-    if stored.shape != rebuilt.shape:
-        raise MeshConstructionError(
-            f"{path}: faces section holds {len(stored)} faces, the mesh has {len(rebuilt)}"
-        )
-    differs = np.any(stored != rebuilt, axis=1)
-    if differs.any():
-        raise MeshConstructionError(
-            f"{path}: stored face {int(np.argmax(differs))} disagrees with the rebuilt face table"
-        )
-    return mesh

@@ -169,23 +169,6 @@ def test_run_locking_spread(tmp_path):
     assert (tmp_path / "lock_nu0.49.csv").exists()
 
 
-def test_check_suite_default_passes():
-    results = H.run_check(H.RunConfig())
-    assert results, "check suite must not be empty"
-    assert all(r.passed for r in results), [r.name for r in results if not r.passed]
-
-
-def test_check_suite_spd_negative_control():
-    def break_spd(A):
-        A = A.copy()
-        A[0, 0] = -abs(A[0, 0])
-        return A
-
-    results = H.run_check(H.RunConfig(), spd_perturbation=break_spd)
-    spd = [r for r in results if r.name == "hdg_global.spd"]
-    assert spd and not spd[0].passed
-
-
 # --- command line ----------------------------------------------------------
 
 
@@ -217,7 +200,7 @@ def test_cli_solve_reports_solver(capsys):
 
 def test_cli_k0_refused(capsys):
     for command, flags in (("solve", ["--n", "2"]), ("convergence", ["--n-sequence", "2,4"]),
-                           ("locking", ["--n-sequence", "2,4"]), ("check", [])):
+                           ("locking", ["--n-sequence", "2,4"])):
         rc = cli.main([command, "--k", "0", *flags])
         assert rc == cli.EXIT_CONFIG, command
         assert capsys.readouterr().err.startswith("config error: k: must be >= 1"), command
@@ -302,15 +285,9 @@ def test_cli_unknown_material_is_usage_error(capsys):
     assert "argument --material: invalid choice: 'deviatoric'" in capsys.readouterr().err
 
 
-def test_cli_check_passes(capsys):
-    assert cli.main(["check"]) == cli.EXIT_OK
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL " not in out
-
-
 def test_cli_trace_variant_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["check", "--trace-variant", "plain"])
+        cli.main(["solve", "--trace-variant", "plain"])
     assert exc.value.code == cli.EXIT_CONFIG
     assert "unrecognized arguments: --trace-variant" in capsys.readouterr().err
 
@@ -318,15 +295,15 @@ def test_cli_trace_variant_flag_is_usage_error(capsys):
 def test_cli_trace_variant_config_key_is_unknown(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("trace_variant = plain\n")
-    assert cli.main(["check", "--config", str(cfgfile)]) == cli.EXIT_CONFIG
+    assert cli.main(["solve", "--config", str(cfgfile)]) == cli.EXIT_CONFIG
     assert "unknown key 'trace_variant'" in capsys.readouterr().err
 
 
-def test_cli_check_failure_exit_code(monkeypatch, capsys):
-    from hdgelast.harness import CheckResult
-
-    monkeypatch.setattr(cli, "run_check", lambda cfg: [CheckResult("fake.bad", False)])
-    assert cli.main(["check"]) == cli.EXIT_CHECK
+def test_cli_check_is_no_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "invalid choice: 'check'" in capsys.readouterr().err
 
 
 def test_cli_solver_failure_exit_code(monkeypatch, capsys):
@@ -357,14 +334,6 @@ def test_cli_bad_value_is_config_error(flags, field, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flags,field", [(["--E", "0"], "E"), (["--tau-c", "nan"], "tau_c")])
-def test_cli_check_bad_value_is_config_error(flags, field, capsys):
-    assert cli.main(["check", *flags]) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {field}: must be positive and finite")
-    assert "Traceback" not in err
-
-
 # --- failures and flags declared once ---------------------------------------
 
 
@@ -379,6 +348,9 @@ def test_cli_check_bad_value_is_config_error(flags, field, capsys):
         (["solve", "--n", "2", "--tau-c", "1e-300"], 3, "solver failure: ", "element 0"),
         (["solve", "--mesh", "poly", "--n", "1"], 2, "config error: ", "n:"),
         (["convergence", "--n-sequence", "4,4"], 2, "config error: ", "n_sequence:"),
+        # orders are log2 of error ratios: levels that do not double are refused
+        (["convergence", "--n-sequence", "4,12"], 2, "config error: ", "n_sequence:"),
+        (["locking", "--n-sequence", "4,6"], 2, "config error: ", "n_sequence:"),
     ],
 )
 def test_cli_failure_is_one_line_named_exit(argv, code, prefix, names, capsys):
@@ -417,9 +389,7 @@ FLAG_VALUES = {"--n": "2", "--n-sequence": "2,4", "--nu-list": "0.3", "--vtk": "
     "command,flag",
     [("solve", f) for f in ("--n-sequence", "--nu-list", "--p-d")]
     + [("convergence", f) for f in ("--n", "--nu-list", "--vtk")]
-    + [("locking", f) for f in ("--n", "--nu", "--material", "--vtk")]
-    + [("check", f) for f in ("--mesh", "--n", "--n-sequence", "--nu-list", "--solution",
-                              "--out", "--vtk")],
+    + [("locking", f) for f in ("--n", "--nu", "--material", "--vtk")],
 )
 def test_cli_flag_the_command_does_not_read_is_usage_error(command, flag, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,64 @@ from hdgelast import mesh as M
 FACE_TABLE = ("face_vertices", "face_left", "face_right", "face_normal", "face_length")
 
 
+def validate(mesh: M.Mesh) -> list[str]:
+    """Check mesh invariants; returns a list of violation messages. The
+    test oracle for the meshes that ``M._assemble`` builds.
+
+    Checks orientation (positive area, counterclockwise), conformity
+    (each face used by one or two elements, no duplicated faces), normal
+    direction and normalization, total area, and the Euler relation.
+    """
+    problems: list[str] = []
+
+    areas = np.empty(mesh.num_elements)
+    centroids = np.empty((mesh.num_elements, 2))
+    for _, ids in mesh.element_groups():
+        polys = mesh.polygons(ids)
+        areas[ids] = M.polygon_areas(polys)
+        centroids[ids] = M.polygon_centroids(polys)
+    for e in np.flatnonzero(areas <= 0.0):
+        problems.append(f"orientation: element {e} has non-positive signed area {areas[e]:.3e}")
+    if abs(areas.sum() - 1.0) > 1e-12:
+        problems.append(f"area: element areas sum to {areas.sum():.15f}, expected 1")
+
+    lo, hi = np.sort(mesh.face_vertices, axis=1).T
+    key = lo * mesh.num_vertices + hi
+    order = np.argsort(key, kind="stable")
+    repeat = np.flatnonzero(np.diff(key[order]) == 0)
+    earlier, later = order[repeat], order[repeat + 1]
+    for i, j in sorted(zip(later, earlier)):
+        edge = (int(lo[i]), int(hi[i]))
+        problems.append(f"conformity: faces {j} and {i} duplicate edge {edge}")
+
+    use_count = np.bincount(mesh.element_faces, minlength=mesh.num_faces)
+    expected = np.where(mesh.face_right >= 0, 2, 1)
+    for i in np.flatnonzero(use_count != expected):
+        problems.append(
+            f"conformity: face {i} referenced by {use_count[i]} elements, expected {expected[i]}"
+        )
+
+    nvec = mesh.face_normal
+    nlen = np.hypot(nvec[:, 0], nvec[:, 1])
+    mid = 0.5 * (mesh.vertices[mesh.face_vertices[:, 0]] + mesh.vertices[mesh.face_vertices[:, 1]])
+    offset = centroids[mesh.face_left] - mid
+    bad_length = np.abs(nlen - 1.0) > 1e-14
+    inward = offset[:, 0] * nvec[:, 0] + offset[:, 1] * nvec[:, 1] >= 0.0
+    for i in np.flatnonzero(bad_length | inward):
+        if bad_length[i]:
+            problems.append(f"normal: face {i} normal has length {nlen[i]:.16f}")
+        if inward[i]:
+            problems.append(
+                f"normal: face {i} normal does not point out of element {mesh.face_left[i]}"
+            )
+
+    euler = mesh.num_vertices - mesh.num_faces + mesh.num_elements
+    if euler != 1:
+        problems.append(f"euler: V - E + F = {euler}, expected 1")
+
+    return problems
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_tri_census_and_euler(n):
     m = M.build_unit_square_tri(n)
@@ -79,7 +137,7 @@ def test_poly_deterministic():
 
 @pytest.mark.parametrize("build,n", [(M.build_unit_square_tri, 4), (M.build_unit_square_poly, 4)])
 def test_validate_clean(build, n):
-    assert M.validate(build(n)) == []
+    assert validate(build(n)) == []
 
 
 @pytest.mark.parametrize("family,n", [("tri", 3), ("poly", 3)])
@@ -111,7 +169,7 @@ def test_validate_reports_reversed_element():
     elements = m.element_vertices.reshape(-1, 3).copy()
     elements[3] = elements[3, ::-1]
     broken = M._assemble(np.array(m.vertices), elements)
-    problems = M.validate(broken)
+    problems = validate(broken)
     assert any("orientation" in p for p in problems)
 
 
@@ -122,27 +180,15 @@ def test_validate_reports_duplicated_face():
     broken = dataclasses.replace(
         m, **{name: np.concatenate([getattr(m, name), getattr(m, name)[:1]]) for name in FACE_TABLE}
     )
-    problems = M.validate(broken)
+    problems = validate(broken)
     assert any("conformity" in p for p in problems)
 
 
 def test_area_sum_violation_detected():
     verts = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
     stretched = M._assemble(verts, [(0, 1, 2, 3)])
-    problems = M.validate(stretched)
+    problems = validate(stretched)
     assert any("area" in p for p in problems)
-
-
-def test_mesh_dump_roundtrip_structure(tmp_path):
-    m = M.build_unit_square_poly(2)
-    path = tmp_path / "mesh.txt"
-    M.write_mesh_text(m, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# hdgelast mesh")
-    assert f"vertices {m.num_vertices}" in lines
-    assert f"elements {m.num_elements}" in lines
-    assert f"faces {m.num_faces}" in lines
-    assert len(lines) == 4 + m.num_vertices + m.num_elements + m.num_faces
 
 
 def test_mesh_immutable_vertices():
@@ -188,7 +234,7 @@ def test_mixed_face_table_pinned():
         0.4527692569068708, 0.552268050859363, 0.5, 0.5, 0.5, 0.7106335201775947, 0.5,
     ]
     assert m.h == 0.7778174593052023
-    assert M.validate(m) == []
+    assert validate(m) == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -221,7 +267,7 @@ def test_face_table_follows_element_orientation(data):
             outward = np.array([t[1], -t[0]]) / np.hypot(*t)
             assert np.abs(side * m.face_normal[f] - outward).max() < 1e-15
     assert [first_use[f] for f in range(m.num_faces)] == sorted(first_use.values())
-    assert M.validate(m) == []
+    assert validate(m) == []
 
 
 def test_zero_length_edge_names_element():
@@ -255,53 +301,11 @@ def test_poly_perturbation_errors_name_element(monkeypatch, shift, message):
         M.build_unit_square_poly(4)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [lambda: M.build_unit_square_tri(4), lambda: M.build_unit_square_poly(4), mixed_mesh],
-    ids=["tri", "poly", "mixed"],
-)
-def test_mesh_text_roundtrip_bitwise(tmp_path, make):
-    m = make()
-    path = tmp_path / "mesh.txt"
-    M.write_mesh_text(m, str(path))
-    back = M.read_mesh_text(str(path))
-    for name in ("vertices", "element_offsets", "element_vertices", "element_faces") + FACE_TABLE:
-        assert np.array_equal(getattr(back, name), getattr(m, name)), name
-    assert np.array_equal(np.signbit(back.face_normal), np.signbit(m.face_normal))
-    assert back.h == m.h
-    M.write_mesh_text(back, str(tmp_path / "again.txt"))
-    assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
-
-
-def test_read_mesh_text_rejects_disagreeing_faces(tmp_path):
-    m = mixed_mesh()
-    path = tmp_path / "mesh.txt"
-    M.write_mesh_text(m, str(path))
-    lines = path.read_text().splitlines()
-    row = lines.index(f"faces {m.num_faces}") + 2  # face 1, interior
-    fields = lines[row].split()
-    fields[2], fields[3] = fields[3], fields[2]
-    swapped = lines[:row] + [" ".join(fields)] + lines[row + 1 :]
-    path.write_text("\n".join(swapped) + "\n")
-    with pytest.raises(M.MeshConstructionError, match="stored face 1 disagrees"):
-        M.read_mesh_text(str(path))
-    # one face short
-    short = lines[:-1]
-    short[short.index(f"faces {m.num_faces}")] = f"faces {m.num_faces - 1}"
-    path.write_text("\n".join(short) + "\n")
-    with pytest.raises(M.MeshConstructionError, match="holds 13 faces, the mesh has 14"):
-        M.read_mesh_text(str(path))
-
-
-def dart_elements():
-    """The unit square as a dart (0,0)-(1,0)-(0.3,0.3)-(0,1), reflex at
-    vertex 2, and the two triangles filling its notch."""
-    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.3], [0.0, 1.0], [1.0, 1.0]])
-    return vertices, [(0, 1, 2, 3), (1, 4, 2), (2, 4, 3)]
-
-
 def test_reflex_vertex_names_element():
-    vertices, elements = dart_elements()
+    # the unit square as a dart (0,0)-(1,0)-(0.3,0.3)-(0,1), reflex at
+    # vertex 2, and the two triangles filling its notch
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.3], [0.0, 1.0], [1.0, 1.0]])
+    elements = [(0, 1, 2, 3), (1, 4, 2), (2, 4, 3)]
     with pytest.raises(M.MeshConstructionError, match=r"^non-convex element 0$"):
         M._assemble(vertices, elements)
     # the dart listed last: the error names it, not the triangles
@@ -309,16 +313,5 @@ def test_reflex_vertex_names_element():
         M._assemble(vertices, elements[1:] + elements[:1])
     # moving the notch vertex out to (0.6, 0.6) makes every element convex
     vertices[2] = (0.6, 0.6)
-    assert M.validate(M._assemble(vertices, elements)) == []
+    assert validate(M._assemble(vertices, elements)) == []
 
-
-def test_read_mesh_text_rejects_reflex_vertex(tmp_path):
-    vertices, elements = dart_elements()
-    vertices[2] = (0.6, 0.6)
-    path = tmp_path / "mesh.txt"
-    M.write_mesh_text(M._assemble(vertices, elements), str(path))
-    lines = path.read_text().splitlines()
-    lines[lines.index("vertices 5") + 3] = "0.3 0.3"  # vertex 2 into the notch
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(M.MeshConstructionError, match=r"^non-convex element 0$"):
-        M.read_mesh_text(str(path))
