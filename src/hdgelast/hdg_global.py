@@ -25,10 +25,12 @@ Cockburn, Dubois, Gopalakrishnan & Tan (multigrid for HDG) and Schoberl
 (vertex-patch smoothers robust as nu -> 1/2). Its iteration counts stay
 nearly flat under refinement; see solve_condensed.
 
-Stacked layout: the element stage runs on batches of elements that share a
-face count, at most ``hdg_local.CHUNK_SIZE`` elements each, and assembly,
-recovery, the traction jump and the scheme residuals work on the same
-batches, with each batch's global trace dofs gathered as one index array.
+Stacked layout: the element stage runs once per translation class of the
+elements that share a face count (see hdg_local), on batches of at most
+``hdg_local.CHUNK_SIZE`` class representatives, and expands to batches of
+at most ``CHUNK_SIZE`` elements of those classes. Assembly, recovery, the
+traction jump and the scheme residuals work on the same batches, with each
+batch's global trace dofs gathered as one index array.
 Each batch writes its per-element results into arrays indexed by element,
 by slot (one (element, edge) pair of the mesh layout, element-major) or by
 face and side, so the layout, not the batching, fixes the order of every
@@ -64,8 +66,9 @@ from .hdg_local import (
     ElementBatch,
     batch_blocks,
     batch_moments,
-    condense_batch,
+    condense_classes,
     element_batch,
+    translated_batch,
 )
 from .material import ComplianceTensor
 from .mesh import Mesh
@@ -120,18 +123,32 @@ class Discretization:
         """Trace dofs of elements with faces ``face_ids`` (B, m): (B, m * ndof_face)."""
         return self.face_dofs(face_ids).reshape(len(face_ids), -1)
 
-    def element_batches(self):
-        """ElementBatch per face count, in chunks of at most CHUNK_SIZE
-        elements, ascending element order within each."""
+    def element_classes(self):
+        """Per face count, the translation classes of its elements
+        (Mesh.translation_classes) in chunks of at most CHUNK_SIZE classes,
+        in ascending order of their representatives. Per chunk: the
+        ElementBatch of its representatives, and the batches of the
+        elements of its classes, each element translated from its
+        representative, at most CHUNK_SIZE elements each in ascending order,
+        each batch with the rows of its elements' representatives."""
+        fq, modes, size = self.face_quad, self.face_modes, hdg_local.CHUNK_SIZE
         for _, ids in self.mesh.element_groups():
-            for start in range(0, len(ids), hdg_local.CHUNK_SIZE):
-                yield element_batch(
-                    self.mesh,
-                    self.k,
-                    ids[start : start + hdg_local.CHUNK_SIZE],
-                    self.face_quad,
-                    self.face_modes,
-                )
+            first, cls = self.mesh.translation_classes(ids)
+            for start in range(0, len(first), size):
+                rep_ids = ids[first[start : start + size]]
+                reps = element_batch(self.mesh, self.k, rep_ids, fq, modes)
+                members = np.flatnonzero((cls >= start) & (cls < start + size))
+                targets = []
+                for chunk in np.split(members, range(size, len(members), size)):
+                    rows = cls[chunk] - start
+                    targets.append((rows, translated_batch(reps, rows, ids[chunk], fq, modes)))
+                yield reps, targets
+
+    def element_batches(self):
+        """The element batches of element_classes, in order."""
+        for _, targets in self.element_classes():
+            for _, batch in targets:
+                yield batch
 
 
 def _face_rule(mesh: Mesh, k: int, exactness: int) -> tuple[FaceQuadrature, np.ndarray]:
@@ -167,8 +184,10 @@ def build_element_systems(
     tau: float,
     f_fn=None,
 ) -> ElementSystems:
-    """Build, eliminate and condense every element, batch by batch."""
-    batches = [condense_batch(batch, material, tau, f_fn) for batch in disc.element_batches()]
+    """Build, eliminate and condense each translation class once, and give
+    every element its class's operators (hdg_local.condense_classes)."""
+    batches = [cb for reps, targets in disc.element_classes()
+               for cb in condense_classes(reps, material, tau, f_fn, targets)]
     return ElementSystems(batches, material, tau)
 
 

@@ -14,25 +14,47 @@ The condensed matrix is assembled in its symmetric quadratic form
     R_F = (face projection of U) - (face selection),
 
 where Q and U map trace coefficients to the eliminated stress and
-displacement coefficients. An equivalent "flux" expression, obtained by
-pairing the numerical traction with the face test functions, is kept as a
-cross-check.
+displacement coefficients. The tests check it against the algebraically
+equivalent "flux" expression, obtained by pairing the numerical traction
+with the face test functions.
 
 Stacked layout: the stage runs on an ``ElementBatch``, elements that share
 a face count in ascending element order, with every per-element array
 stacked along a leading element axis. Each stacked product keeps the
 association order and the per-element memory layout of a single element's
 computation, so an element's results are bitwise independent of the batch
-it is computed in. ``condense_batch`` tabulates the basis values and
+it is computed in. ``condense_classes`` tabulates the basis values and
 gradients at the element quadrature points once (``ElementBatch.tabulate``)
 and passes them to the blocks and the body-force moments. The entry points
 are ``element_batch``, which stacks elements, ``condense_batch``, which runs
 the whole stage on a batch, and its kernels ``batch_blocks`` and
 ``batch_moments``; a single element is a one-element batch.
 
+Translation classes. The stage depends only on an element's shape, the
+material and tau, not on where the element sits. Elements with the same
+side (left or right) of each face and the same vertex offsets from their
+first vertex, in multiples of ``mesh.TRANSLATION_GRID`` = 2^-40 times h,
+form a translation class (``Mesh.translation_classes``), and a mesh run
+condenses each class once, on its lowest element, the representative.
+``translated_batch`` gives the other elements the representative's basis
+coefficients and quadrature weights, with its basis center and quadrature
+points shifted by the difference of the first vertices.
+``condense_classes`` condenses the representatives and expands them: every
+element takes its representative's condensed matrix and solution
+operators, bit for bit. Its body-force response is its own moments of the
+force, against the representative's basis values at its own quadrature
+points, times the representative's responses to unit moments (n_u extra
+columns of the local solve); its load follows from that response. An
+element therefore departs from its own one-element batch by rounding only
+(a few 1e-15 relative). The classes of a face count are taken over all
+its elements, and the representatives run in batches of at most
+``CHUNK_SIZE`` in ascending order, so nothing depends on ``CHUNK_SIZE``,
+and a failing local solve names the lowest failing element.
+The built-in meshes have 4 (tri) and at most 14 (poly) classes per level.
+
 Local-solve policy. The stress basis is orthonormal, so the stress mass is
 C kron I, with C the 3x3 compliance direction matrix, and its inverse
-C^-1 kron I costs nothing to form. ``condense_batch`` takes the condition
+C^-1 kron I costs nothing to form. ``condense_classes`` takes the condition
 number kappa of C (ratio of its largest to its smallest eigenvalue; plane
 stress at nu = 0.3 has 3.7, plane strain has 2/(1-2nu)) and
 
@@ -84,19 +106,23 @@ __all__ = [
     "ElementOperators",
     "CondensedBatch",
     "element_batch",
+    "translated_batch",
     "batch_blocks",
     "batch_moments",
     "condense_batch",
+    "condense_classes",
     "default_quadrature_exactness",
     "error_quadrature_exactness",
 ]
 
-# Elements per batch. Bounds the memory of the stacked local systems and
-# their right-hand sides; results do not depend on it.
+# Class representatives per batch of the local solve, and elements per
+# batch of the expansion from them (condense_classes) and of every later
+# per-batch stage. Bounds the memory of the stacked local systems on a
+# mesh with few translates; results do not depend on it.
 CHUNK_SIZE = 128
 
 # Largest condition number of the compliance direction matrix for which
-# condense_batch eliminates the stress in closed form (module docstring).
+# condense_classes eliminates the stress in closed form (module docstring).
 # Plane strain reaches it at nu = 0.48.
 CLOSED_FORM_MAX_CONDITION = 50.0
 
@@ -174,6 +200,33 @@ def element_batch(
     elements = np.asarray(elements)
     polys = mesh.polygons(elements)
     quad = polygon_quadrature(polys, default_quadrature_exactness(k))
+    basis = build_element_bases(polys, elements, k + 1, quad)
+    return _with_faces(mesh, k, elements, basis, quad, face_quad, face_modes)
+
+
+def translated_batch(
+    reps: ElementBatch,
+    rows: np.ndarray,
+    elements: np.ndarray,
+    face_quad: FaceQuadrature,
+    face_modes: np.ndarray,
+) -> ElementBatch:
+    """Stack the elements ``elements``, each a translate of the element in
+    row ``rows[i]`` of ``reps`` (see Mesh.translation_classes). An element
+    takes that element's basis coefficients, scale and quadrature weights;
+    its basis center and quadrature points are that element's, shifted by
+    the difference of the two elements' first vertices. Faces as in
+    element_batch."""
+    mesh = reps.mesh
+    first = mesh.element_vertices[mesh.element_offsets[np.stack([elements, reps.elements[rows]])]]
+    shift = mesh.vertices[first[0]] - mesh.vertices[first[1]]
+    rb = reps.basis
+    basis = ElementBasis(rb.degree, rb.center[rows] + shift, rb.scale[rows], rb.coeff[rows])
+    quad = Quadrature(reps.quad.points[rows] + shift[:, None], reps.quad.weights[rows])
+    return _with_faces(mesh, reps.k, elements, basis, quad, face_quad, face_modes)
+
+
+def _with_faces(mesh, k, elements, basis, quad, face_quad, face_modes) -> ElementBatch:
     face_ids = mesh.element_faces[mesh.slots(elements)]
     sign = np.where(mesh.face_left[face_ids] == elements[:, None], 1.0, -1.0)
     return ElementBatch(
@@ -182,7 +235,7 @@ def element_batch(
         elements=elements,
         face_ids=face_ids,
         normals=mesh.face_normal[face_ids] * sign[..., None],
-        basis=build_element_bases(polys, elements, k + 1, quad),
+        basis=basis,
         quad=quad,
         face_quad=FaceQuadrature(
             face_quad.points[face_ids], face_quad.weights[face_ids], face_quad.params
@@ -226,13 +279,14 @@ class ElementOperators:
     """Eliminated local solution operators, with a leading element axis:
     stress_map / disp_map send trace coefficients to the eliminated stress
     and displacement coefficients; source_stress / source_disp are the
-    responses to the body-force moments (zero without a body force)."""
+    responses to the body-force moments (zero without a body force), with
+    one trailing column per moment column."""
 
     elements: np.ndarray  # (B,)
     stress_map: np.ndarray  # (B, n_s, n_lam)
     disp_map: np.ndarray  # (B, n_u, n_lam)
-    source_stress: np.ndarray  # (B, n_s)
-    source_disp: np.ndarray  # (B, n_u)
+    source_stress: np.ndarray  # (B, n_s) or (B, n_s, c)
+    source_disp: np.ndarray  # (B, n_u) or (B, n_u, c)
 
 
 def batch_blocks(
@@ -322,7 +376,8 @@ def _factor(blocks: LocalBlocks, f_moments: np.ndarray | None = None) -> Element
     (stress, displacement) per element, its LU factorization, and the solves
     against the coupling of (stress, displacement) rows to the trace columns
     (the response to every trace basis vector) and against the body-force
-    moments ``f_moments`` (B, n_u), when given."""
+    moments ``f_moments``, when given: (B, n_u), or (B, n_u, c) for c
+    moment columns."""
     D = blocks.div_coupling
     B, n_s, n_u = D.shape
     n = n_s + n_u
@@ -346,13 +401,18 @@ def _factor(blocks: LocalBlocks, f_moments: np.ndarray | None = None) -> Element
     singular |= np.abs(np.diagonal(M, axis1=-2, axis2=-1)).min(axis=-1) == 0.0
     if singular.any():
         raise _singular(blocks.elements, singular)
-    src = np.zeros((B, n))
+    tail = () if f_moments is None else f_moments.shape[2:]
+    src = np.zeros((B, int(np.prod(tail)), n)).swapaxes(-1, -2)
     if f_moments is not None:
-        src[:, n_s:] = -f_moments
+        src[:, n_s:] = -f_moments.reshape(B, n_u, -1)
         for i in range(B):
             lapack.dgetrs(M[i], piv[i], src[i], overwrite_b=True)
     return ElementOperators(
-        blocks.elements, sol[:, :n_s], sol[:, n_s:], src[:, :n_s], src[:, n_s:]
+        blocks.elements,
+        sol[:, :n_s],
+        sol[:, n_s:],
+        src[:, :n_s].reshape((B, n_s) + tail),
+        src[:, n_s:].reshape((B, n_u) + tail),
     )
 
 
@@ -368,7 +428,8 @@ def _eliminate(
     """Closed-form local solve, for a well-conditioned compliance with
     direction matrix inverse ``c_inv``. With the right-hand sides (r1, r2)
     of the saddle system, (-trace_coupling, stab_ulam) for the trace
-    columns and (0, -f) for the body force, and G = (C^-1 kron I) D:
+    columns and (0, -f) for the body-force moments (shaped as in _factor),
+    and G = (C^-1 kron I) D:
 
         (stab_uu + D^T G) u = r2 - G^T r1,    sigma = -(C^-1 kron I) r1 - G u.
 
@@ -380,10 +441,11 @@ def _eliminate(
     n_lam = blocks.trace_coupling.shape[-1]
     # The solutions u and sigma, which the batch keeps, are allocated
     # before the temporaries G and K, so that releasing those leaves no
-    # hole between kept arrays (see the monomial table in condense_batch).
+    # hole between kept arrays (see the monomial table in condense_classes).
     # u holds the right-hand sides, column-major per element, and is
     # overwritten by the solutions.
-    cols = n_lam + (f_moments is not None)
+    tail = () if f_moments is None else f_moments.shape[2:]
+    cols = n_lam + (0 if f_moments is None else int(np.prod(tail)))
     u = np.empty((B, cols, n_u)).swapaxes(-1, -2)
     sigma = np.empty((B, n_s, cols))
     G = _inverse_mass(c_inv, D)
@@ -391,7 +453,7 @@ def _eliminate(
     np.matmul(G.swapaxes(-1, -2), blocks.trace_coupling, out=u[..., :n_lam])
     u[..., :n_lam] += blocks.stab_ulam
     if f_moments is not None:
-        u[..., n_lam] = -f_moments
+        u[..., n_lam:] = -f_moments.reshape(B, n_u, -1)
     # dposv reads one triangle of K, so each element's C-ordered block is
     # passed as its column-major transpose, without a copy
     info = np.empty(B, dtype=int)
@@ -409,7 +471,8 @@ def _eliminate(
     if f_moments is None:
         qs, us = np.zeros((B, n_s)), np.zeros((B, n_u))
     else:
-        qs, us = sigma[..., n_lam], u[..., n_lam]
+        qs = sigma[..., n_lam:].reshape((B, n_s) + tail)
+        us = u[..., n_lam:].reshape((B, n_u) + tail)
     return ElementOperators(blocks.elements, sigma[..., :n_lam], u[..., :n_lam], qs, us)
 
 
@@ -433,23 +496,16 @@ def _condense(ops: ElementOperators, blocks: LocalBlocks) -> np.ndarray:
     return 0.5 * (A + A.swapaxes(-1, -2))
 
 
-def _flux_form(ops: ElementOperators, blocks: LocalBlocks) -> np.ndarray:
-    """Condensed matrices via the numerical-traction pairing; algebraically
-    identical to the quadratic form and used as its cross-check."""
-    return (
-        blocks.trace_coupling.swapaxes(-1, -2) @ ops.stress_map
-        - blocks.stab_ulam.swapaxes(-1, -2) @ ops.disp_map
-        + blocks.stab_lamlam
-    )
-
-
-def _rhs(blocks: LocalBlocks, source_stress: np.ndarray, source_disp: np.ndarray) -> np.ndarray:
+def _rhs(
+    blocks: LocalBlocks, source_stress: np.ndarray, source_disp: np.ndarray, rows=slice(None)
+) -> np.ndarray:
     """Element loads for the trace system: the negative traction moments of
     the source responses, so that the condensed equations express flux
-    continuity of the full recovered solution."""
+    continuity of the full recovered solution. Element i takes the blocks
+    of row ``rows[i]``."""
     return -(
-        (blocks.trace_coupling.swapaxes(-1, -2) @ source_stress[..., None])[..., 0]
-        - (blocks.stab_ulam.swapaxes(-1, -2) @ source_disp[..., None])[..., 0]
+        (blocks.trace_coupling[rows].swapaxes(-1, -2) @ source_stress[..., None])[..., 0]
+        - (blocks.stab_ulam[rows].swapaxes(-1, -2) @ source_disp[..., None])[..., 0]
     )
 
 
@@ -479,6 +535,59 @@ class CondensedBatch:
     source_disp: np.ndarray  # (B, n_u)
 
 
+def condense_classes(
+    reps: ElementBatch,
+    material: ComplianceTensor,
+    tau: float,
+    f_fn,
+    targets: list[tuple[np.ndarray, ElementBatch]],
+) -> list[CondensedBatch]:
+    """Assemble, eliminate and condense the representatives ``reps`` of
+    some translation classes once, and expand them to the elements: one
+    CondensedBatch per (rows, batch) of ``targets``, whose element i is a
+    translate of the element in row rows[i] of ``reps``.
+
+    Each element takes its representative's condensed matrix and solution
+    operators. Its body-force response is its own: its moments of ``f_fn``
+    (when given) at its quadrature points, against the representative's
+    basis values there, times the representative's responses to unit
+    moments (the solves for f_moments = I, n_u columns). The loads follow
+    from the responses as in _rhs."""
+    # One monomial table serves the blocks and the moments. It is made
+    # here rather than kept from the basis construction, and released
+    # before the local solve allocates the arrays the batch keeps: a
+    # table held across those allocations fragments the heap, and the
+    # direct solve that follows then peaks higher. f_fn is evaluated
+    # before the local solve, so that a failing body force is reported
+    # as such.
+    table = reps.tabulate()
+    blocks = batch_blocks(reps, material, tau, table)
+    moments = [None if f_fn is None else batch_moments(batch, f_fn, table[0][rows])
+               for rows, batch in targets]
+    del table
+    n_s, n_u = reps.n_stress, reps.n_disp
+    unit = None if f_fn is None else np.broadcast_to(np.eye(n_u), (len(reps.elements), n_u, n_u))
+    c = material.compliance_direction_matrix()
+    w = np.linalg.eigvalsh(c)
+    if w[-1] <= CLOSED_FORM_MAX_CONDITION * w[0]:
+        ops = _eliminate(blocks, np.linalg.inv(c), unit)
+    else:
+        ops = _factor(blocks, unit)
+    matrix = _condense(ops, blocks)
+    out = []
+    for (rows, batch), f in zip(targets, moments):
+        if f is None:
+            qs, us = np.zeros((len(rows), n_s)), np.zeros((len(rows), n_u))
+        else:
+            qs = (ops.source_stress[rows] @ f[..., None])[..., 0]
+            us = (ops.source_disp[rows] @ f[..., None])[..., 0]
+        out.append(CondensedBatch(
+            batch, matrix[rows], _rhs(blocks, qs, us, rows),
+            ops.stress_map[rows], ops.disp_map[rows], qs, us,
+        ))
+    return out
+
+
 def condense_batch(
     batch: ElementBatch,
     material: ComplianceTensor,
@@ -486,23 +595,7 @@ def condense_batch(
     f_fn=None,
 ) -> CondensedBatch:
     """Assemble, eliminate and condense every element of the batch, with
-    the body-force response to ``f_fn`` when given."""
-    # One monomial table serves the blocks and the moments. It is made
-    # here rather than kept from the basis construction, and released
-    # before the local solve allocates the arrays the batch keeps: a
-    # table held across those allocations fragments the heap, and the
-    # direct solve that follows then peaks higher.
-    table = batch.tabulate()
-    blocks = batch_blocks(batch, material, tau, table)
-    f_moments = batch_moments(batch, f_fn, table[0]) if f_fn is not None else None
-    del table
-    c = material.compliance_direction_matrix()
-    w = np.linalg.eigvalsh(c)
-    if w[-1] <= CLOSED_FORM_MAX_CONDITION * w[0]:
-        ops = _eliminate(blocks, np.linalg.inv(c), f_moments)
-    else:
-        ops = _factor(blocks, f_moments)
-    qs, us = ops.source_stress, ops.source_disp
-    return CondensedBatch(
-        batch, _condense(ops, blocks), _rhs(blocks, qs, us), ops.stress_map, ops.disp_map, qs, us
-    )
+    the body-force response to ``f_fn`` when given: condense_classes with
+    each element the representative of its own class."""
+    rows = np.arange(len(batch.elements))
+    return condense_classes(batch, material, tau, f_fn, [(rows, batch)])[0]

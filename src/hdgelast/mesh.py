@@ -35,11 +35,16 @@ __all__ = [
     "build_unit_square_tri",
     "build_unit_square_poly",
     "build_mesh",
+    "TRANSLATION_GRID",
 ]
 
 # Vertical shift of interior grid vertices in the quadrilateral family,
 # relative to the cell width 1/n. Convexity of every cell requires < 0.5.
 POLY_SHIFT = 0.15
+
+# Grid of the translation-class key, relative to h: vertex offsets that
+# round to the same multiple of TRANSLATION_GRID * h count as equal.
+TRANSLATION_GRID = 2.0**-40
 
 
 class MeshConstructionError(ConfigError):
@@ -105,6 +110,31 @@ class Mesh:
     def polygons(self, elements) -> np.ndarray:
         """Vertex coordinates of elements sharing a face count, (B, m, 2)."""
         return self.vertices[self.element_vertices[self.slots(elements)]]
+
+    def translation_classes(self, elements) -> tuple[np.ndarray, np.ndarray]:
+        """Translation classes of elements sharing a face count: elements
+        with the same side (left or right) of each of their faces and the
+        same vertex offsets from their first vertex, in multiples of
+        TRANSLATION_GRID * h. Returns the positions in ``elements`` of the
+        class representatives, each class's first element, in ascending
+        order, and the class of every element, (B,)."""
+        elements = np.asarray(elements)
+        slots = self.slots(elements)
+        polys = self.vertices[self.element_vertices[slots]]
+        offsets = np.rint((polys[:, 1:] - polys[:, :1]) / (TRANSLATION_GRID * self.h))
+        sides = self.face_left[self.element_faces[slots]] != elements[:, None]
+        key = np.concatenate([sides, offsets.reshape(len(elements), -1)], axis=1)
+        # a stable sort by key puts each class's lowest element first
+        order = np.lexsort(key.T)
+        key = key[order]
+        new = np.concatenate([[True], (key[1:] != key[:-1]).any(axis=1)])
+        first = order[new]
+        by_first = np.argsort(first)
+        rank = np.empty_like(by_first)
+        rank[by_first] = np.arange(len(first))
+        cls = np.empty_like(order)
+        cls[order] = rank[np.cumsum(new) - 1]
+        return first[by_first], cls
 
     def boundary_faces(self) -> np.ndarray:
         return np.flatnonzero(self.face_right < 0)

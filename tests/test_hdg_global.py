@@ -454,6 +454,55 @@ def assert_same_solve(a, b):
     assert a[4] == b[4]
 
 
+# Largest departure of an element's operators and loads from its own
+# one-element batch, relative to the largest entry, allowed where the
+# element takes its translation class representative's operators. Measured:
+# at most 7.5e-15 on tri n=6 and poly n=12 (k=2, nu=0.3), 5.1e-15 on the
+# mixed mesh (k=2, nu=0.49).
+TRANSLATE_RTOL = 2e-14
+OPERATORS = ("matrix", "stress_map", "disp_map")
+
+
+def alone(mesh, disc, k, e, material, tau, f_fn):
+    """Element results of element ``e`` as a one-element batch."""
+    batch = L.element_batch(mesh, k, np.array([e]), disc.face_quad, disc.face_modes)
+    cb = L.condense_batch(batch, material, tau, f_fn=f_fn)
+    return [getattr(cb, name)[0] for name in ELEMENT_RESULTS]
+
+
+def assert_class_results(mesh, disc, k, elements, material, tau, f_fn):
+    """``elements`` (results in element order) hold their class
+    representative's one-element operators bit for bit, a representative's
+    loads and responses bit for bit too, and match each element's own
+    one-element results to TRANSLATE_RTOL."""
+    for _, ids in mesh.element_groups():
+        first, cls = mesh.translation_classes(ids)
+        reps = {int(ids[i]): alone(mesh, disc, k, ids[i], material, tau, f_fn) for i in first}
+        for e, c in zip(ids, cls):
+            rep = int(ids[first[c]])
+            own = reps[rep] if e == rep else alone(mesh, disc, k, e, material, tau, f_fn)
+            for name, a, r, o in zip(ELEMENT_RESULTS, elements[e], reps[rep], own):
+                if name in OPERATORS or e == rep:
+                    assert np.array_equal(a, r), (e, name)
+                assert np.abs(a - o).max() <= TRANSLATE_RTOL * np.abs(o).max(), (e, name)
+
+
+@pytest.mark.parametrize("family,n", [("tri", 6), ("poly", 12)])
+def test_elements_take_their_class_operators(family, n):
+    mesh = M.build_mesh(family, n)
+    k, sol = 2, MF.test1_solution()
+    disc = G.build_discretization(mesh, k)
+    tau = 3.0 / mesh.h
+    f_fn = lambda pts: MF.body_force(sol, PLANE_STRESS, pts)
+    systems = G.build_element_systems(disc, PLANE_STRESS, tau, f_fn)
+    elements = {}
+    for cb in systems.batches:
+        for i, e in enumerate(cb.batch.elements):
+            elements[int(e)] = [getattr(cb, name)[i] for name in ELEMENT_RESULTS]
+    assert len(elements) == mesh.num_elements
+    assert_class_results(mesh, disc, k, elements, PLANE_STRESS, tau, f_fn)
+
+
 def test_mixed_face_counts_batched_like_single_elements(monkeypatch, tmp_path):
     mesh = mixed_mesh(3)
     k = 2
@@ -463,21 +512,37 @@ def test_mixed_face_counts_batched_like_single_elements(monkeypatch, tmp_path):
     disc, systems, elements = full[:3]
     assert sorted(cb.batch.face_ids.shape[1] for cb in systems.batches) == [3, 4]
 
-    # every element's batched results equal its one-element-batch results
-    tau = 3.0 / mesh.h
+    # every element's batched results are its class representative's
+    # one-element-batch results, and close to its own
     f_fn = lambda pts: MF.body_force(sol, material, pts)
-    for e, batched in enumerate(elements):
-        batch = L.element_batch(mesh, k, np.array([e]), disc.face_quad, disc.face_modes)
-        cb = L.condense_batch(batch, material, tau, f_fn=f_fn)
-        single = [getattr(cb, name)[0] for name in ELEMENT_RESULTS]
-        for name, a, b in zip(ELEMENT_RESULTS, batched, single):
-            assert np.array_equal(a, b), (e, name)
+    assert_class_results(mesh, disc, k, elements, material, 3.0 / mesh.h, f_fn)
 
     # and nothing depends on the batch size
     single = mixed_solve(monkeypatch, tmp_path, 1, mesh, k, sol, material)
     for a, b in zip(elements, single[2]):
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert_same_solve(full, single)
+
+
+def test_element_classes_bounded_by_chunk_size(monkeypatch):
+    # CHUNK_SIZE bounds the representatives run together as well as the
+    # element batches: 2 classes per chunk splits the 4 triangle classes,
+    # whose elements interleave
+    monkeypatch.setattr(L, "CHUNK_SIZE", 2)
+    mesh = mixed_mesh(3)
+    disc = G.build_discretization(mesh, 1)
+    rep_of = np.empty(mesh.num_elements, dtype=int)
+    for _, ids in mesh.element_groups():
+        first, cls = mesh.translation_classes(ids)
+        rep_of[ids] = ids[first[cls]]
+    seen = []
+    for reps, targets in disc.element_classes():
+        assert 1 <= len(reps.elements) <= 2
+        for rows, batch in targets:
+            assert len(batch.elements) <= 2 and np.all(np.diff(batch.elements) > 0)
+            assert np.array_equal(reps.elements[rows], rep_of[batch.elements])
+            seen += batch.elements.tolist()
+    assert sorted(seen) == list(range(mesh.num_elements))
 
 
 def test_mixed_face_counts_kernel_and_rigid_motion(monkeypatch, tmp_path):

@@ -197,6 +197,58 @@ def test_mesh_immutable_vertices():
         m.vertices[0, 0] = 99.0
 
 
+@pytest.mark.parametrize(
+    "family,n,count",
+    [("tri", 4, 4), ("tri", 8, 4), ("tri", 16, 4), ("tri", 32, 4), ("tri", 24, 4),
+     ("poly", 8, 14), ("poly", 12, 14), ("poly", 24, 14)],
+)
+def test_translation_class_counts(family, n, count):
+    # tri: 2 shapes, each with 2 patterns of face sides; poly: the corner,
+    # edge and interior cells of the checkerboard shift
+    mesh = M.build_mesh(family, n)
+    elements = np.arange(mesh.num_elements)
+    first, cls = mesh.translation_classes(elements)
+    assert len(first) == count
+    # each class is represented by its lowest element, in ascending order
+    assert np.array_equal(first, [np.flatnonzero(cls == c)[0] for c in range(count)])
+    assert np.all(np.diff(first) > 0)
+    # and every element is a translate of its representative, with its
+    # faces on the same sides
+    polys = mesh.polygons(elements)
+    shape = polys - polys[:, :1]
+    assert np.abs(shape - shape[first[cls]]).max() <= 1e-12 * mesh.h
+    slots = mesh.slots(elements)
+    sides = mesh.face_left[mesh.element_faces[slots]] == elements[:, None]
+    assert np.array_equal(sides, sides[first[cls]])
+
+
+@pytest.mark.parametrize("family", ["tri", "poly"])
+def test_perturbed_mesh_has_no_translates(family):
+    mesh = M.build_mesh(family, 6)
+    vertices = mesh.vertices.copy()
+    inside = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
+    rng = np.random.default_rng(3)
+    radius = 0.1 * mesh.h * np.sqrt(rng.uniform(size=inside.sum()))
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=inside.sum())
+    vertices[inside] += radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    m = mesh.face_counts[0]
+    moved = M._assemble(vertices, mesh.element_vertices.reshape(-1, m))
+    first, cls = moved.translation_classes(np.arange(moved.num_elements))
+    assert np.array_equal(first, np.arange(moved.num_elements))
+    assert np.array_equal(cls, np.arange(moved.num_elements))
+
+
+def test_translation_classes_of_a_subset():
+    # positions and classes refer to the elements passed
+    mesh = M.build_unit_square_tri(4)
+    subset = np.array([5, 8, 9, 12, 13])
+    first, cls = mesh.translation_classes(subset)
+    whole = mesh.translation_classes(np.arange(mesh.num_elements))[1][subset]
+    assert first.tolist() == [0, 1, 2]
+    assert np.array_equal(whole[first[cls]], whole)
+    assert len(np.unique(whole)) == len(first)
+
+
 def mixed_mesh():
     """2 x 2 cells with the centre vertex moved off the grid: the lower-left
     and upper-right cells split into triangles, the other two quadrilaterals."""
