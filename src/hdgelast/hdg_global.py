@@ -144,12 +144,6 @@ class Discretization:
                     targets.append((rows, translated_batch(reps, rows, ids[chunk], fq, modes)))
                 yield reps, targets
 
-    def element_batches(self):
-        """The element batches of element_classes, in order."""
-        for _, targets in self.element_classes():
-            for _, batch in targets:
-                yield batch
-
 
 def _face_rule(mesh: Mesh, k: int, exactness: int) -> tuple[FaceQuadrature, np.ndarray]:
     fq = face_quadratures(mesh, np.arange(mesh.num_faces), exactness)

@@ -52,26 +52,12 @@ its elements, and the representatives run in batches of at most
 and a failing local solve names the lowest failing element.
 The built-in meshes have 4 (tri) and at most 14 (poly) classes per level.
 
-Local-solve policy. The stress basis is orthonormal, so the stress mass is
-C kron I, with C the 3x3 compliance direction matrix, and its inverse
-C^-1 kron I costs nothing to form. ``condense_classes`` takes the condition
-number kappa of C (ratio of its largest to its smallest eigenvalue; plane
-stress at nu = 0.3 has 3.7, plane strain has 2/(1-2nu)) and
-
-- for kappa <= CLOSED_FORM_MAX_CONDITION eliminates the stress in closed
-  form: each element solves one symmetric positive definite displacement
-  system, K = stab_uu + D^T (C^-1 kron I) D, of n_u unknowns with LAPACK
-  ``dposv``, in place of the LU of its saddle matrix of n_s + n_u;
-- above it factorizes the whole saddle matrix with the pivoted LU of
-  LAPACK ``dgetrf``/``dgetrs``, with the results ``scipy.linalg.lu_factor``
-  and ``lu_solve`` give.
-
-The closed form passes the rounding of K through C^-1, so it departs from
-the pivoted solve by about kappa * 1e-14 relative. Near incompressibility
-(kappa of 1e5 at nu = 0.49999) that is more than rounding, so those
-materials keep the pivoted solve, bit for bit. Both paths work in place on
-per-element column-major arrays, one element at a time, and return the
-same operators.
+Local solve. Each representative factorizes its saddle matrix over
+(stress, displacement), symmetric indefinite, with the pivoted LU of LAPACK
+``dgetrf``/``dgetrs``, with the results ``scipy.linalg.lu_factor`` and
+``lu_solve`` give. It works in place on per-element column-major arrays,
+one element at a time, and is the one local solve for every material,
+near incompressibility included.
 
 The module owns both quadrature policies: default_quadrature_exactness,
 the rule of the element stage, and error_quadrature_exactness, the richer
@@ -100,7 +86,6 @@ from .mesh import Mesh
 
 __all__ = [
     "CHUNK_SIZE",
-    "CLOSED_FORM_MAX_CONDITION",
     "ElementBatch",
     "LocalBlocks",
     "ElementOperators",
@@ -120,11 +105,6 @@ __all__ = [
 # per-batch stage. Bounds the memory of the stacked local systems on a
 # mesh with few translates; results do not depend on it.
 CHUNK_SIZE = 128
-
-# Largest condition number of the compliance direction matrix for which
-# condense_classes eliminates the stress in closed form (module docstring).
-# Plane strain reaches it at nu = 0.48.
-CLOSED_FORM_MAX_CONDITION = 50.0
 
 # relative asymmetry of a condensed element matrix that _condense reports
 ASYMMETRY_TOL = 1e-9
@@ -366,11 +346,6 @@ def batch_blocks(
     )
 
 
-def _singular(elements: np.ndarray, singular: np.ndarray) -> LocalSolverError:
-    """The error naming the first element flagged in ``singular``."""
-    return LocalSolverError(f"element {elements[np.argmax(singular)]}: singular local system")
-
-
 def _factor(blocks: LocalBlocks, f_moments: np.ndarray | None = None) -> ElementOperators:
     """Pivoted local solve: the symmetric indefinite saddle matrix over
     (stress, displacement) per element, its LU factorization, and the solves
@@ -400,7 +375,8 @@ def _factor(blocks: LocalBlocks, f_moments: np.ndarray | None = None) -> Element
     singular = ~np.isfinite(M).all(axis=(-2, -1))
     singular |= np.abs(np.diagonal(M, axis1=-2, axis2=-1)).min(axis=-1) == 0.0
     if singular.any():
-        raise _singular(blocks.elements, singular)
+        e = blocks.elements[np.argmax(singular)]
+        raise LocalSolverError(f"element {e}: singular local system")
     tail = () if f_moments is None else f_moments.shape[2:]
     src = np.zeros((B, int(np.prod(tail)), n)).swapaxes(-1, -2)
     if f_moments is not None:
@@ -414,66 +390,6 @@ def _factor(blocks: LocalBlocks, f_moments: np.ndarray | None = None) -> Element
         src[:, :n_s].reshape((B, n_s) + tail),
         src[:, n_s:].reshape((B, n_u) + tail),
     )
-
-
-def _inverse_mass(c_inv: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(C^-1 kron I) X for stacked stress rows X, (B, 3 p_s, n): the inverse
-    stress mass, one 3 x 3 product per element over the direction axis."""
-    return (c_inv @ X.reshape(X.shape[0], 3, -1)).reshape(X.shape)
-
-
-def _eliminate(
-    blocks: LocalBlocks, c_inv: np.ndarray, f_moments: np.ndarray | None = None
-) -> ElementOperators:
-    """Closed-form local solve, for a well-conditioned compliance with
-    direction matrix inverse ``c_inv``. With the right-hand sides (r1, r2)
-    of the saddle system, (-trace_coupling, stab_ulam) for the trace
-    columns and (0, -f) for the body-force moments (shaped as in _factor),
-    and G = (C^-1 kron I) D:
-
-        (stab_uu + D^T G) u = r2 - G^T r1,    sigma = -(C^-1 kron I) r1 - G u.
-
-    One in-place LAPACK ``dposv`` per element solves for every column at
-    once. Raises LocalSolverError naming the first element whose system is
-    not positive definite or whose solution is not finite."""
-    D = blocks.div_coupling
-    B, n_s, n_u = D.shape
-    n_lam = blocks.trace_coupling.shape[-1]
-    # The solutions u and sigma, which the batch keeps, are allocated
-    # before the temporaries G and K, so that releasing those leaves no
-    # hole between kept arrays (see the monomial table in condense_classes).
-    # u holds the right-hand sides, column-major per element, and is
-    # overwritten by the solutions.
-    tail = () if f_moments is None else f_moments.shape[2:]
-    cols = n_lam + (0 if f_moments is None else int(np.prod(tail)))
-    u = np.empty((B, cols, n_u)).swapaxes(-1, -2)
-    sigma = np.empty((B, n_s, cols))
-    G = _inverse_mass(c_inv, D)
-    K = blocks.stab_uu + D.swapaxes(-1, -2) @ G
-    np.matmul(G.swapaxes(-1, -2), blocks.trace_coupling, out=u[..., :n_lam])
-    u[..., :n_lam] += blocks.stab_ulam
-    if f_moments is not None:
-        u[..., n_lam:] = -f_moments.reshape(B, n_u, -1)
-    # dposv reads one triangle of K, so each element's C-ordered block is
-    # passed as its column-major transpose, without a copy
-    info = np.empty(B, dtype=int)
-    for i in range(B):
-        *_, info[i] = lapack.dposv(K[i].T, u[i], overwrite_a=True, overwrite_b=True)
-    del K
-    np.matmul(G, u, out=sigma)
-    del G
-    np.negative(sigma, out=sigma)
-    sigma[..., :n_lam] += _inverse_mass(c_inv, blocks.trace_coupling)
-    singular = info != 0
-    singular |= ~np.isfinite(u).all(axis=(-2, -1)) | ~np.isfinite(sigma).all(axis=(-2, -1))
-    if singular.any():
-        raise _singular(blocks.elements, singular)
-    if f_moments is None:
-        qs, us = np.zeros((B, n_s)), np.zeros((B, n_u))
-    else:
-        qs = sigma[..., n_lam:].reshape((B, n_s) + tail)
-        us = u[..., n_lam:].reshape((B, n_u) + tail)
-    return ElementOperators(blocks.elements, sigma[..., :n_lam], u[..., :n_lam], qs, us)
 
 
 def _condense(ops: ElementOperators, blocks: LocalBlocks) -> np.ndarray:
@@ -567,12 +483,7 @@ def condense_classes(
     del table
     n_s, n_u = reps.n_stress, reps.n_disp
     unit = None if f_fn is None else np.broadcast_to(np.eye(n_u), (len(reps.elements), n_u, n_u))
-    c = material.compliance_direction_matrix()
-    w = np.linalg.eigvalsh(c)
-    if w[-1] <= CLOSED_FORM_MAX_CONDITION * w[0]:
-        ops = _eliminate(blocks, np.linalg.inv(c), unit)
-    else:
-        ops = _factor(blocks, unit)
+    ops = _factor(blocks, unit)
     matrix = _condense(ops, blocks)
     out = []
     for (rows, batch), f in zip(targets, moments):

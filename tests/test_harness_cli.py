@@ -228,6 +228,18 @@ def test_cli_convergence_deterministic_csv(tmp_path):
     assert first == (tmp_path / "c2.csv").read_bytes()
 
 
+def test_cli_solve_csv_bytes_pinned(tmp_path):
+    # the CSV of a fixed solve, byte for byte: a change that moves an error
+    # norm into another printed digit changes this text
+    out = tmp_path / "s.csv"
+    args = ["solve", "--mesh", "tri", "--n", "8", "--k", "1", "--out", str(out)]
+    assert cli.main(args) == cli.EXIT_OK
+    assert out.read_bytes() == (
+        b"k,mesh,h,err_sigma_proj,order,err_u_proj,order,err_sigma,err_u,trace_diag,order\n"
+        b"1,tri-n8,0.1768,2.49E-02,-,2.46E-03,-,4.33E-02,2.50E-03,3.77E-02,-\n"
+    )
+
+
 def test_cli_convergence_stdout_equals_csv(tmp_path, capsys):
     out = tmp_path / "c.csv"
     assert cli.main(["convergence", "--mesh", "poly", "--k", "1", "--n-sequence", "2,4",

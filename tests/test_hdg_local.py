@@ -28,16 +28,6 @@ def trace_coefficients(batch, fn):
 PLANE_STRESS = ComplianceTensor.plane_stress(1.0, 0.3)
 
 
-def closed_form(blocks, material, f_moments=None):
-    """The closed-form local solve, whatever the material's conditioning."""
-    c_inv = np.linalg.inv(material.compliance_direction_matrix())
-    return L._eliminate(blocks, c_inv, f_moments)
-
-
-# both local solves, as (blocks, material, f_moments) -> ElementOperators
-LOCAL_SOLVES = (lambda blocks, material, f=None: L._factor(blocks, f), closed_form)
-
-
 def test_block_dimensions():
     mesh = M.build_unit_square_poly(2)
     for k in (1, 2):
@@ -121,12 +111,11 @@ def test_local_solver_zero_data():
     mesh = M.build_unit_square_tri(1)
     batch = one_element(mesh, 0, 1)
     blocks = L.batch_blocks(batch, PLANE_STRESS, 3.0)
-    for solve in LOCAL_SOLVES:
-        ops = solve(blocks, PLANE_STRESS, np.zeros((1, batch.n_disp)))
-        lam = np.zeros(batch.n_trace)
-        assert np.abs(ops.stress_map[0] @ lam).max() == 0.0
-        assert np.abs(ops.source_stress).max() == 0.0
-        assert np.abs(ops.source_disp).max() == 0.0
+    ops = L._factor(blocks, np.zeros((1, batch.n_disp)))
+    lam = np.zeros(batch.n_trace)
+    assert np.abs(ops.stress_map[0] @ lam).max() == 0.0
+    assert np.abs(ops.source_stress).max() == 0.0
+    assert np.abs(ops.source_disp).max() == 0.0
 
 
 @pytest.mark.parametrize("family", ["tri", "poly"])
@@ -252,13 +241,12 @@ def test_condensed_rhs_zero_for_zero_force():
     mesh = M.build_unit_square_tri(1)
     batch = one_element(mesh, 0, 1)
     blocks = L.batch_blocks(batch, PLANE_STRESS, 1.0)
-    for solve in LOCAL_SOLVES:
-        ops = solve(blocks, PLANE_STRESS, np.zeros((1, batch.n_disp)))
-        assert np.abs(L._rhs(blocks, ops.source_stress, ops.source_disp)).max() == 0.0
+    ops = L._factor(blocks, np.zeros((1, batch.n_disp)))
+    assert np.abs(L._rhs(blocks, ops.source_stress, ops.source_disp)).max() == 0.0
 
 
 def test_local_equations_satisfied_by_solvers():
-    # residual substitution: the eliminated fields of both local solves
+    # residual substitution: the eliminated fields of the local solve
     # satisfy both local equations for every trace basis vector and for a
     # source load
     mesh = M.build_unit_square_poly(2)
@@ -271,16 +259,15 @@ def test_local_equations_satisfied_by_solvers():
     S_uu, S_ulam = blocks.stab_uu[0], blocks.stab_ulam[0]
     eye = np.eye(batch.n_trace)
     f_mom = L.batch_moments(batch, lambda p: np.stack([p[:, 0], -p[:, 1]], axis=1))
-    for solve in LOCAL_SOLVES:
-        ops = solve(blocks, material, f_mom)
-        Q, U = ops.stress_map[0], ops.disp_map[0]
-        r1 = A @ Q + D @ U - C
-        r2 = -D.T @ Q + S_uu @ U - S_ulam @ eye
-        assert np.abs(r1).max() < 1e-11
-        assert np.abs(r2).max() < 1e-11
-        qs, us = ops.source_stress[0], ops.source_disp[0]
-        assert np.abs(A @ qs + D @ us).max() < 1e-11
-        assert np.abs(-D.T @ qs + S_uu @ us + f_mom[0]).max() < 1e-11
+    ops = L._factor(blocks, f_mom)
+    Q, U = ops.stress_map[0], ops.disp_map[0]
+    r1 = A @ Q + D @ U - C
+    r2 = -D.T @ Q + S_uu @ U - S_ulam @ eye
+    assert np.abs(r1).max() < 1e-11
+    assert np.abs(r2).max() < 1e-11
+    qs, us = ops.source_stress[0], ops.source_disp[0]
+    assert np.abs(A @ qs + D @ us).max() < 1e-11
+    assert np.abs(-D.T @ qs + S_uu @ us + f_mom[0]).max() < 1e-11
 
 
 def test_invalid_inputs():
@@ -308,11 +295,12 @@ def test_singular_local_system_reports_element(monkeypatch):
             L._factor(broken)
 
     # in a batch, the check names the bad element: a zero pivot in the
-    # middle of the batch, and a factorization that is not finite. Plane
-    # stress runs the closed-form solve, plane strain at nu=0.49999 the
-    # pivoted one.
-    disc = G.build_discretization(M.build_unit_square_tri(2), 1)
-    batch = next(disc.element_batches())
+    # middle of the batch, and a factorization that is not finite, for a
+    # well-conditioned and a nearly incompressible material alike
+    mesh = M.build_unit_square_tri(2)
+    disc = G.build_discretization(mesh, 1)
+    (_, ids), = mesh.element_groups()
+    batch = L.element_batch(mesh, 1, ids, disc.face_quad, disc.face_modes)
     assert len(batch.elements) == 8
     for material in (PLANE_STRESS, ComplianceTensor.plane_strain(3.0, 0.49999)):
         good = L.batch_blocks(batch, material, 1.0)
@@ -366,7 +354,8 @@ def test_factor_and_source_parts_bitwise_against_scipy_lu(family, k):
 
     mesh = M.build_mesh(family, 4)
     disc = G.build_discretization(mesh, k)
-    batch = next(disc.element_batches())
+    ids = mesh.element_groups()[0][1]
+    batch = L.element_batch(mesh, k, ids, disc.face_quad, disc.face_modes)
     blocks = L.batch_blocks(batch, PLANE_STRESS, 1.0 / mesh.h)
     f_mom = np.random.default_rng(k).normal(size=(len(batch.elements), batch.n_disp))
     ops = L._factor(blocks, f_mom)
@@ -384,27 +373,12 @@ def test_factor_and_source_parts_bitwise_against_scipy_lu(family, k):
         assert np.array_equal(ops.source_disp[i], src[n_s:])
 
 
-# --- local-solve policy ------------------------------------------------------
+# --- the local solve on whole meshes ------------------------------------------
 
 CONDENSED = ("matrix", "rhs", "stress_map", "disp_map", "source_stress", "source_disp")
 
 
-def condensed_batches(monkeypatch, mesh, k, material, max_condition=None, chunk=None):
-    """Every CondensedBatch of the mesh with a test1 body force, optionally
-    with another selection constant or batch size."""
-    if max_condition is not None:
-        monkeypatch.setattr(L, "CLOSED_FORM_MAX_CONDITION", max_condition)
-    if chunk is not None:
-        monkeypatch.setattr(L, "CHUNK_SIZE", chunk)
-    sol = MF.test1_solution()
-    disc = G.build_discretization(mesh, k)
-    f_fn = lambda pts: MF.body_force(sol, material, pts)
-    batches = G.build_element_systems(disc, material, 3.0 / mesh.h, f_fn).batches
-    monkeypatch.undo()
-    return batches
-
-
-def policy_mesh(family):
+def study_mesh(family):
     if family == "mixed":
         from test_hdg_global import mixed_mesh
 
@@ -412,58 +386,45 @@ def policy_mesh(family):
     return M.build_mesh(family, 2)
 
 
-def condition(material):
-    w = np.linalg.eigvalsh(material.compliance_direction_matrix())
-    return w[-1] / w[0]
-
-
-def test_selection_constant_separates_the_materials():
-    assert condition(PLANE_STRESS) == pytest.approx(2.6 / 0.7)
-    assert condition(ComplianceTensor.plane_strain(3.0, 0.45)) < L.CLOSED_FORM_MAX_CONDITION
-    assert condition(ComplianceTensor.plane_strain(3.0, 0.49)) > L.CLOSED_FORM_MAX_CONDITION
-
-
 @pytest.mark.parametrize(
     "family,k", [("tri", 1), ("tri", 2), ("tri", 3), ("poly", 1), ("poly", 2), ("mixed", 1)]
 )
 @pytest.mark.parametrize(
     "material",
-    [PLANE_STRESS, ComplianceTensor.plane_strain(3.0, 0.45)],
-    ids=["plane_stress-0.3", "plane_strain-0.45"],
+    [PLANE_STRESS, ComplianceTensor.plane_strain(3.0, 0.45),
+     ComplianceTensor.plane_strain(3.0, 0.49999)],
+    ids=["plane_stress-0.3", "plane_strain-0.45", "plane_strain-0.49999"],
 )
-def test_closed_form_agrees_with_pivoted(monkeypatch, family, k, material):
-    # below the selection constant condense_batch runs the closed form;
-    # forced onto the pivoted solve, every result agrees to 1e-10 relative
-    mesh = policy_mesh(family)
-    default = condensed_batches(monkeypatch, mesh, k, material)
-    closed = condensed_batches(monkeypatch, mesh, k, material, max_condition=np.inf)
-    pivoted = condensed_batches(monkeypatch, mesh, k, material, max_condition=0.0)
-    for d, c, p in zip(default, closed, pivoted):
-        for name in CONDENSED:
-            a, b, ref = getattr(d, name), getattr(c, name), getattr(p, name)
-            assert np.array_equal(a, b), name
-            assert np.abs(a - ref).max() <= 1e-10 * np.abs(ref).max(), name
-
-
-def test_ill_conditioned_material_runs_pivoted_solve_bitwise(monkeypatch):
-    # above the selection constant condense_batch runs the pivoted solve,
-    # bit for bit, and the closed form would not
-    mesh = M.build_mesh("poly", 2)
-    material = ComplianceTensor.plane_strain(3.0, 0.49999)
-    default = condensed_batches(monkeypatch, mesh, 2, material)
-    pivoted = condensed_batches(monkeypatch, mesh, 2, material, max_condition=0.0)
-    closed = condensed_batches(monkeypatch, mesh, 2, material, max_condition=np.inf)
-    for d, p, c in zip(default, pivoted, closed):
-        assert all(np.array_equal(getattr(d, n), getattr(p, n)) for n in CONDENSED)
-        assert not np.array_equal(d.stress_map, c.stress_map)
+def test_every_material_runs_the_pivoted_solve_bitwise(family, k, material):
+    # build_element_systems gives each class representative exactly the
+    # operators and condensed matrix of _factor on its own blocks, whatever
+    # the conditioning of the material
+    mesh = study_mesh(family)
+    tau = 3.0 / mesh.h
+    disc = G.build_discretization(mesh, k)
+    systems = G.build_element_systems(disc, material, tau)
+    found = {int(e): (cb, i) for cb in systems.batches for i, e in enumerate(cb.batch.elements)}
+    for reps, _ in disc.element_classes():
+        blocks = L.batch_blocks(reps, material, tau)
+        ops = L._factor(blocks)
+        matrix = L._condense(ops, blocks)
+        for r, e in enumerate(reps.elements):
+            cb, i = found[int(e)]
+            assert np.array_equal(cb.stress_map[i], ops.stress_map[r]), e
+            assert np.array_equal(cb.disp_map[i], ops.disp_map[r]), e
+            assert np.array_equal(cb.matrix[i], matrix[r]), e
 
 
 @pytest.mark.parametrize("family,k", [("tri", 2), ("poly", 2), ("mixed", 1)])
-def test_closed_form_bitwise_independent_of_chunk_size(monkeypatch, family, k):
-    mesh = policy_mesh(family)
+def test_element_stage_bitwise_independent_of_chunk_size(monkeypatch, family, k):
+    mesh = study_mesh(family)
+    disc = G.build_discretization(mesh, k)
+    sol = MF.test1_solution()
+    f_fn = lambda pts: MF.body_force(sol, PLANE_STRESS, pts)
     runs = []
     for chunk in (1, mesh.num_elements):
-        batches = condensed_batches(monkeypatch, mesh, k, PLANE_STRESS, chunk=chunk)
+        monkeypatch.setattr(L, "CHUNK_SIZE", chunk)
+        batches = G.build_element_systems(disc, PLANE_STRESS, 3.0 / mesh.h, f_fn).batches
         runs.append({int(e): [getattr(cb, n)[i] for n in CONDENSED]
                      for cb in batches for i, e in enumerate(cb.batch.elements)})
     assert len(runs[0]) == mesh.num_elements
