@@ -390,13 +390,6 @@ class StressBasis:
     def dim(self) -> int:
         return 3 * self.nscalar
 
-    def eval_field(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Evaluate the stress field with coefficients (..., dim) at points
-        (..., npts, 2) on the scalar basis' elements, (..., npts, 2, 2)."""
-        phi = self.scalar.eval(pts, self.nscalar)
-        comp = phi @ coeffs.reshape(coeffs.shape[:-1] + (3, self.nscalar)).swapaxes(-1, -2)
-        return np.einsum("...c,cij->...ij", comp, self.DIRECTIONS)
-
 
 def face_modes(t: np.ndarray, degree: int, length) -> np.ndarray:
     """Orthonormal face modes of the given degree at arc parameters t on

@@ -14,8 +14,8 @@ there. The traction is the paper's numerical trace of the stress,
 sigma n - tau (P_M u - u_hat), with the displacement trace projected onto
 the degree-k face modes (see _face_flux_values). The quadrature rules are
 hdg_local's two policies: the assembly rule for the element stage, and the
-error rule (error_face_rule) for boundary data, the traction jump and the
-error norms.
+error rule (Discretization.error_rule) for boundary data, the traction
+jump and the error norms.
 
 The trace system is solved by a sparse symmetric factorization or by
 conjugate gradients with a two-level additive Schwarz preconditioner: exact
@@ -30,7 +30,10 @@ elements that share a face count (see hdg_local), on batches of at most
 ``hdg_local.CHUNK_SIZE`` class representatives, and expands to batches of
 at most ``CHUNK_SIZE`` elements of those classes. Assembly, recovery, the
 traction jump and the scheme residuals work on the same batches, with each
-batch's global trace dofs gathered as one index array.
+batch's global trace dofs gathered as one index array. The systems and the
+solution keep the classes (ElementSystems.classes), so that the error norms
+tabulate once per class too (see postproc), and the Schwarz preconditioner
+inverts each distinct vertex-patch block once.
 Each batch writes its per-element results into arrays indexed by element,
 by slot (one (element, edge) pair of the mesh layout, element-major) or by
 face and side, so the layout, not the batching, fixes the order of every
@@ -44,6 +47,7 @@ produce bit-identical results whatever the batch size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -86,7 +90,6 @@ __all__ = [
     "boundary_trace_values",
     "solve_condensed",
     "recover_fields",
-    "error_face_rule",
     "flux_jump_norm",
     "scheme_residuals",
 ]
@@ -113,6 +116,14 @@ class Discretization:
     dofmap: TraceDofMap
     face_quad: FaceQuadrature  # points (nfaces, nq, 2), weights (nfaces, nq)
     face_modes: np.ndarray  # (nfaces, nq, k+1)
+
+    @cached_property
+    def error_rule(self) -> tuple[FaceQuadrature, np.ndarray]:
+        """Quadrature and face-mode values of every face in the rule of
+        hdg_local.error_quadrature_exactness, for the error norms and the
+        traction jump. Built once, on first use: after the trace solve in a
+        run, so that it does not add to the solve's peak memory."""
+        return _face_rule(self.mesh, self.k, hdg_local.error_quadrature_exactness(self.k))
 
     def face_dofs(self, face_id) -> np.ndarray:
         """Trace dofs of a face, or (..., ndof_face) for an array of faces."""
@@ -145,9 +156,14 @@ class Discretization:
                 yield reps, targets
 
 
-def _face_rule(mesh: Mesh, k: int, exactness: int) -> tuple[FaceQuadrature, np.ndarray]:
-    fq = face_quadratures(mesh, np.arange(mesh.num_faces), exactness)
-    return fq, face_modes(fq.params, k, mesh.face_length)
+def _face_rule(
+    mesh: Mesh, k: int, exactness: int, face_ids=None
+) -> tuple[FaceQuadrature, np.ndarray]:
+    """Quadrature and face-mode values on the faces ``face_ids`` (all by
+    default), face by face: a face's values do not depend on the others."""
+    face_ids = np.arange(mesh.num_faces) if face_ids is None else face_ids
+    fq = face_quadratures(mesh, face_ids, exactness)
+    return fq, face_modes(fq.params, k, mesh.face_length[face_ids])
 
 
 def build_discretization(mesh: Mesh, k: int) -> Discretization:
@@ -155,19 +171,20 @@ def build_discretization(mesh: Mesh, k: int) -> Discretization:
     return Discretization(mesh, k, build_trace_dof_map(mesh, k), fq, modes)
 
 
-def error_face_rule(disc: Discretization) -> tuple[FaceQuadrature, np.ndarray]:
-    """Quadrature and face-mode values on every face in the rule of
-    hdg_local.error_quadrature_exactness, for boundary data, error norms and
-    the traction jump."""
-    return _face_rule(disc.mesh, disc.k, hdg_local.error_quadrature_exactness(disc.k))
+# Per chunk of Discretization.element_classes: the ElementBatch of the class
+# representatives, and each element batch with the rows of its elements'
+# representatives in it.
+Classes = list[tuple[ElementBatch, list[tuple[np.ndarray, ElementBatch]]]]
 
 
 @dataclass
 class ElementSystems:
     """Condensed element systems of a mesh, one CondensedBatch per element
-    batch, with the parameters they were built with."""
+    batch, the translation classes they were condensed from, and the
+    parameters they were built with."""
 
     batches: list[CondensedBatch]
+    classes: Classes = field(repr=False)
     material: ComplianceTensor
     tau: float
 
@@ -180,9 +197,11 @@ def build_element_systems(
 ) -> ElementSystems:
     """Build, eliminate and condense each translation class once, and give
     every element its class's operators (hdg_local.condense_classes)."""
-    batches = [cb for reps, targets in disc.element_classes()
-               for cb in condense_classes(reps, material, tau, f_fn, targets)]
-    return ElementSystems(batches, material, tau)
+    batches, classes = [], []
+    for reps, targets in disc.element_classes():
+        classes.append((reps, targets))
+        batches += condense_classes(reps, material, tau, f_fn, targets)
+    return ElementSystems(batches, classes, material, tau)
 
 
 def running_sum(values: np.ndarray) -> float:
@@ -208,15 +227,15 @@ class CondensedSystem:
 
 def boundary_trace_values(disc: Discretization, g_fn) -> np.ndarray:
     """Full trace vector holding the face projection of the boundary data,
-    in the error rule (see error_face_rule)."""
+    in the error rule (Discretization.error_rule), built on the boundary
+    faces only."""
     values = np.zeros(disc.dofmap.total)
     fids = disc.mesh.boundary_faces()
     if g_fn is None or not len(fids):
         return values
-    fq, modes = error_face_rule(disc)
-    pts = fq.points[fids]
-    vals = np.asarray(g_fn(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape)
-    values[disc.face_dofs(fids)] = trace_moments(modes[fids], fq.weights[fids], vals)
+    fq, modes = _face_rule(disc.mesh, disc.k, hdg_local.error_quadrature_exactness(disc.k), fids)
+    vals = np.asarray(g_fn(fq.points.reshape(-1, 2)), dtype=float).reshape(fq.points.shape)
+    values[disc.face_dofs(fids)] = trace_moments(modes, fq.weights, vals)
     return values
 
 
@@ -379,6 +398,26 @@ def _coarse_prolongation(disc: Discretization) -> scipy.sparse.csr_matrix:
     return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
+def _block_inverses(blocks: np.ndarray) -> np.ndarray:
+    """np.linalg.inv of each block of a stack (P, d, d), inverting each
+    distinct block once. Blocks with one fingerprint share the inverse of
+    the first of them if they equal it entry for entry; any other block is
+    inverted on its own. The fingerprint is the product of a block's bit
+    patterns with a fixed odd probe in wrapping integer arithmetic: exact,
+    so that blocks a rounding apart do not share one. The inverse of an
+    equal matrix is equal bit for bit, so the result is that of inverting
+    every block."""
+    flat = np.ascontiguousarray(blocks).reshape(len(blocks), -1)
+    probe = np.random.default_rng(0).integers(2**63, size=flat.shape[1], dtype=np.uint64)
+    _, first, inverse = np.unique(flat.view(np.uint64) @ (2 * probe + 1), return_index=True,
+                                  return_inverse=True)
+    rep = first[inverse]
+    alone = np.flatnonzero((flat != flat[rep]).any(axis=1))
+    rep[alone] = alone
+    distinct, where = np.unique(rep, return_inverse=True)
+    return np.linalg.inv(blocks[distinct])[where]
+
+
 def _schwarz_preconditioner(system: CondensedSystem) -> scipy.sparse.linalg.LinearOperator:
     """Two-level additive Schwarz preconditioner
 
@@ -386,10 +425,12 @@ def _schwarz_preconditioner(system: CondensedSystem) -> scipy.sparse.linalg.Line
 
     with R_v the dofs of vertex patch v, A_v the dense block of A on them,
     and P the trace of continuous P1 fields (see _coarse_prolongation).
-    The patch inverses are applied matrix-free, one stacked product per
-    patch size; assembling them into one sparse matrix costs more memory."""
+    Each distinct patch block is inverted once (_block_inverses): on meshes
+    with translation classes most patches repeat. The patch inverses are
+    applied matrix-free, one stacked product per patch size; assembling
+    them into one sparse matrix costs more memory."""
     A, n = system.matrix, system.matrix.shape[0]
-    patches = [(idx, np.linalg.inv(block)) for idx, block in _patch_blocks(system)]
+    patches = [(idx, _block_inverses(block)) for idx, block in _patch_blocks(system)]
     P = _coarse_prolongation(system.disc)
     PT = P.T.tocsr()
     coarse = _symmetric_lu((PT @ A @ P).tocsc()) if P.shape[1] else None
@@ -468,18 +509,23 @@ def solve_condensed(
 
 @dataclass
 class DiscreteSolution:
-    """Recovered fields plus the trace vector, and the parameters of the
-    element systems they were recovered from. Row e of stress_coeffs /
-    disp_coeffs holds element e's coefficients in the basis of its
-    ElementBatch in ``batches``."""
+    """Recovered fields plus the trace vector, and the translation classes
+    and parameters of the element systems they were recovered from. Row e
+    of stress_coeffs / disp_coeffs holds element e's coefficients in the
+    basis of its ElementBatch in ``batches``."""
 
     k: int
     stress_coeffs: np.ndarray  # (nelements, n_s)
     disp_coeffs: np.ndarray  # (nelements, n_u)
     trace: np.ndarray
-    batches: list[ElementBatch] = field(repr=False)
+    classes: Classes = field(repr=False)
     material: ComplianceTensor
     tau: float
+
+    @property
+    def batches(self) -> list[ElementBatch]:
+        """The element batches, in the order of the classes."""
+        return [batch for _, targets in self.classes for _, batch in targets]
 
 
 def recover_fields(
@@ -494,9 +540,7 @@ def recover_fields(
         lam = trace[disc.element_dofs(cb.batch.face_ids)][..., None]
         stress[cb.batch.elements] = (cb.stress_map @ lam)[..., 0] + cb.source_stress
         disp[cb.batch.elements] = (cb.disp_map @ lam)[..., 0] + cb.source_disp
-    return DiscreteSolution(
-        k, stress, disp, trace, [cb.batch for cb in systems.batches], systems.material, systems.tau
-    )
+    return DiscreteSolution(k, stress, disp, trace, systems.classes, systems.material, systems.tau)
 
 
 def _face_flux_values(
@@ -538,7 +582,7 @@ def flux_jump_norm(disc: Discretization, sol: DiscreteSolution) -> tuple[float, 
     one-sided tractions) for relative single-valuedness checks, with the
     traction of the solve's tau, in the error rule."""
     mesh = disc.mesh
-    fq, modes = error_face_rule(disc)
+    fq, modes = disc.error_rule
     left = mesh.face_left
     interior = mesh.face_right >= 0
     # one-sided tractions by face and side (0: left element, 1: right)

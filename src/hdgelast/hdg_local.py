@@ -92,6 +92,7 @@ __all__ = [
     "CondensedBatch",
     "element_batch",
     "translated_batch",
+    "translation_shifts",
     "batch_blocks",
     "batch_moments",
     "condense_batch",
@@ -198,12 +199,18 @@ def translated_batch(
     the difference of the two elements' first vertices. Faces as in
     element_batch."""
     mesh = reps.mesh
-    first = mesh.element_vertices[mesh.element_offsets[np.stack([elements, reps.elements[rows]])]]
-    shift = mesh.vertices[first[0]] - mesh.vertices[first[1]]
+    shift = translation_shifts(mesh, elements, reps.elements[rows])
     rb = reps.basis
     basis = ElementBasis(rb.degree, rb.center[rows] + shift, rb.scale[rows], rb.coeff[rows])
     quad = Quadrature(reps.quad.points[rows] + shift[:, None], reps.quad.weights[rows])
     return _with_faces(mesh, reps.k, elements, basis, quad, face_quad, face_modes)
+
+
+def translation_shifts(mesh: Mesh, elements: np.ndarray, origins: np.ndarray) -> np.ndarray:
+    """Shift of each element of ``elements`` from the element of ``origins``
+    it translates: the difference of their first vertices, (B, 2)."""
+    first = mesh.element_vertices[mesh.element_offsets[np.stack([elements, origins])]]
+    return mesh.vertices[first[0]] - mesh.vertices[first[1]]
 
 
 def _with_faces(mesh, k, elements, basis, quad, face_quad, face_modes) -> ElementBatch:

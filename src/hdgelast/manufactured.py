@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .material import ComplianceTensor
 
@@ -25,9 +24,7 @@ __all__ = [
     "test1_solution",
     "test2_solution",
     "rigid_motion_solution",
-    "polynomial_solution",
     "solution_by_name",
-    "strain",
     "stress",
     "body_force",
     "boundary_data",
@@ -168,42 +165,6 @@ def rigid_motion_solution(omega: float = 0.7, shift=(0.3, -0.2)) -> ExactSolutio
     return ExactSolution(f"rigid(omega={omega})", u, grad, hess)
 
 
-def polynomial_solution(c1: np.ndarray, c2: np.ndarray, name: str = "poly") -> ExactSolution:
-    """Displacement with polynomial components u_i = sum c_i[a, b] x^a y^b."""
-    comps = [np.asarray(c1, dtype=float), np.asarray(c2, dtype=float)]
-    gradc = [[npoly.polyder(c, axis=ax) for ax in (0, 1)] for c in comps]
-    hessc = [
-        [[npoly.polyder(gradc[i][a], axis=b) for b in (0, 1)] for a in (0, 1)]
-        for i in range(2)
-    ]
-
-    def _val(c, pts):
-        return npoly.polyval2d(pts[:, 0], pts[:, 1], c) if c.size else np.zeros(len(pts))
-
-    def u(pts):
-        pts = np.atleast_2d(pts)
-        return np.stack([_val(comps[0], pts), _val(comps[1], pts)], axis=1)
-
-    def grad(pts):
-        pts = np.atleast_2d(pts)
-        out = np.empty((len(pts), 2, 2))
-        for i in range(2):
-            for a in range(2):
-                out[:, i, a] = _val(gradc[i][a], pts)
-        return out
-
-    def hess(pts):
-        pts = np.atleast_2d(pts)
-        out = np.empty((len(pts), 2, 2, 2))
-        for i in range(2):
-            for a in range(2):
-                for b in range(2):
-                    out[:, i, a, b] = _val(hessc[i][a][b], pts)
-        return out
-
-    return ExactSolution(name, u, grad, hess)
-
-
 def solution_by_name(name: str) -> ExactSolution:
     if name == "test1":
         return test1_solution()
@@ -214,13 +175,17 @@ def solution_by_name(name: str) -> ExactSolution:
     raise ValueError(f"unknown solution {name!r} (expected 'test1', 'test2' or 'rigid')")
 
 
-def strain(sol: ExactSolution, pts: np.ndarray) -> np.ndarray:
-    g = sol.grad(np.atleast_2d(pts))
-    return 0.5 * (g + np.swapaxes(g, 1, 2))
-
-
 def stress(sol: ExactSolution, material: ComplianceTensor, pts: np.ndarray) -> np.ndarray:
-    return material.apply_stiffness(strain(sol, pts))
+    """C eps(u), (n, 2, 2), written component by component:
+    sigma = a' eps + b' tr(eps) I (ComplianceTensor.stiffness_coefficients)."""
+    ap, bp = material.stiffness_coefficients()
+    g = sol.grad(np.atleast_2d(pts))
+    btr = bp * (g[:, 0, 0] + g[:, 1, 1])
+    out = np.empty_like(g)
+    out[:, 0, 0] = ap * g[:, 0, 0] + btr
+    out[:, 1, 1] = ap * g[:, 1, 1] + btr
+    out[:, 0, 1] = out[:, 1, 0] = ap * (0.5 * (g[:, 0, 1] + g[:, 1, 0]))
+    return out
 
 
 def body_force(sol: ExactSolution, material: ComplianceTensor, pts: np.ndarray) -> np.ndarray:

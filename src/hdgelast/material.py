@@ -74,21 +74,6 @@ class ComplianceTensor:
             )
         return 1.0 / self.a, -self.b / denom
 
-    # --- action on symmetric matrices --------------------------------------
-
-    def apply_compliance(self, tau: np.ndarray) -> np.ndarray:
-        """A tau for one or a batch of symmetric 2x2 matrices."""
-        tau = np.asarray(tau, dtype=float)
-        tr = tau[..., 0, 0] + tau[..., 1, 1]
-        return self.a * tau + self.b * tr[..., None, None] * np.eye(2)
-
-    def apply_stiffness(self, eps: np.ndarray) -> np.ndarray:
-        """C eps = A^{-1} eps for one or a batch of symmetric 2x2 matrices."""
-        ap, bp = self.stiffness_coefficients()
-        eps = np.asarray(eps, dtype=float)
-        tr = eps[..., 0, 0] + eps[..., 1, 1]
-        return ap * eps + bp * tr[..., None, None] * np.eye(2)
-
     def compliance_direction_matrix(self) -> np.ndarray:
         """Gram matrix of the three symmetric directions under (A ., .).
 

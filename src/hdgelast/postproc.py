@@ -12,6 +12,14 @@ The errors of a solution are measured with the material and tau it was
 solved with (DiscreteSolution), in hdg_local's error rule: a higher
 exactness than assembly, so that measured rates are not polluted by
 under-integration of the smooth exact solutions.
+
+The norms share the translation classes of the element stage
+(DiscreteSolution.classes). The error-rule quadrature and the basis values
+at its points and at the face points are tabulated once per class, on its
+representative, and every element of the class takes them with its points
+shifted by its translation. The exact displacement and its face-mode
+projection are evaluated once per face, in the error face rule that the
+Discretization builds once (Discretization.error_rule).
 """
 
 from __future__ import annotations
@@ -21,9 +29,9 @@ from typing import TextIO
 
 import numpy as np
 
-from .fespace import StressBasis, basis_moments, polygon_quadrature, scalar_dim
-from .hdg_global import Discretization, DiscreteSolution, error_face_rule, running_sum
-from .hdg_local import error_quadrature_exactness
+from .fespace import StressBasis, basis_moments, polygon_quadrature, scalar_dim, trace_moments
+from .hdg_global import Discretization, DiscreteSolution, running_sum
+from .hdg_local import error_quadrature_exactness, translation_shifts
 from .manufactured import ExactSolution, stress
 from .mesh import Mesh, polygon_areas, polygon_centroids
 
@@ -77,60 +85,67 @@ class ErrorReport:
 def error_norms(disc: Discretization, sol: DiscreteSolution, exact: ExactSolution) -> ErrorReport:
     """All error norms of a recovered solution against an exact one, with
     the solve's material and tau, evaluated batch by batch and summed in
-    element order."""
+    element order.
+
+    The error rule and the basis values at its points and at the face
+    points are tabulated once per translation class, on its
+    representative. Every element of the class takes them, with the points
+    shifted as hdg_local.translated_batch shifts its geometry. The exact
+    displacement and its face-mode projection are evaluated once per face."""
     mesh, k = disc.mesh, disc.k
     material, tau = sol.material, sol.tau
     p_s, p_u = scalar_dim(k), scalar_dim(k + 1)
     qe = error_quadrature_exactness(k)
-    fq, modes = error_face_rule(disc)
+    fq, modes = disc.error_rule
+    # face-mode projection of the exact displacement minus the trace, by face
+    u_face = exact.u(fq.points.reshape(-1, 2)).reshape(fq.points.shape)
+    face_err = trace_moments(modes, fq.weights, u_face) - sol.trace.reshape(mesh.num_faces, -1)
 
     # squared errors by element (sigma_proj, u_proj, sigma, u), and the
     # trace term by slot
     parts = np.empty((4, mesh.num_elements))
     trace = np.empty(len(mesh.element_faces))
-    for batch in sol.batches:
-        elems = batch.elements
-        B, m = batch.face_ids.shape
-        quad = polygon_quadrature(mesh.polygons(elems), qe)
-        pts, w = quad.points, quad.weights
-        sig_ex = stress(exact, material, pts.reshape(-1, 2)).reshape(pts.shape[:-1] + (2, 2))
-        u_ex = exact.u(pts.reshape(-1, 2)).reshape(pts.shape)
-        s_h = sol.stress_coeffs[elems]
-        w_h = sol.disp_coeffs[elems]
+    for reps, targets in sol.classes:
+        R, m = reps.face_ids.shape
+        quad = polygon_quadrature(mesh.polygons(reps.elements), qe)
+        phi_rep = reps.basis.eval(quad.points)  # (R, nq, p_u)
+        # moments of the basis on each face against its face modes,
+        # (R, m, k+1, p_u)
+        fid = reps.face_ids
+        phi_face = reps.basis.eval(fq.points[fid].reshape(R, -1, 2)).reshape(R, m, -1, p_u)
+        face_proj = modes[fid].swapaxes(-1, -2) @ (fq.weights[fid][..., None] * phi_face)
+        for rows, batch in targets:
+            elems = batch.elements
+            B = len(elems)
+            shift = translation_shifts(mesh, elems, reps.elements[rows])
+            pts = quad.points[rows] + shift[:, None]
+            w, phi = quad.weights[rows], phi_rep[rows]
+            sig_ex = stress(exact, material, pts.reshape(-1, 2)).reshape(pts.shape[:-1] + (2, 2))
+            u_ex = exact.u(pts.reshape(-1, 2)).reshape(pts.shape)
+            s_h = sol.stress_coeffs[elems]
+            w_h = sol.disp_coeffs[elems]
 
-        mono = batch.basis.monomials(pts)
-        phi = batch.basis.eval(mono)  # (B, nq, p_u)
-        s_pi = _stress_projection(batch.basis.eval(mono, p_s), w, sig_ex)
-        w_pi = basis_moments(phi, w, u_ex)
-        ds = (s_pi - s_h).reshape(B, 3, p_s)
-        parts[0, elems] = np.sum((ds**2 * StressBasis.DIR_NORMSQ[:, None]).reshape(B, -1), axis=-1)
-        parts[1, elems] = np.sum((w_pi - w_h) ** 2, axis=-1)
+            s_pi = _stress_projection(phi[..., :p_s], w, sig_ex)
+            w_pi = basis_moments(phi, w, u_ex)
+            ds = (s_pi - s_h).reshape(B, 3, p_s)
+            parts[0, elems] = np.sum((ds**2 * StressBasis.DIR_NORMSQ[:, None]).reshape(B, -1), axis=-1)
+            parts[1, elems] = np.sum((w_pi - w_h) ** 2, axis=-1)
 
-        du = phi @ w_h.reshape(B, 2, p_u).swapaxes(-1, -2) - u_ex
-        parts[3, elems] = np.sum(w * (du**2).sum(axis=-1), axis=-1)
-        comp = phi[..., :p_s] @ s_h.reshape(B, 3, p_s).swapaxes(-1, -2)  # (B, nq, 3)
-        sig_h = np.empty(comp.shape[:-1] + (2, 2))
-        sig_h[..., 0, 0] = comp[..., 0]
-        sig_h[..., 1, 1] = comp[..., 1]
-        sig_h[..., 0, 1] = sig_h[..., 1, 0] = comp[..., 2]
-        dsig = sig_h - sig_ex
-        parts[2, elems] = np.sum(w * (dsig**2).sum(axis=(-2, -1)), axis=-1)
+            du = phi @ w_h.reshape(B, 2, p_u).swapaxes(-1, -2) - u_ex
+            parts[3, elems] = np.sum(w * (du[..., 0] ** 2 + du[..., 1] ** 2), axis=-1)
+            # squared Frobenius norm of sigma_h - sigma, entries in the
+            # order 11, 12, 21, 22
+            comp = phi[..., :p_s] @ s_h.reshape(B, 3, p_s).swapaxes(-1, -2)  # (B, nq, 3)
+            d11, d22 = comp[..., 0] - sig_ex[..., 0, 0], comp[..., 1] - sig_ex[..., 1, 1]
+            d12sq = (comp[..., 2] - sig_ex[..., 0, 1]) ** 2
+            parts[2, elems] = np.sum(w * (((d11**2 + d12sq) + d12sq) + d22**2), axis=-1)
 
-        # trace mismatch sqrt(tau) * (face-projected displacement error
-        # minus trace error) over the element boundary, face by face
-        fpts = fq.points[batch.face_ids]  # (B, m, nq, 2)
-        u_face = exact.u(fpts.reshape(-1, 2)).reshape(fpts.shape)
-        dw = (w_pi - w_h).reshape(B, 2, p_u).swapaxes(-1, -2)
-        slots = mesh.slots(elems)
-        for j in range(m):
-            fid = batch.face_ids[:, j]
-            fw, md = fq.weights[fid][..., None], modes[fid]
-            du_face = batch.basis.eval(fpts[:, j]) @ dw  # (B, nq, 2)
-            pm_du = md.swapaxes(-1, -2) @ (fw * du_face)  # (B, k+1, 2)
-            pm_u = md.swapaxes(-1, -2) @ (fw * u_face[:, j])
-            uhat = sol.trace[disc.face_dofs(fid)].reshape(B, -1, 2)
-            mismatch = pm_du - (pm_u - uhat)
-            trace[slots[:, j]] = tau * np.sum(mismatch.reshape(B, -1) ** 2, axis=-1)
+            # trace mismatch sqrt(tau) * (face-projected displacement error
+            # minus trace error) over the element boundary, face by face
+            dw = (w_pi - w_h).reshape(B, 2, p_u).swapaxes(-1, -2)
+            pm_du = (face_proj[rows] @ dw[:, None]).reshape(B, m, -1)
+            mismatch = pm_du - face_err[batch.face_ids]
+            trace[mesh.slots(elems)] = tau * np.sum(mismatch**2, axis=-1)
 
     sigma_proj, u_proj, sigma, u = (running_sum(p) for p in parts)
     return ErrorReport(

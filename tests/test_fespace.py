@@ -8,6 +8,8 @@ from hdgelast import fespace as F
 from hdgelast import hdg_global as G
 from hdgelast import mesh as M
 
+from oracles import stress_field
+
 
 def reference_triangle_integral(a, b):
     # int_T x^a y^b over the unit reference triangle, closed form
@@ -257,7 +259,7 @@ def test_stress_basis_symmetry_and_dimension():
         assert sb.dim == 3 * (k + 1) * (k + 2) // 2
         rng = np.random.default_rng(0)
         coeffs = rng.normal(size=sb.dim)
-        vals = sb.eval_field(coeffs, rng.uniform(0.2, 0.6, size=(1, 7, 2)))
+        vals = stress_field(sb, coeffs, rng.uniform(0.2, 0.6, size=(1, 7, 2)))
         assert vals.shape == (1, 7, 2, 2)
         assert np.abs(vals - np.swapaxes(vals, -1, -2)).max() == 0.0
 

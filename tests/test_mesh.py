@@ -222,9 +222,10 @@ def test_translation_class_counts(family, n, count):
     assert np.array_equal(sides, sides[first[cls]])
 
 
-@pytest.mark.parametrize("family", ["tri", "poly"])
-def test_perturbed_mesh_has_no_translates(family):
-    mesh = M.build_mesh(family, 6)
+def perturbed_mesh(family, n):
+    """A built-in mesh with every interior vertex moved randomly by up to
+    0.1 h (seeded)."""
+    mesh = M.build_mesh(family, n)
     vertices = mesh.vertices.copy()
     inside = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
     rng = np.random.default_rng(3)
@@ -232,7 +233,12 @@ def test_perturbed_mesh_has_no_translates(family):
     angle = rng.uniform(0.0, 2.0 * np.pi, size=inside.sum())
     vertices[inside] += radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
     m = mesh.face_counts[0]
-    moved = M._assemble(vertices, mesh.element_vertices.reshape(-1, m))
+    return M._assemble(vertices, mesh.element_vertices.reshape(-1, m))
+
+
+@pytest.mark.parametrize("family", ["tri", "poly"])
+def test_perturbed_mesh_has_no_translates(family):
+    moved = perturbed_mesh(family, 6)
     first, cls = moved.translation_classes(np.arange(moved.num_elements))
     assert np.array_equal(first, np.arange(moved.num_elements))
     assert np.array_equal(cls, np.arange(moved.num_elements))

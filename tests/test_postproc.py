@@ -9,6 +9,8 @@ from hdgelast import mesh as M
 from hdgelast import postproc as P
 from hdgelast.material import ComplianceTensor
 
+from oracles import polynomial_solution, stress_field
+
 PLANE_STRESS = ComplianceTensor.plane_stress(1.0, 0.3)
 
 
@@ -41,7 +43,7 @@ def test_projection_reproduces_discrete_stress():
     sb = F.StressBasis(batch.basis, 1)
     rng = np.random.default_rng(4)
     coeffs = rng.normal(size=(len(batch.elements), sb.dim))
-    sig = sb.eval_field(coeffs, quad.points)
+    sig = stress_field(sb, coeffs, quad.points)
     proj = P._stress_projection(batch.basis.eval(quad.points, p_s), quad.weights, sig)
     assert np.abs(proj - coeffs).max() < 1e-11
 
@@ -107,11 +109,40 @@ def test_triangle_inequality():
         sig = sig.reshape(quad.points.shape[:-1] + (2, 2))
         proj = P._stress_projection(batch.basis.eval(quad.points, p_s), quad.weights, sig)
         sb = F.StressBasis(batch.basis, 1)
-        diff = sb.eval_field(proj, quad.points) - sig
+        diff = stress_field(sb, proj, quad.points) - sig
         dist_sq += float(np.sum(quad.weights * (diff**2).sum(axis=(-2, -1))))
     assert rep.err_sigma <= np.sqrt(dist_sq) + rep.err_sigma_proj + 1e-12
     assert rep.err_u <= rep.err_u_proj + rep.err_u + 1e-12  # sanity: norms nonnegative
     assert min(rep.err_sigma_proj, rep.err_u_proj, rep.err_sigma, rep.err_u, rep.trace_diag) >= 0
+
+
+def solve_on(mesh, k, sol, material):
+    """Recovered solution and its error norms on a given mesh."""
+    disc = G.build_discretization(mesh, k)
+    systems = G.build_element_systems(
+        disc, material, 3.0 / mesh.h, lambda p: MF.body_force(sol, material, p)
+    )
+    bvals = G.boundary_trace_values(disc, lambda p: MF.boundary_data(sol, p))
+    trace, _ = G.solve_condensed(G.assemble_global(disc, systems, bvals))
+    dsol = G.recover_fields(disc, systems, trace)
+    return dsol, P.error_norms(disc, dsol, sol)
+
+
+@pytest.mark.parametrize("family,n", [("tri", 6), ("poly", 12), ("mixed", 3)])
+def test_error_norms_by_class_match_every_element_alone(monkeypatch, family, n):
+    # the error tables of a class representative serve its translates: the
+    # norms match a run in which every element is its own class
+    from test_hdg_global import mixed_mesh
+
+    mesh = mixed_mesh(n) if family == "mixed" else M.build_mesh(family, n)
+    sol, k = MF.test1_solution(), 2
+    dsol, by_class = solve_on(mesh, k, sol, PLANE_STRESS)
+    assert sum(len(reps.elements) for reps, _ in dsol.classes) < mesh.num_elements
+    monkeypatch.setattr(M.Mesh, "translation_classes", lambda self, ids: (np.arange(len(ids)),) * 2)
+    dsol, alone = solve_on(mesh, k, sol, PLANE_STRESS)
+    assert sum(len(reps.elements) for reps, _ in dsol.classes) == mesh.num_elements
+    for key in ("err_sigma_proj", "err_u_proj", "err_sigma", "err_u", "trace_diag"):
+        assert getattr(by_class, key) == pytest.approx(getattr(alone, key), rel=1e-10, abs=0.0)
 
 
 def test_rates_basic():
@@ -161,7 +192,7 @@ def test_csv_unwritable_path():
 def golden_solution():
     mesh = M.build_unit_square_tri(1)
     mat = PLANE_STRESS
-    sol_exact = MF.polynomial_solution([[0.0], [1.0]], [[0.0]], name="stretch")
+    sol_exact = polynomial_solution([[0.0], [1.0]], [[0.0]], name="stretch")
     disc = G.build_discretization(mesh, 1)
     systems = G.build_element_systems(disc, mat, tau=2.0)
     bvals = G.boundary_trace_values(disc, lambda p: MF.boundary_data(sol_exact, p))
