@@ -412,9 +412,17 @@ def _block_inverses(blocks: np.ndarray) -> np.ndarray:
     _, first, inverse = np.unique(flat.view(np.uint64) @ (2 * probe + 1), return_index=True,
                                   return_inverse=True)
     rep = first[inverse]
-    alone = np.flatnonzero((flat != flat[rep]).any(axis=1))
-    rep[alone] = alone
+    # blocks that are not their own candidate are compared in chunks, so
+    # that no gathered copy of the whole stack (2.4 MB at poly k=2 n=24) is
+    # held next to it
+    shared = np.flatnonzero(rep != np.arange(len(rep)))
+    for start in range(0, len(shared), hdg_local.CHUNK_SIZE):
+        rows = shared[start : start + hdg_local.CHUNK_SIZE]
+        alone = rows[(flat[rows] != flat[rep[rows]]).any(axis=1)]
+        rep[alone] = alone
     distinct, where = np.unique(rep, return_inverse=True)
+    if len(distinct) == len(blocks):
+        return np.linalg.inv(blocks)
     return np.linalg.inv(blocks[distinct])[where]
 
 
