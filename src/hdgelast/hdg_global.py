@@ -403,13 +403,13 @@ def _block_inverses(blocks: np.ndarray) -> np.ndarray:
     distinct block once. Blocks with one fingerprint share the inverse of
     the first of them if they equal it entry for entry; any other block is
     inverted on its own. The fingerprint is the product of a block's bit
-    patterns with a fixed odd probe in wrapping integer arithmetic: exact,
-    so that blocks a rounding apart do not share one. The inverse of an
-    equal matrix is equal bit for bit, so the result is that of inverting
-    every block."""
+    patterns with fixed odd multipliers in wrapping integer arithmetic:
+    blocks that differ in one entry, even by a rounding, differ in it. The
+    inverse of an equal matrix is equal bit for bit, so the result is that
+    of inverting every block."""
     flat = np.ascontiguousarray(blocks).reshape(len(blocks), -1)
-    probe = np.random.default_rng(0).integers(2**63, size=flat.shape[1], dtype=np.uint64)
-    _, first, inverse = np.unique(flat.view(np.uint64) @ (2 * probe + 1), return_index=True,
+    probe = (2 * np.arange(flat.shape[1], dtype=np.uint64) + 1) * np.uint64(0x9E3779B97F4A7C15)
+    _, first, inverse = np.unique(flat.view(np.uint64) @ probe, return_index=True,
                                   return_inverse=True)
     rep = first[inverse]
     # blocks that are not their own candidate are compared in chunks, so
