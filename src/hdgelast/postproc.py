@@ -14,12 +14,13 @@ exactness than assembly, so that measured rates are not polluted by
 under-integration of the smooth exact solutions.
 
 The norms share the translation classes of the element stage
-(DiscreteSolution.classes). The error-rule quadrature and the basis values
-at its points and at the face points are tabulated once per class, on its
-representative, and every element of the class takes them with its points
-shifted by its translation. The exact displacement and its face-mode
-projection are evaluated once per face, in the error face rule that the
-Discretization builds once (Discretization.error_rule).
+(DiscreteSolution.classes). The error-rule quadrature and the face moments
+of the basis are tabulated once per class, on its representative, and every
+element of the class takes them with its points shifted by its translation.
+The basis values at the element points are evaluated per element (see
+error_norms). The exact displacement and its face-mode projection are
+evaluated once per face, in the error face rule that the Discretization
+builds once (Discretization.error_rule).
 """
 
 from __future__ import annotations
@@ -87,11 +88,16 @@ def error_norms(disc: Discretization, sol: DiscreteSolution, exact: ExactSolutio
     the solve's material and tau, evaluated batch by batch and summed in
     element order.
 
-    The error rule and the basis values at its points and at the face
-    points are tabulated once per translation class, on its
-    representative. Every element of the class takes them, with the points
-    shifted as hdg_local.translated_batch shifts its geometry. The exact
-    displacement and its face-mode projection are evaluated once per face."""
+    The error rule and the face moments of the basis are tabulated once per
+    translation class, on its representative. Every element of the class
+    takes them, with the points shifted as hdg_local.translated_batch
+    shifts its geometry. The basis values at the element points are
+    evaluated per element at the shifted points: the stress projection
+    error is a difference of two terms of the size of the stress, and the
+    representative's values, which differ from an element's own by the
+    rounding of the shifted coordinates, moved it by up to 1.2e-12
+    relative. The exact displacement and its face-mode projection are
+    evaluated once per face."""
     mesh, k = disc.mesh, disc.k
     material, tau = sol.material, sol.tau
     p_s, p_u = scalar_dim(k), scalar_dim(k + 1)
@@ -108,7 +114,6 @@ def error_norms(disc: Discretization, sol: DiscreteSolution, exact: ExactSolutio
     for reps, targets in sol.classes:
         R, m = reps.face_ids.shape
         quad = polygon_quadrature(mesh.polygons(reps.elements), qe)
-        phi_rep = reps.basis.eval(quad.points)  # (R, nq, p_u)
         # moments of the basis on each face against its face modes,
         # (R, m, k+1, p_u)
         fid = reps.face_ids
@@ -119,7 +124,7 @@ def error_norms(disc: Discretization, sol: DiscreteSolution, exact: ExactSolutio
             B = len(elems)
             shift = translation_shifts(mesh, elems, reps.elements[rows])
             pts = quad.points[rows] + shift[:, None]
-            w, phi = quad.weights[rows], phi_rep[rows]
+            w, phi = quad.weights[rows], batch.basis.eval(pts)  # (B, nq, p_u)
             sig_ex = stress(exact, material, pts.reshape(-1, 2)).reshape(pts.shape[:-1] + (2, 2))
             u_ex = exact.u(pts.reshape(-1, 2)).reshape(pts.shape)
             s_h = sol.stress_coeffs[elems]
