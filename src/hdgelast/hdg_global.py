@@ -104,6 +104,11 @@ __all__ = [
 # not depend on nu, so it is kept up to just above n=128.
 DIRECT_SOLVER_DOF_LIMIT = 200_000
 
+# bytes of patch blocks gathered at a time when _block_inverses checks the
+# blocks against their candidates: about 110 blocks of the 24-dof patches of
+# tri k=1 and poly k=2, a small fraction of the trace matrix
+COMPARE_BYTES = 1 << 19
+
 
 @dataclass
 class Discretization:
@@ -412,17 +417,16 @@ def _block_inverses(blocks: np.ndarray) -> np.ndarray:
     _, first, inverse = np.unique(flat.view(np.uint64) @ probe, return_index=True,
                                   return_inverse=True)
     rep = first[inverse]
-    # blocks that are not their own candidate are compared in chunks, so
-    # that no gathered copy of the whole stack (2.4 MB at poly k=2 n=24) is
-    # held next to it
+    # blocks that are not their own candidate are compared in chunks of
+    # about COMPARE_BYTES of gathered blocks, so that no gathered copy of the
+    # whole stack (2.4 MB at poly k=2 n=24) is held next to it
     shared = np.flatnonzero(rep != np.arange(len(rep)))
-    for start in range(0, len(shared), hdg_local.CHUNK_SIZE):
-        rows = shared[start : start + hdg_local.CHUNK_SIZE]
+    size = max(1, COMPARE_BYTES // flat[0].nbytes)
+    for start in range(0, len(shared), size):
+        rows = shared[start : start + size]
         alone = rows[(flat[rows] != flat[rep[rows]]).any(axis=1)]
         rep[alone] = alone
     distinct, where = np.unique(rep, return_inverse=True)
-    if len(distinct) == len(blocks):
-        return np.linalg.inv(blocks)
     return np.linalg.inv(blocks[distinct])[where]
 
 

@@ -203,10 +203,11 @@ def test_patch_blocks_equal_sampled_matrix(family, k):
 def test_patch_inverses_bitwise_per_block(monkeypatch, family, k, n, distinct):
     # each distinct patch block is inverted once, and every block gets the
     # inverse np.linalg.inv gives it alone; every block of the perturbed
-    # mesh is distinct. A small CHUNK_SIZE splits the block comparisons.
+    # mesh is distinct. A small COMPARE_BYTES splits the block comparisons
+    # into chunks of a few blocks.
     from test_mesh import perturbed_mesh
 
-    monkeypatch.setattr(L, "CHUNK_SIZE", 7)
+    monkeypatch.setattr(G, "COMPARE_BYTES", 7 * 24 * 24 * 8)
 
     mesh = perturbed_mesh("poly", n) if family == "perturbed" else M.build_mesh(family, n)
     material = ComplianceTensor.plane_strain(3.0, 0.49999)
