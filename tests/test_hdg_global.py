@@ -418,10 +418,10 @@ def test_near_incompressible_errors_pinned():
     # element-by-element computation with a centroid-fan quadrature on the
     # quadrilaterals. Three changes moved the cell since, each by rounding:
     # the tensor Gauss rule on quadrilaterals (3.2e-10 in err_u_proj), the
-    # element stage run once per translation class, and the error tables
-    # tabulated once per class (at most 6e-14). The norms now lie 3.26e-10
+    # element stage run once per translation class, and the error norms
+    # tabulated once per class (at most 4.1e-13). The norms now lie 3.26e-10
     # (err_sigma_proj), 2.71e-10 (err_u_proj), 1.44e-10 (err_sigma),
-    # 2.47e-10 (err_u) and 1.4e-11 (trace_diag) from these values.
+    # 2.47e-10 (err_u) and 1.35e-11 (trace_diag) from these values.
     cfg = RunConfig(mesh="poly", k=2, n=12, solution="test2", material="plane_strain",
                     E=3.0, nu=0.49999, solver="cholesky")
     rep = run_solve(cfg).errors
