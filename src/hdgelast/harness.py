@@ -164,8 +164,11 @@ class SolveReport:
 
 
 def _pipeline(cfg: RunConfig, n: int):
-    """mesh -> condense -> solve -> recover. The element systems are freed
-    on return; the solution carries the parameters they were built with."""
+    """mesh -> condense -> solve -> recover. The element systems stay alive
+    through the trace solve, which sets a run's peak memory, next to the
+    assembled matrix and its factorization: each batch's geometry, loads
+    and body-force responses, and each translation class's operators once.
+    The solution keeps the batches and the parameters they were built with."""
     mesh = build_mesh(cfg.mesh, n)
     material = cfg.material_law()
     exact = manufactured.solution_by_name(cfg.solution)

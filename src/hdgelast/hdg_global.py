@@ -27,13 +27,14 @@ nearly flat under refinement; see solve_condensed.
 
 Stacked layout: the element stage runs once per translation class of the
 elements that share a face count (see hdg_local), on batches of at most
-``hdg_local.CHUNK_SIZE`` class representatives, and expands to batches of
-at most ``CHUNK_SIZE`` elements of those classes. Assembly, recovery, the
-traction jump and the scheme residuals work on the same batches, with each
-batch's global trace dofs gathered as one index array. The systems and the
-solution keep the classes (ElementSystems.classes), so that the error norms
-tabulate once per class too (see postproc), and the Schwarz preconditioner
-inverts each distinct vertex-patch block once.
+``hdg_local.CHUNK_SIZE`` class representatives, and keeps each class's
+operators once. Its results come in batches of at most ``CHUNK_SIZE``
+elements, each with its elements' class rows, by which assembly and
+recovery gather the operators. They, the traction jump and the scheme
+residuals work on the same batches, with each batch's global trace dofs
+gathered as one index array. The solution keeps the batches, so that the
+error norms tabulate once per class too (see postproc), and the Schwarz
+preconditioner inverts each distinct vertex-patch block once.
 Each batch writes its per-element results into arrays indexed by element,
 by slot (one (element, edge) pair of the mesh layout, element-major) or by
 face and side, so the layout, not the batching, fixes the order of every
@@ -176,20 +177,14 @@ def build_discretization(mesh: Mesh, k: int) -> Discretization:
     return Discretization(mesh, k, build_trace_dof_map(mesh, k), fq, modes)
 
 
-# Per chunk of Discretization.element_classes: the ElementBatch of the class
-# representatives, and each element batch with the rows of its elements'
-# representatives in it.
-Classes = list[tuple[ElementBatch, list[tuple[np.ndarray, ElementBatch]]]]
-
-
 @dataclass
 class ElementSystems:
     """Condensed element systems of a mesh, one CondensedBatch per element
-    batch, the translation classes they were condensed from, and the
-    parameters they were built with."""
+    batch of Discretization.element_classes, in its order (the batches of
+    a chunk of classes are consecutive and share its class operators), and
+    the parameters they were built with."""
 
     batches: list[CondensedBatch]
-    classes: Classes = field(repr=False)
     material: ComplianceTensor
     tau: float
 
@@ -200,13 +195,12 @@ def build_element_systems(
     tau: float,
     f_fn=None,
 ) -> ElementSystems:
-    """Build, eliminate and condense each translation class once, and give
-    every element its class's operators (hdg_local.condense_classes)."""
-    batches, classes = [], []
+    """Build, eliminate and condense each translation class once
+    (hdg_local.condense_classes)."""
+    batches = []
     for reps, targets in disc.element_classes():
-        classes.append((reps, targets))
         batches += condense_classes(reps, material, tau, f_fn, targets)
-    return ElementSystems(batches, classes, material, tau)
+    return ElementSystems(batches, material, tau)
 
 
 def running_sum(values: np.ndarray) -> float:
@@ -291,9 +285,10 @@ def assemble_global(
     done = 0
     for cb, pair in zip(systems.batches, pair_masks):
         B, m = pair.shape[:2]
+        matrix = cb.matrix[cb.rows]  # the elements' class matrices
         blk, new = inverse[done : done + pair.sum()], is_first[done : done + pair.sum()]
         done += len(blk)
-        vals = cb.matrix.reshape(B, m, nd, m, nd).swapaxes(2, 3)[pair]
+        vals = matrix.reshape(B, m, nd, m, nd).swapaxes(2, 3)[pair]
         # the first element block of a face block is copied, the second added
         blocks[blk[new]] = vals[new]
         blocks[blk[~new]] += vals[~new]
@@ -307,7 +302,7 @@ def assemble_global(
             sel = np.flatnonzero(n_bdry == count)
             ii = np.nonzero(inside[sel])[1].reshape(len(sel), -1)
             bb = np.nonzero(~inside[sel])[1].reshape(len(sel), -1)
-            sub = cb.matrix[sel[:, None, None], ii[:, :, None], bb[:, None, :]]
+            sub = matrix[sel[:, None, None], ii[:, :, None], bb[:, None, :]]
             g = boundary_values[np.take_along_axis(gdofs[sel], bb, axis=1)]
             lift = (sub @ g[..., None])[..., 0]
             j = ii // nd
@@ -521,38 +516,34 @@ def solve_condensed(
 
 @dataclass
 class DiscreteSolution:
-    """Recovered fields plus the trace vector, and the translation classes
-    and parameters of the element systems they were recovered from. Row e
-    of stress_coeffs / disp_coeffs holds element e's coefficients in the
-    basis of its ElementBatch in ``batches``."""
+    """Recovered fields plus the trace vector, and the batches and
+    parameters of the element systems they were recovered from. Row e of
+    stress_coeffs / disp_coeffs holds element e's coefficients in the basis
+    of its ElementBatch, ``batch`` of a CondensedBatch in ``batches``."""
 
     k: int
     stress_coeffs: np.ndarray  # (nelements, n_s)
     disp_coeffs: np.ndarray  # (nelements, n_u)
     trace: np.ndarray
-    classes: Classes = field(repr=False)
+    batches: list[CondensedBatch] = field(repr=False)
     material: ComplianceTensor
     tau: float
-
-    @property
-    def batches(self) -> list[ElementBatch]:
-        """The element batches, in the order of the classes."""
-        return [batch for _, targets in self.classes for _, batch in targets]
 
 
 def recover_fields(
     disc: Discretization, systems: ElementSystems, trace: np.ndarray
 ) -> DiscreteSolution:
     """Apply the local solution operators to the solved trace, adding the
-    body-force response."""
+    body-force response. Each batch gathers its elements' class operators
+    by row."""
     k, ne = disc.k, disc.mesh.num_elements
     stress = np.empty((ne, 3 * scalar_dim(k)))
     disp = np.empty((ne, 2 * scalar_dim(k + 1)))
     for cb in systems.batches:
         lam = trace[disc.element_dofs(cb.batch.face_ids)][..., None]
-        stress[cb.batch.elements] = (cb.stress_map @ lam)[..., 0] + cb.source_stress
-        disp[cb.batch.elements] = (cb.disp_map @ lam)[..., 0] + cb.source_disp
-    return DiscreteSolution(k, stress, disp, trace, systems.classes, systems.material, systems.tau)
+        stress[cb.batch.elements] = (cb.stress_map[cb.rows] @ lam)[..., 0] + cb.source_stress
+        disp[cb.batch.elements] = (cb.disp_map[cb.rows] @ lam)[..., 0] + cb.source_disp
+    return DiscreteSolution(k, stress, disp, trace, systems.batches, systems.material, systems.tau)
 
 
 def _face_flux_values(
@@ -599,7 +590,7 @@ def flux_jump_norm(disc: Discretization, sol: DiscreteSolution) -> tuple[float, 
     interior = mesh.face_right >= 0
     # one-sided tractions by face and side (0: left element, 1: right)
     flux = np.zeros((mesh.num_faces, 2) + fq.points.shape[1:])
-    for batch in sol.batches:
+    for batch in (cb.batch for cb in sol.batches):
         for j in range(batch.face_ids.shape[1]):
             fid = batch.face_ids[:, j]
             side = (left[fid] != batch.elements).astype(int)
@@ -630,7 +621,7 @@ def scheme_residuals(
     def sq(x):
         return np.sum(x**2, axis=-1)
 
-    for batch in sol.batches:
+    for batch in (cb.batch for cb in sol.batches):
         table = batch.tabulate()
         b = batch_blocks(batch, sol.material, sol.tau, table)
         gdofs = disc.element_dofs(batch.face_ids)

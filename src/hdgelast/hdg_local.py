@@ -26,9 +26,9 @@ computation, so an element's results are bitwise independent of the batch
 it is computed in. ``condense_classes`` tabulates the basis values and
 gradients at the element quadrature points once (``ElementBatch.tabulate``)
 and passes them to the blocks and the body-force moments. The entry points
-are ``element_batch``, which stacks elements, ``condense_batch``, which runs
-the whole stage on a batch, and its kernels ``batch_blocks`` and
-``batch_moments``; a single element is a one-element batch.
+are ``element_batch``, which stacks elements, ``condense_classes``, which
+runs the whole stage, and its kernels ``batch_blocks`` and
+``batch_moments``; a single element is a one-element batch of one class.
 
 Translation classes. The stage depends only on an element's shape, the
 material and tau, not on where the element sits. Elements with the same
@@ -39,17 +39,19 @@ condenses each class once, on its lowest element, the representative.
 ``translated_batch`` gives the other elements the representative's basis
 coefficients and quadrature weights, with its basis center and quadrature
 points shifted by the difference of the first vertices.
-``condense_classes`` condenses the representatives and expands them: every
-element takes its representative's condensed matrix and solution
-operators, bit for bit. Its body-force response is its own moments of the
-force, against the representative's basis values at its own quadrature
-points, times the representative's responses to unit moments (n_u extra
-columns of the local solve); its load follows from that response. An
-element therefore departs from its own one-element batch by rounding only
-(a few 1e-15 relative). The classes of a face count are taken over all
-its elements, and the representatives run in batches of at most
-``CHUNK_SIZE`` in ascending order, so nothing depends on ``CHUNK_SIZE``,
-and a failing local solve names the lowest failing element.
+``condense_classes`` condenses the representatives and keeps their
+condensed matrices and solution operators once, leading axis the class;
+an element batch holds its elements' class rows (``CondensedBatch``), by
+which the later stages gather the operators. An element's body-force
+response is its own moments of the force, against the representative's
+basis values at its own quadrature points, times the representative's
+responses to unit moments (n_u extra columns of the local solve); its load
+follows from that response. An element therefore departs from its own
+one-element batch by rounding only (a few 1e-15 relative). The classes of
+a face count are taken over all its elements, and the representatives run
+in batches of at most ``CHUNK_SIZE`` in ascending order, so nothing
+depends on ``CHUNK_SIZE``, and a failing local solve names the lowest
+failing element.
 The built-in meshes have 4 (tri) and at most 14 (poly) classes per level.
 
 Local solve. Each representative factorizes its saddle matrix over
@@ -95,16 +97,16 @@ __all__ = [
     "translation_shifts",
     "batch_blocks",
     "batch_moments",
-    "condense_batch",
     "condense_classes",
     "default_quadrature_exactness",
     "error_quadrature_exactness",
 ]
 
 # Class representatives per batch of the local solve, and elements per
-# batch of the expansion from them (condense_classes) and of every later
-# per-batch stage. Bounds the memory of the stacked local systems on a
-# mesh with few translates; results do not depend on it.
+# batch of the element results (condense_classes) and of every later
+# per-batch stage, which gathers the class operators of its elements.
+# Bounds the memory of the stacked local systems on a mesh with few
+# translates, and of those gathers; results do not depend on it.
 CHUNK_SIZE = 128
 
 # relative asymmetry of a condensed element matrix that _condense reports
@@ -445,15 +447,20 @@ def batch_moments(batch: ElementBatch, f_fn, phi: np.ndarray | None = None) -> n
 
 @dataclass
 class CondensedBatch:
-    """Element-stage results of one ElementBatch, leading axis the element:
-    condensed trace matrices and loads, the local solution operators, and
-    the body-force responses."""
+    """Element-stage results of one ElementBatch of a chunk of translation
+    classes. The condensed trace matrices and the local solution operators
+    are the classes': computed once on the representatives ``reps``,
+    leading axis the class, and shared by every batch of the chunk, not
+    copied. Element i takes their row ``rows[i]``. Its trace load and its
+    body-force responses are its own, leading axis the element."""
 
     batch: ElementBatch
-    matrix: np.ndarray  # (B, n_lam, n_lam)
+    reps: ElementBatch  # the chunk's class representatives, R of them
+    rows: np.ndarray  # (B,), class row of each element
+    matrix: np.ndarray  # (R, n_lam, n_lam)
+    stress_map: np.ndarray  # (R, n_s, n_lam)
+    disp_map: np.ndarray  # (R, n_u, n_lam)
     rhs: np.ndarray  # (B, n_lam)
-    stress_map: np.ndarray  # (B, n_s, n_lam)
-    disp_map: np.ndarray  # (B, n_u, n_lam)
     source_stress: np.ndarray  # (B, n_s)
     source_disp: np.ndarray  # (B, n_u)
 
@@ -466,16 +473,17 @@ def condense_classes(
     targets: list[tuple[np.ndarray, ElementBatch]],
 ) -> list[CondensedBatch]:
     """Assemble, eliminate and condense the representatives ``reps`` of
-    some translation classes once, and expand them to the elements: one
-    CondensedBatch per (rows, batch) of ``targets``, whose element i is a
-    translate of the element in row rows[i] of ``reps``.
+    some translation classes once: one CondensedBatch per (rows, batch) of
+    ``targets``, whose element i is a translate of the element in row
+    rows[i] of ``reps``; with ``[(np.arange(B), reps)]``, every element of
+    ``reps`` is its own class.
 
     Each element takes its representative's condensed matrix and solution
-    operators. Its body-force response is its own: its moments of ``f_fn``
-    (when given) at its quadrature points, against the representative's
-    basis values there, times the representative's responses to unit
-    moments (the solves for f_moments = I, n_u columns). The loads follow
-    from the responses as in _rhs."""
+    operators, by row. Its body-force response is its own: its moments of
+    ``f_fn`` (when given) at its quadrature points, against the
+    representative's basis values there, times the representative's
+    responses to unit moments (the solves for f_moments = I, n_u columns).
+    The loads follow from the responses as in _rhs."""
     # One monomial table serves the blocks and the moments. It is made
     # here rather than kept from the basis construction, and released
     # before the local solve allocates the arrays the batch keeps: a
@@ -499,21 +507,6 @@ def condense_classes(
         else:
             qs = (ops.source_stress[rows] @ f[..., None])[..., 0]
             us = (ops.source_disp[rows] @ f[..., None])[..., 0]
-        out.append(CondensedBatch(
-            batch, matrix[rows], _rhs(blocks, qs, us, rows),
-            ops.stress_map[rows], ops.disp_map[rows], qs, us,
-        ))
+        out.append(CondensedBatch(batch, reps, rows, matrix, ops.stress_map, ops.disp_map,
+                                  _rhs(blocks, qs, us, rows), qs, us))
     return out
-
-
-def condense_batch(
-    batch: ElementBatch,
-    material: ComplianceTensor,
-    tau: float,
-    f_fn=None,
-) -> CondensedBatch:
-    """Assemble, eliminate and condense every element of the batch, with
-    the body-force response to ``f_fn`` when given: condense_classes with
-    each element the representative of its own class."""
-    rows = np.arange(len(batch.elements))
-    return condense_classes(batch, material, tau, f_fn, [(rows, batch)])[0]

@@ -13,10 +13,12 @@ solved with (DiscreteSolution), in hdg_local's error rule: a higher
 exactness than assembly, so that measured rates are not polluted by
 under-integration of the smooth exact solutions.
 
-The norms share the translation classes of the element stage
-(DiscreteSolution.classes). The error-rule quadrature and the face moments
-of the basis are tabulated once per class, on its representative, and every
-element of the class takes them with its points shifted by its translation.
+The norms share the translation classes of the element stage: the
+solution's batches (DiscreteSolution.batches) carry each chunk's class
+representatives and the class row of every element. The error-rule
+quadrature and the face moments of the basis are tabulated once per class,
+on its representative, and every element of the class takes them with its
+points shifted by its translation.
 The basis values at the element points are evaluated per element (see
 error_norms). The exact displacement and its face-mode projection are
 evaluated once per face, in the error face rule that the Discretization
@@ -111,46 +113,51 @@ def error_norms(disc: Discretization, sol: DiscreteSolution, exact: ExactSolutio
     # trace term by slot
     parts = np.empty((4, mesh.num_elements))
     trace = np.empty(len(mesh.element_faces))
-    for reps, targets in sol.classes:
-        R, m = reps.face_ids.shape
-        quad = polygon_quadrature(mesh.polygons(reps.elements), qe)
-        # moments of the basis on each face against its face modes,
-        # (R, m, k+1, p_u)
-        fid = reps.face_ids
-        phi_face = reps.basis.eval(fq.points[fid].reshape(R, -1, 2)).reshape(R, m, -1, p_u)
-        face_proj = modes[fid].swapaxes(-1, -2) @ (fq.weights[fid][..., None] * phi_face)
-        for rows, batch in targets:
-            elems = batch.elements
-            B = len(elems)
-            shift = translation_shifts(mesh, elems, reps.elements[rows])
-            pts = quad.points[rows] + shift[:, None]
-            w, phi = quad.weights[rows], batch.basis.eval(pts)  # (B, nq, p_u)
-            sig_ex = stress(exact, material, pts.reshape(-1, 2)).reshape(pts.shape[:-1] + (2, 2))
-            u_ex = exact.u(pts.reshape(-1, 2)).reshape(pts.shape)
-            s_h = sol.stress_coeffs[elems]
-            w_h = sol.disp_coeffs[elems]
+    reps = None
+    for cb in sol.batches:
+        if cb.reps is not reps:
+            # the first batch of a chunk of classes: tabulate on its
+            # representatives
+            reps = cb.reps
+            R, m = reps.face_ids.shape
+            quad = polygon_quadrature(mesh.polygons(reps.elements), qe)
+            # moments of the basis on each face against its face modes,
+            # (R, m, k+1, p_u)
+            fid = reps.face_ids
+            phi_face = reps.basis.eval(fq.points[fid].reshape(R, -1, 2)).reshape(R, m, -1, p_u)
+            face_proj = modes[fid].swapaxes(-1, -2) @ (fq.weights[fid][..., None] * phi_face)
+        rows, batch = cb.rows, cb.batch
+        elems = batch.elements
+        B = len(elems)
+        shift = translation_shifts(mesh, elems, reps.elements[rows])
+        pts = quad.points[rows] + shift[:, None]
+        w, phi = quad.weights[rows], batch.basis.eval(pts)  # (B, nq, p_u)
+        sig_ex = stress(exact, material, pts.reshape(-1, 2)).reshape(pts.shape[:-1] + (2, 2))
+        u_ex = exact.u(pts.reshape(-1, 2)).reshape(pts.shape)
+        s_h = sol.stress_coeffs[elems]
+        w_h = sol.disp_coeffs[elems]
 
-            s_pi = _stress_projection(phi[..., :p_s], w, sig_ex)
-            w_pi = basis_moments(phi, w, u_ex)
-            ds = (s_pi - s_h).reshape(B, 3, p_s)
-            parts[0, elems] = np.sum((ds**2 * StressBasis.DIR_NORMSQ[:, None]).reshape(B, -1), axis=-1)
-            parts[1, elems] = np.sum((w_pi - w_h) ** 2, axis=-1)
+        s_pi = _stress_projection(phi[..., :p_s], w, sig_ex)
+        w_pi = basis_moments(phi, w, u_ex)
+        ds = (s_pi - s_h).reshape(B, 3, p_s)
+        parts[0, elems] = np.sum((ds**2 * StressBasis.DIR_NORMSQ[:, None]).reshape(B, -1), axis=-1)
+        parts[1, elems] = np.sum((w_pi - w_h) ** 2, axis=-1)
 
-            du = phi @ w_h.reshape(B, 2, p_u).swapaxes(-1, -2) - u_ex
-            parts[3, elems] = np.sum(w * (du[..., 0] ** 2 + du[..., 1] ** 2), axis=-1)
-            # squared Frobenius norm of sigma_h - sigma, entries in the
-            # order 11, 12, 21, 22
-            comp = phi[..., :p_s] @ s_h.reshape(B, 3, p_s).swapaxes(-1, -2)  # (B, nq, 3)
-            d11, d22 = comp[..., 0] - sig_ex[..., 0, 0], comp[..., 1] - sig_ex[..., 1, 1]
-            d12sq = (comp[..., 2] - sig_ex[..., 0, 1]) ** 2
-            parts[2, elems] = np.sum(w * (((d11**2 + d12sq) + d12sq) + d22**2), axis=-1)
+        du = phi @ w_h.reshape(B, 2, p_u).swapaxes(-1, -2) - u_ex
+        parts[3, elems] = np.sum(w * (du[..., 0] ** 2 + du[..., 1] ** 2), axis=-1)
+        # squared Frobenius norm of sigma_h - sigma, entries in the
+        # order 11, 12, 21, 22
+        comp = phi[..., :p_s] @ s_h.reshape(B, 3, p_s).swapaxes(-1, -2)  # (B, nq, 3)
+        d11, d22 = comp[..., 0] - sig_ex[..., 0, 0], comp[..., 1] - sig_ex[..., 1, 1]
+        d12sq = (comp[..., 2] - sig_ex[..., 0, 1]) ** 2
+        parts[2, elems] = np.sum(w * (((d11**2 + d12sq) + d12sq) + d22**2), axis=-1)
 
-            # trace mismatch sqrt(tau) * (face-projected displacement error
-            # minus trace error) over the element boundary, face by face
-            dw = (w_pi - w_h).reshape(B, 2, p_u).swapaxes(-1, -2)
-            pm_du = (face_proj[rows] @ dw[:, None]).reshape(B, m, -1)
-            mismatch = pm_du - face_err[batch.face_ids]
-            trace[mesh.slots(elems)] = tau * np.sum(mismatch**2, axis=-1)
+        # trace mismatch sqrt(tau) * (face-projected displacement error
+        # minus trace error) over the element boundary, face by face
+        dw = (w_pi - w_h).reshape(B, 2, p_u).swapaxes(-1, -2)
+        pm_du = (face_proj[rows] @ dw[:, None]).reshape(B, m, -1)
+        mismatch = pm_du - face_err[batch.face_ids]
+        trace[mesh.slots(elems)] = tau * np.sum(mismatch**2, axis=-1)
 
     sigma_proj, u_proj, sigma, u = (running_sum(p) for p in parts)
     return ErrorReport(
@@ -269,7 +276,7 @@ def write_vtk(mesh: Mesh, sol: DiscreteSolution, path: str, title: str = "hdgela
     ns = len(mesh.element_vertices)
     slot_u, (fan_pts, fan_u) = np.empty((ns, 2)), np.empty((2, ne, 2))
     cells, keep = np.empty((ns, 3), dtype=int), np.ones(ns, dtype=bool)
-    for batch in sol.batches:
+    for batch in (cb.batch for cb in sol.batches):
         elems = batch.elements
         slots = mesh.slots(elems)
         polys = mesh.element_vertices[slots]  # (B, m)

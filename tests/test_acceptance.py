@@ -162,7 +162,7 @@ def test_criterion_3_spd_characterization():
             except np.linalg.LinAlgError:
                 failures.append(f"{family} k={k}: Cholesky failed")
             elements = [
-                (e, A) for cb in systems.batches for e, A in zip(cb.batch.elements, cb.matrix)
+                (e, cb.matrix[r]) for cb in systems.batches for e, r in zip(cb.batch.elements, cb.rows)
             ]
             for e, A in elements:
                 w = np.linalg.eigvalsh(A)

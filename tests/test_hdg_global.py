@@ -90,6 +90,7 @@ def coo_oracle(disc, systems, boundary_values):
     mat_keys, rows, cols, vals = [], [], [], []
     for cb in systems.batches:
         elems = cb.batch.elements
+        A = cb.matrix[cb.rows]  # the elements' class matrices
         gdofs = disc.element_dofs(cb.batch.face_ids)
         red = dofmap.interior_index[gdofs]
         inside = red >= 0
@@ -100,13 +101,13 @@ def coo_oracle(disc, systems, boundary_values):
         mat_keys.append(np.broadcast_to(elems[:, None, None], pair.shape)[pair])
         rows.append(np.broadcast_to(red[:, :, None], pair.shape)[pair])
         cols.append(np.broadcast_to(red[:, None, :], pair.shape)[pair])
-        vals.append(cb.matrix[pair])
+        vals.append(A[pair])
         n_bdry = (~inside).sum(axis=1)
         for count in np.unique(n_bdry[n_bdry > 0]):
             sel = np.flatnonzero(n_bdry == count)
             ii = np.nonzero(inside[sel])[1].reshape(len(sel), -1)
             bb = np.nonzero(~inside[sel])[1].reshape(len(sel), -1)
-            sub = cb.matrix[sel[:, None, None], ii[:, :, None], bb[:, None, :]]
+            sub = A[sel[:, None, None], ii[:, :, None], bb[:, None, :]]
             g = boundary_values[np.take_along_axis(gdofs[sel], bb, axis=1)]
             lift = (sub @ g[..., None])[..., 0]
             rhs_keys.append(np.broadcast_to(2 * elems[sel, None] + 1, ii.shape).ravel())
@@ -454,6 +455,13 @@ def mixed_mesh(n):
 
 
 ELEMENT_RESULTS = ("matrix", "rhs", "stress_map", "disp_map", "source_stress", "source_disp")
+OPERATORS = ("matrix", "stress_map", "disp_map")
+
+
+def element_results(cb, i):
+    """The ELEMENT_RESULTS of element i of a CondensedBatch: its class
+    operators through its class row, its own loads and responses."""
+    return [getattr(cb, name)[cb.rows[i] if name in OPERATORS else i] for name in ELEMENT_RESULTS]
 
 
 def mixed_solve(monkeypatch, tmp_path, chunk, mesh, k, sol, material):
@@ -469,7 +477,7 @@ def mixed_solve(monkeypatch, tmp_path, chunk, mesh, k, sol, material):
     per_element = {}
     for cb in systems.batches:
         for i, e in enumerate(cb.batch.elements):
-            per_element[int(e)] = [getattr(cb, name)[i] for name in ELEMENT_RESULTS]
+            per_element[int(e)] = element_results(cb, i)
     bvals = G.boundary_trace_values(disc, g_fn)
     glob = G.assemble_global(disc, systems, bvals)
     trace, _ = G.solve_condensed(glob, "cholesky")
@@ -496,14 +504,13 @@ def assert_same_solve(a, b):
 # at most 7.5e-15 on tri n=6 and poly n=12 (k=2, nu=0.3), 5.1e-15 on the
 # mixed mesh (k=2, nu=0.49).
 TRANSLATE_RTOL = 2e-14
-OPERATORS = ("matrix", "stress_map", "disp_map")
 
 
 def alone(mesh, disc, k, e, material, tau, f_fn):
     """Element results of element ``e`` as a one-element batch."""
     batch = L.element_batch(mesh, k, np.array([e]), disc.face_quad, disc.face_modes)
-    cb = L.condense_batch(batch, material, tau, f_fn=f_fn)
-    return [getattr(cb, name)[0] for name in ELEMENT_RESULTS]
+    (cb,) = L.condense_classes(batch, material, tau, f_fn, [(np.arange(1), batch)])
+    return element_results(cb, 0)
 
 
 def assert_class_results(mesh, disc, k, elements, material, tau, f_fn):
@@ -534,9 +541,33 @@ def test_elements_take_their_class_operators(family, n):
     elements = {}
     for cb in systems.batches:
         for i, e in enumerate(cb.batch.elements):
-            elements[int(e)] = [getattr(cb, name)[i] for name in ELEMENT_RESULTS]
+            elements[int(e)] = element_results(cb, i)
     assert len(elements) == mesh.num_elements
     assert_class_results(mesh, disc, k, elements, PLANE_STRESS, tau, f_fn)
+
+
+def test_class_operators_stored_once():
+    # tri k=1 has 4 translation classes at n=8 and at n=16: the condensed
+    # matrices and solution operators held are those of the 4 classes, not
+    # of the 128 or 512 elements
+    held = []
+    for n in (8, 16):
+        mesh = M.build_mesh("tri", n)
+        disc = G.build_discretization(mesh, 1)
+        systems = G.build_element_systems(disc, PLANE_STRESS, 3.0 / mesh.h)
+        arrays = {id(a): a for cb in systems.batches for a in (cb.matrix, cb.stress_map, cb.disp_map)}
+        held.append(sum(a.nbytes for a in arrays.values()))
+        (_, ids), = mesh.element_groups()
+        first, cls = mesh.translation_classes(ids)
+        assert len(first) == 4
+        rep_of = ids[first[cls]]
+        seen = []
+        for cb in systems.batches:
+            assert all(len(a) == 4 for a in (cb.matrix, cb.stress_map, cb.disp_map))
+            assert np.array_equal(cb.reps.elements[cb.rows], rep_of[cb.batch.elements])
+            seen += cb.batch.elements.tolist()
+        assert sorted(seen) == list(range(mesh.num_elements))
+    assert held[0] == held[1]
 
 
 def test_mixed_face_counts_batched_like_single_elements(monkeypatch, tmp_path):

@@ -318,7 +318,7 @@ def test_singular_local_system_reports_element(monkeypatch):
             with pytest.raises(L.LocalSolverError, match=rf"^element {e}: singular local system$"):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    L.condense_batch(batch, material, 1.0)
+                    L.condense_classes(batch, material, 1.0, None, [(np.arange(8), batch)])
 
 
 @pytest.mark.parametrize("family", ["tri", "poly"])
@@ -377,9 +377,6 @@ def test_factor_and_source_parts_bitwise_against_scipy_lu(family, k):
 
 # --- the local solve on whole meshes ------------------------------------------
 
-CONDENSED = ("matrix", "rhs", "stress_map", "disp_map", "source_stress", "source_disp")
-
-
 def study_mesh(family):
     if family == "mixed":
         from test_hdg_global import mixed_mesh
@@ -412,13 +409,15 @@ def test_every_material_runs_the_pivoted_solve_bitwise(family, k, material):
         matrix = L._condense(ops, blocks)
         for r, e in enumerate(reps.elements):
             cb, i = found[int(e)]
-            assert np.array_equal(cb.stress_map[i], ops.stress_map[r]), e
-            assert np.array_equal(cb.disp_map[i], ops.disp_map[r]), e
-            assert np.array_equal(cb.matrix[i], matrix[r]), e
+            assert np.array_equal(cb.stress_map[cb.rows[i]], ops.stress_map[r]), e
+            assert np.array_equal(cb.disp_map[cb.rows[i]], ops.disp_map[r]), e
+            assert np.array_equal(cb.matrix[cb.rows[i]], matrix[r]), e
 
 
 @pytest.mark.parametrize("family,k", [("tri", 2), ("poly", 2), ("mixed", 1)])
 def test_element_stage_bitwise_independent_of_chunk_size(monkeypatch, family, k):
+    from test_hdg_global import ELEMENT_RESULTS, element_results
+
     mesh = study_mesh(family)
     disc = G.build_discretization(mesh, k)
     sol = MF.test1_solution()
@@ -427,9 +426,9 @@ def test_element_stage_bitwise_independent_of_chunk_size(monkeypatch, family, k)
     for chunk in (1, mesh.num_elements):
         monkeypatch.setattr(L, "CHUNK_SIZE", chunk)
         batches = G.build_element_systems(disc, PLANE_STRESS, 3.0 / mesh.h, f_fn).batches
-        runs.append({int(e): [getattr(cb, n)[i] for n in CONDENSED]
+        runs.append({int(e): element_results(cb, i)
                      for cb in batches for i, e in enumerate(cb.batch.elements)})
     assert len(runs[0]) == mesh.num_elements
     for e in range(mesh.num_elements):
-        for name, a, b in zip(CONDENSED, runs[0][e], runs[1][e]):
+        for name, a, b in zip(ELEMENT_RESULTS, runs[0][e], runs[1][e]):
             assert np.array_equal(a, b), (e, name)

@@ -30,15 +30,25 @@ def small_solve(family="tri", n=2, k=1, sol=None, material=PLANE_STRESS, tau_c=3
 
 
 def error_quadratures(disc, batches):
-    """Each batch with its error quadrature."""
+    """Each element batch with its error quadrature."""
     qe = L.error_quadrature_exactness(disc.k)
     for batch in batches:
         yield batch, F.polygon_quadrature(disc.mesh.polygons(batch.elements), qe)
 
 
+def element_batches(dsol):
+    return [cb.batch for cb in dsol.batches]
+
+
+def class_count(dsol):
+    """Translation classes of a solution's element systems."""
+    reps = {id(cb.reps): cb.reps for cb in dsol.batches}
+    return sum(len(r.elements) for r in reps.values())
+
+
 def test_projection_reproduces_discrete_stress():
     mesh, tau, disc, dsol = small_solve()
-    batch, quad = next(error_quadratures(disc, dsol.batches))
+    batch, quad = next(error_quadratures(disc, element_batches(dsol)))
     p_s = F.scalar_dim(1)
     sb = F.StressBasis(batch.basis, 1)
     rng = np.random.default_rng(4)
@@ -50,7 +60,7 @@ def test_projection_reproduces_discrete_stress():
 
 def test_projection_orthogonality_displacement():
     mesh, tau, disc, dsol = small_solve()
-    batch, quad = next(error_quadratures(disc, dsol.batches))
+    batch, quad = next(error_quadratures(disc, element_batches(dsol)))
     exact = MF.test1_solution()
     u_ex = exact.u(quad.points.reshape(-1, 2)).reshape(quad.points.shape)
     phi = batch.basis.eval(quad.points)
@@ -88,7 +98,7 @@ def test_error_zero_when_solution_is_projection():
     mesh, tau, disc, dsol = small_solve()
     exact = MF.test1_solution()
     p_s = F.scalar_dim(1)
-    for batch, quad in error_quadratures(disc, dsol.batches):
+    for batch, quad in error_quadratures(disc, element_batches(dsol)):
         sig = MF.stress(exact, PLANE_STRESS, quad.points.reshape(-1, 2))
         sig = sig.reshape(quad.points.shape[:-1] + (2, 2))
         phi_s = batch.basis.eval(quad.points, p_s)
@@ -104,7 +114,7 @@ def test_triangle_inequality():
     # projection distance of the stress
     dist_sq = 0.0
     p_s = F.scalar_dim(1)
-    for batch, quad in error_quadratures(disc, dsol.batches):
+    for batch, quad in error_quadratures(disc, element_batches(dsol)):
         sig = MF.stress(exact, PLANE_STRESS, quad.points.reshape(-1, 2))
         sig = sig.reshape(quad.points.shape[:-1] + (2, 2))
         proj = P._stress_projection(batch.basis.eval(quad.points, p_s), quad.weights, sig)
@@ -137,10 +147,10 @@ def test_error_norms_by_class_match_every_element_alone(monkeypatch, family, n):
     mesh = mixed_mesh(n) if family == "mixed" else M.build_mesh(family, n)
     sol, k = MF.test1_solution(), 2
     dsol, by_class = solve_on(mesh, k, sol, PLANE_STRESS)
-    assert sum(len(reps.elements) for reps, _ in dsol.classes) < mesh.num_elements
+    assert class_count(dsol) < mesh.num_elements
     monkeypatch.setattr(M.Mesh, "translation_classes", lambda self, ids: (np.arange(len(ids)),) * 2)
     dsol, alone = solve_on(mesh, k, sol, PLANE_STRESS)
-    assert sum(len(reps.elements) for reps, _ in dsol.classes) == mesh.num_elements
+    assert class_count(dsol) == mesh.num_elements
     for key in ("err_sigma_proj", "err_u_proj", "err_sigma", "err_u", "trace_diag"):
         assert getattr(by_class, key) == pytest.approx(getattr(alone, key), rel=1e-10, abs=0.0)
 
@@ -202,16 +212,29 @@ def golden_solution():
 
 
 def test_vtk_deterministic_and_matches_golden(tmp_path):
-    import pathlib
-
     mesh, dsol = golden_solution()
     p1, p2 = tmp_path / "a.vtk", tmp_path / "b.vtk"
     P.write_vtk(mesh, dsol, str(p1), title="golden")
     P.write_vtk(mesh, dsol, str(p2), title="golden")
     assert p1.read_bytes() == p2.read_bytes()
+    assert_matches_golden(p1, "golden_tri1.vtk")
 
-    golden = pathlib.Path(__file__).parent / "data" / "golden_tri1.vtk"
-    got = p1.read_text().splitlines()
+
+def test_vtk_polygon_matches_golden(tmp_path):
+    # the fan branch of write_vtk: quadrilaterals around their centroids
+    mesh, tau, disc, dsol = small_solve(family="poly", n=2, k=1)
+    path = tmp_path / "poly.vtk"
+    P.write_vtk(mesh, dsol, str(path), title="golden")
+    assert_matches_golden(path, "golden_poly1.vtk")
+
+
+def assert_matches_golden(path, name):
+    """The VTK file at ``path`` has the lines of tests/data/``name``, every
+    number within 1e-12 (absolute) of the golden one."""
+    import pathlib
+
+    golden = pathlib.Path(__file__).parent / "data" / name
+    got = path.read_text().splitlines()
     want = golden.read_text().splitlines()
     assert len(got) == len(want)
     for g, w in zip(got, want):
