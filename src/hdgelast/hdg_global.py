@@ -17,13 +17,17 @@ hdg_local's two policies: the assembly rule for the element stage, and the
 error rule (Discretization.error_rule) for boundary data, the traction
 jump and the error norms.
 
-The trace system is solved by a sparse symmetric factorization or by
-conjugate gradients with a two-level additive Schwarz preconditioner: exact
-solves on the vertex patches (the interior faces around each mesh vertex)
-plus a coarse correction in the traces of continuous P1 fields, after
-Cockburn, Dubois, Gopalakrishnan & Tan (multigrid for HDG) and Schoberl
-(vertex-patch smoothers robust as nu -> 1/2). Its iteration counts stay
-nearly flat under refinement; see solve_condensed.
+The trace system is solved directly, by static condensation of subdomains
+(square blocks of cells): a dense Cholesky of each subdomain's inner
+unknowns, done once per class of subdomains whose rows are equal bit for
+bit, then a sparse symmetric factorization of the interface Schur
+complement. Or it is solved by conjugate gradients with a two-level
+additive Schwarz preconditioner: exact solves on the vertex patches (the
+interior faces around each mesh vertex) plus a coarse correction in the
+traces of continuous P1 fields, after Cockburn, Dubois, Gopalakrishnan &
+Tan (multigrid for HDG) and Schoberl (vertex-patch smoothers robust as
+nu -> 1/2). Its iteration counts stay nearly flat under refinement; see
+solve_condensed.
 
 Stacked layout: the element stage runs once per translation class of the
 elements that share a face count (see hdg_local), on batches of at most
@@ -51,6 +55,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -76,7 +81,7 @@ from .hdg_local import (
     translated_batch,
 )
 from .material import ComplianceTensor
-from .mesh import Mesh
+from .mesh import Mesh, polygon_areas, polygon_centroids
 
 __all__ = [
     "ElementSystems",
@@ -98,16 +103,26 @@ __all__ = [
 
 # size above which the "auto" solver policy switches from the direct
 # factorization to preconditioned conjugate gradients. Measured on tri k=1
-# test2 (one BLAS thread): at n=32 (12,032 dofs) direct 0.06 s, CG 0.10 s;
-# at n=128 (195,584 dofs), nu=0.49, direct 3.5 s and +686 MB, CG 2.5 s, 82
-# iterations and no extra memory; but at nu=0.49999 the P1 coarse space
-# locks on triangles and CG needs 881 iterations, 20 s. The direct cost does
-# not depend on nu, so it is kept up to just above n=128.
+# test2 nu=0.49 (one BLAS thread, in-process solve_condensed): at n=32
+# (12,032 dofs) direct 0.032 s, CG 0.079 s (88 iterations); at n=128
+# (195,584 dofs) direct 1.12 s and +330 MB peak, CG 2.48 s, 82 iterations
+# and +141 MB; at nu=0.49999 the P1 coarse space locks on triangles and CG
+# needs 881 iterations, 20 s. The direct cost does not depend on nu. Larger
+# sizes are unmeasured, so the switch stays just above n=128.
 DIRECT_SOLVER_DOF_LIMIT = 200_000
 
-# bytes of patch blocks gathered at a time when _block_inverses checks the
-# blocks against their candidates: about 110 blocks of the 24-dof patches of
-# tri k=1 and poly k=2, a small fraction of the trace matrix
+# inner dofs (dofs of faces with both elements in the subdomain) that the
+# subdomains of the direct solve aim at (_element_blocks). Measured
+# (in-process, best of 15, one BLAS thread), the solve at subdomain widths
+# s = 2, 3, 4, 5 cells: tri k=1 n=32 41.1, 26.9, 22.9, 26.6 ms (s=4: 160
+# inner dofs); poly k=2 n=24 30.9, 25.9, 23.8, 31.5 ms (s=4: 144); tri k=2
+# n=16 11.0, 11.4, 17.4, 25.1 ms and n=32 79.2, 70.4, 60.3, 66.5 ms
+# (s=3: 126, s=4: 240). The target picks s=4, 4 and 3.
+SUBDOMAIN_INNER_DOFS = 150
+
+# bytes of rows gathered at a time when _distinct checks rows against their
+# candidates: about 110 blocks of the 24-dof patches of tri k=1 and poly
+# k=2, a small fraction of the trace matrix
 COMPARE_BYTES = 1 << 19
 
 
@@ -322,19 +337,247 @@ class SolverStats:
     n: int
     nnz: int
     iterations: int = 0
+    # the direct solve's smallest pivot of one symmetric elimination of the
+    # matrix, inner dofs of the subdomains first: the squared diagonals of
+    # the dense Cholesky factors and the interface factorization's pivots
     min_pivot: float = np.nan
     residual: float = np.nan
 
 
 def _symmetric_lu(A: scipy.sparse.csc_matrix):
     """Sparse LU of a CSC matrix in symmetric mode with zero pivot
-    threshold: pivots on the diagonal in a minimum-degree order of A + A^T."""
+    threshold: pivots on the diagonal in a minimum-degree order of A + A^T.
+    It factors the interface Schur complement of the direct solve
+    (_substructured_solve) and the Schwarz coarse matrix."""
     return scipy.sparse.linalg.splu(
         A,
         permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
+
+
+def _element_blocks(mesh: Mesh, nd: int) -> np.ndarray:
+    """Subdomain of each element: the square of s x s cells that holds its
+    centroid, numbered row by row. A cell is a square of the mean area of
+    two triangles of the elements' fan triangulations, laid from the lower
+    left corner of the mesh: on the built-in meshes, perturbed or not, a
+    grid cell, with every centroid well inside it. The width s is the one
+    whose largest subdomain comes closest to SUBDOMAIN_INNER_DOFS inner dofs
+    (``nd`` per inner face, a face with both elements in the subdomain)."""
+    centroid = np.empty((mesh.num_elements, 2))
+    area = np.empty(mesh.num_elements)
+    for m, ids in mesh.element_groups():
+        polys = mesh.polygons(ids)
+        centroid[ids] = polygon_centroids(polys)
+        area[ids] = 2.0 * np.abs(polygon_areas(polys)) / (m - 2)
+    cell = np.floor((centroid - mesh.vertices.min(axis=0)) / np.sqrt(area.mean())).astype(int)
+    fids = mesh.interior_faces()
+    left, right = mesh.face_left[fids], mesh.face_right[fids]
+    best = None
+    for s in range(1, cell.max() + 2):
+        ij = cell // s
+        block = ij[:, 1] * (ij[:, 0].max() + 1) + ij[:, 0]
+        inner = block[left] == block[right]
+        largest = nd * np.bincount(block[left[inner]]).max(initial=0)
+        miss = abs(largest - SUBDOMAIN_INNER_DOFS)
+        if best is None or miss <= best[0]:
+            best = miss, block
+        if largest >= SUBDOMAIN_INNER_DOFS or not block.any():
+            break
+    return best[1]
+
+
+@dataclass
+class _Stack:
+    """Classes of subdomains whose inner rows of the trace matrix are equal
+    bit for bit (values and local pattern), all of one size and with the same
+    number m of subdomains each. A subdomain's local order is its inner dofs,
+    then its interface dofs (interior dofs of its elements' other faces),
+    each in ascending order."""
+
+    inner: np.ndarray  # (C, m, nI) inner dofs of each subdomain
+    interface: np.ndarray  # (C, m, nG) interface numbers of its interface dofs
+    a_ii: np.ndarray  # (C, nI, nI) inner block of each class
+    a_ig: np.ndarray  # (C, nI, nG) its coupling to the interface
+
+
+def _substructure(system: CondensedSystem) -> tuple[list[_Stack], np.ndarray]:
+    """Subdomains of the trace matrix (_element_blocks), in stacks of
+    classes, and the interface dofs in ascending order. The class of a
+    subdomain is the representative (_distinct) of its inner rows' values
+    and local pattern, so subdomains share a factorization only where their
+    inner rows agree entry for entry. The rows are read face block by face
+    block (see _patch_blocks): the rows of a face are contiguous, of equal
+    length, and list the same faces."""
+    A, mesh = system.matrix, system.disc.mesh
+    nd = system.dofmap.ndof_face
+    fids = mesh.interior_faces()
+    block = _element_blocks(mesh, nd)
+    nb = block.max() + 1
+    bl, br = block[mesh.face_left[fids]], block[mesh.face_right[fids]]
+    inner = bl == br
+    # inner faces by subdomain, then by rank, and their local index
+    fi = np.flatnonzero(inner)
+    fi = fi[np.argsort(bl[fi], kind="stable")]
+    n_i = np.bincount(bl[fi], minlength=nb)
+    i0 = np.cumsum(n_i) - n_i
+    local = np.zeros(len(fids), dtype=int)
+    local[fi] = np.arange(len(fi)) - np.repeat(i0, n_i)
+    # an interface face is on the interface of its two subdomains: by
+    # subdomain, then by rank, with its local index on each side
+    fg = np.flatnonzero(~inner)
+    number = np.zeros(len(fids), dtype=int)
+    number[fg] = np.arange(len(fg))
+    side_block, side_face = np.concatenate([bl[fg], br[fg]]), np.tile(fg, 2)
+    order = np.lexsort((side_face, side_block))
+    n_g = np.bincount(side_block, minlength=nb)
+    g0 = np.cumsum(n_g) - n_g
+    side_local = np.empty(len(order), dtype=int)
+    side_local[order] = np.arange(len(order)) - np.repeat(g0, n_g)
+    local_left, local_right = np.zeros_like(local), np.zeros_like(local)
+    local_left[fg], local_right[fg] = np.split(side_local, 2)
+    iface = side_face[order]
+    # the face blocks of the inner faces' rows: column face and local column
+    # face of each, and its key in the subdomain's local pattern
+    start, stop = A.indptr[fi * nd], A.indptr[fi * nd + nd]
+    cnt = (A.indptr[fi * nd + 1] - start) // nd
+    p0 = np.cumsum(cnt) - cnt
+    col = A.indices[np.repeat(start - p0 * nd, cnt) + np.arange(cnt.sum()) * nd] // nd
+    row_block = np.repeat(bl[fi], cnt)
+    side = np.where(bl[col] == row_block, local_left[col], local_right[col])
+    local_col = np.where(inner[col], local[col], n_i[row_block] + side)
+    key = np.repeat(local[fi], cnt) * (n_i + n_g)[row_block] + local_col
+    # the inner rows' entries, by subdomain, then in matrix order
+    size = stop - start
+    entries = np.repeat(start - np.cumsum(size) + size, size) + np.arange(size.sum())
+    n_p = np.bincount(row_block, minlength=nb)
+    q0, e0 = np.cumsum(n_p) - n_p, (np.cumsum(n_p) - n_p) * nd * nd
+
+    def dofs(faces):
+        return (faces[..., None] * nd + np.arange(nd)).reshape(faces.shape[:-1] + (-1,))
+
+    def dense(first, ni, ng):
+        """[A_II | A_IG] of the subdomains ``first``, face block by face block."""
+        out = np.zeros((len(first), ni * nd, (ni + ng) * nd))
+        at = i0[first][:, None] + np.arange(ni)
+        for q in np.unique(cnt[at]):
+            c, f = np.nonzero(cnt[at] == q)
+            t = at[c, f]
+            rows = f[:, None, None, None] * nd + np.arange(nd)[:, None, None]
+            cols = local_col[p0[t][:, None] + np.arange(q)][:, None, :, None] * nd + np.arange(nd)
+            vals = A.data[start[t][:, None] + np.arange(nd * q * nd)]
+            out[c[:, None, None, None], rows, cols] = vals.reshape(-1, nd, q, nd)
+        return out
+
+    stacks = []
+    sizes = (n_i * (n_g.max() + 1) + n_g) * (n_p.max() + 1) + n_p
+    for size in np.unique(sizes[n_i > 0]):
+        blocks = np.flatnonzero(sizes == size)
+        ni, ng, npairs = n_i[blocks[0]], n_g[blocks[0]], n_p[blocks[0]]
+        vals = A.data[entries[e0[blocks][:, None] + np.arange(npairs * nd * nd)]]
+        keys = key[q0[blocks][:, None] + np.arange(npairs)]
+        _, cls = np.unique(_distinct(np.concatenate([vals.view(np.uint64), keys.view(np.uint64)],
+                                                    axis=1)), return_inverse=True)
+        by_class = np.argsort(cls, kind="stable")
+        count = np.bincount(cls)
+        for m in np.unique(count):
+            b = blocks[by_class[count[cls[by_class]] == m].reshape(-1, m)]
+            d = dense(b[:, 0], ni, ng)
+            stacks.append(_Stack(dofs(fi[i0[b][..., None] + np.arange(ni)]),
+                                 dofs(number[iface[g0[b][..., None] + np.arange(ng)]]),
+                                 d[:, :, : ni * nd].copy(), d[:, :, ni * nd :].copy()))
+    return stacks, dofs(fg[None])[0]
+
+
+def _interface_matrix(
+    A: scipy.sparse.csr_matrix, gdofs: np.ndarray, nd: int, parts
+) -> scipy.sparse.csr_matrix:
+    """The interface Schur complement A_GG - sum_b S_b, face block by face
+    block, with ``parts`` a list of (interface faces (C, m, g), S (C, g nd,
+    g nd)): subdomain (c, i) adds S[c] on its faces [c, i]. Each entry sums
+    A_GG, then the parts in order, so with every S exactly symmetric the
+    result is too."""
+    ngf, nn = len(gdofs) // nd, nd * nd
+    a_gg = A[gdofs][:, gdofs].tocoo()
+    keys = [(f[..., :, None] * ngf + f[..., None, :]).ravel() for f, _ in parts]
+    lead = (a_gg.row % nd == 0) & (a_gg.col % nd == 0)  # one entry per face block
+    pairs = np.sort(np.concatenate(keys + [a_gg.row[lead] // nd * ngf + a_gg.col[lead] // nd]))
+    pairs = pairs[np.concatenate([[True], pairs[1:] != pairs[:-1]])]  # np.unique, faster
+    at = [np.searchsorted(pairs, a_gg.row // nd * ngf + a_gg.col // nd) * nn
+          + a_gg.row % nd * nd + a_gg.col % nd]
+    vals = [a_gg.data]
+    for (f, S), key in zip(parts, keys):
+        C, m, g = f.shape
+        at.append((np.searchsorted(pairs, key)[:, None] * nn + np.arange(nn)).ravel())
+        blocks = -S.reshape(C, 1, g, nd, g, nd).swapaxes(3, 4)
+        vals.append(np.broadcast_to(blocks, (C, m, g, g, nd, nd)).ravel())
+    data = np.bincount(np.concatenate(at), weights=np.concatenate(vals),
+                       minlength=len(pairs) * nn).reshape(-1, nd, nd)
+    bptr = np.searchsorted(pairs, np.arange(ngf + 1) * ngf)
+    shape = (len(gdofs), len(gdofs))
+    return scipy.sparse.bsr_matrix((data, pairs % ngf, bptr), shape=shape).tocsr()
+
+
+def _triangular_solve(U: np.ndarray, B: np.ndarray, trans: int) -> np.ndarray:
+    """U^-T B (trans=1) or U^-1 B (trans=0) per slice of stacks of upper
+    triangular U (C, n, n) and B (C, n, r), by LAPACK trtrs: one call per
+    slice costs a few microseconds, where scipy's batched solve_triangular
+    costs tens."""
+    return np.stack([scipy.linalg.lapack.dtrtrs(u, rhs, lower=0, trans=trans)[0]
+                     for u, rhs in zip(U, B)])
+
+
+def _substructured_solve(system: CondensedSystem) -> tuple[np.ndarray, float]:
+    """Solve the trace system by one-level static condensation of
+    subdomains (Przemieniecki, AIAA J. 1, 1963): per class of subdomains
+    (_substructure), a dense Cholesky A_II = L L^T and W = L^-1 A_IG; the
+    interface Schur complement A_GG - sum W^T W (_interface_matrix) factored
+    by _symmetric_lu; the forward elimination and back-substitution as one
+    triangular solve per stack over all of its subdomains' right-hand
+    sides. The dense pivots diag(L)^2 and the interface pivots are those of
+    one symmetric elimination of A, inner dofs first, so A is positive
+    definite if and only if all are positive. Returns the solution and the
+    minimum pivot, NaN if a pivot is not finite."""
+    A, b = system.matrix, system.rhs
+    nd = system.dofmap.ndof_face
+    stacks, gdofs = _substructure(system)
+    g = b[gdofs]
+    pivots, parts, done = [], [], []
+    for st in stacks:
+        try:
+            L = np.linalg.cholesky(st.a_ii)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(
+                "matrix is not positive definite (a subdomain's dense Cholesky broke down)"
+            ) from exc
+        pivots.append(np.diagonal(L, axis1=1, axis2=2).ravel() ** 2)
+        # U = L^T per class, each in the column order LAPACK reads
+        U = L.swapaxes(1, 2)
+        W = _triangular_solve(U, st.a_ig, 1)
+        Y = _triangular_solve(U, b[st.inner].swapaxes(1, 2), 1)
+        S = np.tril(W.swapaxes(1, 2) @ W)
+        parts.append((st.interface[..., ::nd] // nd, S + np.tril(S, -1).swapaxes(1, 2)))
+        g -= np.bincount(st.interface.swapaxes(1, 2).ravel(),
+                         weights=(W.swapaxes(1, 2) @ Y).ravel(), minlength=len(g))
+        done.append((U, W, Y))
+    x = np.empty(len(b))
+    if len(gdofs):
+        S = _interface_matrix(A, gdofs, nd, parts)
+        del parts
+        try:
+            # S is exactly symmetric, so its CSR arrays are its CSC arrays
+            lu = _symmetric_lu(S.T)
+        except RuntimeError as exc:
+            raise SolverError(f"symmetric factorization failed: {exc}") from exc
+        pivots.append(lu.U.diagonal())
+        x[gdofs] = lu.solve(g)
+    x_g = x[gdofs]
+    for st, (U, W, Y) in zip(stacks, done):
+        xi = _triangular_solve(U, Y - W @ x_g[st.interface].swapaxes(1, 2), 0)
+        x[st.inner] = xi.swapaxes(1, 2)
+    pivots = np.concatenate(pivots)
+    return x, float(pivots.min()) if np.isfinite(pivots).all() else np.nan
 
 
 def _patch_blocks(system: CondensedSystem) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -398,29 +641,33 @@ def _coarse_prolongation(disc: Discretization) -> scipy.sparse.csr_matrix:
     return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
-def _block_inverses(blocks: np.ndarray) -> np.ndarray:
-    """np.linalg.inv of each block of a stack (P, d, d), inverting each
-    distinct block once. Blocks with one fingerprint share the inverse of
-    the first of them if they equal it entry for entry; any other block is
-    inverted on its own. The fingerprint is the product of a block's bit
+def _distinct(flat: np.ndarray) -> np.ndarray:
+    """Representative of each row of a stack (P, w) of 8-byte words: the
+    first row with the same fingerprint if the row equals it word for word,
+    else the row itself. The fingerprint is the product of a row's bit
     patterns with fixed odd multipliers in wrapping integer arithmetic:
-    blocks that differ in one entry, even by a rounding, differ in it. The
-    inverse of an equal matrix is equal bit for bit, so the result is that
-    of inverting every block."""
-    flat = np.ascontiguousarray(blocks).reshape(len(blocks), -1)
+    rows that differ in one word, even by a rounding, differ in it."""
+    flat = np.ascontiguousarray(flat).view(np.uint64)
     probe = (2 * np.arange(flat.shape[1], dtype=np.uint64) + 1) * np.uint64(0x9E3779B97F4A7C15)
-    _, first, inverse = np.unique(flat.view(np.uint64) @ probe, return_index=True,
-                                  return_inverse=True)
+    _, first, inverse = np.unique(flat @ probe, return_index=True, return_inverse=True)
     rep = first[inverse]
-    # blocks that are not their own candidate are compared in chunks of
-    # about COMPARE_BYTES of gathered blocks, so that no gathered copy of the
-    # whole stack (2.4 MB at poly k=2 n=24) is held next to it
+    # rows that are not their own candidate are compared in chunks of
+    # about COMPARE_BYTES of gathered rows, so that no gathered copy of the
+    # whole stack (2.4 MB of patch blocks at poly k=2 n=24) is held next to it
     shared = np.flatnonzero(rep != np.arange(len(rep)))
     size = max(1, COMPARE_BYTES // flat[0].nbytes)
     for start in range(0, len(shared), size):
         rows = shared[start : start + size]
         alone = rows[(flat[rows] != flat[rep[rows]]).any(axis=1)]
         rep[alone] = alone
+    return rep
+
+
+def _block_inverses(blocks: np.ndarray) -> np.ndarray:
+    """np.linalg.inv of each block of a stack (P, d, d), inverting each
+    distinct block (_distinct) once. The inverse of an equal matrix is
+    equal bit for bit, so the result is that of inverting every block."""
+    rep = _distinct(blocks.reshape(len(blocks), -1))
     distinct, where = np.unique(rep, return_inverse=True)
     return np.linalg.inv(blocks[distinct])[where]
 
@@ -459,12 +706,16 @@ def solve_condensed(
 ) -> tuple[np.ndarray, SolverStats]:
     """Solve for the interior trace coefficients.
 
-    ``cholesky``: sparse symmetric factorization with zero pivot threshold;
-    all elimination pivots must come out positive, anything else means the
-    matrix is not SPD and is reported as a hard error. ``cg``: conjugate
-    gradients with the two-level vertex-patch Schwarz preconditioner of
-    _schwarz_preconditioner, built from ``system.disc``. ``auto`` picks the
-    factorization up to DIRECT_SOLVER_DOF_LIMIT unknowns, cg above.
+    ``cholesky``: static condensation of subdomains (_substructured_solve),
+    one symmetric elimination without pivoting: dense Cholesky factors of
+    the subdomains' inner blocks, then the interface Schur complement's
+    symmetric factorization with zero pivot threshold. A breakdown of a
+    dense factor or a pivot that is not positive means the matrix is not
+    SPD and is reported as a hard error; min_pivot is the smallest pivot.
+    ``cg``: conjugate gradients with the two-level vertex-patch Schwarz
+    preconditioner of _schwarz_preconditioner, built from ``system.disc``.
+    ``auto`` picks the direct solve up to DIRECT_SOLVER_DOF_LIMIT unknowns,
+    cg above.
 
     Returns the full trace vector (boundary values filled in) and stats."""
     if not tol > 0:
@@ -479,18 +730,11 @@ def solve_condensed(
         return full, stats
 
     if method == "cholesky":
-        try:
-            # A is exactly symmetric, so its CSR arrays are its CSC arrays
-            lu = _symmetric_lu(A.T)
-        except RuntimeError as exc:
-            raise SolverError(f"symmetric factorization failed: {exc}") from exc
-        pivots = lu.U.diagonal()
-        stats.min_pivot = float(pivots.min())
-        if stats.min_pivot <= 0.0 or not np.all(np.isfinite(pivots)):
+        x, stats.min_pivot = _substructured_solve(system)
+        if not stats.min_pivot > 0.0:
             raise SolverError(
                 f"matrix is not positive definite (min pivot {stats.min_pivot:.3e})"
             )
-        x = lu.solve(b)
     elif method == "cg":
         M = _schwarz_preconditioner(system)
         count = {"it": 0}

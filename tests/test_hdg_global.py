@@ -296,13 +296,78 @@ def test_cg_on_actual_problem_matches_direct():
     assert stats.iterations > 0
 
 
-def test_non_spd_detected():
-    disc = G.build_discretization(M.build_unit_square_tri(2), 1)
+def non_spd_dof(glob, where):
+    """An interior dof of ``glob``'s trace matrix: its first dof on the
+    one-block mesh, its first interface dof, or the first inner dof of the
+    second subdomain of a class shared by several."""
+    if where == "one-block":
+        return 0
+    stacks, gdofs = G._substructure(glob)
+    if where == "interface":
+        return gdofs[0]
+    return next(st for st in stacks if st.inner.shape[1] > 1).inner[0, 1, 0]
+
+
+@pytest.mark.parametrize("n,where", [(2, "one-block"), (16, "interface"), (16, "inner-shared")],
+                         ids=["one-block", "interface", "inner-shared"])
+def test_non_spd_detected(n, where):
+    # a negated diagonal entry keeps the symmetry; in the inner rows of a
+    # subdomain that shares its class, it must split the class, or the
+    # subdomain would be eliminated with its class's positive definite factor
+    disc = G.build_discretization(M.build_unit_square_tri(n), 1)
     glob = G.assemble_global(disc, G.build_element_systems(disc, PLANE_STRESS, tau=2.0))
+    dof = non_spd_dof(glob, where)
     A = glob.matrix.copy()
-    A[0, 0] = -A[0, 0]  # break positive definiteness, keep the symmetry
+    A[dof, dof] = -A[dof, dof]
     with pytest.raises(G.SolverError, match="not positive definite"):
         G.solve_condensed(replace(glob, matrix=A), "cholesky")
+
+
+def direct_case(case):
+    """Assembled trace system of a named case: test2 at nu=0.3 with its body
+    force on the mesh the name gives."""
+    from test_mesh import perturbed_mesh
+
+    family, k, n = case.split("-")
+    k, n = int(k[1:]), int(n[1:])
+    if family == "mixed":
+        mesh = mixed_mesh(n)
+    elif family == "perturbed":
+        mesh = perturbed_mesh("tri", n)
+    else:
+        mesh = M.build_mesh(family, n)
+    sol, material = MF.test2_solution(), ComplianceTensor.plane_strain(3.0, 0.3)
+    disc = G.build_discretization(mesh, k)
+    systems = G.build_element_systems(disc, material, 3.0 / mesh.h,
+                                      lambda pts: MF.body_force(sol, material, pts))
+    return G.assemble_global(disc, systems)
+
+
+# tri n=5 and n=10 leave partial subdomains at the top and right; n=1 and 2
+# are one subdomain with no interface
+DIRECT_CASES = [f"tri-k{k}-n{n}" for k in (1, 2, 3) for n in (1, 2, 5, 10, 32)] + [
+    "poly-k2-n12", "mixed-k2-n6", "perturbed-k1-n16"]
+
+
+@pytest.mark.parametrize("case", DIRECT_CASES)
+def test_substructured_solve_matches_whole_factorization(case):
+    glob = direct_case(case)
+    expected = G._symmetric_lu(glob.matrix.tocsc()).solve(glob.rhs)
+    trace, stats = G.solve_condensed(glob, "cholesky")
+    x = trace[glob.dofmap.interior_index >= 0]
+    assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert stats.min_pivot > 0
+
+
+@pytest.mark.parametrize("case,classes,blocks", [("tri-k1-n32", 9, 64),
+                                                  ("perturbed-k1-n16", 16, 16)])
+def test_subdomain_classes(case, classes, blocks):
+    # the 8 x 8 subdomains of tri n=32 fall into 9 classes: interior, four
+    # edges and four corners; on a mesh without translates each of the
+    # 4 x 4 subdomains is its own class (the unperturbed mesh has 9)
+    stacks, _ = G._substructure(direct_case(case))
+    assert sum(len(st.a_ii) for st in stacks) == classes
+    assert sum(st.inner.shape[0] * st.inner.shape[1] for st in stacks) == blocks
 
 
 def test_unknown_solver_rejected():
@@ -417,12 +482,14 @@ def test_near_incompressible_errors_pinned():
     # cancellation, and reassociating the element arithmetic moves these
     # norms by up to 1e-5 relative. The values are those of the
     # element-by-element computation with a centroid-fan quadrature on the
-    # quadrilaterals. Three changes moved the cell since, each by rounding:
+    # quadrilaterals. Four changes moved the cell since, each by rounding:
     # the tensor Gauss rule on quadrilaterals (3.2e-10 in err_u_proj), the
-    # element stage run once per translation class, and the error norms
-    # tabulated once per class (at most 4.1e-13). The norms now lie 3.26e-10
-    # (err_sigma_proj), 2.71e-10 (err_u_proj), 1.44e-10 (err_sigma),
-    # 2.47e-10 (err_u) and 1.35e-11 (trace_diag) from these values.
+    # element stage run once per translation class, the error norms
+    # tabulated once per class (at most 4.1e-13), and the direct solve by
+    # static condensation of subdomains in place of one sparse LU (up to
+    # 4.2e-10, in err_u_proj). The norms now lie 1.87e-11 (err_sigma_proj),
+    # 6.93e-10 (err_u_proj), 8.3e-12 (err_sigma), 6.31e-10 (err_u) and
+    # 8.7e-12 (trace_diag) from these values.
     cfg = RunConfig(mesh="poly", k=2, n=12, solution="test2", material="plane_strain",
                     E=3.0, nu=0.49999, solver="cholesky")
     rep = run_solve(cfg).errors
