@@ -17,17 +17,17 @@ hdg_local's two policies: the assembly rule for the element stage, and the
 error rule (Discretization.error_rule) for boundary data, the traction
 jump and the error norms.
 
-The trace system is solved directly, by static condensation of subdomains
-(square blocks of cells): a dense Cholesky of each subdomain's inner
-unknowns, done once per class of subdomains whose rows are equal bit for
-bit, then a sparse symmetric factorization of the interface Schur
-complement. Or it is solved by conjugate gradients with a two-level
-additive Schwarz preconditioner: exact solves on the vertex patches (the
-interior faces around each mesh vertex) plus a coarse correction in the
-traces of continuous P1 fields, after Cockburn, Dubois, Gopalakrishnan &
-Tan (multigrid for HDG) and Schoberl (vertex-patch smoothers robust as
-nu -> 1/2). Its iteration counts stay nearly flat under refinement; see
-solve_condensed.
+The trace system is solved directly, by multifrontal nested dissection on
+a grid of subdomains (square blocks of cells): a dense Cholesky of each
+subdomain's inner unknowns, then of the faces between groups of 2 x 2
+subdomains, and so on up to one top front, each done once per class of
+fronts whose matrices are equal bit for bit. Or it is solved by conjugate
+gradients with a two-level additive Schwarz preconditioner: exact solves
+on the vertex patches (the interior faces around each mesh vertex) plus a
+coarse correction in the traces of continuous P1 fields, after Cockburn,
+Dubois, Gopalakrishnan & Tan (multigrid for HDG) and Schoberl (vertex-patch
+smoothers robust as nu -> 1/2). Its iteration counts stay nearly flat
+under refinement; see solve_condensed.
 
 Stacked layout: the element stage runs once per translation class of the
 elements that share a face count (see hdg_local), on batches of at most
@@ -103,21 +103,24 @@ __all__ = [
 
 # size above which the "auto" solver policy switches from the direct
 # factorization to preconditioned conjugate gradients. Measured on tri k=1
-# test2 nu=0.49 (one BLAS thread, in-process solve_condensed): at n=32
-# (12,032 dofs) direct 0.032 s, CG 0.079 s (88 iterations); at n=128
-# (195,584 dofs) direct 1.12 s and +330 MB peak, CG 2.48 s, 82 iterations
-# and +141 MB; at nu=0.49999 the P1 coarse space locks on triangles and CG
-# needs 881 iterations, 20 s. The direct cost does not depend on nu. Larger
-# sizes are unmeasured, so the switch stays just above n=128.
+# test2 nu=0.49 (one BLAS thread, in-process solve_condensed, one call per
+# process): at n=32 (12,032 dofs) direct 0.019 s and +6 MB peak, CG 0.091 s
+# (88 iterations) and +8 MB; at n=128 (195,584 dofs) direct 0.34 s and
+# +58 MB, CG 2.35 s, 82 iterations and +141 MB; at nu=0.49999 the P1 coarse
+# space locks on triangles and CG needs 881 iterations, 20 s. The direct
+# cost does not depend on nu. Larger sizes are unmeasured, so the switch
+# stays just above n=128.
 DIRECT_SOLVER_DOF_LIMIT = 200_000
 
 # inner dofs (dofs of faces with both elements in the subdomain) that the
-# subdomains of the direct solve aim at (_element_blocks). Measured
-# (in-process, best of 15, one BLAS thread), the solve at subdomain widths
-# s = 2, 3, 4, 5 cells: tri k=1 n=32 41.1, 26.9, 22.9, 26.6 ms (s=4: 160
-# inner dofs); poly k=2 n=24 30.9, 25.9, 23.8, 31.5 ms (s=4: 144); tri k=2
-# n=16 11.0, 11.4, 17.4, 25.1 ms and n=32 79.2, 70.4, 60.3, 66.5 ms
-# (s=3: 126, s=4: 240). The target picks s=4, 4 and 3.
+# subdomains of the direct solve aim at (_element_blocks). The target picks
+# s=4 cells on tri k=1 and poly k=2 (160 and 144 inner dofs) and s=3 on
+# tri k=2 (126); it was measured when one sparse factorization took the
+# whole interface. Measured with the nested dissection (in-process, best of
+# 15, one BLAS thread), the solve at subdomain widths s = 2, 3, 4, 5 cells:
+# tri k=1 n=32 13.3, 15.5, 16.3, 19.0 ms; poly k=2 n=24 13.1, 12.5, 14.2,
+# 27.8 ms; tri k=2 n=16 6.6, 8.8, 13.4, 18.1 ms and n=32 22.0, 27.9, 32.1,
+# 37.3 ms.
 SUBDOMAIN_INNER_DOFS = 150
 
 # bytes of rows gathered at a time when _distinct checks rows against their
@@ -338,8 +341,8 @@ class SolverStats:
     nnz: int
     iterations: int = 0
     # the direct solve's smallest pivot of one symmetric elimination of the
-    # matrix, inner dofs of the subdomains first: the squared diagonals of
-    # the dense Cholesky factors and the interface factorization's pivots
+    # matrix, in the order of the nested dissection: the smallest squared
+    # diagonal of the fronts' dense Cholesky factors
     min_pivot: float = np.nan
     residual: float = np.nan
 
@@ -347,8 +350,7 @@ class SolverStats:
 def _symmetric_lu(A: scipy.sparse.csc_matrix):
     """Sparse LU of a CSC matrix in symmetric mode with zero pivot
     threshold: pivots on the diagonal in a minimum-degree order of A + A^T.
-    It factors the interface Schur complement of the direct solve
-    (_substructured_solve) and the Schwarz coarse matrix."""
+    It factors the Schwarz coarse matrix (_schwarz_preconditioner)."""
     return scipy.sparse.linalg.splu(
         A,
         permc_spec="MMD_AT_PLUS_A",
@@ -358,13 +360,14 @@ def _symmetric_lu(A: scipy.sparse.csc_matrix):
 
 
 def _element_blocks(mesh: Mesh, nd: int) -> np.ndarray:
-    """Subdomain of each element: the square of s x s cells that holds its
-    centroid, numbered row by row. A cell is a square of the mean area of
-    two triangles of the elements' fan triangulations, laid from the lower
-    left corner of the mesh: on the built-in meshes, perturbed or not, a
-    grid cell, with every centroid well inside it. The width s is the one
-    whose largest subdomain comes closest to SUBDOMAIN_INNER_DOFS inner dofs
-    (``nd`` per inner face, a face with both elements in the subdomain)."""
+    """Subdomain of each element, as the column and row (ne, 2) of the
+    square of s x s cells that holds its centroid. A cell is a square of the
+    mean area of two triangles of the elements' fan triangulations, laid
+    from the lower left corner of the mesh: on the built-in meshes,
+    perturbed or not, a grid cell, with every centroid well inside it. The
+    width s is the one whose largest subdomain comes closest to
+    SUBDOMAIN_INNER_DOFS inner dofs (``nd`` per inner face, a face with both
+    elements in the subdomain)."""
     centroid = np.empty((mesh.num_elements, 2))
     area = np.empty(mesh.num_elements)
     for m, ids in mesh.element_groups():
@@ -382,7 +385,7 @@ def _element_blocks(mesh: Mesh, nd: int) -> np.ndarray:
         largest = nd * np.bincount(block[left[inner]]).max(initial=0)
         miss = abs(largest - SUBDOMAIN_INNER_DOFS)
         if best is None or miss <= best[0]:
-            best = miss, block
+            best = miss, ij
         if largest >= SUBDOMAIN_INNER_DOFS or not block.any():
             break
     return best[1]
@@ -390,133 +393,174 @@ def _element_blocks(mesh: Mesh, nd: int) -> np.ndarray:
 
 @dataclass
 class _Stack:
-    """Classes of subdomains whose inner rows of the trace matrix are equal
-    bit for bit (values and local pattern), all of one size and with the same
-    number m of subdomains each. A subdomain's local order is its inner dofs,
-    then its interface dofs (interior dofs of its elements' other faces),
-    each in ascending order."""
+    """Fronts of one level of the nested dissection, in classes of m fronts
+    that share one factorization, all of one shape. A front's local order is
+    its inner faces (the faces it eliminates), then its outer faces (faces
+    of its elements that a later front eliminates), each in ascending order,
+    ndof_face dofs per face. Its matrix is the trace matrix's face blocks in
+    its inner rows, on the columns of its own faces, plus the Schur
+    complements of its children, each added on the child's outer faces."""
 
-    inner: np.ndarray  # (C, m, nI) inner dofs of each subdomain
-    interface: np.ndarray  # (C, m, nG) interface numbers of its interface dofs
-    a_ii: np.ndarray  # (C, nI, nI) inner block of each class
-    a_ig: np.ndarray  # (C, nI, nG) its coupling to the interface
+    level: int
+    inner: np.ndarray  # (C, m, nI) inner dofs of each front
+    outer: np.ndarray  # (C, m, nO) its outer dofs
+    # face blocks of each class's first front: class, local row face, local
+    # column face, and the chunks (K, nd) of the matrix data holding them
+    blocks: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    # per stack of children: its index, the children's classes in it (K,),
+    # their fronts' classes here (K,), and the local dofs (K, o) of their
+    # outer dofs here
+    children: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
-def _substructure(system: CondensedSystem) -> tuple[list[_Stack], np.ndarray]:
-    """Subdomains of the trace matrix (_element_blocks), in stacks of
-    classes, and the interface dofs in ascending order. The class of a
-    subdomain is the representative (_distinct) of its inner rows' values
-    and local pattern, so subdomains share a factorization only where their
-    inner rows agree entry for entry. The rows are read face block by face
-    block (see _patch_blocks): the rows of a face are contiguous, of equal
-    length, and list the same faces."""
+def _substructure(system: CondensedSystem) -> list[_Stack]:
+    """Nested dissection of the trace matrix on the subdomain grid
+    (_element_blocks), as stacks of fronts in elimination order. Level 0
+    is the subdomains, each eliminating its inner faces. At level l, a group
+    of 2^l x 2^l subdomains eliminates the faces between its (up to four)
+    level l-1 groups, so a face's level is the first at which both of its
+    elements lie in one group, and a group with one child eliminates
+    nothing. The parent of a front is the front that eliminates the first
+    of its outer faces.
+
+    The class of a front is the representative (_distinct) of its inner
+    rows' values and local pattern and, above level 0, of what its children
+    add where (their ranks, classes and local faces). Equal keys give equal
+    front matrices bit for bit, so fronts share a factorization only where
+    their matrices agree entry for entry: the subdomains of a mesh with
+    translates, and the fronts above them (9 classes for the 16 fronts of
+    level 1 of tri n=32, 9 for the 256 of n=128). The rows are read face
+    block by face block (see _patch_blocks): the rows of a face are
+    contiguous, of equal length, and list the same faces."""
     A, mesh = system.matrix, system.disc.mesh
     nd = system.dofmap.ndof_face
     fids = mesh.interior_faces()
-    block = _element_blocks(mesh, nd)
-    nb = block.max() + 1
-    bl, br = block[mesh.face_left[fids]], block[mesh.face_right[fids]]
-    inner = bl == br
-    # inner faces by subdomain, then by rank, and their local index
-    fi = np.flatnonzero(inner)
-    fi = fi[np.argsort(bl[fi], kind="stable")]
-    n_i = np.bincount(bl[fi], minlength=nb)
+    nf = len(fids)
+    ij = _element_blocks(mesh, nd)
+    left, right = ij[mesh.face_left[fids]], ij[mesh.face_right[fids]]
+    # the first level l at which a face's sides agree after l bits
+    lev = np.frexp((left ^ right).max(axis=1))[1].astype(int)
+    width, area = ij[:, 0].max() + 1, (ij.max(axis=0) + 1).prod()
+
+    def group(level, sides):
+        """Number of the level-``level`` group holding each side, by level."""
+        g = sides >> level[:, None]
+        return level * area + g[:, 1] * width + g[:, 0]
+
+    # a front per group with inner faces, by level, and its inner faces in
+    # ascending order
+    fronts, front = np.unique(group(lev, left), return_inverse=True)
+    level = fronts // area
+    fi = np.argsort(front, kind="stable")
+    n_i = np.bincount(front, minlength=len(fronts))
     i0 = np.cumsum(n_i) - n_i
-    local = np.zeros(len(fids), dtype=int)
-    local[fi] = np.arange(len(fi)) - np.repeat(i0, n_i)
-    # an interface face is on the interface of its two subdomains: by
-    # subdomain, then by rank, with its local index on each side
-    fg = np.flatnonzero(~inner)
-    number = np.zeros(len(fids), dtype=int)
-    number[fg] = np.arange(len(fg))
-    side_block, side_face = np.concatenate([bl[fg], br[fg]]), np.tile(fg, 2)
-    order = np.lexsort((side_face, side_block))
-    n_g = np.bincount(side_block, minlength=nb)
-    g0 = np.cumsum(n_g) - n_g
-    side_local = np.empty(len(order), dtype=int)
-    side_local[order] = np.arange(len(order)) - np.repeat(g0, n_g)
-    local_left, local_right = np.zeros_like(local), np.zeros_like(local)
-    local_left[fg], local_right[fg] = np.split(side_local, 2)
-    iface = side_face[order]
-    # the face blocks of the inner faces' rows: column face and local column
-    # face of each, and its key in the subdomain's local pattern
-    start, stop = A.indptr[fi * nd], A.indptr[fi * nd + nd]
+    local = np.empty(nf, dtype=int)
+    local[fi] = np.arange(nf) - np.repeat(i0, n_i)
+    # a face is an outer face of the fronts of the groups holding its
+    # elements at each level below its own
+    below = np.repeat(np.arange(nf), lev)
+    at = np.arange(len(below)) - np.repeat(np.cumsum(lev) - lev, lev)
+    keys = np.concatenate([group(at, left[below]), group(at, right[below])])
+    hit = np.minimum(np.searchsorted(fronts, keys), len(fronts) - 1)
+    has = fronts[hit] == keys
+    of, oface = hit[has], np.tile(below, 2)[has]
+    order = np.lexsort((oface, of))
+    of, oface = of[order], oface[order]
+    n_o = np.bincount(of, minlength=len(fronts))
+    o0 = np.cumsum(n_o) - n_o
+    # local face of (front, face) pairs, by key front * nf + face
+    pair = np.concatenate([front * nf + np.arange(nf), of * nf + oface])
+    by_pair = np.argsort(pair)
+    pair = pair[by_pair]
+    slot = np.concatenate([local, n_i[of] + np.arange(len(of)) - np.repeat(o0, n_o)])[by_pair]
+
+    def local_face(fr, faces):
+        return slot[np.searchsorted(pair, fr * nf + faces)]
+
+    # the face blocks of the inner rows, by front, on the columns of faces
+    # that the front or a later one eliminates
+    start = A.indptr[fi * nd]
     cnt = (A.indptr[fi * nd + 1] - start) // nd
-    p0 = np.cumsum(cnt) - cnt
-    col = A.indices[np.repeat(start - p0 * nd, cnt) + np.arange(cnt.sum()) * nd] // nd
-    row_block = np.repeat(bl[fi], cnt)
-    side = np.where(bl[col] == row_block, local_left[col], local_right[col])
-    local_col = np.where(inner[col], local[col], n_i[row_block] + side)
-    key = np.repeat(local[fi], cnt) * (n_i + n_g)[row_block] + local_col
-    # the inner rows' entries, by subdomain, then in matrix order
-    size = stop - start
-    entries = np.repeat(start - np.cumsum(size) + size, size) + np.arange(size.sum())
-    n_p = np.bincount(row_block, minlength=nb)
-    q0, e0 = np.cumsum(n_p) - n_p, (np.cumsum(n_p) - n_p) * nd * nd
+    lead = np.repeat(start // nd - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+    row, col = np.repeat(fi, cnt), A.indices[lead * nd] // nd
+    keep = lev[col] >= lev[row]
+    row, col = row[keep], col[keep]
+    chunks = (lead[:, None] + np.repeat(cnt, cnt)[:, None] * np.arange(nd))[keep]
+    brow, bcol = local[row], local_face(front[row], col)
+    n_b = np.bincount(front[row], minlength=len(fronts))
+    b0 = np.cumsum(n_b) - n_b
+    data = A.data.reshape(-1, nd)
 
     def dofs(faces):
         return (faces[..., None] * nd + np.arange(nd)).reshape(faces.shape[:-1] + (-1,))
 
-    def dense(first, ni, ng):
-        """[A_II | A_IG] of the subdomains ``first``, face block by face block."""
-        out = np.zeros((len(first), ni * nd, (ni + ng) * nd))
-        at = i0[first][:, None] + np.arange(ni)
-        for q in np.unique(cnt[at]):
-            c, f = np.nonzero(cnt[at] == q)
-            t = at[c, f]
-            rows = f[:, None, None, None] * nd + np.arange(nd)[:, None, None]
-            cols = local_col[p0[t][:, None] + np.arange(q)][:, None, :, None] * nd + np.arange(nd)
-            vals = A.data[start[t][:, None] + np.arange(nd * q * nd)]
-            out[c[:, None, None, None], rows, cols] = vals.reshape(-1, nd, q, nd)
-        return out
+    def ranges(first, count):
+        return np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
 
-    stacks = []
-    sizes = (n_i * (n_g.max() + 1) + n_g) * (n_p.max() + 1) + n_p
-    for size in np.unique(sizes[n_i > 0]):
-        blocks = np.flatnonzero(sizes == size)
-        ni, ng, npairs = n_i[blocks[0]], n_g[blocks[0]], n_p[blocks[0]]
-        vals = A.data[entries[e0[blocks][:, None] + np.arange(npairs * nd * nd)]]
-        keys = key[q0[blocks][:, None] + np.arange(npairs)]
-        _, cls = np.unique(_distinct(np.concatenate([vals.view(np.uint64), keys.view(np.uint64)],
-                                                    axis=1)), return_inverse=True)
-        by_class = np.argsort(cls, kind="stable")
-        count = np.bincount(cls)
-        for m in np.unique(count):
-            b = blocks[by_class[count[cls[by_class]] == m].reshape(-1, m)]
-            d = dense(b[:, 0], ni, ng)
-            stacks.append(_Stack(dofs(fi[i0[b][..., None] + np.arange(ni)]),
-                                 dofs(number[iface[g0[b][..., None] + np.arange(ng)]]),
-                                 d[:, :, : ni * nd].copy(), d[:, :, ni * nd :].copy()))
-    return stacks, dofs(fg[None])[0]
+    # each front with outer faces is a child of the front that eliminates the
+    # first of them, and ranks among its siblings by number
+    first = np.lexsort((lev[oface], of))[o0[n_o > 0]]
+    kids, parent = of[first], front[oface[first]]
+    by = np.lexsort((kids, parent))
+    _, k0, n_k = np.unique(parent[by], return_index=True, return_counts=True)
+    rank = np.empty(len(kids), dtype=int)
+    rank[by] = np.arange(len(kids)) - np.repeat(k0, n_k)
+    # each outer face of each child: its local face in the parent, its index
+    # among the child's outer faces, and its slot among the (at most two)
+    # children that hold it there, by rank
+    entry = ranges(o0[kids], n_o[kids])
+    kid = np.repeat(np.arange(len(kids)), n_o[kids])
+    pos = local_face(parent[kid], oface[entry])
+    index = entry - o0[kids][kid]
+    by = np.lexsort((rank[kid], pos, parent[kid]))
+    second = np.zeros(len(kid), dtype=int)
+    second[by[1:]] = (parent[kid[by[1:]]] == parent[kid[by[:-1]]]) & (pos[by[1:]] == pos[by[:-1]])
 
-
-def _interface_matrix(
-    A: scipy.sparse.csr_matrix, gdofs: np.ndarray, nd: int, parts
-) -> scipy.sparse.csr_matrix:
-    """The interface Schur complement A_GG - sum_b S_b, face block by face
-    block, with ``parts`` a list of (interface faces (C, m, g), S (C, g nd,
-    g nd)): subdomain (c, i) adds S[c] on its faces [c, i]. Each entry sums
-    A_GG, then the parts in order, so with every S exactly symmetric the
-    result is too."""
-    ngf, nn = len(gdofs) // nd, nd * nd
-    a_gg = A[gdofs][:, gdofs].tocoo()
-    keys = [(f[..., :, None] * ngf + f[..., None, :]).ravel() for f, _ in parts]
-    lead = (a_gg.row % nd == 0) & (a_gg.col % nd == 0)  # one entry per face block
-    pairs = np.sort(np.concatenate(keys + [a_gg.row[lead] // nd * ngf + a_gg.col[lead] // nd]))
-    pairs = pairs[np.concatenate([[True], pairs[1:] != pairs[:-1]])]  # np.unique, faster
-    at = [np.searchsorted(pairs, a_gg.row // nd * ngf + a_gg.col // nd) * nn
-          + a_gg.row % nd * nd + a_gg.col % nd]
-    vals = [a_gg.data]
-    for (f, S), key in zip(parts, keys):
-        C, m, g = f.shape
-        at.append((np.searchsorted(pairs, key)[:, None] * nn + np.arange(nn)).ravel())
-        blocks = -S.reshape(C, 1, g, nd, g, nd).swapaxes(3, 4)
-        vals.append(np.broadcast_to(blocks, (C, m, g, g, nd, nd)).ravel())
-    data = np.bincount(np.concatenate(at), weights=np.concatenate(vals),
-                       minlength=len(pairs) * nn).reshape(-1, nd, nd)
-    bptr = np.searchsorted(pairs, np.arange(ngf + 1) * ngf)
-    shape = (len(gdofs), len(gdofs))
-    return scipy.sparse.bsr_matrix((data, pairs % ngf, bptr), shape=shape).tocsr()
+    stacks, where = [], np.empty((len(fronts), 3), dtype=int)  # stack, class, member
+    sizes = (n_i * (n_o.max() + 1) + n_o) * (n_b.max() + 1) + n_b
+    for lv in range(level.max() + 1):
+        on = np.flatnonzero(level == lv)
+        # above level 0, a front's matrix also depends on what its children
+        # add where: per local face and slot, the child's rank, stack, class
+        # and index of the face
+        labels = np.full((len(on), (n_i + n_o)[on].max(), 2), -1)
+        e = np.flatnonzero(level[parent[kid]] == lv)
+        c = kids[kid[e]]
+        labels[parent[kid[e]] - on[0], pos[e], second[e]] = (
+            (rank[kid[e]] * len(stacks) + where[c, 0]) * len(fronts) + where[c, 1]
+        ) * (n_o.max() + 1) + index[e]
+        for size in np.unique(sizes[on]):
+            members = on[sizes[on] == size]
+            ni, no, nb = n_i[members[0]], n_o[members[0]], n_b[members[0]]
+            cls = np.zeros(len(members), dtype=int)
+            if len(members) > 1:
+                blk = b0[members][:, None] + np.arange(nb)
+                vals = data[chunks[blk]].reshape(len(members), -1)
+                key = brow[blk] * (ni + no) + bcol[blk]
+                label = labels[members - on[0], : ni + no].reshape(len(members), -1)
+                _, cls = np.unique(_distinct(np.concatenate(
+                    [vals.view(np.uint64), key.view(np.uint64), label.view(np.uint64)], axis=1)),
+                    return_inverse=True)
+            by_class = np.argsort(cls, kind="stable")
+            count = np.bincount(cls)
+            for m in np.unique(count):
+                b = members[by_class[count[cls[by_class]] == m].reshape(-1, m)]
+                where[b] = np.stack([np.full(b.shape, len(stacks)), *np.indices(b.shape)], -1)
+                blk = ranges(b0[b[:, 0]], n_b[b[:, 0]])
+                stacks.append(_Stack(lv, dofs(fi[i0[b][..., None] + np.arange(ni)]),
+                                     dofs(oface[o0[b][..., None] + np.arange(no)]),
+                                     (np.repeat(np.arange(len(b)), n_b[b[:, 0]]), brow[blk],
+                                      bcol[blk], chunks[blk])))
+    # a class's matrix is its first front's: the children of the others add
+    # nothing
+    adds = where[parent, 2] == 0
+    steps = where[parent, 0] * len(stacks) + where[kids, 0]
+    for step in np.unique(steps[adds]):
+        c, p = kids[adds & (steps == step)], parent[adds & (steps == step)]
+        faces = oface[o0[c][:, None] + np.arange(n_o[c[0]])]
+        stacks[where[p[0], 0]].children.append(
+            (where[c[0], 0], where[c, 1], where[p, 1], dofs(local_face(p[:, None], faces))))
+    return stacks
 
 
 def _triangular_solve(U: np.ndarray, B: np.ndarray, trans: int) -> np.ndarray:
@@ -529,52 +573,70 @@ def _triangular_solve(U: np.ndarray, B: np.ndarray, trans: int) -> np.ndarray:
 
 
 def _substructured_solve(system: CondensedSystem) -> tuple[np.ndarray, float]:
-    """Solve the trace system by one-level static condensation of
-    subdomains (Przemieniecki, AIAA J. 1, 1963): per class of subdomains
-    (_substructure), a dense Cholesky A_II = L L^T and W = L^-1 A_IG; the
-    interface Schur complement A_GG - sum W^T W (_interface_matrix) factored
-    by _symmetric_lu; the forward elimination and back-substitution as one
-    triangular solve per stack over all of its subdomains' right-hand
-    sides. The dense pivots diag(L)^2 and the interface pivots are those of
-    one symmetric elimination of A, inner dofs first, so A is positive
-    definite if and only if all are positive. Returns the solution and the
-    minimum pivot, NaN if a pivot is not finite."""
+    """Solve the trace system by multifrontal nested dissection (George,
+    SIAM J. Numer. Anal. 10, 1973; Duff & Reid, ACM TOMS 9, 1983) on the
+    subdomain grid: static condensation of the subdomains (Przemieniecki,
+    AIAA J. 1, 1963), then of groups of 2 x 2 groups, level by level, up to
+    one top front (_substructure). Per stack of fronts, in elimination
+    order: the front matrices, from the face blocks of the trace matrix and
+    the children's Schur complements (extend-add); a batched dense Cholesky
+    F_II = L L^T, W = L^-1 F_IO and the Schur complement F_OO - W^T W of
+    each class; the forward elimination and back-substitution as one
+    triangular solve per class over all of its fronts' right-hand sides.
+    The pivots diag(L)^2 are those of one symmetric elimination of A, so A
+    is positive definite if and only if every dense Cholesky succeeds and
+    all pivots are positive. Returns the solution and the minimum pivot, NaN
+    if a pivot is not finite."""
     A, b = system.matrix, system.rhs
     nd = system.dofmap.ndof_face
-    stacks, gdofs = _substructure(system)
-    g = b[gdofs]
-    pivots, parts, done = [], [], []
-    for st in stacks:
+    data = A.data.reshape(-1, nd)
+    stacks = _substructure(system)
+    last = {s: p for p, st in enumerate(stacks) for s, *_ in st.children}
+    r = b.copy()
+    pivots, updates, done = [], {}, []
+    # one buffer holds each stack's front matrices in turn: a new array per
+    # stack costs its page faults again
+    sizes = [len(st.inner) * (st.inner.shape[2] + st.outer.shape[2]) ** 2 for st in stacks]
+    work = np.empty(max(sizes))
+
+    for p, st in enumerate(stacks):
+        C, _, ni = st.inner.shape
+        n = ni + st.outer.shape[2]
+        F = work[: sizes[p]].reshape(C, n, n)
+        F.fill(0.0)
+        F5 = F.reshape(C, n // nd, nd, n // nd, nd)
+        cls, rows, cols, chunks = st.blocks
+        F5[cls, rows, :, cols, :] = data[chunks]
+        # extend-add: an entry sums the children's updates in the order of
+        # st.children, the same for (i, j) as for (j, i)
+        for s, child, front, d in st.children:
+            for c, row, col in zip(child, (front[:, None] * n + d) * n, d):
+                np.add.at(F.reshape(-1), (row[:, None] + col).ravel(), updates[s][c].ravel())
+        for s in [s for s, q in last.items() if q == p]:
+            del updates[s]
         try:
-            L = np.linalg.cholesky(st.a_ii)
+            L = np.linalg.cholesky(F[:, :ni, :ni])
         except np.linalg.LinAlgError as exc:
             raise SolverError(
-                "matrix is not positive definite (a subdomain's dense Cholesky broke down)"
+                "matrix is not positive definite (a front's dense Cholesky broke down)"
             ) from exc
         pivots.append(np.diagonal(L, axis1=1, axis2=2).ravel() ** 2)
-        # U = L^T per class, each in the column order LAPACK reads
+        # U = L^T per class, each in the column order LAPACK reads; W and the
+        # fronts' eliminated right-hand sides Y in one solve
         U = L.swapaxes(1, 2)
-        W = _triangular_solve(U, st.a_ig, 1)
-        Y = _triangular_solve(U, b[st.inner].swapaxes(1, 2), 1)
-        S = np.tril(W.swapaxes(1, 2) @ W)
-        parts.append((st.interface[..., ::nd] // nd, S + np.tril(S, -1).swapaxes(1, 2)))
-        g -= np.bincount(st.interface.swapaxes(1, 2).ravel(),
-                         weights=(W.swapaxes(1, 2) @ Y).ravel(), minlength=len(g))
+        WY = _triangular_solve(U, np.concatenate([F[:, :ni, ni:], r[st.inner].swapaxes(1, 2)],
+                                                 axis=2), 1)
+        W, Y = WY[:, :, : n - ni], WY[:, :, n - ni :]
+        r -= np.bincount(st.outer.swapaxes(1, 2).ravel(),
+                         weights=(W.swapaxes(1, 2) @ Y).ravel(), minlength=len(r))
+        # numpy forms W^T W of one buffer by syrk and mirrors it, so the
+        # update is exactly symmetric
+        S = W.swapaxes(1, 2) @ W
+        updates[p] = np.subtract(F[:, ni:, ni:], S, out=S)
         done.append((U, W, Y))
     x = np.empty(len(b))
-    if len(gdofs):
-        S = _interface_matrix(A, gdofs, nd, parts)
-        del parts
-        try:
-            # S is exactly symmetric, so its CSR arrays are its CSC arrays
-            lu = _symmetric_lu(S.T)
-        except RuntimeError as exc:
-            raise SolverError(f"symmetric factorization failed: {exc}") from exc
-        pivots.append(lu.U.diagonal())
-        x[gdofs] = lu.solve(g)
-    x_g = x[gdofs]
-    for st, (U, W, Y) in zip(stacks, done):
-        xi = _triangular_solve(U, Y - W @ x_g[st.interface].swapaxes(1, 2), 0)
+    for st, (U, W, Y) in zip(stacks[::-1], done[::-1]):
+        xi = _triangular_solve(U, Y - W @ x[st.outer].swapaxes(1, 2), 0)
         x[st.inner] = xi.swapaxes(1, 2)
     pivots = np.concatenate(pivots)
     return x, float(pivots.min()) if np.isfinite(pivots).all() else np.nan
@@ -706,12 +768,11 @@ def solve_condensed(
 ) -> tuple[np.ndarray, SolverStats]:
     """Solve for the interior trace coefficients.
 
-    ``cholesky``: static condensation of subdomains (_substructured_solve),
-    one symmetric elimination without pivoting: dense Cholesky factors of
-    the subdomains' inner blocks, then the interface Schur complement's
-    symmetric factorization with zero pivot threshold. A breakdown of a
-    dense factor or a pivot that is not positive means the matrix is not
-    SPD and is reported as a hard error; min_pivot is the smallest pivot.
+    ``cholesky``: multifrontal nested dissection (_substructured_solve), one
+    symmetric elimination without pivoting by dense Cholesky factors of the
+    fronts, from the subdomains up to the top front. A breakdown of a dense
+    factor or a pivot that is not positive means the matrix is not SPD and
+    is reported as a hard error; min_pivot is the smallest pivot.
     ``cg``: conjugate gradients with the two-level vertex-patch Schwarz
     preconditioner of _schwarz_preconditioner, built from ``system.disc``.
     ``auto`` picks the direct solve up to DIRECT_SOLVER_DOF_LIMIT unknowns,

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 from hdgelast import hdg_global as G
 from hdgelast import hdg_local as L
@@ -298,22 +299,30 @@ def test_cg_on_actual_problem_matches_direct():
 
 def non_spd_dof(glob, where):
     """An interior dof of ``glob``'s trace matrix: its first dof on the
-    one-block mesh, its first interface dof, or the first inner dof of the
-    second subdomain of a class shared by several."""
+    one-block mesh, the first dof of a front above the subdomains, the first
+    inner dof of the second front of a class shared by several (subdomains,
+    or fronts above them), or the last dof of the top front."""
     if where == "one-block":
         return 0
-    stacks, gdofs = G._substructure(glob)
+    stacks = G._substructure(glob)
     if where == "interface":
-        return gdofs[0]
-    return next(st for st in stacks if st.inner.shape[1] > 1).inner[0, 1, 0]
+        return next(st for st in stacks if st.level == 1).inner[0, 0, 0]
+    if where == "top":
+        return stacks[-1].inner[0, 0, -1]
+    upper = where == "upper-shared"
+    return next(st for st in stacks if st.inner.shape[1] > 1 and (st.level > 0) == upper
+                ).inner[0, 1, 0]
 
 
-@pytest.mark.parametrize("n,where", [(2, "one-block"), (16, "interface"), (16, "inner-shared")],
-                         ids=["one-block", "interface", "inner-shared"])
+@pytest.mark.parametrize("n,where", [(2, "one-block"), (16, "interface"), (16, "inner-shared"),
+                                     (16, "top"), (32, "upper-shared")],
+                         ids=["one-block", "interface", "inner-shared", "top", "upper-shared"])
 def test_non_spd_detected(n, where):
     # a negated diagonal entry keeps the symmetry; in the inner rows of a
-    # subdomain that shares its class, it must split the class, or the
-    # subdomain would be eliminated with its class's positive definite factor
+    # front that shares its class, at level 0 or above, it must split the
+    # class, or the front would be eliminated with its class's positive
+    # definite factor; on the faces of the top front it breaks the last
+    # factorization
     disc = G.build_discretization(M.build_unit_square_tri(n), 1)
     glob = G.assemble_global(disc, G.build_element_systems(disc, PLANE_STRESS, tau=2.0))
     dof = non_spd_dof(glob, where)
@@ -332,6 +341,8 @@ def direct_case(case):
     k, n = int(k[1:]), int(n[1:])
     if family == "mixed":
         mesh = mixed_mesh(n)
+    elif family == "dented":
+        mesh = dented_mesh(n)
     elif family == "perturbed":
         mesh = perturbed_mesh("tri", n)
     else:
@@ -343,10 +354,23 @@ def direct_case(case):
     return G.assemble_global(disc, systems)
 
 
+def dented_mesh(n):
+    """The tri mesh with the vertex nearest (5/16, 5/16) moved by h/10: at
+    n=32 it lies inside one subdomain, away from its interface faces, so
+    only that subdomain's rows change, and with them the Schur complement
+    it passes up to a front whose own rows equal those of three others."""
+    mesh = M.build_mesh("tri", n)
+    vertices = mesh.vertices.copy()
+    vertices[np.argmin(np.linalg.norm(vertices - 5 / 16, axis=1))] += 0.1 * mesh.h
+    return M._assemble(vertices, mesh.element_vertices.reshape(-1, 3))
+
+
 # tri n=5 and n=10 leave partial subdomains at the top and right; n=1 and 2
-# are one subdomain with no interface
+# are one subdomain with no interface; tri k=2 n=20 (7 x 7 subdomains) and
+# tri k=1 n=40 (10 x 10) have groups with one child at two levels; the
+# dented mesh has a front that must not share its class for its rows alone
 DIRECT_CASES = [f"tri-k{k}-n{n}" for k in (1, 2, 3) for n in (1, 2, 5, 10, 32)] + [
-    "poly-k2-n12", "mixed-k2-n6", "perturbed-k1-n16"]
+    "tri-k2-n20", "tri-k1-n40", "poly-k2-n12", "mixed-k2-n6", "perturbed-k1-n16", "dented-k1-n32"]
 
 
 @pytest.mark.parametrize("case", DIRECT_CASES)
@@ -359,15 +383,39 @@ def test_substructured_solve_matches_whole_factorization(case):
     assert stats.min_pivot > 0
 
 
-@pytest.mark.parametrize("case,classes,blocks", [("tri-k1-n32", 9, 64),
-                                                  ("perturbed-k1-n16", 16, 16)])
-def test_subdomain_classes(case, classes, blocks):
+@pytest.mark.parametrize("case,classes,blocks,fronts,shared", [
+    ("tri-k1-n32", 9, 64, [16, 4, 1], [9, 4, 1]),
+    ("perturbed-k1-n16", 16, 16, [4, 1], [4, 1]),
+], ids=["tri-k1-n32-9-64", "perturbed-k1-n16-16-16"])
+def test_subdomain_classes(case, classes, blocks, fronts, shared):
     # the 8 x 8 subdomains of tri n=32 fall into 9 classes: interior, four
     # edges and four corners; on a mesh without translates each of the
-    # 4 x 4 subdomains is its own class (the unperturbed mesh has 9)
-    stacks, _ = G._substructure(direct_case(case))
-    assert sum(len(st.a_ii) for st in stacks) == classes
-    assert sum(st.inner.shape[0] * st.inner.shape[1] for st in stacks) == blocks
+    # 4 x 4 subdomains is its own class (the unperturbed mesh has 9). Each
+    # level above has a quarter of the fronts of the one below; on tri n=32
+    # the 16 fronts of level 1 fall into 9 classes, as the subdomains do.
+    stacks = G._substructure(direct_case(case))
+    levels = np.array([st.level for st in stacks])
+    counts = [(len(st.inner), st.inner.shape[0] * st.inner.shape[1]) for st in stacks]
+    per_level = np.array([np.sum([c for c, l in zip(counts, levels) if l == lv], axis=0)
+                          for lv in range(levels.max() + 1)])
+    assert list(per_level[0]) == [classes, blocks]
+    assert list(per_level[1:, 1]) == fronts
+    assert list(per_level[1:, 0]) == shared
+
+
+@pytest.mark.parametrize("case", ["tri-k1-n32", "poly-k2-n12", "mixed-k2-n6", "perturbed-k1-n16"])
+def test_direct_solve_without_superlu(case, monkeypatch):
+    # the direct path factors every front with a dense Cholesky; SuperLU is
+    # only the Schwarz coarse solve's. Two solves give the same bits.
+    def refuse(*args, **kwargs):
+        raise AssertionError("splu called on the direct path")
+
+    glob = direct_case(case)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+    first, stats = G.solve_condensed(glob, "cholesky")
+    second, _ = G.solve_condensed(glob, "cholesky")
+    assert first.tobytes() == second.tobytes()
+    assert stats.min_pivot > 0 and stats.residual < 1e-10
 
 
 def test_unknown_solver_rejected():
@@ -482,14 +530,16 @@ def test_near_incompressible_errors_pinned():
     # cancellation, and reassociating the element arithmetic moves these
     # norms by up to 1e-5 relative. The values are those of the
     # element-by-element computation with a centroid-fan quadrature on the
-    # quadrilaterals. Four changes moved the cell since, each by rounding:
+    # quadrilaterals. Five changes moved the cell since, each by rounding:
     # the tensor Gauss rule on quadrilaterals (3.2e-10 in err_u_proj), the
     # element stage run once per translation class, the error norms
-    # tabulated once per class (at most 4.1e-13), and the direct solve by
+    # tabulated once per class (at most 4.1e-13), the direct solve by
     # static condensation of subdomains in place of one sparse LU (up to
-    # 4.2e-10, in err_u_proj). The norms now lie 1.87e-11 (err_sigma_proj),
-    # 6.93e-10 (err_u_proj), 8.3e-12 (err_sigma), 6.31e-10 (err_u) and
-    # 8.7e-12 (trace_diag) from these values.
+    # 4.2e-10, in err_u_proj), and the nested dissection of their interface
+    # by dense Cholesky fronts (up to 3.3e-11, in err_u_proj). The norms now
+    # lie 2.05e-11 (err_sigma_proj), 6.60e-10 (err_u_proj), 9.1e-12
+    # (err_sigma), 6.01e-10 (err_u) and 8.7e-12 (trace_diag) from these
+    # values.
     cfg = RunConfig(mesh="poly", k=2, n=12, solution="test2", material="plane_strain",
                     E=3.0, nu=0.49999, solver="cholesky")
     rep = run_solve(cfg).errors
