@@ -394,10 +394,10 @@ def test_subdomain_classes(case, classes, blocks, fronts, shared):
     # level above has a quarter of the fronts of the one below; on tri n=32
     # the 16 fronts of level 1 fall into 9 classes, as the subdomains do.
     stacks = G._substructure(direct_case(case))
-    levels = np.array([st.level for st in stacks])
-    counts = [(len(st.inner), st.inner.shape[0] * st.inner.shape[1]) for st in stacks]
-    per_level = np.array([np.sum([c for c, l in zip(counts, levels) if l == lv], axis=0)
-                          for lv in range(levels.max() + 1)])
+    per_level = np.zeros((stacks[-1].level + 1, 2), dtype=int)  # classes, fronts
+    for st in stacks:
+        C, m, _ = st.inner.shape
+        per_level[st.level] += C, C * m
     assert list(per_level[0]) == [classes, blocks]
     assert list(per_level[1:, 1]) == fronts
     assert list(per_level[1:, 0]) == shared
