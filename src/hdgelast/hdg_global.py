@@ -120,7 +120,9 @@ DIRECT_SOLVER_DOF_LIMIT = 200_000
 # 15, one BLAS thread), the solve at subdomain widths s = 2, 3, 4, 5 cells:
 # tri k=1 n=32 13.3, 15.5, 16.3, 19.0 ms; poly k=2 n=24 13.1, 12.5, 14.2,
 # 27.8 ms; tri k=2 n=16 6.6, 8.8, 13.4, 18.1 ms and n=32 22.0, 27.9, 32.1,
-# 37.3 ms.
+# 37.3 ms. s=2 (or single-cell leaves) waits for an extended-precision
+# reference: it moves the pinned poly k=2 test2 nu=0.49999 n=12 cell by
+# 1.97e-9 (err_u_proj) and 1.79e-9 (err_u), past its rel 1e-9 check.
 SUBDOMAIN_INNER_DOFS = 150
 
 # bytes of rows gathered at a time when _distinct checks rows against their
@@ -228,9 +230,11 @@ def running_sum(values: np.ndarray) -> float:
 
 @dataclass
 class CondensedSystem:
-    """Reduced SPD system over interior trace dofs plus boundary data."""
+    """Reduced SPD system over interior trace dofs plus boundary data. The
+    matrix is the BSR of assemble_global's face blocks: block row r is
+    interior face r, and block j (``data[j]``) has column face ``indices[j]``."""
 
-    matrix: scipy.sparse.csr_matrix
+    matrix: scipy.sparse.bsr_matrix
     rhs: np.ndarray
     boundary_values: np.ndarray  # full trace vector, nonzero on boundary dofs
     # the mesh-level data the system was assembled from; cg builds its
@@ -330,7 +334,7 @@ def assemble_global(
     t = terms[disc.mesh.face_right >= 0]
     rhs = (((t[:, 0, 0] + t[:, 0, 1]) + t[:, 1, 0]) + t[:, 1, 1]).ravel()
     bptr = np.searchsorted(pairs, np.arange(nf + 1) * nf)
-    matrix = scipy.sparse.bsr_matrix((blocks, pairs % nf, bptr), shape=(n, n)).tocsr()
+    matrix = scipy.sparse.bsr_matrix((blocks, pairs % nf, bptr), shape=(n, n))
     return CondensedSystem(matrix, rhs, boundary_values, disc)
 
 
@@ -405,7 +409,7 @@ class _Stack:
     inner: np.ndarray  # (C, m, nI) inner dofs of each front
     outer: np.ndarray  # (C, m, nO) its outer dofs
     # face blocks of each class's first front: class, local row face, local
-    # column face, and the chunks (K, nd) of the matrix data holding them
+    # column face, and the block's index in the matrix data
     blocks: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     # per stack of children: its index, the children's classes in it (K,),
     # their fronts' classes here (K,), and the local dofs (K, o) of their
@@ -429,9 +433,8 @@ def _substructure(system: CondensedSystem) -> list[_Stack]:
     front matrices bit for bit, so fronts share a factorization only where
     their matrices agree entry for entry: the subdomains of a mesh with
     translates, and the fronts above them (9 classes for the 16 fronts of
-    level 1 of tri n=32, 9 for the 256 of n=128). The rows are read face
-    block by face block (see _patch_blocks): the rows of a face are
-    contiguous, of equal length, and list the same faces."""
+    level 1 of tri n=32, 9 for the 256 of n=128). The rows are read as the
+    matrix keeps them, face block by face block (see CondensedSystem)."""
     A, mesh = system.matrix, system.disc.mesh
     nd = system.dofmap.ndof_face
     fids = mesh.interior_faces()
@@ -477,25 +480,22 @@ def _substructure(system: CondensedSystem) -> list[_Stack]:
     def local_face(fr, faces):
         return slot[np.searchsorted(pair, fr * nf + faces)]
 
-    # the face blocks of the inner rows, by front, on the columns of faces
-    # that the front or a later one eliminates
-    start = A.indptr[fi * nd]
-    cnt = (A.indptr[fi * nd + 1] - start) // nd
-    lead = np.repeat(start // nd - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
-    row, col = np.repeat(fi, cnt), A.indices[lead * nd] // nd
-    keep = lev[col] >= lev[row]
-    row, col = row[keep], col[keep]
-    chunks = (lead[:, None] + np.repeat(cnt, cnt)[:, None] * np.arange(nd))[keep]
-    brow, bcol = local[row], local_face(front[row], col)
-    n_b = np.bincount(front[row], minlength=len(fronts))
-    b0 = np.cumsum(n_b) - n_b
-    data = A.data.reshape(-1, nd)
-
     def dofs(faces):
         return (faces[..., None] * nd + np.arange(nd)).reshape(faces.shape[:-1] + (-1,))
 
     def ranges(first, count):
         return np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+    # the face blocks of the inner rows, by front, on the columns of faces
+    # that the front or a later one eliminates
+    cnt = np.diff(A.indptr)[fi]
+    fb = ranges(A.indptr[fi], cnt)
+    row, col = np.repeat(fi, cnt), A.indices[fb]
+    keep = lev[col] >= lev[row]
+    row, col, fb = row[keep], col[keep], fb[keep]
+    brow, bcol = local[row], local_face(front[row], col)
+    n_b = np.bincount(front[row], minlength=len(fronts))
+    b0 = np.cumsum(n_b) - n_b
 
     # each front with outer faces is a child of the front that eliminates the
     # first of them, and ranks among its siblings by number
@@ -535,7 +535,7 @@ def _substructure(system: CondensedSystem) -> list[_Stack]:
             cls = np.zeros(len(members), dtype=int)
             if len(members) > 1:
                 blk = b0[members][:, None] + np.arange(nb)
-                vals = data[chunks[blk]].reshape(len(members), -1)
+                vals = A.data[fb[blk]].reshape(len(members), -1)
                 key = brow[blk] * (ni + no) + bcol[blk]
                 label = labels[members - on[0], : ni + no].reshape(len(members), -1)
                 _, cls = np.unique(_distinct(np.concatenate(
@@ -550,7 +550,7 @@ def _substructure(system: CondensedSystem) -> list[_Stack]:
                 stacks.append(_Stack(lv, dofs(fi[i0[b][..., None] + np.arange(ni)]),
                                      dofs(oface[o0[b][..., None] + np.arange(no)]),
                                      (np.repeat(np.arange(len(b)), n_b[b[:, 0]]), brow[blk],
-                                      bcol[blk], chunks[blk])))
+                                      bcol[blk], fb[blk])))
     # a class's matrix is its first front's: the children of the others add
     # nothing
     adds = where[parent, 2] == 0
@@ -589,7 +589,6 @@ def _substructured_solve(system: CondensedSystem) -> tuple[np.ndarray, float]:
     if a pivot is not finite."""
     A, b = system.matrix, system.rhs
     nd = system.dofmap.ndof_face
-    data = A.data.reshape(-1, nd)
     stacks = _substructure(system)
     last = {s: p for p, st in enumerate(stacks) for s, *_ in st.children}
     r = b.copy()
@@ -605,8 +604,8 @@ def _substructured_solve(system: CondensedSystem) -> tuple[np.ndarray, float]:
         F = work[: sizes[p]].reshape(C, n, n)
         F.fill(0.0)
         F5 = F.reshape(C, n // nd, nd, n // nd, nd)
-        cls, rows, cols, chunks = st.blocks
-        F5[cls, rows, :, cols, :] = data[chunks]
+        cls, rows, cols, blocks = st.blocks
+        F5[cls, rows, :, cols, :] = A.data[blocks]
         # extend-add: an entry sums the children's updates in the order of
         # st.children, the same for (i, j) as for (j, i)
         for s, child, front, d in st.children:
@@ -648,15 +647,11 @@ def _patch_blocks(system: CondensedSystem) -> list[tuple[np.ndarray, np.ndarray]
     matrix on them, one pair per patch size.
 
     The blocks are looked up among the face blocks of the matrix (see
-    assemble_global): row a of face block j of face row r is the chunk of
-    ndof_face entries j + a * (blocks in row r) after the row's first."""
+    CondensedSystem) by their key r * nf + c, row face r and column face c,
+    ascending."""
     A, nd = system.matrix, system.dofmap.ndof_face
     nf = A.shape[0] // nd
-    chunks = np.diff(A.indptr) // nd
-    row = np.repeat(np.arange(A.shape[0]), chunks)
-    # the first chunk of each face block and its key r * nf + c, ascending
-    lead = np.flatnonzero(row % nd == 0)
-    keys = row[lead] // nd * nf + A.indices[lead * nd] // nd
+    keys = np.repeat(np.arange(nf), np.diff(A.indptr)) * nf + A.indices
     fids = system.disc.mesh.interior_faces()
     verts = system.disc.mesh.face_vertices[fids].T.ravel()
     order = np.argsort(verts, kind="stable")
@@ -667,8 +662,8 @@ def _patch_blocks(system: CondensedSystem) -> list[tuple[np.ndarray, np.ndarray]
         patch = faces[start[sizes == size, None] + np.arange(size)]
         want = patch[:, :, None] * nf + patch[:, None, :]
         blk = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        stride = chunks[patch * nd][:, :, None, None] * np.arange(nd)[:, None]
-        blocks = A.data.reshape(-1, nd)[lead[blk][:, :, None, :] + stride]
+        # (patches, size, nd, size, nd): row face, its dof, column face, its dof
+        blocks = A.data[blk[:, :, None, :], np.arange(nd)[:, None]]
         blocks.swapaxes(2, 3)[keys[blk] != want] = 0.0
         dofs = (patch[..., None] * nd + np.arange(nd)).reshape(len(patch), -1)
         out.append((dofs, blocks.reshape(dofs.shape + dofs.shape[1:])))

@@ -150,7 +150,7 @@ def test_face_block_assembly_matches_triplet_oracle(family, k):
     for sol in (MF.test2_solution(), MF.rigid_motion_solution(), cubic_solution()):
         disc, systems, bvals, glob = assembled_with_data(family, k, sol=sol)
         matrix, rhs = coo_oracle(disc, systems, bvals)
-        A = glob.matrix
+        A = glob.matrix.tocsr()
         assert A.indptr.dtype == matrix.indptr.dtype and A.indices.dtype == matrix.indices.dtype
         assert np.array_equal(A.indptr, matrix.indptr)
         assert np.array_equal(A.indices, matrix.indices)
@@ -165,6 +165,22 @@ def test_face_block_assembly_matches_triplet_oracle(family, k):
 def test_global_matrix_bitwise_symmetric(family, k):
     A = assembled_with_data(family, k)[-1].matrix
     assert (A != A.T).nnz == 0
+
+
+def test_matrix_kept_as_face_blocks():
+    # one stored block per pair of interior faces that share an element: a
+    # face with itself, and each ordered pair of distinct interior faces of
+    # an element; the stored entries are those of the flattened matrix
+    mesh = M.build_unit_square_tri(32)
+    disc = G.build_discretization(mesh, 1)
+    glob = G.assemble_global(disc, G.build_element_systems(disc, PLANE_STRESS, tau=2.0))
+    A = glob.matrix
+    assert A.format == "bsr" and A.blocksize == (4, 4)
+    fids = mesh.interior_faces()
+    per_element = np.bincount(np.concatenate([mesh.face_left[fids], mesh.face_right[fids]]))
+    assert A.indices.size == len(fids) + np.sum(per_element * (per_element - 1))
+    _, stats = G.solve_condensed(glob, "cholesky")
+    assert stats.nnz == A.data.size == A.tocsr().nnz == 236_608
 
 
 def test_face_block_summing_more_than_two_element_blocks_rejected():
@@ -193,10 +209,11 @@ def test_patch_blocks_equal_sampled_matrix(family, k):
     patches = G._patch_blocks(glob)
     assert sum(len(dofs) for dofs, _ in patches) == len(np.unique(
         glob.disc.mesh.face_vertices[glob.disc.mesh.interior_faces()]))
+    matrix = glob.matrix.tocsr()
     for dofs, blocks in patches:
         rows = np.broadcast_to(dofs[:, :, None], blocks.shape)
         cols = np.broadcast_to(dofs[:, None, :], blocks.shape)
-        sampled = np.asarray(glob.matrix[rows.ravel(), cols.ravel()]).reshape(blocks.shape)
+        sampled = np.asarray(matrix[rows.ravel(), cols.ravel()]).reshape(blocks.shape)
         assert sampled.tobytes() == blocks.tobytes()
 
 
@@ -327,7 +344,9 @@ def test_non_spd_detected(n, where):
     glob = G.assemble_global(disc, G.build_element_systems(disc, PLANE_STRESS, tau=2.0))
     dof = non_spd_dof(glob, where)
     A = glob.matrix.copy()
-    A[dof, dof] = -A[dof, dof]
+    face, a = divmod(dof, A.blocksize[0])
+    row = np.arange(A.indptr[face], A.indptr[face + 1])
+    A.data[row[A.indices[row] == face], a, a] *= -1.0
     with pytest.raises(G.SolverError, match="not positive definite"):
         G.solve_condensed(replace(glob, matrix=A), "cholesky")
 
