@@ -113,17 +113,15 @@ __all__ = [
 DIRECT_SOLVER_DOF_LIMIT = 200_000
 
 # inner dofs (dofs of faces with both elements in the subdomain) that the
-# subdomains of the direct solve aim at (_element_blocks). The target picks
-# s=4 cells on tri k=1 and poly k=2 (160 and 144 inner dofs) and s=3 on
-# tri k=2 (126); it was measured when one sparse factorization took the
-# whole interface. Measured with the nested dissection (in-process, best of
-# 15, one BLAS thread), the solve at subdomain widths s = 2, 3, 4, 5 cells:
-# tri k=1 n=32 13.3, 15.5, 16.3, 19.0 ms; poly k=2 n=24 13.1, 12.5, 14.2,
-# 27.8 ms; tri k=2 n=16 6.6, 8.8, 13.4, 18.1 ms and n=32 22.0, 27.9, 32.1,
-# 37.3 ms. s=2 (or single-cell leaves) waits for an extended-precision
-# reference: it moves the pinned poly k=2 test2 nu=0.49999 n=12 cell by
-# 1.97e-9 (err_u_proj) and 1.79e-9 (err_u), past its rel 1e-9 check.
-SUBDOMAIN_INNER_DOFS = 150
+# subdomains of the direct solve aim at (_element_blocks). 120, like every
+# target from 96 to 143, picks s=4 cells on tri k=1 and poly k=1..3 and s=2
+# on tri k >= 2 and poly k >= 4. Measured (best of 15, one BLAS thread), the
+# solve at the widths picked before (target 150, any s) and now: tri k=2
+# n=16 8.1 -> 6.1 ms, n=32 25.1 -> 22.0 ms; poly k=1 n=24 12.6 -> 8.2 ms;
+# poly k=4..5 n=24 up to 5% slower. s=2 is faster on tri k=1 and poly k=2..3
+# too, but on poly k=2 it waits for an extended-precision reference: it moves
+# the pinned nu=0.49999 n=12 cell past its rel 1e-9 check (err_u_proj 1.97e-9).
+SUBDOMAIN_INNER_DOFS = 120
 
 # bytes of rows gathered at a time when _distinct checks rows against their
 # candidates: about 110 blocks of the 24-dof patches of tri k=1 and poly
@@ -369,9 +367,9 @@ def _element_blocks(mesh: Mesh, nd: int) -> np.ndarray:
     mean area of two triangles of the elements' fan triangulations, laid
     from the lower left corner of the mesh: on the built-in meshes,
     perturbed or not, a grid cell, with every centroid well inside it. The
-    width s is the one whose largest subdomain comes closest to
-    SUBDOMAIN_INNER_DOFS inner dofs (``nd`` per inner face, a face with both
-    elements in the subdomain)."""
+    width s is the power of two (so that 2^j cells split into whole
+    subdomains) whose largest subdomain comes closest to SUBDOMAIN_INNER_DOFS
+    inner dofs (``nd`` per inner face, a face with both elements in it)."""
     centroid = np.empty((mesh.num_elements, 2))
     area = np.empty(mesh.num_elements)
     for m, ids in mesh.element_groups():
@@ -382,7 +380,7 @@ def _element_blocks(mesh: Mesh, nd: int) -> np.ndarray:
     fids = mesh.interior_faces()
     left, right = mesh.face_left[fids], mesh.face_right[fids]
     best = None
-    for s in range(1, cell.max() + 2):
+    for s in 1 << np.arange(int(cell.max()).bit_length() + 1):
         ij = cell // s
         block = ij[:, 1] * (ij[:, 0].max() + 1) + ij[:, 0]
         inner = block[left] == block[right]
@@ -520,6 +518,8 @@ def _substructure(system: CondensedSystem) -> list[_Stack]:
     sizes = (n_i * (n_o.max() + 1) + n_o) * (n_b.max() + 1) + n_b
     for lv in range(level.max() + 1):
         on = np.flatnonzero(level == lv)
+        if not len(on):
+            continue
         # above level 0, a front's matrix also depends on what its children
         # add where: per local face and slot, the child's rank, stack, class
         # and index of the face

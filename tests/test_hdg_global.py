@@ -384,22 +384,94 @@ def dented_mesh(n):
     return M._assemble(vertices, mesh.element_vertices.reshape(-1, 3))
 
 
-# tri n=5 and n=10 leave partial subdomains at the top and right; n=1 and 2
-# are one subdomain with no interface; tri k=2 n=20 (7 x 7 subdomains) and
-# tri k=1 n=40 (10 x 10) have groups with one child at two levels; the
-# dented mesh has a front that must not share its class for its rows alone
+def subdomain_grid(glob):
+    """The direct solve's subdomain grid: subdomains per side, whether some
+    hold fewer elements than others (partial subdomains at the top and
+    right), and the levels at which a group of the nested dissection holds
+    one child group (whose update it passes up unchanged)."""
+    ij = G._element_blocks(glob.disc.mesh, glob.dofmap.ndof_face)
+    counts = np.unique(ij, axis=0, return_counts=True)[1]
+    one_child = []
+    for lv in range(1, int(ij.max()).bit_length() + 1):
+        children = np.unique(ij >> (lv - 1), axis=0)
+        if (np.unique(children >> 1, axis=0, return_counts=True)[1] == 1).any():
+            one_child.append(lv)
+    return int(ij.max()) + 1, bool(counts.min() < counts.max()), one_child
+
+
+# what the cases are there for, as subdomain_grid gives it. tri k=1 picks
+# subdomains of 4 x 4 cells, tri k=2 and k=3 of 2 x 2 (test_subdomain_width).
+# n=1 and 2 are one subdomain with no interface; n=5, tri k=1 n=10 and
+# n=21 leave partial subdomains at the top and right; a group with one
+# child shows at one level on odd grids (3 x 3, 7 x 7), at two adjacent
+# levels on 5 x 5 and 10 x 10, and at two levels with one between them on
+# 11 x 11; the dented mesh has a front that must not share its class for its
+# rows alone
+DIRECT_GRIDS = {
+    "tri-k1-n1": (1, False, []),
+    "tri-k3-n2": (1, False, []),
+    "tri-k1-n5": (2, True, []),
+    "tri-k2-n5": (3, True, [1]),
+    "tri-k1-n10": (3, True, [1]),
+    "tri-k2-n10": (5, False, [1, 2]),
+    "tri-k2-n14": (7, False, [1]),
+    "tri-k2-n20": (10, False, [2, 3]),
+    "tri-k1-n40": (10, False, [2, 3]),
+    "tri-k2-n21": (11, True, [1, 3]),
+    "tri-k3-n21": (11, True, [1, 3]),
+    "tri-k3-n32": (16, False, []),
+}
 DIRECT_CASES = [f"tri-k{k}-n{n}" for k in (1, 2, 3) for n in (1, 2, 5, 10, 32)] + [
-    "tri-k2-n20", "tri-k1-n40", "poly-k2-n12", "mixed-k2-n6", "perturbed-k1-n16", "dented-k1-n32"]
+    "tri-k2-n20", "tri-k1-n40", "poly-k2-n12", "mixed-k2-n6", "perturbed-k1-n16", "dented-k1-n32",
+    "tri-k2-n14", "tri-k2-n21", "tri-k3-n21"]
 
 
-@pytest.mark.parametrize("case", DIRECT_CASES)
-def test_substructured_solve_matches_whole_factorization(case):
-    glob = direct_case(case)
+def assert_matches_whole_factorization(glob):
     expected = G._symmetric_lu(glob.matrix.tocsc()).solve(glob.rhs)
     trace, stats = G.solve_condensed(glob, "cholesky")
     x = trace[glob.dofmap.interior_index >= 0]
     assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
     assert stats.min_pivot > 0
+
+
+@pytest.mark.parametrize("case", DIRECT_CASES)
+def test_substructured_solve_matches_whole_factorization(case):
+    glob = direct_case(case)
+    if case in DIRECT_GRIDS:
+        assert subdomain_grid(glob) == DIRECT_GRIDS[case]
+    assert_matches_whole_factorization(glob)
+
+
+def test_single_element_subdomains(monkeypatch):
+    # with no inner-dof target each subdomain is one cell: on quadrilaterals
+    # one element with no inner face, so level 0 of the dissection is empty
+    monkeypatch.setattr(G, "SUBDOMAIN_INNER_DOFS", 0)
+    glob = direct_case("poly-k2-n12")
+    assert subdomain_grid(glob) == (12, False, [3])
+    assert min(st.level for st in G._substructure(glob)) == 1
+    assert_matches_whole_factorization(glob)
+
+
+@pytest.mark.parametrize("family,k,n,s", [
+    ("tri", 1, 16, 4), ("tri", 1, 32, 4), ("tri", 2, 8, 2), ("tri", 2, 16, 2), ("tri", 3, 8, 2),
+    ("tri", 4, 8, 2), ("poly", 1, 12, 4), ("poly", 2, 12, 4), ("poly", 3, 12, 4)])
+def test_subdomain_width(family, k, n, s):
+    # the widths are powers of two, so these meshes (2^j cells per side, or
+    # 12 = 3 x 4) split into whole subdomains of s x s cells, 2 s^2 triangles
+    # or s^2 quadrilaterals each. poly k=2 n=12 is the cell of
+    # test_near_incompressible_errors_pinned, whose norms s=2 would move past
+    # their check
+    ij = G._element_blocks(M.build_mesh(family, n), 2 * (k + 1))
+    counts = np.unique(ij, axis=0, return_counts=True)[1]
+    assert list(np.unique(counts)) == [(2 if family == "tri" else 1) * s * s]
+
+
+def test_power_of_two_grid_stacks():
+    # tri k=2 n=16 is 8 x 8 whole subdomains of 2 x 2 cells, so the fronts
+    # of a level differ only as corner, edge or interior ones: 3 stacks at
+    # levels 0 and 1, 1 at level 2, and the top, 8 in all. At s=3 the ragged
+    # last row and column of subdomains gave fronts of other shapes: 15.
+    assert len(G._substructure(direct_case("tri-k2-n16"))) == 8
 
 
 @pytest.mark.parametrize("case,classes,blocks,fronts,shared", [
