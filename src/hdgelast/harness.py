@@ -38,7 +38,7 @@ CHOICES = {
     "mesh": ("tri", "poly"),
     "material": ("plane_stress", "plane_strain"),
     "solution": ("test1", "test2", "rigid"),
-    "solver": ("auto", "cholesky", "cg"),
+    "solver": ("cholesky", "cg"),
 }
 
 
@@ -62,7 +62,7 @@ class RunConfig:
     nu: float = 0.3
     nu_list: tuple[float, ...] = (0.49, 0.4999, 0.49999)
     solution: str = "test1"
-    solver: str = "auto"
+    solver: str = "cholesky"
     tol: float = 1e-12
     out: str = ""
     vtk: str = ""
@@ -166,9 +166,10 @@ class SolveReport:
 def _pipeline(cfg: RunConfig, n: int):
     """mesh -> condense -> solve -> recover. The element systems stay alive
     through the trace solve, which sets a run's peak memory, next to the
-    assembled matrix and its factorization: each batch's geometry, loads
-    and body-force responses, and each translation class's operators once.
-    The solution keeps the batches and the parameters they were built with."""
+    assembled matrix and its factorization: each element's faces, class row,
+    shift, load and body-force responses, and each translation class's
+    geometry and operators once. The solution keeps the batches and the
+    parameters they were built with."""
     mesh = build_mesh(cfg.mesh, n)
     material = cfg.material_law()
     exact = manufactured.solution_by_name(cfg.solution)

@@ -32,13 +32,17 @@ under refinement; see solve_condensed.
 Stacked layout: the element stage runs once per translation class of the
 elements that share a face count (see hdg_local), on batches of at most
 ``hdg_local.CHUNK_SIZE`` class representatives, and keeps each class's
-operators once. Its results come in batches of at most ``CHUNK_SIZE``
-elements, each with its elements' class rows, by which assembly and
-recovery gather the operators. They, the traction jump and the scheme
-residuals work on the same batches, with each batch's global trace dofs
-gathered as one index array. The solution keeps the batches, so that the
-error norms tabulate once per class too (see postproc), and the Schwarz
-preconditioner inverts each distinct vertex-patch block once.
+geometry and operators once. Its results come in batches of at most
+``CHUNK_SIZE`` elements, each with its elements' faces, class rows and
+shifts from their representatives, by which assembly and recovery gather
+the operators. They, the traction jump and the scheme residuals work on
+the same batches, with each batch's global trace dofs gathered as one
+index array; the traction jump and the error norms form the elements'
+bases from their representatives' (CondensedBatch.basis), and the scheme
+residuals gather the representatives' blocks. The solution keeps the
+batches, so that the error norms tabulate once per class too (see
+postproc), and the Schwarz preconditioner inverts each distinct
+vertex-patch block once.
 Each batch writes its per-element results into arrays indexed by element,
 by slot (one (element, edge) pair of the mesh layout, element-major) or by
 face and side, so the layout, not the batching, fixes the order of every
@@ -62,6 +66,7 @@ import scipy.sparse.linalg
 from . import hdg_local
 from .errors import SolverError
 from .fespace import (
+    ElementBasis,
     FaceQuadrature,
     TraceDofMap,
     build_trace_dof_map,
@@ -73,12 +78,10 @@ from .fespace import (
 from .hdg_local import (
     AssemblyError,
     CondensedBatch,
-    ElementBatch,
     batch_blocks,
     batch_moments,
     condense_classes,
     element_batch,
-    translated_batch,
 )
 from .material import ComplianceTensor
 from .mesh import Mesh, polygon_areas, polygon_centroids
@@ -100,17 +103,6 @@ __all__ = [
     "scheme_residuals",
 ]
 
-
-# size above which the "auto" solver policy switches from the direct
-# factorization to preconditioned conjugate gradients. Measured on tri k=1
-# test2 nu=0.49 (one BLAS thread, in-process solve_condensed, one call per
-# process): at n=32 (12,032 dofs) direct 0.019 s and +6 MB peak, CG 0.091 s
-# (88 iterations) and +8 MB; at n=128 (195,584 dofs) direct 0.34 s and
-# +58 MB, CG 2.35 s, 82 iterations and +141 MB; at nu=0.49999 the P1 coarse
-# space locks on triangles and CG needs 881 iterations, 20 s. The direct
-# cost does not depend on nu. Larger sizes are unmeasured, so the switch
-# stays just above n=128.
-DIRECT_SOLVER_DOF_LIMIT = 200_000
 
 # inner dofs (dofs of faces with both elements in the subdomain) that the
 # subdomains of the direct solve aim at (_element_blocks). 120, like every
@@ -162,22 +154,19 @@ class Discretization:
         """Per face count, the translation classes of its elements
         (Mesh.translation_classes) in chunks of at most CHUNK_SIZE classes,
         in ascending order of their representatives. Per chunk: the
-        ElementBatch of its representatives, and the batches of the
-        elements of its classes, each element translated from its
-        representative, at most CHUNK_SIZE elements each in ascending order,
-        each batch with the rows of its elements' representatives."""
-        fq, modes, size = self.face_quad, self.face_modes, hdg_local.CHUNK_SIZE
+        ElementBatch of its representatives, and the elements of its
+        classes in batches of at most CHUNK_SIZE in ascending order, each
+        batch as (rows, elements), rows[i] the row of element i's
+        representative."""
+        size = hdg_local.CHUNK_SIZE
         for _, ids in self.mesh.element_groups():
             first, cls = self.mesh.translation_classes(ids)
             for start in range(0, len(first), size):
                 rep_ids = ids[first[start : start + size]]
-                reps = element_batch(self.mesh, self.k, rep_ids, fq, modes)
+                reps = element_batch(self.mesh, self.k, rep_ids, self.face_quad, self.face_modes)
                 members = np.flatnonzero((cls >= start) & (cls < start + size))
-                targets = []
-                for chunk in np.split(members, range(size, len(members), size)):
-                    rows = cls[chunk] - start
-                    targets.append((rows, translated_batch(reps, rows, ids[chunk], fq, modes)))
-                yield reps, targets
+                yield reps, [(cls[chunk] - start, ids[chunk])
+                             for chunk in np.split(members, range(size, len(members), size))]
 
 
 def _face_rule(
@@ -199,8 +188,10 @@ def build_discretization(mesh: Mesh, k: int) -> Discretization:
 class ElementSystems:
     """Condensed element systems of a mesh, one CondensedBatch per element
     batch of Discretization.element_classes, in its order (the batches of
-    a chunk of classes are consecutive and share its class operators), and
-    the parameters they were built with."""
+    a chunk of classes are consecutive and share its representatives and
+    class operators), and the parameters they were built with. Per element
+    it holds the faces, class row, shift, trace load and body-force
+    responses; geometry, quadrature and bases only per class."""
 
     batches: list[CondensedBatch]
     material: ComplianceTensor
@@ -284,7 +275,7 @@ def assemble_global(
     nf = n // nd
     # each element's pairs of interior faces (ranks r, c), keyed r * nf + c
     rank = _interior_rank(dofmap)
-    ranks = [rank[cb.batch.face_ids] for cb in systems.batches]
+    ranks = [rank[cb.face_ids] for cb in systems.batches]
     pair_masks = [(r[:, :, None] >= 0) & (r[:, None, :] >= 0) for r in ranks]
     keys = np.concatenate([(r[:, :, None] * nf + r[:, None, :])[pair]
                            for r, pair in zip(ranks, pair_masks)])
@@ -312,8 +303,8 @@ def assemble_global(
         # the first element block of a face block is copied, the second added
         blocks[blk[new]] = vals[new]
         blocks[blk[~new]] += vals[~new]
-        fids = cb.batch.face_ids
-        side = (disc.mesh.face_left[fids] != cb.batch.elements[:, None]).astype(int)
+        fids = cb.face_ids
+        side = (disc.mesh.face_left[fids] != cb.elements[:, None]).astype(int)
         terms[fids, side, 0] = cb.rhs.reshape(B, m, nd)
         gdofs = disc.element_dofs(fids)
         inside = dofmap.interior_index[gdofs] >= 0
@@ -759,7 +750,7 @@ def _schwarz_preconditioner(system: CondensedSystem) -> scipy.sparse.linalg.Line
 
 
 def solve_condensed(
-    system: CondensedSystem, method: str = "auto", tol: float = 1e-12
+    system: CondensedSystem, method: str = "cholesky", tol: float = 1e-12
 ) -> tuple[np.ndarray, SolverStats]:
     """Solve for the interior trace coefficients.
 
@@ -770,16 +761,12 @@ def solve_condensed(
     is reported as a hard error; min_pivot is the smallest pivot.
     ``cg``: conjugate gradients with the two-level vertex-patch Schwarz
     preconditioner of _schwarz_preconditioner, built from ``system.disc``.
-    ``auto`` picks the direct solve up to DIRECT_SOLVER_DOF_LIMIT unknowns,
-    cg above.
 
     Returns the full trace vector (boundary values filled in) and stats."""
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     A, b = system.matrix, system.rhs
     n = A.shape[0]
-    if method == "auto":
-        method = "cholesky" if n <= DIRECT_SOLVER_DOF_LIMIT else "cg"
     stats = SolverStats(method=method, n=n, nnz=A.nnz)
     if n == 0:
         full = system.boundary_values.copy()
@@ -818,8 +805,9 @@ def solve_condensed(
 class DiscreteSolution:
     """Recovered fields plus the trace vector, and the batches and
     parameters of the element systems they were recovered from. Row e of
-    stress_coeffs / disp_coeffs holds element e's coefficients in the basis
-    of its ElementBatch, ``batch`` of a CondensedBatch in ``batches``."""
+    stress_coeffs / disp_coeffs holds element e's coefficients in its basis,
+    which CondensedBatch.basis gives for the batch in ``batches`` that holds
+    element e."""
 
     k: int
     stress_coeffs: np.ndarray  # (nelements, n_s)
@@ -840,42 +828,46 @@ def recover_fields(
     stress = np.empty((ne, 3 * scalar_dim(k)))
     disp = np.empty((ne, 2 * scalar_dim(k + 1)))
     for cb in systems.batches:
-        lam = trace[disc.element_dofs(cb.batch.face_ids)][..., None]
-        stress[cb.batch.elements] = (cb.stress_map[cb.rows] @ lam)[..., 0] + cb.source_stress
-        disp[cb.batch.elements] = (cb.disp_map[cb.rows] @ lam)[..., 0] + cb.source_disp
+        lam = trace[disc.element_dofs(cb.face_ids)][..., None]
+        stress[cb.elements] = (cb.stress_map[cb.rows] @ lam)[..., 0] + cb.source_stress
+        disp[cb.elements] = (cb.disp_map[cb.rows] @ lam)[..., 0] + cb.source_disp
     return DiscreteSolution(k, stress, disp, trace, systems.batches, systems.material, systems.tau)
 
 
 def _face_flux_values(
     disc: Discretization,
-    batch: ElementBatch,
+    cb: CondensedBatch,
+    basis: ElementBasis,
     sol: DiscreteSolution,
     local_face: int,
     fq: FaceQuadrature,
     modes: np.ndarray,
 ) -> np.ndarray:
     """Numerical traction sigma n - tau (P_M u - u_hat), P_M the projection
-    onto the face modes, of each element of the batch on its local face
-    ``local_face``, at the quadrature points of ``fq`` (stacked by face, with
-    face-mode values ``modes``), shape (B, nq, 2)."""
-    k = disc.k
+    onto the face modes, of each element of the batch, with bases ``basis``
+    (cb.basis()), on its local face ``local_face``, at the quadrature points
+    of ``fq`` (stacked by face, with face-mode values ``modes``), shape
+    (B, nq, 2)."""
+    k, mesh = disc.k, disc.mesh
     p_s, p_u = scalar_dim(k), scalar_dim(k + 1)
-    B = len(batch.elements)
-    fid = batch.face_ids[:, local_face]
+    B = len(cb.elements)
+    fid = cb.face_ids[:, local_face]
     pts, w, md = fq.points[fid], fq.weights[fid], modes[fid]
-    n0 = batch.normals[:, local_face, 0, None]
-    n1 = batch.normals[:, local_face, 1, None]
-    s = sol.stress_coeffs[batch.elements].reshape(B, 3, p_s)
-    mono = batch.basis.monomials(pts)
-    comp = batch.basis.eval(mono, p_s) @ s.swapaxes(-1, -2)  # (B, nq, 3): s11, s22, s12
+    # the outward normal: the face's, negated where the element is on its right
+    sign = np.where(mesh.face_left[fid] == cb.elements, 1.0, -1.0)
+    normal = mesh.face_normal[fid] * sign[:, None]
+    n0, n1 = normal[:, 0, None], normal[:, 1, None]
+    s = sol.stress_coeffs[cb.elements].reshape(B, 3, p_s)
+    mono = basis.monomials(pts)
+    comp = basis.eval(mono, p_s) @ s.swapaxes(-1, -2)  # (B, nq, 3): s11, s22, s12
     sig_n = np.stack(
         [comp[..., 0] * n0 + comp[..., 2] * n1, comp[..., 2] * n0 + comp[..., 1] * n1],
         axis=-1,
     )
     uhat = sol.trace[disc.face_dofs(fid)].reshape(B, -1, 2)  # (B, k+1, 2)
     uhat_vals = md @ uhat
-    wd = sol.disp_coeffs[batch.elements].reshape(B, 2, p_u)
-    u_face = batch.basis.eval(mono) @ wd.swapaxes(-1, -2)  # raw displacement trace
+    wd = sol.disp_coeffs[cb.elements].reshape(B, 2, p_u)
+    u_face = basis.eval(mono) @ wd.swapaxes(-1, -2)  # raw displacement trace
     mom = md.swapaxes(-1, -2) @ (w[..., None] * u_face)  # (B, k+1, 2)
     return sig_n - sol.tau * (md @ mom - uhat_vals)
 
@@ -890,11 +882,12 @@ def flux_jump_norm(disc: Discretization, sol: DiscreteSolution) -> tuple[float, 
     interior = mesh.face_right >= 0
     # one-sided tractions by face and side (0: left element, 1: right)
     flux = np.zeros((mesh.num_faces, 2) + fq.points.shape[1:])
-    for batch in (cb.batch for cb in sol.batches):
-        for j in range(batch.face_ids.shape[1]):
-            fid = batch.face_ids[:, j]
-            side = (left[fid] != batch.elements).astype(int)
-            flux[fid, side] = _face_flux_values(disc, batch, sol, j, fq, modes)
+    for cb in sol.batches:
+        basis = cb.basis()
+        for j in range(cb.face_ids.shape[1]):
+            fid = cb.face_ids[:, j]
+            side = (left[fid] != cb.elements).astype(int)
+            flux[fid, side] = _face_flux_values(disc, cb, basis, sol, j, fq, modes)
     one_sided = np.sum(fq.weights[:, None] * (flux**2).sum(axis=-1), axis=-1)
     present = np.stack([np.ones_like(interior), interior], axis=1)
     jump = flux[interior, 0] + flux[interior, 1]
@@ -909,6 +902,12 @@ def scheme_residuals(
     with the solve's material and tau, relative to the size of the
     terms entering each equation.
 
+    The equations are those the element stage solved: each element's are
+    its class representative's blocks (batch_blocks, once per chunk of
+    classes, gathered by class row) with its own body-force moments
+    (batch_moments at the representative's quadrature shifted, as
+    condense_classes forms them).
+
     Keys: constitutive (stress equation), balance (momentum equation),
     transmission (interior traction moments), boundary (trace data)."""
     # squared norms by element: con_res, con_scale, bal_res, bal_scale, trans_scale
@@ -921,24 +920,30 @@ def scheme_residuals(
     def sq(x):
         return np.sum(x**2, axis=-1)
 
-    for batch in (cb.batch for cb in sol.batches):
-        table = batch.tabulate()
-        b = batch_blocks(batch, sol.material, sol.tau, table)
-        gdofs = disc.element_dofs(batch.face_ids)
+    reps = None
+    for cb in sol.batches:
+        if cb.reps is not reps:
+            # the first batch of a chunk of classes: the blocks of its
+            # representatives
+            reps = cb.reps
+            table = reps.tabulate()
+            b = batch_blocks(reps, sol.material, sol.tau, table)
+            phi = table[0]
+        rows = cb.rows
+        gdofs = disc.element_dofs(cb.face_ids)
         lam = sol.trace[gdofs]
-        s, w = sol.stress_coeffs[batch.elements], sol.disp_coeffs[batch.elements]
-        fm = batch_moments(batch, f_fn, table[0]) if f_fn is not None else np.zeros_like(w)
+        s, w = sol.stress_coeffs[cb.elements], sol.disp_coeffs[cb.elements]
+        fm = (np.zeros_like(w) if f_fn is None
+              else batch_moments(reps.quad, phi[rows], f_fn, rows, cb.shift))
+        D, T, S_uu, S_ul = (a[rows] for a in (b.div_coupling, b.trace_coupling, b.stab_uu,
+                                                b.stab_ulam))
         Ms = mv(b.stress_mass, s)
-        Tl = mv(b.trace_coupling, lam)
-        Dts = mv(b.div_coupling.swapaxes(-1, -2), s)
-        r1 = Ms + mv(b.div_coupling, w) - Tl
-        r2 = -Dts + mv(b.stab_uu, w) - mv(b.stab_ulam, lam) + fm
-        tmom = (
-            mv(b.trace_coupling.swapaxes(-1, -2), s)
-            - mv(b.stab_ulam.swapaxes(-1, -2), w)
-            + mv(b.stab_lamlam, lam)
-        )
-        parts[:, batch.elements] = [sq(r1), sq(Ms) + sq(Tl), sq(r2), sq(Dts) + sq(fm), sq(tmom)]
+        Tl = mv(T, lam)
+        Dts = mv(D.swapaxes(-1, -2), s)
+        r1 = Ms + mv(D, w) - Tl
+        r2 = -Dts + mv(S_uu, w) - mv(S_ul, lam) + fm
+        tmom = mv(T.swapaxes(-1, -2), s) - mv(S_ul.swapaxes(-1, -2), w) + mv(b.stab_lamlam, lam)
+        parts[:, cb.elements] = [sq(r1), sq(Ms) + sq(Tl), sq(r2), sq(Dts) + sq(fm), sq(tmom)]
         # a dof gets one term per element of its face, at most two, so the
         # order of the scatter does not matter
         np.add.at(trans, gdofs, tmom)

@@ -35,23 +35,22 @@ material and tau, not on where the element sits. Elements with the same
 side (left or right) of each face and the same vertex offsets from their
 first vertex, in multiples of ``mesh.TRANSLATION_GRID`` = 2^-40 times h,
 form a translation class (``Mesh.translation_classes``), and a mesh run
-condenses each class once, on its lowest element, the representative.
-``translated_batch`` gives the other elements the representative's basis
-coefficients and quadrature weights, with its basis center and quadrature
-points shifted by the difference of the first vertices.
-``condense_classes`` condenses the representatives and keeps their
+condenses each class once, on its lowest element, the representative. Only
+the representatives are ElementBatches. ``condense_classes`` keeps their
 condensed matrices and solution operators once, leading axis the class;
-an element batch holds its elements' class rows (``CondensedBatch``), by
-which the later stages gather the operators. An element's body-force
-response is its own moments of the force, against the representative's
-basis values at its own quadrature points, times the representative's
-responses to unit moments (n_u extra columns of the local solve); its load
-follows from that response. An element therefore departs from its own
-one-element batch by rounding only (a few 1e-15 relative). The classes of
-a face count are taken over all its elements, and the representatives run
-in batches of at most ``CHUNK_SIZE`` in ascending order, so nothing
-depends on ``CHUNK_SIZE``, and a failing local solve names the lowest
-failing element.
+the results of the other elements (``CondensedBatch``) hold their class
+rows, by which the later stages gather the operators, and their shift from
+the representative, the difference of the two first vertices. An element's
+basis is its representative's with the center shifted
+(``CondensedBatch.basis``). Its body-force response is its own moments of
+the force, at the representative's quadrature points shifted, against the
+representative's basis values there, times the representative's responses
+to unit moments (n_u extra columns of the local solve); its load follows
+from that response. An element therefore departs from its own one-element
+batch by rounding only (a few 1e-15 relative). The classes of a face count
+are taken over all its elements, and the representatives run in batches
+of at most ``CHUNK_SIZE`` in ascending order, so nothing depends on
+``CHUNK_SIZE``, and a failing local solve names the lowest failing element.
 The built-in meshes have 4 (tri) and at most 14 (poly) classes per level.
 
 Local solve. Each representative factorizes its saddle matrix over
@@ -93,7 +92,6 @@ __all__ = [
     "ElementOperators",
     "CondensedBatch",
     "element_batch",
-    "translated_batch",
     "translation_shifts",
     "batch_blocks",
     "batch_moments",
@@ -183,39 +181,6 @@ def element_batch(
     elements = np.asarray(elements)
     polys = mesh.polygons(elements)
     quad = polygon_quadrature(polys, default_quadrature_exactness(k))
-    basis = build_element_bases(polys, elements, k + 1, quad)
-    return _with_faces(mesh, k, elements, basis, quad, face_quad, face_modes)
-
-
-def translated_batch(
-    reps: ElementBatch,
-    rows: np.ndarray,
-    elements: np.ndarray,
-    face_quad: FaceQuadrature,
-    face_modes: np.ndarray,
-) -> ElementBatch:
-    """Stack the elements ``elements``, each a translate of the element in
-    row ``rows[i]`` of ``reps`` (see Mesh.translation_classes). An element
-    takes that element's basis coefficients, scale and quadrature weights;
-    its basis center and quadrature points are that element's, shifted by
-    the difference of the two elements' first vertices. Faces as in
-    element_batch."""
-    mesh = reps.mesh
-    shift = translation_shifts(mesh, elements, reps.elements[rows])
-    rb = reps.basis
-    basis = ElementBasis(rb.degree, rb.center[rows] + shift, rb.scale[rows], rb.coeff[rows])
-    quad = Quadrature(reps.quad.points[rows] + shift[:, None], reps.quad.weights[rows])
-    return _with_faces(mesh, reps.k, elements, basis, quad, face_quad, face_modes)
-
-
-def translation_shifts(mesh: Mesh, elements: np.ndarray, origins: np.ndarray) -> np.ndarray:
-    """Shift of each element of ``elements`` from the element of ``origins``
-    it translates: the difference of their first vertices, (B, 2)."""
-    first = mesh.element_vertices[mesh.element_offsets[np.stack([elements, origins])]]
-    return mesh.vertices[first[0]] - mesh.vertices[first[1]]
-
-
-def _with_faces(mesh, k, elements, basis, quad, face_quad, face_modes) -> ElementBatch:
     face_ids = mesh.element_faces[mesh.slots(elements)]
     sign = np.where(mesh.face_left[face_ids] == elements[:, None], 1.0, -1.0)
     return ElementBatch(
@@ -224,13 +189,20 @@ def _with_faces(mesh, k, elements, basis, quad, face_quad, face_modes) -> Elemen
         elements=elements,
         face_ids=face_ids,
         normals=mesh.face_normal[face_ids] * sign[..., None],
-        basis=basis,
+        basis=build_element_bases(polys, elements, k + 1, quad),
         quad=quad,
         face_quad=FaceQuadrature(
             face_quad.points[face_ids], face_quad.weights[face_ids], face_quad.params
         ),
         face_modes=face_modes[face_ids],
     )
+
+
+def translation_shifts(mesh: Mesh, elements: np.ndarray, origins: np.ndarray) -> np.ndarray:
+    """Shift of each element of ``elements`` from the element of ``origins``
+    it translates: the difference of their first vertices, (B, 2)."""
+    first = mesh.element_vertices[mesh.element_offsets[np.stack([elements, origins])]]
+    return mesh.vertices[first[0]] - mesh.vertices[first[1]]
 
 
 @dataclass
@@ -434,27 +406,31 @@ def _rhs(
     )
 
 
-def batch_moments(batch: ElementBatch, f_fn, phi: np.ndarray | None = None) -> np.ndarray:
-    """Moments of a vector field against the displacement basis of every
-    element of the batch, component-major: (B, n_u). ``phi`` holds the basis
-    values at the quadrature points, computed here when None."""
-    pts = batch.quad.points
+def batch_moments(quad: Quadrature, phi: np.ndarray, f_fn, rows: np.ndarray,
+                  shift: np.ndarray) -> np.ndarray:
+    """Moments of a vector field against the displacement basis of
+    translates, component-major: (B, n_u). Element i translates the element
+    of row rows[i] of ``quad`` by shift[i] (B, 2): it takes that row's
+    weights and its points shifted, and ``phi`` (B, nq, p_u) holds its basis
+    values there."""
+    pts = quad.points[rows] + shift[:, None]
     vals = np.asarray(f_fn(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape)
-    if phi is None:
-        phi = batch.basis.eval(pts)
-    return basis_moments(phi, batch.quad.weights, vals)
+    return basis_moments(phi, quad.weights[rows], vals)
 
 
 @dataclass
 class CondensedBatch:
-    """Element-stage results of one ElementBatch of a chunk of translation
-    classes. The condensed trace matrices and the local solution operators
-    are the classes': computed once on the representatives ``reps``,
-    leading axis the class, and shared by every batch of the chunk, not
-    copied. Element i takes their row ``rows[i]``. Its trace load and its
-    body-force responses are its own, leading axis the element."""
+    """Element-stage results of a batch of elements of a chunk of
+    translation classes. The condensed trace matrices and the local solution
+    operators are the classes': computed once on the representatives
+    ``reps``, leading axis the class, and shared by every batch of the
+    chunk, not copied. Element i takes their row ``rows[i]``, and the
+    geometry of that representative shifted by ``shift[i]``. Its trace load
+    and its body-force responses are its own, leading axis the element."""
 
-    batch: ElementBatch
+    elements: np.ndarray  # (B,), ascending
+    face_ids: np.ndarray  # (B, m), in edge order
+    shift: np.ndarray  # (B, 2), from the representative (translation_shifts)
     reps: ElementBatch  # the chunk's class representatives, R of them
     rows: np.ndarray  # (B,), class row of each element
     matrix: np.ndarray  # (R, n_lam, n_lam)
@@ -464,26 +440,34 @@ class CondensedBatch:
     source_stress: np.ndarray  # (B, n_s)
     source_disp: np.ndarray  # (B, n_u)
 
+    def basis(self) -> ElementBasis:
+        """The elements' bases: each its representative's coefficients and
+        scale, with the center shifted."""
+        rb = self.reps.basis
+        return ElementBasis(rb.degree, rb.center[self.rows] + self.shift,
+                            rb.scale[self.rows], rb.coeff[self.rows])
+
 
 def condense_classes(
     reps: ElementBatch,
     material: ComplianceTensor,
     tau: float,
     f_fn,
-    targets: list[tuple[np.ndarray, ElementBatch]],
+    targets: list[tuple[np.ndarray, np.ndarray]],
 ) -> list[CondensedBatch]:
     """Assemble, eliminate and condense the representatives ``reps`` of
-    some translation classes once: one CondensedBatch per (rows, batch) of
-    ``targets``, whose element i is a translate of the element in row
-    rows[i] of ``reps``; with ``[(np.arange(B), reps)]``, every element of
-    ``reps`` is its own class.
+    some translation classes once: one CondensedBatch per (rows, elements)
+    of ``targets``, whose element i is a translate of the element in row
+    rows[i] of ``reps``; with ``[(np.arange(B), reps.elements)]``, every
+    element of ``reps`` is its own class.
 
     Each element takes its representative's condensed matrix and solution
     operators, by row. Its body-force response is its own: its moments of
-    ``f_fn`` (when given) at its quadrature points, against the
-    representative's basis values there, times the representative's
-    responses to unit moments (the solves for f_moments = I, n_u columns).
-    The loads follow from the responses as in _rhs."""
+    ``f_fn`` (when given) at its quadrature points, the representative's
+    shifted, against the representative's basis values there, times the
+    representative's responses to unit moments (the solves for
+    f_moments = I, n_u columns). The loads follow from the responses as in
+    _rhs."""
     # One monomial table serves the blocks and the moments. It is made
     # here rather than kept from the basis construction, and released
     # before the local solve allocates the arrays the batch keeps: a
@@ -491,22 +475,25 @@ def condense_classes(
     # direct solve that follows then peaks higher. f_fn is evaluated
     # before the local solve, so that a failing body force is reported
     # as such.
+    mesh = reps.mesh
+    shifts = [translation_shifts(mesh, elements, reps.elements[rows]) for rows, elements in targets]
     table = reps.tabulate()
     blocks = batch_blocks(reps, material, tau, table)
-    moments = [None if f_fn is None else batch_moments(batch, f_fn, table[0][rows])
-               for rows, batch in targets]
+    moments = [None if f_fn is None else batch_moments(reps.quad, table[0][rows], f_fn, rows, shift)
+               for (rows, _), shift in zip(targets, shifts)]
     del table
     n_s, n_u = reps.n_stress, reps.n_disp
     unit = None if f_fn is None else np.broadcast_to(np.eye(n_u), (len(reps.elements), n_u, n_u))
     ops = _factor(blocks, unit)
     matrix = _condense(ops, blocks)
     out = []
-    for (rows, batch), f in zip(targets, moments):
+    for (rows, elements), shift, f in zip(targets, shifts, moments):
         if f is None:
             qs, us = np.zeros((len(rows), n_s)), np.zeros((len(rows), n_u))
         else:
             qs = (ops.source_stress[rows] @ f[..., None])[..., 0]
             us = (ops.source_disp[rows] @ f[..., None])[..., 0]
-        out.append(CondensedBatch(batch, reps, rows, matrix, ops.stress_map, ops.disp_map,
-                                  _rhs(blocks, qs, us, rows), qs, us))
+        face_ids = mesh.element_faces[mesh.slots(elements)]
+        out.append(CondensedBatch(elements, face_ids, shift, reps, rows, matrix, ops.stress_map,
+                                  ops.disp_map, _rhs(blocks, qs, us, rows), qs, us))
     return out

@@ -15,14 +15,14 @@ under-integration of the smooth exact solutions.
 
 The norms share the translation classes of the element stage: the
 solution's batches (DiscreteSolution.batches) carry each chunk's class
-representatives and the class row of every element. The error-rule
-quadrature and the face moments of the basis are tabulated once per class,
-on its representative, and every element of the class takes them with its
-points shifted by its translation.
-The basis values at the element points are evaluated per element (see
-error_norms). The exact displacement and its face-mode projection are
-evaluated once per face, in the error face rule that the Discretization
-builds once (Discretization.error_rule).
+representatives, and the class row and shift of every element. The
+error-rule quadrature and the face moments of the basis are tabulated once
+per class, on its representative, and every element of the class takes
+them with its points shifted. The basis values at the element points are
+evaluated per element, in the basis CondensedBatch.basis forms (see
+error_norms); so are the point values of write_vtk. The exact displacement
+and its face-mode projection are evaluated once per face, in the error
+face rule that the Discretization builds once (Discretization.error_rule).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .fespace import StressBasis, basis_moments, polygon_quadrature, scalar_dim, trace_moments
 from .hdg_global import Discretization, DiscreteSolution, running_sum
-from .hdg_local import error_quadrature_exactness, translation_shifts
+from .hdg_local import error_quadrature_exactness
 from .manufactured import ExactSolution, stress
 from .mesh import Mesh, polygon_areas, polygon_centroids
 
@@ -92,14 +92,14 @@ def error_norms(disc: Discretization, sol: DiscreteSolution, exact: ExactSolutio
 
     The error rule and the face moments of the basis are tabulated once per
     translation class, on its representative. Every element of the class
-    takes them, with the points shifted as hdg_local.translated_batch
-    shifts its geometry. The basis values at the element points are
-    evaluated per element at the shifted points: the stress projection
-    error is a difference of two terms of the size of the stress, and the
-    representative's values, which differ from an element's own by the
-    rounding of the shifted coordinates, moved it by up to 1.2e-12
-    relative. The exact displacement and its face-mode projection are
-    evaluated once per face."""
+    takes them, with the points shifted by its shift from the
+    representative (CondensedBatch.shift). The basis values at the element
+    points are evaluated per element at the shifted points, in its basis
+    (CondensedBatch.basis): the stress projection error is a difference of
+    two terms of the size of the stress, and the representative's values,
+    which differ from an element's own by the rounding of the shifted
+    coordinates, moved it by up to 1.2e-12 relative. The exact displacement
+    and its face-mode projection are evaluated once per face."""
     mesh, k = disc.mesh, disc.k
     material, tau = sol.material, sol.tau
     p_s, p_u = scalar_dim(k), scalar_dim(k + 1)
@@ -126,12 +126,10 @@ def error_norms(disc: Discretization, sol: DiscreteSolution, exact: ExactSolutio
             fid = reps.face_ids
             phi_face = reps.basis.eval(fq.points[fid].reshape(R, -1, 2)).reshape(R, m, -1, p_u)
             face_proj = modes[fid].swapaxes(-1, -2) @ (fq.weights[fid][..., None] * phi_face)
-        rows, batch = cb.rows, cb.batch
-        elems = batch.elements
+        rows, elems = cb.rows, cb.elements
         B = len(elems)
-        shift = translation_shifts(mesh, elems, reps.elements[rows])
-        pts = quad.points[rows] + shift[:, None]
-        w, phi = quad.weights[rows], batch.basis.eval(pts)  # (B, nq, p_u)
+        pts = quad.points[rows] + cb.shift[:, None]
+        w, phi = quad.weights[rows], cb.basis().eval(pts)  # (B, nq, p_u)
         sig_ex = stress(exact, material, pts.reshape(-1, 2)).reshape(pts.shape[:-1] + (2, 2))
         u_ex = exact.u(pts.reshape(-1, 2)).reshape(pts.shape)
         s_h = sol.stress_coeffs[elems]
@@ -156,7 +154,7 @@ def error_norms(disc: Discretization, sol: DiscreteSolution, exact: ExactSolutio
         # minus trace error) over the element boundary, face by face
         dw = (w_pi - w_h).reshape(B, 2, p_u).swapaxes(-1, -2)
         pm_du = (face_proj[rows] @ dw[:, None]).reshape(B, m, -1)
-        mismatch = pm_du - face_err[batch.face_ids]
+        mismatch = pm_du - face_err[cb.face_ids]
         trace[mesh.slots(elems)] = tau * np.sum(mismatch**2, axis=-1)
 
     sigma_proj, u_proj, sigma, u = (running_sum(p) for p in parts)
@@ -276,22 +274,23 @@ def write_vtk(mesh: Mesh, sol: DiscreteSolution, path: str, title: str = "hdgela
     ns = len(mesh.element_vertices)
     slot_u, (fan_pts, fan_u) = np.empty((ns, 2)), np.empty((2, ne, 2))
     cells, keep = np.empty((ns, 3), dtype=int), np.ones(ns, dtype=bool)
-    for batch in (cb.batch for cb in sol.batches):
-        elems = batch.elements
+    for cb in sol.batches:
+        elems = cb.elements
         slots = mesh.slots(elems)
         polys = mesh.element_vertices[slots]  # (B, m)
         m = polys.shape[1]
         corners = mesh.vertices[polys]
         area[elems] = polygon_areas(corners)
         w = sol.disp_coeffs[elems].reshape(len(elems), 2, p_u).swapaxes(-1, -2)
-        slot_u[slots] = batch.basis.eval(corners) @ w
+        basis = cb.basis()
+        slot_u[slots] = basis.eval(corners) @ w
         if m == 3:
             cells[slots[:, 0]] = polys
             keep[slots[:, 1:]] = False
         else:
             c = polygon_centroids(corners)
             fan_pts[elems] = c
-            fan_u[elems] = (batch.basis.eval(c[:, None, :]) @ w)[:, 0]
+            fan_u[elems] = (basis.eval(c[:, None, :]) @ w)[:, 0]
             cid = np.broadcast_to(centroid_id[elems, None], polys.shape)
             cells[slots] = np.stack([cid, polys, np.roll(polys, -1, axis=1)], axis=-1)
     u_sum = np.zeros((nv, 2))

@@ -6,6 +6,7 @@ import pytest
 
 from hdgelast import fespace as F
 from hdgelast import hdg_global as G
+from hdgelast import hdg_local as L
 from hdgelast import mesh as M
 
 from oracles import stress_field
@@ -234,8 +235,9 @@ def test_divergence_theorem_consistency(family):
     mesh = M.build_mesh(family, 2)
     k = 2
     # batches carry element bases of degree k and outward face normals
-    batches = [batch for _, targets in G.build_discretization(mesh, k - 1).element_classes()
-               for _, batch in targets]
+    disc = G.build_discretization(mesh, k - 1)
+    batches = [L.element_batch(mesh, k - 1, ids, disc.face_quad, disc.face_modes)
+               for _, ids in mesh.element_groups()]
     for batch in batches:
         basis = batch.basis
         q = F.polygon_quadrature(mesh.polygons(batch.elements), 2 * k + 2)

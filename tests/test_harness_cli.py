@@ -297,6 +297,19 @@ def test_cli_unknown_material_is_usage_error(capsys):
     assert "argument --material: invalid choice: 'deviatoric'" in capsys.readouterr().err
 
 
+def test_cli_auto_solver_is_config_error(tmp_path, capsys):
+    # the direct solve is the default; there is no size-switched policy
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--n", "2", "--solver", "auto"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "argument --solver: invalid choice: 'auto'" in capsys.readouterr().err
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("solver = auto\n")
+    assert cli.main(["solve", "--n", "2", "--config", str(cfgfile)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: solver: expected one of cholesky, cg")
+    assert H.RunConfig().solver == "cholesky"
+
+
 def test_cli_trace_variant_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["solve", "--trace-variant", "plain"])

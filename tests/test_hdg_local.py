@@ -260,7 +260,9 @@ def test_local_equations_satisfied_by_solvers():
     A, D, C = blocks.stress_mass, blocks.div_coupling[0], blocks.trace_coupling[0]
     S_uu, S_ulam = blocks.stab_uu[0], blocks.stab_ulam[0]
     eye = np.eye(batch.n_trace)
-    f_mom = L.batch_moments(batch, lambda p: np.stack([p[:, 0], -p[:, 1]], axis=1))
+    f_mom = L.batch_moments(batch.quad, batch.tabulate()[0],
+                            lambda p: np.stack([p[:, 0], -p[:, 1]], axis=1),
+                            np.arange(1), np.zeros((1, 2)))
     ops = L._factor(blocks, f_mom)
     Q, U = ops.stress_map[0], ops.disp_map[0]
     r1 = A @ Q + D @ U - C
@@ -318,7 +320,7 @@ def test_singular_local_system_reports_element(monkeypatch):
             with pytest.raises(L.LocalSolverError, match=rf"^element {e}: singular local system$"):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    L.condense_classes(batch, material, 1.0, None, [(np.arange(8), batch)])
+                    L.condense_classes(batch, material, 1.0, None, [(np.arange(8), ids)])
 
 
 @pytest.mark.parametrize("family", ["tri", "poly"])
@@ -333,12 +335,9 @@ def test_blocks_insensitive_to_richer_quadrature(monkeypatch, family, k):
     for extra in (0, 4):
         monkeypatch.setattr(L, "default_quadrature_exactness", lambda k: default_rule(k) + extra)
         disc = G.build_discretization(mesh, k)
-        systems = G.build_element_systems(disc, PLANE_STRESS, tau)
-        blocks.append(
-            [L.batch_blocks(cb.batch, PLANE_STRESS, tau) for cb in systems.batches]
-        )
-        points.append([disc.face_quad.weights.shape[1],
-                       systems.batches[0].batch.quad.weights.shape[1]])
+        reps = [reps for reps, _ in disc.element_classes()]
+        blocks.append([L.batch_blocks(r, PLANE_STRESS, tau) for r in reps])
+        points.append([disc.face_quad.weights.shape[1], reps[0].quad.weights.shape[1]])
     # the richer rule reached the faces and the elements
     assert all(rich > default for default, rich in zip(*points))
     for default, rich in zip(*blocks):
@@ -402,7 +401,7 @@ def test_every_material_runs_the_pivoted_solve_bitwise(family, k, material):
     tau = 3.0 / mesh.h
     disc = G.build_discretization(mesh, k)
     systems = G.build_element_systems(disc, material, tau)
-    found = {int(e): (cb, i) for cb in systems.batches for i, e in enumerate(cb.batch.elements)}
+    found = {int(e): (cb, i) for cb in systems.batches for i, e in enumerate(cb.elements)}
     for reps, _ in disc.element_classes():
         blocks = L.batch_blocks(reps, material, tau)
         ops = L._factor(blocks)
@@ -427,7 +426,7 @@ def test_element_stage_bitwise_independent_of_chunk_size(monkeypatch, family, k)
         monkeypatch.setattr(L, "CHUNK_SIZE", chunk)
         batches = G.build_element_systems(disc, PLANE_STRESS, 3.0 / mesh.h, f_fn).batches
         runs.append({int(e): element_results(cb, i)
-                     for cb in batches for i, e in enumerate(cb.batch.elements)})
+                     for cb in batches for i, e in enumerate(cb.elements)})
     assert len(runs[0]) == mesh.num_elements
     for e in range(mesh.num_elements):
         for name, a, b in zip(ELEMENT_RESULTS, runs[0][e], runs[1][e]):

@@ -30,14 +30,15 @@ def small_solve(family="tri", n=2, k=1, sol=None, material=PLANE_STRESS, tau_c=3
 
 
 def error_quadratures(disc, batches):
-    """Each element batch with its error quadrature."""
+    """The elements and bases of each batch, (elements, basis), with their
+    error quadrature."""
     qe = L.error_quadrature_exactness(disc.k)
-    for batch in batches:
-        yield batch, F.polygon_quadrature(disc.mesh.polygons(batch.elements), qe)
+    for elements, basis in batches:
+        yield elements, basis, F.polygon_quadrature(disc.mesh.polygons(elements), qe)
 
 
 def element_batches(dsol):
-    return [cb.batch for cb in dsol.batches]
+    return [(cb.elements, cb.basis()) for cb in dsol.batches]
 
 
 def class_count(dsol):
@@ -48,22 +49,22 @@ def class_count(dsol):
 
 def test_projection_reproduces_discrete_stress():
     mesh, tau, disc, dsol = small_solve()
-    batch, quad = next(error_quadratures(disc, element_batches(dsol)))
+    elements, basis, quad = next(error_quadratures(disc, element_batches(dsol)))
     p_s = F.scalar_dim(1)
-    sb = F.StressBasis(batch.basis, 1)
+    sb = F.StressBasis(basis, 1)
     rng = np.random.default_rng(4)
-    coeffs = rng.normal(size=(len(batch.elements), sb.dim))
+    coeffs = rng.normal(size=(len(elements), sb.dim))
     sig = stress_field(sb, coeffs, quad.points)
-    proj = P._stress_projection(batch.basis.eval(quad.points, p_s), quad.weights, sig)
+    proj = P._stress_projection(basis.eval(quad.points, p_s), quad.weights, sig)
     assert np.abs(proj - coeffs).max() < 1e-11
 
 
 def test_projection_orthogonality_displacement():
     mesh, tau, disc, dsol = small_solve()
-    batch, quad = next(error_quadratures(disc, element_batches(dsol)))
+    _, basis, quad = next(error_quadratures(disc, element_batches(dsol)))
     exact = MF.test1_solution()
     u_ex = exact.u(quad.points.reshape(-1, 2)).reshape(quad.points.shape)
-    phi = batch.basis.eval(quad.points)
+    phi = basis.eval(quad.points)
     coeffs = F.basis_moments(phi, quad.weights, u_ex)
     p_u = F.scalar_dim(2)
     residual = u_ex - phi @ coeffs.reshape(-1, 2, p_u).swapaxes(-1, -2)
@@ -82,9 +83,9 @@ def test_displacement_projection_error_order():
         total = 0.0
         batches = [L.element_batch(mesh, k, ids, disc.face_quad, disc.face_modes)
                    for _, ids in mesh.element_groups()]
-        for batch, quad in error_quadratures(disc, batches):
+        for _, basis, quad in error_quadratures(disc, [(b.elements, b.basis) for b in batches]):
             u_ex = exact.u(quad.points.reshape(-1, 2)).reshape(quad.points.shape)
-            phi = batch.basis.eval(quad.points)
+            phi = basis.eval(quad.points)
             coeffs = F.basis_moments(phi, quad.weights, u_ex)
             p_u = F.scalar_dim(k + 1)
             diff = u_ex - phi @ coeffs.reshape(-1, 2, p_u).swapaxes(-1, -2)
@@ -98,11 +99,11 @@ def test_error_zero_when_solution_is_projection():
     mesh, tau, disc, dsol = small_solve()
     exact = MF.test1_solution()
     p_s = F.scalar_dim(1)
-    for batch, quad in error_quadratures(disc, element_batches(dsol)):
+    for elements, basis, quad in error_quadratures(disc, element_batches(dsol)):
         sig = MF.stress(exact, PLANE_STRESS, quad.points.reshape(-1, 2))
         sig = sig.reshape(quad.points.shape[:-1] + (2, 2))
-        phi_s = batch.basis.eval(quad.points, p_s)
-        dsol.stress_coeffs[batch.elements] = P._stress_projection(phi_s, quad.weights, sig)
+        phi_s = basis.eval(quad.points, p_s)
+        dsol.stress_coeffs[elements] = P._stress_projection(phi_s, quad.weights, sig)
     rep = P.error_norms(disc, dsol, exact)
     assert rep.err_sigma_proj < 1e-13
 
@@ -114,11 +115,11 @@ def test_triangle_inequality():
     # projection distance of the stress
     dist_sq = 0.0
     p_s = F.scalar_dim(1)
-    for batch, quad in error_quadratures(disc, element_batches(dsol)):
+    for _, basis, quad in error_quadratures(disc, element_batches(dsol)):
         sig = MF.stress(exact, PLANE_STRESS, quad.points.reshape(-1, 2))
         sig = sig.reshape(quad.points.shape[:-1] + (2, 2))
-        proj = P._stress_projection(batch.basis.eval(quad.points, p_s), quad.weights, sig)
-        sb = F.StressBasis(batch.basis, 1)
+        proj = P._stress_projection(basis.eval(quad.points, p_s), quad.weights, sig)
+        sb = F.StressBasis(basis, 1)
         diff = stress_field(sb, proj, quad.points) - sig
         dist_sq += float(np.sum(quad.weights * (diff**2).sum(axis=(-2, -1))))
     assert rep.err_sigma <= np.sqrt(dist_sq) + rep.err_sigma_proj + 1e-12
