@@ -21,13 +21,9 @@ The trace system is solved directly, by multifrontal nested dissection on
 a grid of subdomains (square blocks of cells): a dense Cholesky of each
 subdomain's inner unknowns, then of the faces between groups of 2 x 2
 subdomains, and so on up to one top front, each done once per class of
-fronts whose matrices are equal bit for bit. Or it is solved by conjugate
-gradients with a two-level additive Schwarz preconditioner: exact solves
-on the vertex patches (the interior faces around each mesh vertex) plus a
-coarse correction in the traces of continuous P1 fields, after Cockburn,
-Dubois, Gopalakrishnan & Tan (multigrid for HDG) and Schoberl (vertex-patch
-smoothers robust as nu -> 1/2). Its iteration counts stay nearly flat
-under refinement; see solve_condensed.
+fronts whose matrices are equal bit for bit. Conjugate gradients, the
+other method, is preconditioned by the same factorization; see
+solve_condensed.
 
 Stacked layout: the element stage runs once per translation class of the
 elements that share a face count (see hdg_local), on batches of at most
@@ -41,8 +37,7 @@ index array; the traction jump and the error norms form the elements'
 bases from their representatives' (CondensedBatch.basis), and the scheme
 residuals gather the representatives' blocks. The solution keeps the
 batches, so that the error norms tabulate once per class too (see
-postproc), and the Schwarz preconditioner inverts each distinct
-vertex-patch block once.
+postproc).
 Each batch writes its per-element results into arrays indexed by element,
 by slot (one (element, edge) pair of the mesh layout, element-major) or by
 face and side, so the layout, not the batching, fixes the order of every
@@ -55,6 +50,7 @@ produce bit-identical results whatever the batch size.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -116,8 +112,8 @@ __all__ = [
 SUBDOMAIN_INNER_DOFS = 120
 
 # bytes of rows gathered at a time when _distinct checks rows against their
-# candidates: about 110 blocks of the 24-dof patches of tri k=1 and poly
-# k=2, a small fraction of the trace matrix
+# candidates: about 18 of the 28 KB keys of the interior subdomains of tri
+# k=1 (_substructure), of which n=128 has 900, 25 MB
 COMPARE_BYTES = 1 << 19
 
 
@@ -226,8 +222,8 @@ class CondensedSystem:
     matrix: scipy.sparse.bsr_matrix
     rhs: np.ndarray
     boundary_values: np.ndarray  # full trace vector, nonzero on boundary dofs
-    # the mesh-level data the system was assembled from; cg builds its
-    # preconditioner from it
+    # the mesh-level data the system was assembled from; the trace solve
+    # lays its subdomains on the mesh
     disc: Discretization = field(repr=False)
 
     @property
@@ -333,23 +329,11 @@ class SolverStats:
     n: int
     nnz: int
     iterations: int = 0
-    # the direct solve's smallest pivot of one symmetric elimination of the
-    # matrix, in the order of the nested dissection: the smallest squared
-    # diagonal of the fronts' dense Cholesky factors
+    # the smallest pivot of one symmetric elimination of the matrix, in the
+    # order of the nested dissection: the smallest squared diagonal of the
+    # fronts' dense Cholesky factors, which both methods compute
     min_pivot: float = np.nan
     residual: float = np.nan
-
-
-def _symmetric_lu(A: scipy.sparse.csc_matrix):
-    """Sparse LU of a CSC matrix in symmetric mode with zero pivot
-    threshold: pivots on the diagonal in a minimum-degree order of A + A^T.
-    It factors the Schwarz coarse matrix (_schwarz_preconditioner)."""
-    return scipy.sparse.linalg.splu(
-        A,
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
 
 
 def _element_blocks(mesh: Mesh, nd: int) -> np.ndarray:
@@ -563,7 +547,9 @@ def _triangular_solve(U: np.ndarray, B: np.ndarray, trans: int) -> np.ndarray:
                      for u, rhs in zip(U, B)])
 
 
-def _substructured_solve(system: CondensedSystem) -> tuple[np.ndarray, float]:
+def _substructured_solve(
+    system: CondensedSystem,
+) -> tuple[np.ndarray, float, Callable[[np.ndarray], np.ndarray]]:
     """Solve the trace system by multifrontal nested dissection (George,
     SIAM J. Numer. Anal. 10, 1973; Duff & Reid, ACM TOMS 9, 1983) on the
     subdomain grid: static condensation of the subdomains (Przemieniecki,
@@ -576,18 +562,25 @@ def _substructured_solve(system: CondensedSystem) -> tuple[np.ndarray, float]:
     triangular solve per class over all of its fronts' right-hand sides.
     The pivots diag(L)^2 are those of one symmetric elimination of A, so A
     is positive definite if and only if every dense Cholesky succeeds and
-    all pivots are positive. Returns the solution and the minimum pivot, NaN
-    if a pivot is not finite."""
+    all pivots are positive. Returns the solution, the minimum pivot (NaN
+    if a pivot is not finite) and ``apply(r)``, A^-1 r by the stored
+    factors."""
     A, b = system.matrix, system.rhs
     nd = system.dofmap.ndof_face
     stacks = _substructure(system)
     last = {s: p for p, st in enumerate(stacks) for s, *_ in st.children}
     r = b.copy()
-    pivots, updates, done = [], {}, []
+    pivots, updates, factors, eliminated = [], {}, [], []
     # one buffer holds each stack's front matrices in turn: a new array per
     # stack costs its page faults again
     sizes = [len(st.inner) * (st.inner.shape[2] + st.outer.shape[2]) ** 2 for st in stacks]
     work = np.empty(max(sizes))
+
+    def eliminate(r, W, Y, st):
+        """Subtract the fronts' eliminated right-hand sides Y, through W^T,
+        from r on their outer dofs."""
+        r -= np.bincount(st.outer.swapaxes(1, 2).ravel(),
+                         weights=(W.swapaxes(1, 2) @ Y).ravel(), minlength=len(r))
 
     for p, st in enumerate(stacks):
         C, _, ni = st.inner.shape
@@ -617,76 +610,34 @@ def _substructured_solve(system: CondensedSystem) -> tuple[np.ndarray, float]:
         WY = _triangular_solve(U, np.concatenate([F[:, :ni, ni:], r[st.inner].swapaxes(1, 2)],
                                                  axis=2), 1)
         W, Y = WY[:, :, : n - ni], WY[:, :, n - ni :]
-        r -= np.bincount(st.outer.swapaxes(1, 2).ravel(),
-                         weights=(W.swapaxes(1, 2) @ Y).ravel(), minlength=len(r))
+        eliminate(r, W, Y, st)
         # numpy forms W^T W of one buffer by syrk and mirrors it, so the
         # update is exactly symmetric
         S = W.swapaxes(1, 2) @ W
         updates[p] = np.subtract(F[:, ni:, ni:], S, out=S)
-        done.append((U, W, Y))
-    x = np.empty(len(b))
-    for st, (U, W, Y) in zip(stacks[::-1], done[::-1]):
-        xi = _triangular_solve(U, Y - W @ x[st.outer].swapaxes(1, 2), 0)
-        x[st.inner] = xi.swapaxes(1, 2)
+        factors.append((U, W))
+        eliminated.append(Y)
+
+    def back_substitute(eliminated):
+        """The solution from each stack's eliminated right-hand sides."""
+        x = np.empty(len(b))
+        for st, (U, W), Y in zip(stacks[::-1], factors[::-1], eliminated[::-1]):
+            xi = _triangular_solve(U, Y - W @ x[st.outer].swapaxes(1, 2), 0)
+            x[st.inner] = xi.swapaxes(1, 2)
+        return x
+
+    def apply(r):
+        # the forward elimination of r alone, then the back substitution
+        r = np.array(r, dtype=float).ravel()
+        eliminated = []
+        for st, (U, W) in zip(stacks, factors):
+            eliminated.append(_triangular_solve(U, r[st.inner].swapaxes(1, 2), 1))
+            eliminate(r, W, eliminated[-1], st)
+        return back_substitute(eliminated)
+
     pivots = np.concatenate(pivots)
-    return x, float(pivots.min()) if np.isfinite(pivots).all() else np.nan
-
-
-def _patch_blocks(system: CondensedSystem) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Condensed dofs (patches, d) of the vertex patches (the interior faces
-    touching a mesh vertex), and the dense blocks (patches, d, d) of the
-    matrix on them, one pair per patch size.
-
-    The blocks are looked up among the face blocks of the matrix (see
-    CondensedSystem) by their key r * nf + c, row face r and column face c,
-    ascending."""
-    A, nd = system.matrix, system.dofmap.ndof_face
-    nf = A.shape[0] // nd
-    keys = np.repeat(np.arange(nf), np.diff(A.indptr)) * nf + A.indices
-    fids = system.disc.mesh.interior_faces()
-    verts = system.disc.mesh.face_vertices[fids].T.ravel()
-    order = np.argsort(verts, kind="stable")
-    faces = _interior_rank(system.dofmap)[np.tile(fids, 2)[order]]
-    _, start, sizes = np.unique(verts[order], return_index=True, return_counts=True)
-    out = []
-    for size in np.unique(sizes):
-        patch = faces[start[sizes == size, None] + np.arange(size)]
-        want = patch[:, :, None] * nf + patch[:, None, :]
-        blk = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        # (patches, size, nd, size, nd): row face, its dof, column face, its dof
-        blocks = A.data[blk[:, :, None, :], np.arange(nd)[:, None]]
-        blocks.swapaxes(2, 3)[keys[blk] != want] = 0.0
-        dofs = (patch[..., None] * nd + np.arange(nd)).reshape(len(patch), -1)
-        out.append((dofs, blocks.reshape(dofs.shape + dofs.shape[1:])))
-    return out
-
-
-def _coarse_prolongation(disc: Discretization) -> scipy.sparse.csr_matrix:
-    """Face traces of the continuous P1 vector fields that vanish on the
-    boundary, one column per component and interior vertex. A P1 field is
-    linear on each face, so its moments against the face modes are exact."""
-    mesh, dofmap = disc.mesh, disc.dofmap
-    on_boundary = np.zeros(mesh.num_vertices, dtype=bool)
-    on_boundary[mesh.face_vertices[mesh.boundary_faces()]] = True
-    coarse_index = np.cumsum(~on_boundary) - 1
-    # moments of the hat functions of the face ends, 1 - t at v0 and t at
-    # v1: (faces, 2, k+1)
-    t = disc.face_quad.params
-    moments = (np.stack([1.0 - t, t]) * disc.face_quad.weights[:, None, :]) @ disc.face_modes
-    fids = mesh.interior_faces()
-    ends = mesh.face_vertices[fids]
-    rows, cols, vals = [], [], []
-    for end in range(2):
-        keep = ~on_boundary[ends[:, end]]
-        f, v = fids[keep], ends[keep, end]
-        dofs = dofmap.interior_index[disc.face_dofs(f)].reshape(len(f), disc.k + 1, 2)
-        for comp in range(2):
-            rows.append(dofs[..., comp].ravel())
-            cols.append(np.repeat(2 * coarse_index[v] + comp, disc.k + 1))
-            vals.append(moments[f, end].ravel())
-    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
-    shape = (dofmap.n_interior, 2 * int(np.sum(~on_boundary)))
-    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    return (back_substitute(eliminated),
+            float(pivots.min()) if np.isfinite(pivots).all() else np.nan, apply)
 
 
 def _distinct(flat: np.ndarray) -> np.ndarray:
@@ -701,7 +652,7 @@ def _distinct(flat: np.ndarray) -> np.ndarray:
     rep = first[inverse]
     # rows that are not their own candidate are compared in chunks of
     # about COMPARE_BYTES of gathered rows, so that no gathered copy of the
-    # whole stack (2.4 MB of patch blocks at poly k=2 n=24) is held next to it
+    # whole stack is held next to it
     shared = np.flatnonzero(rep != np.arange(len(rep)))
     size = max(1, COMPARE_BYTES // flat[0].nbytes)
     for start in range(0, len(shared), size):
@@ -711,60 +662,27 @@ def _distinct(flat: np.ndarray) -> np.ndarray:
     return rep
 
 
-def _block_inverses(blocks: np.ndarray) -> np.ndarray:
-    """np.linalg.inv of each block of a stack (P, d, d), inverting each
-    distinct block (_distinct) once. The inverse of an equal matrix is
-    equal bit for bit, so the result is that of inverting every block."""
-    rep = _distinct(blocks.reshape(len(blocks), -1))
-    distinct, where = np.unique(rep, return_inverse=True)
-    return np.linalg.inv(blocks[distinct])[where]
-
-
-def _schwarz_preconditioner(system: CondensedSystem) -> scipy.sparse.linalg.LinearOperator:
-    """Two-level additive Schwarz preconditioner
-
-        M^-1 r = sum_v R_v^T A_v^-1 R_v r + P (P^T A P)^-1 P^T r
-
-    with R_v the dofs of vertex patch v, A_v the dense block of A on them,
-    and P the trace of continuous P1 fields (see _coarse_prolongation).
-    Each distinct patch block is inverted once (_block_inverses): on meshes
-    with translation classes most patches repeat. The patch inverses are
-    applied matrix-free, one stacked product per patch size; assembling
-    them into one sparse matrix costs more memory."""
-    A, n = system.matrix, system.matrix.shape[0]
-    patches = [(idx, _block_inverses(block)) for idx, block in _patch_blocks(system)]
-    P = _coarse_prolongation(system.disc)
-    PT = P.T.tocsr()
-    coarse = _symmetric_lu((PT @ A @ P).tocsc()) if P.shape[1] else None
-
-    def apply(r):
-        z = np.zeros(n)
-        for idx, inv in patches:
-            local = inv @ r[idx][..., None]
-            z += np.bincount(idx.ravel(), weights=local.ravel(), minlength=n)
-        if coarse is not None:
-            z += P @ coarse.solve(PT @ r)
-        return z
-
-    return scipy.sparse.linalg.LinearOperator((n, n), matvec=apply, dtype=float)
-
-
 def solve_condensed(
     system: CondensedSystem, method: str = "cholesky", tol: float = 1e-12
 ) -> tuple[np.ndarray, SolverStats]:
     """Solve for the interior trace coefficients.
 
-    ``cholesky``: multifrontal nested dissection (_substructured_solve), one
-    symmetric elimination without pivoting by dense Cholesky factors of the
-    fronts, from the subdomains up to the top front. A breakdown of a dense
-    factor or a pivot that is not positive means the matrix is not SPD and
-    is reported as a hard error; min_pivot is the smallest pivot.
-    ``cg``: conjugate gradients with the two-level vertex-patch Schwarz
-    preconditioner of _schwarz_preconditioner, built from ``system.disc``.
+    Both methods factor the matrix by multifrontal nested dissection
+    (_substructured_solve): one symmetric elimination without pivoting by
+    dense Cholesky factors of the fronts, from the subdomains up to the top
+    front. A breakdown of a dense factor or a pivot that is not positive
+    means the matrix is not SPD and is reported as a hard error; min_pivot
+    is the smallest pivot.
+    ``cholesky``: the solution of that elimination.
+    ``cg``: conjugate gradients from zero, preconditioned by the factors, to
+    relative residual ``tol``: iterative refinement of the direct solve,
+    accelerated by CG (Carson & Higham, SIAM J. Sci. Comput. 40, 2018).
 
     Returns the full trace vector (boundary values filled in) and stats."""
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    if method not in ("cholesky", "cg"):
+        raise ValueError(f"unknown solver {method!r} (expected 'cholesky' or 'cg')")
     A, b = system.matrix, system.rhs
     n = A.shape[0]
     stats = SolverStats(method=method, n=n, nnz=A.nnz)
@@ -772,14 +690,11 @@ def solve_condensed(
         full = system.boundary_values.copy()
         return full, stats
 
-    if method == "cholesky":
-        x, stats.min_pivot = _substructured_solve(system)
-        if not stats.min_pivot > 0.0:
-            raise SolverError(
-                f"matrix is not positive definite (min pivot {stats.min_pivot:.3e})"
-            )
-    elif method == "cg":
-        M = _schwarz_preconditioner(system)
+    x, stats.min_pivot, apply = _substructured_solve(system)
+    if not stats.min_pivot > 0.0:
+        raise SolverError(f"matrix is not positive definite (min pivot {stats.min_pivot:.3e})")
+    if method == "cg":
+        M = scipy.sparse.linalg.LinearOperator((n, n), matvec=apply, dtype=float)
         count = {"it": 0}
 
         def cb(_xk):
@@ -791,8 +706,6 @@ def solve_condensed(
             raise SolverError(f"cg did not converge in {info} iterations")
         if info < 0:
             raise SolverError("cg failed (illegal input or breakdown)")
-    else:
-        raise ValueError(f"unknown solver {method!r} (expected 'cholesky' or 'cg')")
 
     bnorm = np.linalg.norm(b)
     stats.residual = float(np.linalg.norm(A @ x - b) / bnorm) if bnorm > 0 else 0.0

@@ -2,13 +2,15 @@
 
 Each one states a definition directly (a polynomial field and its
 derivatives, a stress field on a basis, the compliance and stiffness laws
-as maps on 2x2 matrices), so that the tests can check the program's
-faster, specialised forms of them.
+as maps on 2x2 matrices, a sparse LU of a whole matrix), so that the tests
+can check the program's faster, specialised forms of them.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.linalg
 from numpy.polynomial import polynomial as npoly
 
 from hdgelast.fespace import StressBasis
@@ -81,3 +83,15 @@ def strain(sol: ExactSolution, pts: np.ndarray) -> np.ndarray:
     """The symmetric gradient of the exact displacement, (n, 2, 2)."""
     g = sol.grad(np.atleast_2d(pts))
     return 0.5 * (g + np.swapaxes(g, 1, 2))
+
+
+def symmetric_lu(A: scipy.sparse.csc_matrix):
+    """Sparse LU of a whole CSC matrix in symmetric mode with zero pivot
+    threshold: pivots on the diagonal in a minimum-degree order of A + A^T.
+    The oracle of the nested-dissection solve."""
+    return scipy.sparse.linalg.splu(
+        A,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )

@@ -14,7 +14,7 @@ from hdgelast import postproc as P
 from hdgelast.harness import RunConfig, run_solve
 from hdgelast.material import ComplianceTensor
 
-from oracles import polynomial_solution
+from oracles import polynomial_solution, symmetric_lu
 
 PLANE_STRESS = ComplianceTensor.plane_stress(1.0, 0.3)
 
@@ -203,50 +203,6 @@ def test_assembly_peak_memory_bounded_by_matrix():
     assert peak <= 3 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
 
-@pytest.mark.parametrize("family,k", [("tri", 1), ("tri", 3), ("poly", 2)])
-def test_patch_blocks_equal_sampled_matrix(family, k):
-    glob = assembled_with_data(family, k)[-1]
-    patches = G._patch_blocks(glob)
-    assert sum(len(dofs) for dofs, _ in patches) == len(np.unique(
-        glob.disc.mesh.face_vertices[glob.disc.mesh.interior_faces()]))
-    matrix = glob.matrix.tocsr()
-    for dofs, blocks in patches:
-        rows = np.broadcast_to(dofs[:, :, None], blocks.shape)
-        cols = np.broadcast_to(dofs[:, None, :], blocks.shape)
-        sampled = np.asarray(matrix[rows.ravel(), cols.ravel()]).reshape(blocks.shape)
-        assert sampled.tobytes() == blocks.tobytes()
-
-
-@pytest.mark.parametrize("family,k,n,distinct", [("tri", 1, 8, None), ("poly", 2, 12, 30),
-                                                ("perturbed", 2, 6, None)])
-def test_patch_inverses_bitwise_per_block(monkeypatch, family, k, n, distinct):
-    # each distinct patch block is inverted once, and every block gets the
-    # inverse np.linalg.inv gives it alone; every block of the perturbed
-    # mesh is distinct. A small COMPARE_BYTES splits the block comparisons
-    # into chunks of a few blocks.
-    from test_mesh import perturbed_mesh
-
-    monkeypatch.setattr(G, "COMPARE_BYTES", 7 * 24 * 24 * 8)
-
-    mesh = perturbed_mesh("poly", n) if family == "perturbed" else M.build_mesh(family, n)
-    material = ComplianceTensor.plane_strain(3.0, 0.49999)
-    disc = G.build_discretization(mesh, k)
-    glob = G.assemble_global(disc, G.build_element_systems(disc, material, 3.0 / mesh.h))
-    inv, inverted = np.linalg.inv, []
-    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(len(a)) or inv(a))
-    total = found = 0
-    for _, blocks in G._patch_blocks(glob):
-        got = G._block_inverses(blocks)
-        assert got.tobytes() == np.stack([inv(b) for b in blocks]).tobytes()
-        total += len(blocks)
-        found += len(np.unique(blocks.reshape(len(blocks), -1), axis=0))
-    assert sum(inverted) == found
-    if family == "perturbed":
-        assert found == total
-    if distinct is not None:
-        assert found == distinct < total
-
-
 def test_cholesky_positive_pivots_reported():
     _, _, _, _, glob, _, stats = solve_manufactured(
         "tri", 8, 1, MF.test1_solution(), PLANE_STRESS
@@ -271,13 +227,11 @@ def test_cg_and_cholesky_agree_on_random_spd():
         assert np.abs(x_chol - x_cg).max() < 1e-10 * max(1.0, np.abs(x_chol).max())
 
 
-@pytest.mark.parametrize("family,n,coarse_dim", [("tri", 1, 0), ("tri", 2, 2), ("poly", 2, 2)])
-def test_cg_matches_cholesky_on_smallest_meshes(family, n, coarse_dim):
-    # tri n=1 has no interior vertex, so the coarse space is empty
+@pytest.mark.parametrize("family,n", [("tri", 1), ("tri", 2), ("poly", 2)],
+                         ids=["tri-1-0", "tri-2-2", "poly-2-2"])
+def test_cg_matches_cholesky_on_smallest_meshes(family, n):
     sol = MF.test1_solution()
-    _, _, disc, _, glob, dsol, stats = solve_manufactured(family, n, 2, sol, PLANE_STRESS,
-                                                          solver="cg")
-    assert G._coarse_prolongation(disc).shape == (glob.matrix.shape[0], coarse_dim)
+    *_, glob, dsol, stats = solve_manufactured(family, n, 2, sol, PLANE_STRESS, solver="cg")
     trace, _ = G.solve_condensed(glob, "cholesky")
     assert stats.iterations > 0
     assert np.abs(dsol.trace - trace).max() < 1e-10 * np.abs(trace).max()
@@ -288,8 +242,9 @@ def test_cg_matches_cholesky_on_smallest_meshes(family, n, coarse_dim):
     ("poly", 2, MF.test2_solution(), ComplianceTensor.plane_strain(3.0, 0.49999)),
 ], ids=["tri-k1-nu0.3", "poly-k2-nu0.49999"])
 def test_cg_iterations_flat_under_refinement(family, k, sol, material):
-    # the two-level Schwarz preconditioner keeps CG counts from growing by
-    # 1.5x per refinement, near incompressibility too
+    # preconditioned by the factorization of the direct solve, CG refines
+    # that solve's result, so its counts do not grow by 1.5x per
+    # refinement, near incompressibility too
     counts = []
     for n in (8, 16, 32):
         *_, glob, dsol, stats = solve_manufactured(family, n, k, sol, material, solver="cg")
@@ -304,6 +259,19 @@ def test_cg_iterations_flat_under_refinement(family, k, sol, material):
     print(f"CG iterations {family} k={k} n=8,16,32: {counts}")
     for coarse, fine in zip(counts, counts[1:]):
         assert fine < 1.5 * coarse, counts
+
+
+@pytest.mark.parametrize("family,k,n", [("tri", 1, 16), ("poly", 2, 12), ("poly", 2, 24)])
+def test_cg_refines_direct_solve(family, k, n):
+    # CG preconditioned by the direct solve's factors reaches the tolerance
+    # in a few steps at nu=0.49999, where the trace matrix is worst
+    # conditioned, and leaves a true residual no larger than the direct one
+    sol, material = MF.test2_solution(), ComplianceTensor.plane_strain(3.0, 0.49999)
+    *_, glob, _, stats = solve_manufactured(family, n, k, sol, material, solver="cg")
+    _, direct = G.solve_condensed(glob, "cholesky")
+    assert 0 < stats.iterations <= 3
+    assert stats.min_pivot == direct.min_pivot > 0
+    assert stats.residual <= direct.residual, (stats.residual, direct.residual)
 
 
 def test_cg_on_actual_problem_matches_direct():
@@ -427,7 +395,7 @@ DIRECT_CASES = [f"tri-k{k}-n{n}" for k in (1, 2, 3) for n in (1, 2, 5, 10, 32)] 
 
 
 def assert_matches_whole_factorization(glob):
-    expected = G._symmetric_lu(glob.matrix.tocsc()).solve(glob.rhs)
+    expected = symmetric_lu(glob.matrix.tocsc()).solve(glob.rhs)
     trace, stats = G.solve_condensed(glob, "cholesky")
     x = trace[glob.dofmap.interior_index >= 0]
     assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -478,35 +446,61 @@ def test_power_of_two_grid_stacks():
     ("tri-k1-n32", 9, 64, [16, 4, 1], [9, 4, 1]),
     ("perturbed-k1-n16", 16, 16, [4, 1], [4, 1]),
 ], ids=["tri-k1-n32-9-64", "perturbed-k1-n16-16-16"])
-def test_subdomain_classes(case, classes, blocks, fronts, shared):
+def test_subdomain_classes(monkeypatch, case, classes, blocks, fronts, shared):
     # the 8 x 8 subdomains of tri n=32 fall into 9 classes: interior, four
     # edges and four corners; on a mesh without translates each of the
     # 4 x 4 subdomains is its own class (the unperturbed mesh has 9). Each
     # level above has a quarter of the fronts of the one below; on tri n=32
     # the 16 fronts of level 1 fall into 9 classes, as the subdomains do.
-    stacks = G._substructure(direct_case(case))
-    per_level = np.zeros((stacks[-1].level + 1, 2), dtype=int)  # classes, fronts
-    for st in stacks:
-        C, m, _ = st.inner.shape
-        per_level[st.level] += C, C * m
-    assert list(per_level[0]) == [classes, blocks]
-    assert list(per_level[1:, 1]) == fronts
-    assert list(per_level[1:, 0]) == shared
+    # The classes do not depend on how many keys _distinct compares at a
+    # time: COMPARE_BYTES of 1 compares one at a time.
+    glob = direct_case(case)
+    for compare_bytes in (G.COMPARE_BYTES, 1):
+        monkeypatch.setattr(G, "COMPARE_BYTES", compare_bytes)
+        stacks = G._substructure(glob)
+        per_level = np.zeros((stacks[-1].level + 1, 2), dtype=int)  # classes, fronts
+        for st in stacks:
+            C, m, _ = st.inner.shape
+            per_level[st.level] += C, C * m
+        assert list(per_level[0]) == [classes, blocks]
+        assert list(per_level[1:, 1]) == fronts
+        assert list(per_level[1:, 0]) == shared
+
+
+@pytest.mark.parametrize("compare_bytes", [G.COMPARE_BYTES, 8], ids=["default", "one-word"])
+def test_distinct_rows(monkeypatch, compare_bytes):
+    # equal rows share the first as representative; a row one ulp off in
+    # one word is its own. Rows 4 and 5 differ in two words, by amounts
+    # chosen so that their fingerprints agree: only the word-by-word
+    # comparison (in chunks of one row at 8 bytes) tells them apart.
+    monkeypatch.setattr(G, "COMPARE_BYTES", compare_bytes)
+    rows = np.random.default_rng(4).normal(size=(6, 5))
+    rows[[1, 3]] = rows[0]
+    rows[2, 3] = np.nextafter(rows[0, 3], np.inf)
+    words = rows.view(np.uint64)
+    words[4:] = words[0]
+    probe = (2 * np.arange(5, dtype=np.uint64) + 1) * np.uint64(0x9E3779B97F4A7C15)
+    words[5, 1:2] += probe[2:3]  # slices, as array arithmetic wraps silently
+    words[5, 2:3] -= probe[1:2]
+    assert (words[4] @ probe) == (words[5] @ probe)
+    assert list(G._distinct(rows)) == [0, 0, 2, 0, 0, 5]
 
 
 @pytest.mark.parametrize("case", ["tri-k1-n32", "poly-k2-n12", "mixed-k2-n6", "perturbed-k1-n16"])
 def test_direct_solve_without_superlu(case, monkeypatch):
-    # the direct path factors every front with a dense Cholesky; SuperLU is
-    # only the Schwarz coarse solve's. Two solves give the same bits.
+    # both methods factor every front with a dense Cholesky, and nothing in
+    # the program calls SuperLU, which is only the tests' whole-matrix
+    # oracle. Two solves give the same bits.
     def refuse(*args, **kwargs):
-        raise AssertionError("splu called on the direct path")
+        raise AssertionError("splu called by the trace solve")
 
     glob = direct_case(case)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
-    first, stats = G.solve_condensed(glob, "cholesky")
-    second, _ = G.solve_condensed(glob, "cholesky")
-    assert first.tobytes() == second.tobytes()
-    assert stats.min_pivot > 0 and stats.residual < 1e-10
+    for method in ("cholesky", "cg"):
+        first, stats = G.solve_condensed(glob, method)
+        second, _ = G.solve_condensed(glob, method)
+        assert first.tobytes() == second.tobytes()
+        assert stats.min_pivot > 0 and stats.residual < 1e-10
 
 
 def test_unknown_solver_rejected():
