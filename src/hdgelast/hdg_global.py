@@ -292,10 +292,12 @@ def assemble_global(
     done = 0
     for cb, pair in zip(systems.batches, pair_masks):
         B, m = pair.shape[:2]
-        matrix = cb.matrix[cb.rows]  # the elements' class matrices
         blk, new = inverse[done : done + pair.sum()], is_first[done : done + pair.sum()]
         done += len(blk)
-        vals = matrix.reshape(B, m, nd, m, nd).swapaxes(2, 3)[pair]
+        # each (element, face pair) block, in [pair] order, from its class
+        e, r, c = np.nonzero(pair)
+        class_blocks = cb.matrix.reshape(-1, m, nd, m, nd).swapaxes(2, 3).reshape(-1, nd, nd)
+        vals = class_blocks[(cb.rows[e] * m + r) * m + c]
         # the first element block of a face block is copied, the second added
         blocks[blk[new]] = vals[new]
         blocks[blk[~new]] += vals[~new]
@@ -309,7 +311,7 @@ def assemble_global(
             sel = np.flatnonzero(n_bdry == count)
             ii = np.nonzero(inside[sel])[1].reshape(len(sel), -1)
             bb = np.nonzero(~inside[sel])[1].reshape(len(sel), -1)
-            sub = matrix[sel[:, None, None], ii[:, :, None], bb[:, None, :]]
+            sub = cb.matrix[cb.rows[sel][:, None, None], ii[:, :, None], bb[:, None, :]]
             g = boundary_values[np.take_along_axis(gdofs[sel], bb, axis=1)]
             lift = (sub @ g[..., None])[..., 0]
             j = ii // nd

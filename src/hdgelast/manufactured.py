@@ -41,20 +41,15 @@ class ExactSolution:
 
 def test1_solution() -> ExactSolution:
     """Smooth trigonometric displacement vanishing on the whole boundary:
-    u1 = 10 sin(pi x)(1-x) * (y - y^2)(1 - y/2), u2 = 0."""
+    u1 = 10 sin(pi x)(1-x) * (y - y^2)(1 - y/2), u2 = 0.
+
+    Each call of u, grad or hess computes each factor it needs once:
+    sin(pi x), cos(pi x), 1 - x and the y-polynomials q, q', q''."""
 
     def split(pts):
         pts = np.atleast_2d(pts)
-        return pts[:, 0], pts[:, 1]
-
-    def p(x):
-        return 10.0 * np.sin(np.pi * x) * (1.0 - x)
-
-    def dp(x):
-        return 10.0 * (np.pi * np.cos(np.pi * x) * (1.0 - x) - np.sin(np.pi * x))
-
-    def ddp(x):
-        return 10.0 * (-np.pi**2 * np.sin(np.pi * x) * (1.0 - x) - 2.0 * np.pi * np.cos(np.pi * x))
+        x = pts[:, 0]
+        return np.pi * x, 1.0 - x, pts[:, 1]
 
     def q(y):
         return y - 1.5 * y**2 + 0.5 * y**3
@@ -62,28 +57,27 @@ def test1_solution() -> ExactSolution:
     def dq(y):
         return 1.0 - 3.0 * y + 1.5 * y**2
 
-    def ddq(y):
-        return -3.0 + 3.0 * y
-
     def u(pts):
-        x, y = split(pts)
-        out = np.zeros((len(x), 2))
-        out[:, 0] = p(x) * q(y)
+        px, omx, y = split(pts)
+        out = np.zeros((len(y), 2))
+        out[:, 0] = 10.0 * np.sin(px) * omx * q(y)
         return out
 
     def grad(pts):
-        x, y = split(pts)
-        out = np.zeros((len(x), 2, 2))
-        out[:, 0, 0] = dp(x) * q(y)
-        out[:, 0, 1] = p(x) * dq(y)
+        px, omx, y = split(pts)
+        sin, cos = np.sin(px), np.cos(px)
+        out = np.zeros((len(y), 2, 2))
+        out[:, 0, 0] = 10.0 * (np.pi * cos * omx - sin) * q(y)
+        out[:, 0, 1] = 10.0 * sin * omx * dq(y)
         return out
 
     def hess(pts):
-        x, y = split(pts)
-        out = np.zeros((len(x), 2, 2, 2))
-        out[:, 0, 0, 0] = ddp(x) * q(y)
-        out[:, 0, 0, 1] = out[:, 0, 1, 0] = dp(x) * dq(y)
-        out[:, 0, 1, 1] = p(x) * ddq(y)
+        px, omx, y = split(pts)
+        sin, cos = np.sin(px), np.cos(px)
+        out = np.zeros((len(y), 2, 2, 2))
+        out[:, 0, 0, 0] = 10.0 * (-np.pi**2 * sin * omx - 2.0 * np.pi * cos) * q(y)
+        out[:, 0, 0, 1] = out[:, 0, 1, 0] = 10.0 * (np.pi * cos * omx - sin) * dq(y)
+        out[:, 0, 1, 1] = 10.0 * sin * omx * (-3.0 + 3.0 * y)
         return out
 
     return ExactSolution("test1", u, grad, hess)

@@ -161,6 +161,23 @@ def test_face_block_assembly_matches_triplet_oracle(family, k):
             assert np.abs(glob.rhs - unlifted).max() > 1e-3 * np.abs(glob.rhs).max()
 
 
+@pytest.mark.parametrize("family,k,n", [("tri", 1, 16), ("poly", 2, 12)])
+def test_assembly_bitwise_against_per_element_copies(family, k, n):
+    # several batches read one chunk's class matrices through their rows;
+    # the same assembly with every element holding a copy of its class
+    # matrix has the same bits, boundary lift included
+    disc, systems, bvals, glob = assembled_with_data(family, k, n, sol=cubic_solution())
+    assert len(systems.batches) > 1 and np.abs(bvals).max() > 0
+    copies = replace(systems, batches=[
+        replace(cb, matrix=cb.matrix[cb.rows], rows=np.arange(len(cb.rows)))
+        for cb in systems.batches
+    ])
+    ref = G.assemble_global(disc, copies, bvals)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(glob.matrix, name).tobytes() == getattr(ref.matrix, name).tobytes()
+    assert glob.rhs.tobytes() == ref.rhs.tobytes()
+
+
 @pytest.mark.parametrize("family,k", FACE_BLOCK_CASES)
 def test_global_matrix_bitwise_symmetric(family, k):
     A = assembled_with_data(family, k)[-1].matrix

@@ -4,7 +4,7 @@ import pytest
 from hdgelast import manufactured as MF
 from hdgelast.material import ComplianceTensor
 
-from oracles import apply_compliance, apply_stiffness, polynomial_solution, strain
+from oracles import apply_compliance, apply_stiffness, closed_form_test1, polynomial_solution, strain
 
 MATERIALS = [
     ComplianceTensor.plane_stress(1.0, 0.3),
@@ -46,6 +46,16 @@ def test_test1_midpoint_value():
     u = MF.test1_solution().u(np.array([[0.5, 0.5]]))[0]
     assert u[0] == pytest.approx(0.9375, abs=1e-15)
     assert u[1] == 0.0
+
+
+def test_test1_bitwise_against_factor_by_factor_closed_forms():
+    # u, grad and hess compute each factor once per call, with the closed
+    # forms' expressions, so every value keeps its bits, at one point too
+    pts = np.random.default_rng(3).uniform(-0.5, 1.5, size=(10_000, 2))
+    got, want = MF.test1_solution(), closed_form_test1()
+    for name in ("u", "grad", "hess"):
+        for p in (pts, pts[0]):
+            assert getattr(got, name)(p).tobytes() == getattr(want, name)(p).tobytes()
 
 
 def test_test1_vanishes_on_boundary():

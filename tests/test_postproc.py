@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from hdgelast import mesh as M
 from hdgelast import postproc as P
 from hdgelast.material import ComplianceTensor
 
-from oracles import polynomial_solution, stress_field
+from oracles import polynomial_solution, stress_field, write_vtk_by_line
 
 PLANE_STRESS = ComplianceTensor.plane_stress(1.0, 0.3)
 
@@ -261,3 +263,32 @@ def test_vtk_polygon_fan(tmp_path):
     assert ncells == 4 * mesh.num_elements
     assert any(l.startswith("VECTORS displacement") for l in text)
     assert sum(1 for l in text if l.startswith("SCALARS stress_")) == 3
+
+
+def extreme_values(dsol):
+    """The solution with -0.0, huge and subnormal element-mean stresses and
+    huge and tiny displacement coefficients."""
+    p_s = dsol.stress_coeffs.shape[1] // 3
+    s, w = dsol.stress_coeffs.copy(), dsol.disp_coeffs.copy()
+    s[:, 0] = -0.0
+    s[:, p_s] = np.where(np.arange(len(s)) % 2, 1e300, -1e-300)
+    s[:, 2 * p_s] = 5e-324
+    w[::2] *= 1e250
+    w[1::2] *= 1e-300
+    return replace(dsol, stress_coeffs=s, disp_coeffs=w)
+
+
+@pytest.mark.parametrize("family,n,k,edit", [
+    ("tri", 4, 1, None), ("poly", 3, 2, None), ("tri", 4, 1, extreme_values),
+], ids=["tri", "poly-fan", "tri-extreme"])
+def test_vtk_bytes_match_line_by_line_oracle(tmp_path, family, n, k, edit):
+    # one % per section formats each number as its own f"{x:.9E}" would
+    mesh, tau, disc, dsol = small_solve(family=family, n=n, k=k)
+    dsol = edit(dsol) if edit else dsol
+    got, want = tmp_path / "got.vtk", tmp_path / "want.vtk"
+    P.write_vtk(mesh, dsol, str(got), title="bytes")
+    write_vtk_by_line(mesh, dsol, str(want), title="bytes")
+    assert got.read_bytes() == want.read_bytes()
+    if edit:
+        text = got.read_text()
+        assert all(v in text for v in ("\n-0.000000000E+00\n", "E+300\n", "E-300\n", "E-32"))
