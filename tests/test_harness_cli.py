@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -196,6 +200,22 @@ def test_cli_solve_reports_solver(capsys):
     assert fields["solver"] == "cg"
     assert int(fields["it"]) > 0
     assert float(fields["residual"]) < 1e-10
+
+
+def test_cg_solve_loads_no_sparse_linalg():
+    # the CG refinement is a numpy loop, so a fresh process that imports
+    # the command line and the harness and runs a CG solve does not pay
+    # for importing scipy.sparse.linalg
+    code = ("import sys\n"
+            "from hdgelast import cli, harness\n"
+            "assert cli.main(['solve', '--n', '4', '--solver', 'cg']) == 0\n"
+            "assert 'scipy.sparse.linalg' not in sys.modules\n")
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "solver=cg it=1 " in done.stdout
 
 
 def test_cli_k0_refused(capsys):

@@ -299,6 +299,48 @@ def test_cg_on_actual_problem_matches_direct():
     assert stats.iterations > 0
 
 
+def test_cg_zero_rhs_takes_no_step():
+    # the direct solution of a zero load is exactly zero, so CG has no
+    # residual to refine, and the reported residual divides by no zero
+    # (a warning would fail the test)
+    disc = G.build_discretization(M.build_unit_square_tri(2), 1)
+    glob = G.assemble_global(disc, G.build_element_systems(disc, PLANE_STRESS, tau=2.0))
+    assert not glob.rhs.any()
+    trace, stats = G.solve_condensed(glob, "cg")
+    assert stats.iterations == 0 and stats.residual == 0.0
+    assert not trace[glob.dofmap.interior_index >= 0].any()
+
+
+def with_preconditioner(monkeypatch, precondition):
+    """Make solve_condensed refine the direct solution with
+    ``precondition`` in place of the factors."""
+    direct = G._substructured_solve
+
+    def substructured_solve(system):
+        x, min_pivot, _ = direct(system)
+        return x, min_pivot, precondition
+
+    monkeypatch.setattr(G, "_substructured_solve", substructured_solve)
+
+
+def test_cg_indefinite_preconditioner_breaks_down(monkeypatch):
+    *_, glob, _, _ = solve_manufactured("tri", 2, 1, MF.test1_solution(), PLANE_STRESS)
+    with_preconditioner(monkeypatch, lambda r: -r)
+    with pytest.raises(G.SolverError, match=r"^cg failed \(illegal input or breakdown\)$"):
+        G.solve_condensed(glob, "cg")
+
+
+def test_cg_stops_at_ten_n_iterations(monkeypatch):
+    # unpreconditioned CG on 32 dofs at nu=0.49999 brings its updated
+    # residual to about 1e-66 ||b|| in 320 steps, far from 1e-300 ||b||
+    material = ComplianceTensor.plane_strain(3.0, 0.49999)
+    *_, glob, _, _ = solve_manufactured("tri", 2, 1, MF.test2_solution(), material)
+    assert glob.matrix.shape == (32, 32)
+    with_preconditioner(monkeypatch, lambda r: r.copy())
+    with pytest.raises(G.SolverError, match=r"^cg did not converge in 320 iterations$"):
+        G.solve_condensed(glob, "cg", tol=1e-300)
+
+
 def non_spd_dof(glob, where):
     """An interior dof of ``glob``'s trace matrix: its first dof on the
     one-block mesh, the first dof of a front above the subdomains, the first
